@@ -30,10 +30,10 @@
 #                                   over-budget typed reject (exit 2),
 #                                   clean shutdown
 #   9. feature matrix (FEATURE_GATE) cargo test under the cargo-feature
-#                                   combinations (certified-unchecked,
-#                                   simd, both) whose defaults the other
-#                                   stages don't exercise — every combo
-#                                   is pinned bit-identical
+#                                   combination (certified-unchecked)
+#                                   whose default the other stages
+#                                   don't exercise — it is pinned
+#                                   bit-identical
 #  10. cargo doc -D warnings        rustdoc integrity
 #  11. sanitizers (SAN_GATE)        Miri over the kernel unit suites and
 #                                   ThreadSanitizer over the concurrency
@@ -43,9 +43,9 @@
 #  12. smoke-bench perf gate        noise-aware wall-clock regression gate
 #
 # FEATURE_GATE mirrors BENCH_GATE/SAN_GATE:
-#   auto       test the combos not already covered by other stages:
-#              certified-unchecked, simd, certified-unchecked+simd
-#              (default covered by stage 4, fault-inject by stages 5-7)
+#   auto       test the combo not already covered by other stages:
+#              certified-unchecked (default covered by stage 4,
+#              fault-inject by stages 5-7)
 #   all        every combo including default and fault-inject — what the
 #              CI feature-matrix job proves, one runner per combo
 #   off        skip the feature-matrix stage
@@ -212,19 +212,12 @@ grep -q "shed" "$OVER_DIR/serve.out"
 rm -rf "$OVER_DIR"
 echo "-- serve overload + drain: typed shed (2), retry recovery, drain refusal (1), clean exit"
 
-# One cargo-feature combination across the three feature-bearing crates.
-# tropical only has `simd`, so its feature list is the intersection.
+# One cargo-feature combination across the two feature-bearing crates
+# (plus tropical, which has no features, so every combo tests it as is).
 run_feature_combo() {
     local combo="$1"
     echo "-- feature combo: ${combo:-default}"
-    case ",$combo," in
-    *",simd,"*)
-        cargo test -p tropical --features simd --offline -q
-        ;;
-    *)
-        cargo test -p tropical --offline -q
-        ;;
-    esac
+    cargo test -p tropical --offline -q
     if [ -n "$combo" ]; then
         cargo test -p bpmax --features "$combo" --offline -q
         cargo test -p bpmax-cli --features "$combo" --offline -q
@@ -241,15 +234,11 @@ off)
 auto)
     echo "== feature matrix (FEATURE_GATE=auto) =="
     run_feature_combo "certified-unchecked"
-    run_feature_combo "simd"
-    run_feature_combo "certified-unchecked,simd"
     ;;
 all)
     echo "== feature matrix (FEATURE_GATE=all) =="
     run_feature_combo ""
     run_feature_combo "certified-unchecked"
-    run_feature_combo "simd"
-    run_feature_combo "certified-unchecked,simd"
     run_feature_combo "fault-inject"
     ;;
 *)

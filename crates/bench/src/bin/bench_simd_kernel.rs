@@ -3,7 +3,7 @@
 //!
 //! Three layers, all on this machine at 1 thread:
 //!
-//! 1. **Stream kernel (headline).** The 4-way fused lane-array kernel
+//! 1. **Stream kernel (headline).** The 4-way fused kernel
 //!    [`tropical::simd::mp_axpy4`] over L1-resident rows: four fused
 //!    `Y = max(a_r + X_r, Y)` updates share one load/store of the
 //!    accumulator row, so arithmetic intensity doubles and the kernel
@@ -15,9 +15,9 @@
 //!    all six program versions (SIMD on *and* off) agree with the
 //!    memoized specification oracle — asserted at runtime, every run.
 //!
-//! The lane-array kernels are always compiled; the `simd` cargo feature
-//! only flips the solve-path default, so this binary measures the same
-//! code under any feature set.
+//! Both `R0` orders are always compiled and picked per run
+//! (`SolveOptions::simd`), so this binary measures the same code in every
+//! build.
 
 use bench::dmp::{dmp_flops, dmp_solve};
 use bench::report::Reporter;
@@ -27,8 +27,8 @@ use bpmax::kernels::{R0Order, Tile};
 use bpmax::spec::spec_score;
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
 use std::time::Instant;
-use tropical::scalar::mp_axpy_scalar;
-use tropical::simd::{mp_axpy4, mp_axpy_lanes};
+use tropical::scalar::mp_axpy;
+use tropical::simd::mp_axpy4;
 
 /// Deterministic fill in `[-60, 65)` (same family as the dmp seeding).
 fn filled(seed: u64, n: usize) -> Vec<f32> {
@@ -89,7 +89,7 @@ fn main() {
     let mut rep = Reporter::new("bench_simd_kernel", &opts);
     banner(
         "SIMD kernel",
-        "explicitly vectorized register-tiled max-plus (lane-array mp_axpy4)",
+        "SIMD register-tiled max-plus (fused mp_axpy4)",
         "conclusion: 'an additional level of tiling at the register level is required' — implemented here",
     );
 
@@ -147,27 +147,18 @@ fn main() {
         1 << 29
     };
     println!("\n--- measured stream kernels, 1 thread, L1-resident rows ---");
-    let mut t = Table::new(&[
-        "row len",
-        "scalar axpy",
-        "simd axpy",
-        "simd axpy4",
-        "axpy4/scalar",
-    ]);
+    let mut t = Table::new(&["row len", "axpy", "simd axpy4", "axpy4/axpy"]);
     for &len in &[512usize, 1024, 2048] {
         let iters1 = ((budget / (2 * len as u64)).max(1)) as usize;
         let iters4 = ((budget / (8 * len as u64)).max(1)) as usize;
-        let g_scalar = stream_single(len, iters1, mp_axpy_scalar);
-        let g_lanes = stream_single(len, iters1, mp_axpy_lanes);
+        let g_scalar = stream_single(len, iters1, mp_axpy);
         let (g_axpy4, _) = stream_axpy4(len, iters4);
         rep.measured_gflops(format!("measured/scalar-axpy/len={len}"), g_scalar);
-        rep.measured_gflops(format!("measured/simd-axpy/len={len}"), g_lanes);
         rep.measured_gflops(format!("measured/simd-axpy4/len={len}"), g_axpy4);
         rep.annotate(&[("speedup_vs_scalar", g_axpy4 / g_scalar)]);
         t.row(vec![
             len.to_string(),
             f2(g_scalar),
-            f2(g_lanes),
             f2(g_axpy4),
             f2(g_axpy4 / g_scalar),
         ]);

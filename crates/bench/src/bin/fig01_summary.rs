@@ -14,8 +14,11 @@ use machine::spec::MachineSpec;
 use machine::traffic;
 use simsched::speedup::HtModel;
 
+/// Solve with `alg` on the paper's kernels: `simd(false)` keeps the
+/// hybrid+tiled row on its Phase III tiled `R0` instead of the default
+/// register-tiled one.
 fn solve(p: &BpMaxProblem, alg: Algorithm) -> bpmax::FTable {
-    p.solve_opts(&SolveOptions::new().algorithm(alg))
+    p.solve_opts(&SolveOptions::new().algorithm(alg).simd(false))
         .expect("unsupervised bench solve")
         .into_ftable()
 }

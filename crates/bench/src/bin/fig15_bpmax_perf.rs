@@ -15,8 +15,11 @@ use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
 use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
 
+/// Solve with `alg` on the paper's kernels: `simd(false)` keeps the
+/// hybrid+tiled row on its Phase III tiled `R0` instead of the default
+/// register-tiled one.
 fn solve(p: &BpMaxProblem, alg: Algorithm) -> bpmax::FTable {
-    p.solve_opts(&SolveOptions::new().algorithm(alg))
+    p.solve_opts(&SolveOptions::new().algorithm(alg).simd(false))
         .expect("unsupervised bench solve")
         .into_ftable()
 }
@@ -31,7 +34,7 @@ fn main() {
     );
 
     println!("\n--- measured, 1 thread, this machine (GFLOPS) ---");
-    println!("(note: parallel variants pay rayon dispatch overhead with no cores to use it;\n their win is in the modeled section / on multicore hardware)");
+    println!("(note: the coarse, fine and hybrid variants run the serial traversal with their\n own R0 order; their parallel shapes are in the modeled section)");
     let algs = Algorithm::ALL;
     let mut header = vec!["M=N".to_string()];
     header.extend(algs.iter().map(|a| a.label().to_string()));

@@ -9,7 +9,7 @@
 //! FLOP/byte, doubling the bandwidth-roof ceiling.
 //!
 //! This is no longer future work: the headline *measurement* of the
-//! explicitly vectorized kernel (lane-array `mp_axpy4`, `R0Order::SimdReg`,
+//! SIMD kernel (fused `mp_axpy4`, `R0Order::SimdReg`,
 //! runtime bit-identity assertions) lives in `bench_simd_kernel`. This
 //! binary is kept as the roofline-model view plus the LLVM-autovectorized
 //! comparison column.

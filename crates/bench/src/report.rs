@@ -544,7 +544,7 @@ pub fn summarize(reports: &[Report]) -> Json {
         }
     }
     // Register-level SIMD kernel: the "future work" tiling implemented —
-    // the fused lane-array stream rate and the in-solve SimdReg point,
+    // the fused mp_axpy4 stream rate and the in-solve SimdReg point,
     // pinned against the cache-tiled dmp rate above.
     if let Some(simd) = by_name("bench_simd_kernel") {
         let axpy4 = simd.best_gflops_with_prefix(Kind::Measured, "measured/simd-axpy4");

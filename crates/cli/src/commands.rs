@@ -68,11 +68,10 @@ failed window (exit 3). The merged ranking is bit-identical to a
 single-process run. --workers conflicts with --resume: the ledger is
 recreated fresh each run.
 
---simd / --no-simd override the build default for the explicitly
-vectorized lane-array kernels (the hybrid+tiled algorithm's SimdReg
-path). Both paths are always compiled and bit-identical — the flags
-change speed, never scores. The default follows the `simd` cargo
-feature. For scan, the flags apply only with --batch.
+--simd / --no-simd pick the hybrid+tiled algorithm's R0 kernel: --simd
+(the default) runs the register-tiled SIMD kernel (SimdReg), --no-simd
+the paper's Phase III tiled order. Both are bit-identical — the flags
+change speed, never scores. For scan, the flags apply only with --batch.
 
 serve runs a resident solve daemon on a Unix socket: one warm batch
 engine (hot block-pool arenas) answers every client request, results are
@@ -299,7 +298,7 @@ fn cmd_fold(mut args: Vec<String>) -> Result<String, CliError> {
 }
 
 /// Parse the tri-state `--simd` / `--no-simd` override. `None` keeps
-/// the build default (the `simd` cargo feature).
+/// the default (`--simd`, the register-tiled `R0`).
 fn take_simd(args: &mut Vec<String>) -> Result<Option<bool>, CliError> {
     let on = take_flag(args, "--simd");
     let off = take_flag(args, "--no-simd");

@@ -11,13 +11,13 @@
 //!    transient allocations; the engine routes them through one
 //!    [`BlockPool`] arena so the steady state allocates **nothing**
 //!    ([`PoolStats`] is the receipt — see `bench_batch_throughput`).
-//! 2. **Scheduling shape.** Intra-problem (fine/hybrid) parallelism pays
-//!    a dispatch cost per diagonal that small problems never amortize; a
-//!    batch of small problems wants one-problem-per-thread (coarse),
-//!    while a single large problem wants the paper's hybrid wavefront.
+//! 2. **Scheduling shape.** A batch of small problems wants
+//!    one-problem-per-thread (coarse), while a large problem runs alone,
+//!    where an interrupt can snapshot its resumable prefix. Every problem
+//!    runs the same serial wavefront traversal (see [`crate::engine`]).
 //!    [`Policy::Auto`] classifies each problem with the calibratable
 //!    [`perfmodel`](crate::perfmodel) cost model and runs each class in
-//!    its best shape.
+//!    its shape.
 //! 3. **Telemetry.** A service needs per-problem latency and aggregate
 //!    throughput, not a bare score: [`BatchReport`] carries both and
 //!    feeds the `bench::report` JSON schema.
@@ -58,14 +58,14 @@ use std::time::{Duration, Instant};
 pub enum Policy {
     /// Classify per problem with the cost model: problems whose predicted
     /// serial time is below [`BatchOptions::coarse_cutoff_s`] run
-    /// one-per-thread; larger ones get intra-problem parallelism.
+    /// one-per-thread; larger ones run one at a time.
     #[default]
     Auto,
     /// Every problem one-per-thread, fully serial inside (best for large
     /// batches of small problems).
     Coarse,
-    /// Every problem sequentially, with the algorithm's own intra-problem
-    /// parallelism (best for a few large problems).
+    /// Every problem sequentially, one at a time (a few large problems;
+    /// an interrupted one snapshots its resumable prefix).
     IntraProblem,
 }
 
@@ -84,8 +84,7 @@ pub struct BatchOptions {
     /// block recycling for those tables; default `false`).
     pub keep_tables: bool,
     /// [`Policy::Auto`] threshold: predicted serial seconds below which a
-    /// problem is scheduled coarse. The default (10 ms) keeps per-diagonal
-    /// dispatch overhead under ~1% for the problems that do go fine.
+    /// problem is scheduled coarse (default 10 ms).
     pub coarse_cutoff_s: f64,
     /// Wall-clock budget for the whole wave, anchored when
     /// [`BatchEngine::solve_all`] starts. Problems running (or queued)
@@ -219,8 +218,8 @@ pub struct BatchItem {
     pub seconds: f64,
     /// Max-plus FLOPs of the instance.
     pub flops: u64,
-    /// `true` when scheduled one-per-thread (serial traversal), `false`
-    /// when solved with intra-problem parallelism.
+    /// `true` when scheduled one-per-thread, `false` when solved alone
+    /// (both run the serial traversal).
     pub coarse: bool,
     /// How this problem ended.
     pub outcome: Outcome,
@@ -358,8 +357,8 @@ impl BatchEngine {
         self.pool.current_num_threads()
     }
 
-    /// `true` when the cost model predicts this problem is too small to
-    /// amortize intra-problem dispatch — the [`Policy::Auto`] classifier.
+    /// `true` when the cost model predicts this problem is below
+    /// [`BatchOptions::coarse_cutoff_s`] — the [`Policy::Auto`] classifier.
     pub fn classify_coarse(&self, problem: &BpMaxProblem) -> bool {
         self.classify_coarse_with(problem, &self.opts.solve)
     }
@@ -390,9 +389,8 @@ impl BatchEngine {
 
     /// Solve one problem on the engine's resident rayon pool and warm
     /// block arena with *per-request* solve options — the serve daemon's
-    /// entry point. Scheduling (coarse serial vs intra-problem parallel)
-    /// is classified per request through the perfmodel exactly like
-    /// [`Policy::Auto`]; supervision merges the engine-wide layer with the
+    /// entry point. Scheduling (coarse or alone) is classified per
+    /// request through the perfmodel exactly like [`Policy::Auto`]; supervision merges the engine-wide layer with the
     /// request's own. Infallible like the batch waves: every failure mode
     /// folds into the returned item's [`Outcome`] + error.
     pub fn solve_pooled(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> BatchItem {
@@ -608,8 +606,7 @@ impl BatchEngine {
             slots[slot] = Some(item);
         }
 
-        // Wave 2: the large problems, one at a time with intra-problem
-        // parallelism on the same pool.
+        // Wave 2: the large problems, one at a time on the same pool.
         for (i, problem) in problems.iter().enumerate() {
             if !coarse_class[i] && slots[i].is_none() {
                 let snap = snapshot.filter(|s| s.index as usize == i);
@@ -766,12 +763,7 @@ impl BatchEngine {
                 panic!("injected fault: compute panic at problem {index}"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
             }
             let modes = solve.resolved_kernel_modes();
-            if coarse {
-                problem
-                    .compute_serial_watched_range(algorithm, &mut f, start_diag, m, &watch, modes)
-            } else {
-                problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch, modes)
-            }
+            problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch, modes)
         }));
         match run {
             Ok(Ok(())) => {

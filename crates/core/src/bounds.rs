@@ -141,7 +141,7 @@ fn spec_r0_permuted() -> KernelSpec {
 }
 
 /// The tiled `R0` row band (`r0_row_band_tiled`, driven by
-/// `r0_instance_tiled` and the coarse/fine drivers). Tile origins are
+/// `r0_instance_tiled`). Tile origins are
 /// relaxed (see module docs); tile sizes `TI`, `TK`, `TJ` are parameters.
 fn spec_r0_tiled() -> KernelSpec {
     let domain = Domain::universe(&["i2lo", "i2", "k2lo", "k2", "j2lo", "j2", "j2hi"])
@@ -450,7 +450,7 @@ fn spec_wavefront_driver() -> KernelSpec {
     }
 }
 
-/// The windowed/banded driver (`engine::compute_serial_watched_range` and
+/// The windowed/banded driver (`engine::compute_watched_range` and
 /// `windowed`): diagonals restricted to a window `[S, E) ⊆ [0, M]`.
 fn spec_windowed_driver() -> KernelSpec {
     let domain = Domain::universe(&["i1", "j1"])

@@ -4,34 +4,39 @@
 //! [`crate::spec`]); they differ in iteration order, parallelization and
 //! tiling — the dimensions the paper explores:
 //!
-//! | [`Algorithm`] | paper version | traversal |
-//! |---|---|---|
-//! | `Baseline` | original program | diagonal-by-diagonal, reductions innermost |
-//! | `Permuted` | Phase I | per-triangle phases, streaming `j2` loops, serial |
-//! | `CoarseGrain` | Phase II | whole triangles distributed over threads |
-//! | `FineGrain` | Phase II | rows of one triangle distributed; `R1`/`R2` serial |
-//! | `Hybrid` | Phase III | fine-grain `R0`/`R3`/`R4`, coarse-grain `F`/`R1`/`R2` |
-//! | `HybridTiled` | Phase III + tiling | hybrid with `(i2 × k2 × j2)`-tiled `R0` |
+//! | [`Algorithm`] | paper version | paper's traversal | `R0` order run here |
+//! |---|---|---|---|
+//! | `Baseline` | original program | diagonal-by-diagonal, reductions innermost | — |
+//! | `Permuted` | Phase I | per-triangle phases, streaming `j2` loops, serial | permuted |
+//! | `CoarseGrain` | Phase II | whole triangles distributed over threads | permuted |
+//! | `FineGrain` | Phase II | rows of one triangle distributed; `R1`/`R2` serial | permuted |
+//! | `Hybrid` | Phase III | fine-grain `R0`/`R3`/`R4`, coarse-grain `F`/`R1`/`R2` | permuted |
+//! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | register-tiled (default) or, under `simd(false)`, the tiled one |
+//!
+//! Every version but `Baseline` runs one serial wavefront traversal with
+//! its own `R0` order: the workspace's `rayon` runs on the calling thread,
+//! so distributing triangles or rows would only add dispatch. The
+//! parallel versions' multi-thread behaviour is modelled by `simsched`,
+//! and their schedules are verified by [`crate::schedules`].
 //!
 //! The wavefront invariant shared by all optimized versions: triangles are
 //! produced in ascending outer diagonal `d1 = j1 − i1`; within a diagonal,
 //! Phase A (accumulate `R0`/`R3`/`R4` from earlier diagonals) and Phase B
-//! (finalize with `F`/`R1`/`R2`) touch disjoint blocks, so parallelism is
-//! race-free by construction (the `schedules` module verifies the same
-//! property declaratively, on the paper's schedule encodings).
+//! (finalize with `F`/`R1`/`R2`) touch disjoint blocks, so the paper's
+//! parallelizations are race-free by construction (the `schedules` module
+//! verifies this declaratively, on the paper's schedule encodings).
 
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, Layout};
 use crate::kernels::{
-    accumulate_r034_parallel_mode, accumulate_r034_serial_mode, finalize_triangle, BoundsMode, Ctx,
-    KernelModes, R0Order, SimdMode, Tile,
+    accumulate_r034_serial_mode, finalize_triangle, BoundsMode, Ctx, KernelModes, R0Order,
+    SimdMode, Tile,
 };
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
 };
 use crate::windowed::{max_window_within, solve_windowed_watched};
-use rayon::prelude::*;
 use rna::{JointStructure, RnaSeq, ScoringModel};
 use std::str::FromStr;
 
@@ -84,10 +89,9 @@ impl Algorithm {
     }
 
     /// The `R0` loop order this version runs (tile shape included).
-    /// Under [`SimdMode::LaneArray`] the tiled version upgrades to the
-    /// explicitly vectorized register-tiled order — the other versions
-    /// keep their streaming order (whose `mp_axpy` the `simd` feature
-    /// routes through the lane kernels at compile time).
+    /// Under [`SimdMode::LaneArray`] (the default) the tiled version runs
+    /// the register-tiled order instead of its tile shape; the other
+    /// versions keep their streaming order under both modes.
     fn r0_order(self, simd: SimdMode) -> R0Order {
         match (self, simd) {
             (Algorithm::HybridTiled { .. }, SimdMode::LaneArray) => R0Order::SimdReg,
@@ -162,7 +166,8 @@ pub struct ComputeProfile {
 
 impl Default for ComputeProfile {
     /// The champion configuration: hybrid+tiled with the default tile,
-    /// problem's layout, build-default kernel modes.
+    /// problem's layout, default kernel modes (the register-tiled `R0`,
+    /// [`BoundsMode::build_default`]).
     fn default() -> Self {
         ComputeProfile {
             algorithm: Algorithm::HybridTiled {
@@ -190,7 +195,9 @@ impl ComputeProfile {
     }
 
     /// Override the tile shape. Applies when the algorithm is (or
-    /// defaults to) the tiled version; ignored otherwise.
+    /// defaults to) the tiled version *and* runs under `simd(false)`;
+    /// the default register-tiled `R0` ([`SimdMode::LaneArray`]) ignores
+    /// it. The shape still enters the profile fingerprint.
     #[must_use]
     pub fn tile(mut self, tile: Tile) -> Self {
         self.tile = Some(tile);
@@ -221,12 +228,12 @@ impl ComputeProfile {
         self
     }
 
-    /// Select the explicitly vectorized SIMD kernels (`true`) or the
-    /// auto-vectorized scalar loops (`false`) for the hybrid+tiled `R0`
-    /// path, overriding the build default ([`SimdMode::build_default`] —
-    /// scalar unless the `simd` feature is on). Results are bit-identical
-    /// either way; this is purely a performance knob, pinned by the
-    /// kernel property suites.
+    /// Select the hybrid+tiled `R0` order: the register-tiled kernel
+    /// (`true`, the default — [`SimdMode::LaneArray`]) or the
+    /// paper's Phase III tiled order with the profile's tile shape
+    /// (`false`, [`SimdMode::Scalar`]). Results are bit-identical either
+    /// way; this only picks the kernel, pinned by the kernel property
+    /// suites.
     #[must_use]
     pub fn simd(mut self, on: bool) -> Self {
         self.simd = Some(if on {
@@ -253,8 +260,8 @@ impl ComputeProfile {
         self.bounds.unwrap_or_default()
     }
 
-    /// The SIMD mode to solve with (explicit override or the build
-    /// default).
+    /// The SIMD mode to solve with (explicit override or
+    /// [`SimdMode::LaneArray`]).
     pub(crate) fn resolved_simd_mode(&self) -> SimdMode {
         self.simd.unwrap_or_default()
     }
@@ -394,7 +401,9 @@ impl SolveOptions {
     }
 
     /// Run on a dedicated rayon pool of this many workers (the paper's
-    /// `OMP_NUM_THREADS` knob). Default: the caller's current pool.
+    /// `OMP_NUM_THREADS` knob). Default: the caller's current pool. The
+    /// wavefront traversal itself is serial (see the module docs), so the
+    /// pool size does not change a solve's work.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -409,8 +418,8 @@ impl SolveOptions {
         self
     }
 
-    /// Override the tile shape. Applies when the algorithm is (or
-    /// defaults to) the tiled version; ignored otherwise.
+    /// Override the tile shape — see [`ComputeProfile::tile`]: it applies
+    /// only to the tiled version under `simd(false)`.
     #[must_use]
     pub fn tile(mut self, tile: Tile) -> Self {
         self.profile = self.profile.tile(tile);
@@ -425,8 +434,8 @@ impl SolveOptions {
         self
     }
 
-    /// Select the explicitly vectorized SIMD kernels (`true`) or the
-    /// auto-vectorized scalar loops (`false`) — see
+    /// Select the register-tiled `R0` (`true`, the default) or the
+    /// paper's Phase III tiled order (`false`) — see
     /// [`ComputeProfile::simd`].
     #[must_use]
     pub fn simd(mut self, on: bool) -> Self {
@@ -655,9 +664,9 @@ impl BpMaxProblem {
     }
 
     /// Compute into a caller-provided table under a supervision watch. On
-    /// interrupt the table is left partially filled (and, for parallel
-    /// modes, never with blocks missing — every taken block is put back
-    /// before the checkpoint that can fire).
+    /// interrupt the table is left partially filled, never with blocks
+    /// missing (every taken block is put back before the checkpoint that
+    /// can fire).
     pub(crate) fn compute_watched(
         &self,
         algorithm: Algorithm,
@@ -682,38 +691,10 @@ impl BpMaxProblem {
         watch: &Watch,
         modes: KernelModes,
     ) -> Result<(), Interrupt> {
-        let wave = match algorithm {
-            Algorithm::Baseline => {
-                return solve_baseline_watched_range(&self.ctx, f, start, end, watch)
-            }
-            Algorithm::Permuted => WaveMode::Serial(R0Order::Permuted),
-            Algorithm::CoarseGrain => WaveMode::Coarse(R0Order::Permuted),
-            Algorithm::FineGrain => WaveMode::Fine(R0Order::Permuted),
-            Algorithm::Hybrid => WaveMode::Hybrid(R0Order::Permuted),
-            Algorithm::HybridTiled { .. } => WaveMode::Hybrid(algorithm.r0_order(modes.simd)),
-        };
-        self.wavefront_range(wave, f, start, end, watch, modes.bounds)
-    }
-
-    /// Fully serial traversal that keeps `algorithm`'s `R0` loop order,
-    /// over outer diagonals `start..end` — what the batch engine runs for
-    /// problems scheduled one-per-thread (intra-problem parallel dispatch
-    /// would only add overhead there). Bit-identical to every other mode
-    /// by the wavefront invariant (see
-    /// [`BpMaxProblem::compute_watched_range`] for the range contract).
-    pub(crate) fn compute_serial_watched_range(
-        &self,
-        algorithm: Algorithm,
-        f: &mut FTable,
-        start: usize,
-        end: usize,
-        watch: &Watch,
-        modes: KernelModes,
-    ) -> Result<(), Interrupt> {
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
             other => self.wavefront_range(
-                WaveMode::Serial(other.r0_order(modes.simd)),
+                other.r0_order(modes.simd),
                 f,
                 start,
                 end,
@@ -775,15 +756,16 @@ impl BpMaxProblem {
         .map_err(Interrupt::into_error)
     }
 
-    /// The shared wavefront driver: ascending outer diagonals `start..end`,
-    /// then one of four parallelization modes per diagonal. The supervision
-    /// checkpoint sits at the top of the `d1` loop — between diagonals
-    /// every block is inside the table, so an interrupt always leaves `f`
-    /// recyclable (and, via [`Watch::note_progress`], with a known-final
-    /// diagonal prefix the checkpoint layer can snapshot).
+    /// The wavefront driver: ascending outer diagonals `start..end`, and
+    /// within a diagonal each triangle's Phase A (`R0` in `order`, then
+    /// `R3`/`R4`) and Phase B in turn. The supervision checkpoint sits at
+    /// the top of the `d1` loop — between diagonals every block is inside
+    /// the table, so an interrupt always leaves `f` recyclable (and, via
+    /// [`Watch::note_progress`], with a known-final diagonal prefix the
+    /// checkpoint layer can snapshot).
     fn wavefront_range(
         &self,
-        mode: WaveMode,
+        order: R0Order,
         f: &mut FTable,
         start: usize,
         end: usize,
@@ -801,64 +783,13 @@ impl BpMaxProblem {
         for d1 in start..end {
             watch.note_progress(d1);
             watch.check()?;
-            match mode {
-                WaveMode::Serial(order) => {
-                    for i1 in 0..m - d1 {
-                        let j1 = i1 + d1;
-                        let mut acc = f.take_block(i1, j1);
-                        accumulate_r034_serial_mode(ctx, f, i1, j1, &mut acc, order, bounds);
-                        let prev = prev_block(f, i1, j1);
-                        finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
-                        f.put_block(i1, j1, acc);
-                    }
-                }
-                WaveMode::Coarse(order) => {
-                    // Take every block of the diagonal, process whole
-                    // triangles (Phase A + B) in parallel, put back.
-                    let mut taken: Vec<(usize, Vec<f32>)> = (0..m - d1)
-                        .map(|i1| (i1, f.take_block(i1, i1 + d1)))
-                        .collect();
-                    taken.par_iter_mut().for_each(|(i1, acc)| {
-                        let j1 = *i1 + d1;
-                        accumulate_r034_serial_mode(ctx, f, *i1, j1, acc, order, bounds);
-                        let prev = prev_block(f, *i1, j1);
-                        finalize_triangle(ctx, *i1, j1, f, prev, acc);
-                    });
-                    for (i1, acc) in taken {
-                        f.put_block(i1, i1 + d1, acc);
-                    }
-                }
-                WaveMode::Fine(order) => {
-                    // Triangles sequential; rows of Phase A parallel;
-                    // Phase B serial (R1/R2 are not parallelized here).
-                    for i1 in 0..m - d1 {
-                        let j1 = i1 + d1;
-                        let mut acc = f.take_block(i1, j1);
-                        accumulate_r034_parallel_mode(ctx, f, i1, j1, &mut acc, order, bounds);
-                        let prev = prev_block(f, i1, j1);
-                        finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
-                        f.put_block(i1, j1, acc);
-                    }
-                }
-                WaveMode::Hybrid(order) => {
-                    // Stage 1: all Phase A of the diagonal, each triangle's
-                    // rows fine-grain parallel. Stage 2: all Phase B,
-                    // coarse-grain parallel over triangles.
-                    let mut taken: Vec<(usize, Vec<f32>)> = (0..m - d1)
-                        .map(|i1| (i1, f.take_block(i1, i1 + d1)))
-                        .collect();
-                    for (i1, acc) in &mut taken {
-                        accumulate_r034_parallel_mode(ctx, f, *i1, *i1 + d1, acc, order, bounds);
-                    }
-                    taken.par_iter_mut().for_each(|(i1, acc)| {
-                        let j1 = *i1 + d1;
-                        let prev = prev_block(f, *i1, j1);
-                        finalize_triangle(ctx, *i1, j1, f, prev, acc);
-                    });
-                    for (i1, acc) in taken {
-                        f.put_block(i1, i1 + d1, acc);
-                    }
-                }
+            for i1 in 0..m - d1 {
+                let j1 = i1 + d1;
+                let mut acc = f.take_block(i1, j1);
+                accumulate_r034_serial_mode(ctx, f, i1, j1, &mut acc, order, bounds);
+                let prev = prev_block(f, i1, j1);
+                finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
+                f.put_block(i1, j1, acc);
             }
         }
         watch.note_progress(end.max(start));
@@ -910,15 +841,6 @@ impl<'p> SupervisedSolve<'p> {
     pub fn window(&self) -> Option<usize> {
         self.window
     }
-}
-
-/// Per-diagonal parallelization mode of the wavefront driver.
-#[derive(Clone, Copy, Debug)]
-enum WaveMode {
-    Serial(R0Order),
-    Coarse(R0Order),
-    Fine(R0Order),
-    Hybrid(R0Order),
 }
 
 /// The pair-1 source block `(i1+1, j1−1)`, when it exists.
@@ -1227,31 +1149,6 @@ mod tests {
         );
         let err = "warp".parse::<Algorithm>().unwrap_err();
         assert!(err.to_string().contains("warp"), "{err}");
-    }
-
-    #[test]
-    fn serial_traversal_is_bit_identical() {
-        let p = problem("GGAUCGACGG", "CCGAUGC");
-        for &alg in Algorithm::ALL {
-            let reference = table(&p, alg);
-            let mut f = FTable::new(reference.m(), reference.n(), reference.layout());
-            p.compute_serial_watched_range(
-                alg,
-                &mut f,
-                0,
-                reference.m(),
-                &Watch::none(),
-                KernelModes::build_default(),
-            )
-            .unwrap();
-            for (i1, j1, i2, j2) in reference.iter_cells().collect::<Vec<_>>() {
-                assert_eq!(
-                    f.get(i1, j1, i2, j2),
-                    reference.get(i1, j1, i2, j2),
-                    "{alg:?} F[{i1},{j1},{i2},{j2}]"
-                );
-            }
-        }
     }
 
     #[test]

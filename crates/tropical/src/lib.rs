@@ -13,10 +13,9 @@
 //!   tests assert the semiring axioms.
 //! * [`scalar`] — scalar max-plus helpers on `f32` (the paper uses
 //!   single-precision storage to halve the memory footprint).
-//! * [`simd`] — explicitly vectorized lane-array kernels on stable Rust
-//!   (fixed-width chunks LLVM lowers to packed `vaddps`/`vmaxps`), including
-//!   the 4-way fused [`simd::mp_axpy4`] register-blocked inner kernel; the
-//!   `simd` cargo feature makes [`scalar::mp_axpy`] dispatch to them.
+//! * [`simd`] — streaming kernels on stable Rust that LLVM vectorizes to
+//!   packed `addps`/`maxps`, including the 4-way fused [`simd::mp_axpy4`]
+//!   register-blocked inner kernel.
 //! * [`stream`] — the paper's micro-benchmark kernel `Y[i] = max(a + X[i], Y[i])`
 //!   (Algorithm 3), used to estimate the attainable L1 bandwidth and hence the
 //!   achievable fraction of machine peak (Fig 12).

@@ -66,8 +66,11 @@ impl Semiring for MaxPlus {
     }
     #[inline(always)]
     fn add(a: f32, b: f32) -> f32 {
-        // `f32::max` lowers to `maxss`/`vmaxps`; NaN never appears on the
-        // BPMax hot path (scores are finite, zero() is -inf).
+        // IEEE `maxNum`: on the baseline x86-64 target `f32::max` lowers
+        // to `maxss` plus a NaN fix-up (`cmpunordss`, `andps`, `andnps`,
+        // `orps`). The streaming kernels use the one-instruction
+        // `scalar::mp_join` instead, which agrees with this on every
+        // value the BPMax solver produces.
         a.max(b)
     }
     #[inline(always)]

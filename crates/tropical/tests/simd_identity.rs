@@ -1,17 +1,22 @@
-//! SIMD/scalar bit-identity of the `mp_axpy`-family kernels.
+//! Bit-identity of the fused `mp_axpy4` kernel to sequential `mp_axpy`
+//! steps, and the `-∞` identity of both.
 //!
-//! The `simd` feature and the `SimdReg` solve path are only sound if the
-//! lane-array kernels are *bit*-identical to the scalar loops — not merely
-//! close — because every solver mode is pinned bit-identical to the
-//! memoized oracle. These properties drive the kernels with adversarial
-//! values: the `-∞` sentinel (max-plus identity/annihilator), magnitudes
-//! at the `i32` saturation boundary (where `a + x` rounds coarsely and
-//! overflows to `±∞`), subnormals, signed zeros, and lengths straddling
-//! every remainder class of the lane width.
+//! The `SimdReg` solve path is only sound if `mp_axpy4` is *bit*-identical
+//! to the sequential single-stream updates — not merely close — because
+//! every solver mode is pinned bit-identical to the memoized oracle. These
+//! properties drive the kernels with adversarial values: the `-∞` sentinel
+//! (max-plus identity/annihilator), magnitudes at the `i32` saturation
+//! boundary (where `a + x` rounds coarsely and overflows to `±∞`),
+//! subnormals, signed zeros, and lengths straddling every remainder class
+//! of the vector width.
 
 use proptest::prelude::*;
-use tropical::scalar::{mp_axpy, mp_axpy_scalar};
-use tropical::simd::{mp_axpy4, mp_axpy_lanes, LANES};
+use tropical::scalar::mp_axpy;
+use tropical::simd::mp_axpy4;
+
+/// Vector width the slice lengths are drawn around, in `f32` elements:
+/// 8 = one AVX2 register / two SSE2 registers.
+const LANES: usize = 8;
 
 /// Adversarial score values: finite smalls, `-∞`, `i32`-extreme
 /// magnitudes (so `a + x` can saturate to `±∞` or lose all low bits),
@@ -44,38 +49,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn lanes_bit_identical_to_scalar(
-        a in value(),
-        n in len(),
-        seed in any::<u64>(),
-    ) {
-        let vals = materialize(seed, 2 * n);
-        let x = &vals[..n];
-        let mut y_simd = vals[n..].to_vec();
-        let mut y_ref = y_simd.clone();
-        mp_axpy_lanes(a, x, &mut y_simd);
-        mp_axpy_scalar(a, x, &mut y_ref);
-        prop_assert_eq!(bits(&y_simd), bits(&y_ref));
-    }
-
-    #[test]
-    fn dispatching_axpy_bit_identical_to_scalar(
-        a in value(),
-        n in len(),
-        seed in any::<u64>(),
-    ) {
-        // Whatever the `simd` feature selected, the public entry point
-        // must match the scalar reference bit for bit.
-        let vals = materialize(seed, 2 * n);
-        let x = &vals[..n];
-        let mut y = vals[n..].to_vec();
-        let mut y_ref = y.clone();
-        mp_axpy(a, x, &mut y);
-        mp_axpy_scalar(a, x, &mut y_ref);
-        prop_assert_eq!(bits(&y), bits(&y_ref));
-    }
-
-    #[test]
     fn axpy4_bit_identical_to_sequential_axpys(
         a0 in value(), a1 in value(), a2 in value(), a3 in value(),
         n in len(),
@@ -91,7 +64,7 @@ proptest! {
         let mut y_ref = y0.to_vec();
         mp_axpy4(a, [x0, x1, x2, x3], &mut y_simd);
         for (ai, xi) in a.iter().zip([x0, x1, x2, x3]) {
-            mp_axpy_scalar(*ai, xi, &mut y_ref);
+            mp_axpy(*ai, xi, &mut y_ref);
         }
         prop_assert_eq!(bits(&y_simd), bits(&y_ref));
     }
@@ -107,7 +80,7 @@ proptest! {
         let x = &vals[..n];
         let mut y = vals[n..].to_vec();
         let before = bits(&y);
-        mp_axpy_lanes(f32::NEG_INFINITY, x, &mut y);
+        mp_axpy(f32::NEG_INFINITY, x, &mut y);
         prop_assert_eq!(bits(&y), before.clone());
         mp_axpy4([f32::NEG_INFINITY; 4], [x, x, x, x], &mut y);
         prop_assert_eq!(bits(&y), before);
