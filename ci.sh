@@ -6,19 +6,16 @@
 #   BENCH_GATE=selfcheck ./ci.sh   # perf gate against a fresh same-host pin
 #   BENCH_GATE=update ./ci.sh      # re-pin results/baseline (after review)
 #   BENCH_GATE=off ./ci.sh         # correctness only
-#   SAN_GATE=off ./ci.sh           # skip the sanitizer stages
+#   SAN_GATE=off ./ci.sh           # skip the sanitizer stage
 #
 # Stage order (fail-fastest first):
 #   1. cargo fmt --check            cheapest, catches unformatted diffs
 #   2. cargo clippy -D warnings     compiler-adjacent static analysis
 #   3. bpmax-lint                   repo-specific rules (panic-free library
 #                                   code, justified atomic orderings,
-#                                   certificate-scoped unchecked indexing,
 #                                   no timing in solver hot loops)
 #   4. workspace tests              includes the lint self-test (mutant
 #                                   fixtures flagged + clean tree passes)
-#                                   and the certified-unchecked bit-identity
-#                                   property suite
 #   5. fault-injection suite        deterministic failure-path proofs
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
 #   7. coordinator recovery suite   real spawned worker processes:
@@ -29,34 +26,19 @@
 #                                   binary: cold solve, warm cache hit,
 #                                   over-budget typed reject (exit 2),
 #                                   clean shutdown
-#   9. feature matrix (FEATURE_GATE) cargo test under the cargo-feature
-#                                   combination (certified-unchecked)
-#                                   whose default the other stages
-#                                   don't exercise — it is pinned
-#                                   bit-identical
-#  10. cargo doc -D warnings        rustdoc integrity
-#  11. sanitizers (SAN_GATE)        Miri over the kernel unit suites and
-#                                   ThreadSanitizer over the concurrency
+#   9. cargo doc -D warnings        rustdoc integrity
+#  10. sanitizer (SAN_GATE)         ThreadSanitizer over the concurrency
 #                                   models — nightly-only; auto-skipped
 #                                   with a notice when the toolchain
-#                                   lacks them (offline containers)
-#  12. smoke-bench perf gate        noise-aware wall-clock regression gate
-#
-# FEATURE_GATE mirrors BENCH_GATE/SAN_GATE:
-#   auto       test the combo not already covered by other stages:
-#              certified-unchecked (default covered by stage 4,
-#              fault-inject by stages 5-7)
-#   all        every combo including default and fault-inject — what the
-#              CI feature-matrix job proves, one runner per combo
-#   off        skip the feature-matrix stage
+#                                   lacks it (offline containers)
+#  11. smoke-bench perf gate        noise-aware wall-clock regression gate
 #
 # SAN_GATE mirrors BENCH_GATE:
-#   auto       run each sanitizer iff the nightly toolchain supports it
+#   auto       run ThreadSanitizer iff the nightly toolchain supports it
 #              (default; a skip prints a notice, never fails)
-#   require    fail if either sanitizer is unavailable
-#   miri       run Miri only, fail if unavailable (CI nightly matrix)
-#   tsan       run ThreadSanitizer only, fail if unavailable (ditto)
-#   off        skip both sanitizer stages
+#   require    fail if ThreadSanitizer is unavailable
+#   tsan       the same as require (the CI nightly job's spelling)
+#   off        skip the sanitizer stage
 #
 # The perf gate (see README.md "Benchmark telemetry & regression gate")
 # runs a small smoke subset of the figure binaries and compares their
@@ -77,7 +59,6 @@ cd "$(dirname "$0")"
 
 BENCH_GATE="${BENCH_GATE:-baseline}"
 SAN_GATE="${SAN_GATE:-auto}"
-FEATURE_GATE="${FEATURE_GATE:-auto}"
 BENCH_REL_FLOOR="${BENCH_REL_FLOOR:-0.5}"
 BASELINE_DIR=results/baseline
 
@@ -212,59 +193,8 @@ grep -q "shed" "$OVER_DIR/serve.out"
 rm -rf "$OVER_DIR"
 echo "-- serve overload + drain: typed shed (2), retry recovery, drain refusal (1), clean exit"
 
-# One cargo-feature combination across the two feature-bearing crates
-# (plus tropical, which has no features, so every combo tests it as is).
-run_feature_combo() {
-    local combo="$1"
-    echo "-- feature combo: ${combo:-default}"
-    cargo test -p tropical --offline -q
-    if [ -n "$combo" ]; then
-        cargo test -p bpmax --features "$combo" --offline -q
-        cargo test -p bpmax-cli --features "$combo" --offline -q
-    else
-        cargo test -p bpmax --offline -q
-        cargo test -p bpmax-cli --offline -q
-    fi
-}
-
-case "$FEATURE_GATE" in
-off)
-    echo "== feature matrix skipped (FEATURE_GATE=off) =="
-    ;;
-auto)
-    echo "== feature matrix (FEATURE_GATE=auto) =="
-    run_feature_combo "certified-unchecked"
-    ;;
-all)
-    echo "== feature matrix (FEATURE_GATE=all) =="
-    run_feature_combo ""
-    run_feature_combo "certified-unchecked"
-    run_feature_combo "fault-inject"
-    ;;
-*)
-    echo "ci.sh: unknown FEATURE_GATE '$FEATURE_GATE' (auto|all|off)" >&2
-    exit 2
-    ;;
-esac
-
 echo "== cargo doc (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
-
-# Miri interprets the certified-unchecked kernels' unit suites: any
-# out-of-bounds the polyhedral certificates failed to rule out is UB
-# Miri reports. Scoped to the kernel tests -- Miri is ~100x slower
-# than native. $1 is "required" or "auto".
-run_miri() {
-    if cargo +nightly miri --version > /dev/null 2>&1; then
-        echo "-- miri: bpmax kernel unit suites"
-        cargo +nightly miri test -p bpmax --lib --offline -q kernels::
-    elif [ "$1" = "required" ]; then
-        echo "ci.sh: SAN_GATE=$SAN_GATE but 'cargo +nightly miri' is unavailable" >&2
-        exit 2
-    else
-        echo "-- miri unavailable (needs nightly + 'rustup component add miri'); skipped"
-    fi
-}
 
 # ThreadSanitizer over the concurrency model tests (CancelToken / Watch
 # cancellation, BlockPool quarantine handoff) and the batch engine
@@ -287,28 +217,18 @@ run_tsan() {
 
 case "$SAN_GATE" in
 off)
-    echo "== sanitizers skipped (SAN_GATE=off) =="
+    echo "== sanitizer skipped (SAN_GATE=off) =="
     ;;
 auto)
-    echo "== sanitizers (SAN_GATE=auto) =="
-    run_miri auto
+    echo "== sanitizer (SAN_GATE=auto) =="
     run_tsan auto
     ;;
-require)
-    echo "== sanitizers (SAN_GATE=require) =="
-    run_miri required
-    run_tsan required
-    ;;
-miri)
-    echo "== sanitizers (SAN_GATE=miri) =="
-    run_miri required
-    ;;
-tsan)
-    echo "== sanitizers (SAN_GATE=tsan) =="
+require | tsan)
+    echo "== sanitizer (SAN_GATE=$SAN_GATE) =="
     run_tsan required
     ;;
 *)
-    echo "ci.sh: unknown SAN_GATE '$SAN_GATE' (auto|require|miri|tsan|off)" >&2
+    echo "ci.sh: unknown SAN_GATE '$SAN_GATE' (auto|require|tsan|off)" >&2
     exit 2
     ;;
 esac

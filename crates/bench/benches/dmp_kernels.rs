@@ -17,7 +17,7 @@ fn bench_orders(c: &mut Criterion) {
         ("naive_k2_inner", R0Order::Naive),
         ("permuted_j2_inner", R0Order::Permuted),
         ("tiled_32x4xN", R0Order::Tiled(Tile::small())),
-        ("reg_unrolled_x4", R0Order::RegTiled),
+        ("reg_unrolled_x4", R0Order::SimdReg),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &n, |b, &n| {
             b.iter(|| dmp_solve(n, n, order, Layout::Packed));

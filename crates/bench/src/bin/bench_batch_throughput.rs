@@ -71,47 +71,6 @@ fn main() {
     rep.measured("measured/naive-loop/t=1", naive_stats, Some(total_flops));
     rep.annotate(&[("problems", count as f64)]);
 
-    // Certified-unchecked fast path: the same per-problem loop with the
-    // Phase A slice bounds checks elided — every elision justified by a
-    // polyhedral in-bounds certificate (`bpmax-cli verify --bounds`).
-    // Scores are asserted *bit*-identical to the safe path; the speedup
-    // is the measured price of the bounds checks.
-    let checked_opts = SolveOptions::new().certified_unchecked(false);
-    let unchecked_opts = SolveOptions::new().certified_unchecked(true);
-    let unchecked_scores: Vec<f32> = problems
-        .iter()
-        .map(|p| p.solve_opts(&unchecked_opts).expect("solve").score())
-        .collect();
-    for (i, (c, u)) in naive_scores.iter().zip(&unchecked_scores).enumerate() {
-        assert_eq!(
-            c.to_bits(),
-            u.to_bits(),
-            "problem {i}: certified-unchecked score must be bit-identical"
-        );
-    }
-    let checked_stats = time_stats(reps, || {
-        problems
-            .iter()
-            .map(|p| p.solve_opts(&checked_opts).expect("solve").score())
-            .sum::<f32>()
-    });
-    let unchecked_stats = time_stats(reps, || {
-        problems
-            .iter()
-            .map(|p| p.solve_opts(&unchecked_opts).expect("solve").score())
-            .sum::<f32>()
-    });
-    let unchecked_speedup = checked_stats.median_s / unchecked_stats.median_s;
-    rep.measured(
-        "measured/certified-unchecked/t=1",
-        unchecked_stats,
-        Some(total_flops),
-    );
-    rep.annotate(&[
-        ("problems", count as f64),
-        ("speedup_vs_checked", unchecked_speedup),
-    ]);
-
     // Batch engine: cold wave populates the arena, warm waves must not
     // allocate.
     let engine = BatchEngine::new(BatchOptions::new().threads(threads)).expect("engine");
@@ -250,8 +209,6 @@ fn main() {
     let mut t = Table::new(&["wave", "median s", "prob/s", "GFLOPS"]);
     for (name, s) in [
         ("naive loop", naive_stats),
-        ("checked solve loop", checked_stats),
-        ("certified-unchecked loop", unchecked_stats),
         ("batch warm", warm_stats),
         ("batch supervised", sup_stats),
         ("batch checkpointed", ckpt_stats),
@@ -266,10 +223,7 @@ fn main() {
     }
     t.print();
     println!(
-        "\ncertified-unchecked: {unchecked_speedup:.2}x vs checked solve loop (scores bit-identical)"
-    );
-    println!(
-        "cold wave: {:.4} s; warm speedup vs naive loop: {:.2}x at {threads} threads \
+        "\ncold wave: {:.4} s; warm speedup vs naive loop: {:.2}x at {threads} threads \
          ({:.0}% coarse)",
         cold.wall_s,
         speedup,

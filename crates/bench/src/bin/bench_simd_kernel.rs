@@ -98,7 +98,6 @@ fn main() {
         ("naive", R0Order::Naive),
         ("permuted", R0Order::Permuted),
         ("cache-tiled", R0Order::Tiled(Tile::small())),
-        ("reg-tiled", R0Order::RegTiled),
         ("simd-reg", R0Order::SimdReg),
     ];
     let reference = dmp_solve(8, 9, orders[0].1, Layout::Packed);
@@ -167,27 +166,19 @@ fn main() {
 
     // --- solve-level: the kernel inside the triangular dmp instance ---
     println!("\n--- measured dmp solve, 1 thread (GFLOPS) ---");
-    let mut t = Table::new(&[
-        "M=N",
-        "cache-tiled",
-        "reg-tiled",
-        "simd-reg",
-        "simd/cache-tiled",
-    ]);
+    let mut t = Table::new(&["M=N", "cache-tiled", "simd-reg", "simd/cache-tiled"]);
     for &n in &opts.sizes {
         let flops = dmp_flops(n, n);
         let reps = opts.reps(if n <= 24 { 3 } else { 1 });
         let s_tiled = time_stats(reps, || {
             dmp_solve(n, n, R0Order::Tiled(Tile::small()), Layout::Packed)
         });
-        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::RegTiled, Layout::Packed));
         let s_simd = time_stats(reps, || dmp_solve(n, n, R0Order::SimdReg, Layout::Packed));
         rep.measured(
             format!("measured/dmp-tiled/m={n},n={n}"),
             s_tiled,
             Some(flops),
         );
-        rep.measured(format!("measured/dmp-reg/m={n},n={n}"), s_reg, Some(flops));
         rep.measured(
             format!("measured/dmp-simd/m={n},n={n}"),
             s_simd,
@@ -197,7 +188,6 @@ fn main() {
         t.row(vec![
             n.to_string(),
             f2(gflops(flops, s_tiled.median_s)),
-            f2(gflops(flops, s_reg.median_s)),
             f2(gflops(flops, s_simd.median_s)),
             f2(s_tiled.median_s / s_simd.median_s),
         ]);

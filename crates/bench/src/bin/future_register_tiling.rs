@@ -3,7 +3,7 @@
 //! The paper's conclusion: "the double max-plus operation remains
 //! bandwidth-bound even after tiling... an additional level of tiling at
 //! the register level is required to make the program compute-bound."
-//! `bpmax::kernels::r0_instance_reg` implements it: the `k2` loop is
+//! `bpmax::kernels::r0_instance_simd` implements it: the `k2` loop is
 //! unrolled 4×, so four fused updates share one load/store of the
 //! accumulator row — arithmetic intensity rises from 1/6 to ~1/3
 //! FLOP/byte, doubling the bandwidth-roof ceiling.
@@ -11,8 +11,8 @@
 //! This is no longer future work: the headline *measurement* of the
 //! SIMD kernel (fused `mp_axpy4`, `R0Order::SimdReg`,
 //! runtime bit-identity assertions) lives in `bench_simd_kernel`. This
-//! binary is kept as the roofline-model view plus the LLVM-autovectorized
-//! comparison column.
+//! binary is kept as the roofline-model view; its `reg-unrolled` column
+//! runs that same `R0Order::SimdReg` kernel.
 
 use bench::dmp::{dmp_flops, dmp_solve};
 use bench::report::Reporter;
@@ -58,7 +58,7 @@ fn main() {
         let s_tiled = time_stats(reps, || {
             dmp_solve(n, n, R0Order::Tiled(Tile::small()), Layout::Packed)
         });
-        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::RegTiled, Layout::Packed));
+        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::SimdReg, Layout::Packed));
         rep.measured(
             format!("measured/permuted/m={n},n={n}"),
             s_perm,

@@ -71,7 +71,7 @@ fn main() {
         let s_tiled = time_stats(reps, || {
             dmp_solve(n, n, R0Order::Tiled(Tile::small()), Layout::Packed)
         });
-        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::RegTiled, Layout::Packed));
+        let s_reg = time_stats(reps, || dmp_solve(n, n, R0Order::SimdReg, Layout::Packed));
         let (t_naive, t_perm) = (s_naive.median_s, s_perm.median_s);
         rep.measured(format!("measured/naive/m={n},n={n}"), s_naive, Some(flops));
         rep.measured(

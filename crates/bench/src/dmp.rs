@@ -9,8 +9,7 @@
 
 use bpmax::ftable::{FTable, Layout};
 use bpmax::kernels::{
-    r0_instance_naive, r0_instance_permuted, r0_instance_reg, r0_instance_simd, r0_instance_tiled,
-    R0Order, Tile,
+    r0_instance_naive, r0_instance_permuted, r0_instance_simd, r0_instance_tiled, R0Order, Tile,
 };
 use machine::traffic;
 
@@ -48,7 +47,6 @@ pub fn dmp_solve(m: usize, n: usize, order: R0Order, layout: Layout) -> f32 {
                     R0Order::Naive => r0_instance_naive(&f, a, b, &mut acc),
                     R0Order::Permuted => r0_instance_permuted(&f, a, b, &mut acc),
                     R0Order::Tiled(t) => r0_instance_tiled(&f, a, b, &mut acc, t),
-                    R0Order::RegTiled => r0_instance_reg(&f, a, b, &mut acc),
                     R0Order::SimdReg => r0_instance_simd(&f, a, b, &mut acc),
                 }
             }
@@ -80,12 +78,10 @@ mod tests {
         let b = dmp_solve(6, 7, R0Order::Permuted, Layout::Packed);
         let c = dmp_solve(6, 7, R0Order::Tiled(Tile::cubic(3)), Layout::Packed);
         let d = dmp_solve(6, 7, R0Order::Tiled(Tile::default()), Layout::Packed);
-        let e = dmp_solve(6, 7, R0Order::RegTiled, Layout::Packed);
         let s = dmp_solve(6, 7, R0Order::SimdReg, Layout::Packed);
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(a, d);
-        assert_eq!(a, e);
         assert_eq!(a, s);
     }
 

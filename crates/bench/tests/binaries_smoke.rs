@@ -306,7 +306,7 @@ fn bench_simd_kernel_runs_and_asserts_bit_identity() {
         &["--smoke", "--sizes", "10,12", "--reps", "2"],
     );
     assert!(
-        out.contains("all 5 R0 orders agree on the dmp checksum"),
+        out.contains("all 4 R0 orders agree on the dmp checksum"),
         "{out}"
     );
     assert!(out.contains("match the memoized oracle"), "{out}");

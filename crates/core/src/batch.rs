@@ -762,8 +762,8 @@ impl BatchEngine {
                 }
                 panic!("injected fault: compute panic at problem {index}"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
             }
-            let modes = solve.resolved_kernel_modes();
-            problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch, modes)
+            let simd = solve.resolved_simd_mode();
+            problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch, simd)
         }));
         match run {
             Ok(Ok(())) => {

@@ -202,11 +202,11 @@ fn spec_r0_tiled() -> KernelSpec {
     }
 }
 
-/// Head phase of the `k2`-unrolled register kernel (`r0_row_reg`):
+/// Head phase of the `k2`-unrolled register kernel (`r0_row_simd`):
 /// columns `j2 ∈ (k2+lane, k2+4)` reachable only by the group's earlier
 /// lanes. The group start `k2` is relaxed to any `k2 ≥ i2` with
 /// `k2 + 4 ≤ N − 1`.
-fn spec_r0_reg_head() -> KernelSpec {
+fn spec_r0_simd_head() -> KernelSpec {
     let domain = Domain::universe(&["i2", "k2", "lane", "j2"])
         .ge0(v("i2"))
         .ge0(v("k2") - v("i2"))
@@ -217,7 +217,7 @@ fn spec_r0_reg_head() -> KernelSpec {
         .lt(v("j2"), v("k2") + c(4))
         .lt(v("j2"), v("N"));
     KernelSpec {
-        name: "r0_row_reg/head".into(),
+        name: "r0_row_simd/head".into(),
         doc: "register-unrolled R0, head: lanes 0..3 cover the ragged columns before the \
               shared range"
             .into(),
@@ -244,8 +244,10 @@ fn spec_r0_reg_head() -> KernelSpec {
 }
 
 /// Body phase of the register kernel: all four lanes over the shared
-/// column range `[k2+4, N)`.
-fn spec_r0_reg_body() -> KernelSpec {
+/// column range `[k2+4, N)`. The kernel hands this range to `mp_axpy4`
+/// as the slices `b_lane[3 − lane..]` and `crow[k2 + 4 − i2..]`, whose
+/// elements are exactly the accesses below.
+fn spec_r0_simd_body() -> KernelSpec {
     let domain = Domain::universe(&["i2", "k2", "lane", "j2"])
         .ge0(v("i2"))
         .ge0(v("k2") - v("i2"))
@@ -255,7 +257,7 @@ fn spec_r0_reg_body() -> KernelSpec {
         .ge0(v("j2") - v("k2") - c(4))
         .lt(v("j2"), v("N"));
     KernelSpec {
-        name: "r0_row_reg/body".into(),
+        name: "r0_row_simd/body".into(),
         doc: "register-unrolled R0, body: four fused updates per pass over [k2+4, N)".into(),
         params: vec!["N".into()],
         domain,
@@ -281,9 +283,9 @@ fn spec_r0_reg_body() -> KernelSpec {
 
 /// Tail phase of the register kernel: plain streaming updates for the
 /// `< 4` remainder — the same shape as the permuted order.
-fn spec_r0_reg_tail() -> KernelSpec {
+fn spec_r0_simd_tail() -> KernelSpec {
     KernelSpec {
-        name: "r0_row_reg/tail".into(),
+        name: "r0_row_simd/tail".into(),
         doc: "register-unrolled R0, tail: streaming remainder (permuted shape)".into(),
         ..spec_r0_permuted()
     }
@@ -523,9 +525,9 @@ pub fn kernel_specs() -> Vec<KernelSpec> {
         spec_r0_naive(),
         spec_r0_permuted(),
         spec_r0_tiled(),
-        spec_r0_reg_head(),
-        spec_r0_reg_body(),
-        spec_r0_reg_tail(),
+        spec_r0_simd_head(),
+        spec_r0_simd_body(),
+        spec_r0_simd_tail(),
         spec_r3_r4(),
         spec_finalize_cell(),
         spec_finalize_pair2(),
@@ -576,9 +578,9 @@ mod tests {
             "r0_instance_naive",
             "r0_instance_permuted",
             "r0_row_band_tiled",
-            "r0_row_reg/head",
-            "r0_row_reg/body",
-            "r0_row_reg/tail",
+            "r0_row_simd/head",
+            "r0_row_simd/body",
+            "r0_row_simd/tail",
             "r3_r4_block",
             "finalize_triangle/cell",
             "finalize_triangle/pair2",

@@ -29,10 +29,7 @@
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, Layout};
-use crate::kernels::{
-    accumulate_r034_serial_mode, finalize_triangle, BoundsMode, Ctx, KernelModes, R0Order,
-    SimdMode, Tile,
-};
+use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, SimdMode, Tile};
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
 };
@@ -148,10 +145,10 @@ impl FromStr for Algorithm {
 /// solve": [`SolveOptions`] (solo solves), [`crate::batch::BatchOptions`]
 /// (the engine), the checkpoint options fingerprint, and the serve wire
 /// requests all embed this one type instead of hand-syncing copies of the
-/// same five knobs.
+/// same four knobs.
 ///
-/// Holds the program version plus the four overrides (tile, layout,
-/// bounds, SIMD). Everything *score-affecting* lives here — thread
+/// Holds the program version plus the three overrides (tile, layout,
+/// SIMD). Everything *score-affecting* lives here — thread
 /// counts, deadlines and scheduling policy deliberately do not, which is
 /// why the result cache can key on a profile fingerprint and stay valid
 /// across machine shapes.
@@ -160,14 +157,12 @@ pub struct ComputeProfile {
     algorithm: Algorithm,
     tile: Option<Tile>,
     layout: Option<Layout>,
-    bounds: Option<BoundsMode>,
     simd: Option<SimdMode>,
 }
 
 impl Default for ComputeProfile {
     /// The champion configuration: hybrid+tiled with the default tile,
-    /// problem's layout, default kernel modes (the register-tiled `R0`,
-    /// [`BoundsMode::build_default`]).
+    /// problem's layout, the register-tiled `R0`.
     fn default() -> Self {
         ComputeProfile {
             algorithm: Algorithm::HybridTiled {
@@ -175,7 +170,6 @@ impl Default for ComputeProfile {
             },
             tile: None,
             layout: None,
-            bounds: None,
             simd: None,
         }
     }
@@ -212,22 +206,6 @@ impl ComputeProfile {
         self
     }
 
-    /// Select the certified-unchecked fast path (`true`) or force safe
-    /// indexing (`false`) in the Phase A kernels, overriding the build
-    /// default ([`BoundsMode::build_default`] — checked unless the
-    /// `certified-unchecked` feature is on). Results are bit-identical
-    /// either way; this is purely a performance knob, backed by the
-    /// in-bounds certificates of [`crate::bounds`].
-    #[must_use]
-    pub fn certified_unchecked(mut self, on: bool) -> Self {
-        self.bounds = Some(if on {
-            BoundsMode::CertifiedUnchecked
-        } else {
-            BoundsMode::Checked
-        });
-        self
-    }
-
     /// Select the hybrid+tiled `R0` order: the register-tiled kernel
     /// (`true`, the default — [`SimdMode::LaneArray`]) or the
     /// paper's Phase III tiled order with the profile's tile shape
@@ -254,24 +232,10 @@ impl ComputeProfile {
         Ok(alg)
     }
 
-    /// The bounds mode to solve with (explicit override or the build
-    /// default).
-    pub(crate) fn resolved_bounds_mode(&self) -> BoundsMode {
-        self.bounds.unwrap_or_default()
-    }
-
     /// The SIMD mode to solve with (explicit override or
     /// [`SimdMode::LaneArray`]).
     pub(crate) fn resolved_simd_mode(&self) -> SimdMode {
         self.simd.unwrap_or_default()
-    }
-
-    /// Both kernel-selection knobs, resolved together.
-    pub(crate) fn resolved_kernel_modes(&self) -> KernelModes {
-        KernelModes {
-            bounds: self.resolved_bounds_mode(),
-            simd: self.resolved_simd_mode(),
-        }
     }
 
     /// The layout to solve with, given the problem's own.
@@ -287,22 +251,8 @@ impl ComputeProfile {
 
     /// The raw knobs, for the serve wire codec (which must round-trip the
     /// profile exactly, overrides-vs-defaults included).
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        Algorithm,
-        Option<Tile>,
-        Option<Layout>,
-        Option<BoundsMode>,
-        Option<SimdMode>,
-    ) {
-        (
-            self.algorithm,
-            self.tile,
-            self.layout,
-            self.bounds,
-            self.simd,
-        )
+    pub(crate) fn parts(&self) -> (Algorithm, Option<Tile>, Option<Layout>, Option<SimdMode>) {
+        (self.algorithm, self.tile, self.layout, self.simd)
     }
 
     /// Rebuild from raw knobs (serve wire decode).
@@ -310,14 +260,12 @@ impl ComputeProfile {
         algorithm: Algorithm,
         tile: Option<Tile>,
         layout: Option<Layout>,
-        bounds: Option<BoundsMode>,
         simd: Option<SimdMode>,
     ) -> Self {
         ComputeProfile {
             algorithm,
             tile,
             layout,
-            bounds,
             simd,
         }
     }
@@ -325,9 +273,9 @@ impl ComputeProfile {
     /// Hash the *score-affecting* knobs into `h`: resolved algorithm
     /// label, tile shape, layout override. The one fingerprint rule shared
     /// by the checkpoint manifest ([`crate::batch::BatchOptions::fingerprint`])
-    /// and the serve result-cache key. Bounds/SIMD modes are deliberately
-    /// excluded — both paths are proven bit-identical, so caching across
-    /// them is sound.
+    /// and the serve result-cache key. The SIMD mode is deliberately
+    /// excluded — both `R0` orders are proven bit-identical, so caching
+    /// across them is sound.
     pub(crate) fn fingerprint_into(&self, h: &mut crate::checkpoint::Fnv64) {
         let alg = self.resolved_algorithm().unwrap_or(Algorithm::Permuted);
         h.write(alg.label().as_bytes());
@@ -347,8 +295,7 @@ impl ComputeProfile {
 /// entry point.
 ///
 /// A [`ComputeProfile`] (the score-affecting knobs, shared with the batch
-/// engine and the serve wire API) plus the per-run extras: a thread count
-/// and a [`Supervision`] layer.
+/// engine and the serve wire API) plus a per-run [`Supervision`] layer.
 ///
 /// ```
 /// use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
@@ -360,20 +307,18 @@ impl ComputeProfile {
 ///     ScoringModel::bpmax_default(),
 /// );
 /// let solution = p
-///     .solve_opts(&SolveOptions::new().algorithm(Algorithm::Hybrid).threads(4))
+///     .solve_opts(&SolveOptions::new().algorithm(Algorithm::Hybrid))
 ///     .unwrap();
 /// assert!(solution.score() > 0.0);
 /// ```
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct SolveOptions {
     profile: ComputeProfile,
-    threads: Option<usize>,
     supervision: Supervision,
 }
 
 impl SolveOptions {
-    /// Default options: the default [`ComputeProfile`], caller's rayon
-    /// pool, no supervision.
+    /// Default options: the default [`ComputeProfile`], no supervision.
     pub fn new() -> Self {
         Self::default()
     }
@@ -383,7 +328,6 @@ impl SolveOptions {
     pub fn from_profile(profile: ComputeProfile) -> Self {
         SolveOptions {
             profile,
-            threads: None,
             supervision: Supervision::none(),
         }
     }
@@ -400,16 +344,6 @@ impl SolveOptions {
         self
     }
 
-    /// Run on a dedicated rayon pool of this many workers (the paper's
-    /// `OMP_NUM_THREADS` knob). Default: the caller's current pool. The
-    /// wavefront traversal itself is serial (see the module docs), so the
-    /// pool size does not change a solve's work.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Override the inner-triangle memory map (Fig 10 ablation). Default:
     /// the problem's own layout.
     #[must_use]
@@ -423,14 +357,6 @@ impl SolveOptions {
     #[must_use]
     pub fn tile(mut self, tile: Tile) -> Self {
         self.profile = self.profile.tile(tile);
-        self
-    }
-
-    /// Select the certified-unchecked fast path (`true`) or force safe
-    /// indexing (`false`) — see [`ComputeProfile::certified_unchecked`].
-    #[must_use]
-    pub fn certified_unchecked(mut self, on: bool) -> Self {
-        self.profile = self.profile.certified_unchecked(on);
         self
     }
 
@@ -490,14 +416,9 @@ impl SolveOptions {
         self.profile.resolved_algorithm()
     }
 
-    /// The requested thread count, if any.
-    pub(crate) fn requested_threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// Both kernel-selection knobs, resolved together.
-    pub(crate) fn resolved_kernel_modes(&self) -> KernelModes {
-        self.profile.resolved_kernel_modes()
+    /// The SIMD mode to solve with.
+    pub(crate) fn resolved_simd_mode(&self) -> SimdMode {
+        self.profile.resolved_simd_mode()
     }
 
     /// The layout to solve with, given the problem's own.
@@ -581,20 +502,9 @@ impl BpMaxProblem {
             }
         }
         let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), layout)?;
-        let modes = opts.resolved_kernel_modes();
-        match opts.requested_threads() {
-            Some(threads) => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads.max(1))
-                    .build()
-                    .map_err(|e| BpMaxError::InvalidArgument {
-                        detail: format!("building rayon pool of {threads} threads: {e}"),
-                    })?;
-                pool.install(|| self.compute_watched(algorithm, &mut f, &watch, modes))
-            }
-            None => self.compute_watched(algorithm, &mut f, &watch, modes),
-        }
-        .map_err(Interrupt::into_error)?;
+        let m = self.ctx.m();
+        self.compute_watched_range(algorithm, &mut f, 0, m, &watch, opts.resolved_simd_mode())
+            .map_err(Interrupt::into_error)?;
         Ok(Solution { problem: self, f })
     }
 
@@ -663,25 +573,14 @@ impl BpMaxProblem {
         })
     }
 
-    /// Compute into a caller-provided table under a supervision watch. On
-    /// interrupt the table is left partially filled, never with blocks
-    /// missing (every taken block is put back before the checkpoint that
-    /// can fire).
-    pub(crate) fn compute_watched(
-        &self,
-        algorithm: Algorithm,
-        f: &mut FTable,
-        watch: &Watch,
-        modes: KernelModes,
-    ) -> Result<(), Interrupt> {
-        self.compute_watched_range(algorithm, f, 0, self.ctx.m(), watch, modes)
-    }
-
-    /// [`BpMaxProblem::compute_watched`] over outer diagonals
-    /// `start..end` only. Diagonals `0..start` must already hold final
-    /// values (a checkpoint snapshot restore); `end < m` computes a
-    /// resumable prefix. By the wavefront invariant the cells produced are
-    /// bit-identical to a full run's, whatever the split point.
+    /// Compute outer diagonals `start..end` into a caller-provided table
+    /// under a supervision watch. On interrupt the table is left partially
+    /// filled, never with blocks missing (every taken block is put back
+    /// before the checkpoint that can fire). Diagonals `0..start` must
+    /// already hold final values (a checkpoint snapshot restore);
+    /// `end < m` computes a resumable prefix. By the wavefront invariant
+    /// the cells produced are bit-identical to a full run's, whatever the
+    /// split point.
     pub(crate) fn compute_watched_range(
         &self,
         algorithm: Algorithm,
@@ -689,18 +588,11 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
-        modes: KernelModes,
+        simd: SimdMode,
     ) -> Result<(), Interrupt> {
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
-            other => self.wavefront_range(
-                other.r0_order(modes.simd),
-                f,
-                start,
-                end,
-                watch,
-                modes.bounds,
-            ),
+            other => self.wavefront_range(other.r0_order(simd), f, start, end, watch),
         }
     }
 
@@ -717,7 +609,7 @@ impl BpMaxProblem {
             0,
             upto,
             &Watch::none(),
-            KernelModes::build_default(),
+            SimdMode::default(),
         )
         .map_err(Interrupt::into_error)?;
         Ok(f)
@@ -751,7 +643,7 @@ impl BpMaxProblem {
             start,
             self.ctx.m(),
             &Watch::none(),
-            KernelModes::build_default(),
+            SimdMode::default(),
         )
         .map_err(Interrupt::into_error)
     }
@@ -770,7 +662,6 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
-        bounds: BoundsMode,
     ) -> Result<(), Interrupt> {
         let ctx = &self.ctx;
         let m = ctx.m();
@@ -786,7 +677,7 @@ impl BpMaxProblem {
             for i1 in 0..m - d1 {
                 let j1 = i1 + d1;
                 let mut acc = f.take_block(i1, j1);
-                accumulate_r034_serial_mode(ctx, f, i1, j1, &mut acc, order, bounds);
+                accumulate_r034_serial(ctx, f, i1, j1, &mut acc, order);
                 let prev = prev_block(f, i1, j1);
                 finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
                 f.put_block(i1, j1, acc);
@@ -1023,21 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_counts_agree() {
-        let p = problem("GGAUCGAC", "CCGAUG");
-        let want = score(&p, Algorithm::Permuted);
-        for threads in [1usize, 2, 4] {
-            for alg in [Algorithm::FineGrain, Algorithm::Hybrid] {
-                let got = p
-                    .solve_opts(&SolveOptions::new().algorithm(alg).threads(threads))
-                    .unwrap()
-                    .score();
-                assert_eq!(got, want, "{alg:?} @ {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn solve_opts_agrees_across_algorithms() {
         let p = problem("GGAUCGAC", "CCGAUG");
         let want = score(&p, Algorithm::Permuted);
@@ -1049,7 +925,6 @@ mod tests {
             .solve_opts(
                 &SolveOptions::new()
                     .algorithm(Algorithm::Hybrid)
-                    .threads(2)
                     .layout(Layout::Shifted),
             )
             .unwrap();
@@ -1096,18 +971,14 @@ mod tests {
             .algorithm(Algorithm::Hybrid)
             .tile(Tile::cubic(3))
             .layout(Layout::Shifted)
-            .certified_unchecked(false)
             .simd(false);
         let via_opts = SolveOptions::new()
             .algorithm(Algorithm::Hybrid)
             .tile(Tile::cubic(3))
             .layout(Layout::Shifted)
-            .certified_unchecked(false)
             .simd(false);
         assert_eq!(*via_opts.profile(), profile);
         assert_eq!(*SolveOptions::from_profile(profile).profile(), profile);
-        // threads are not part of the profile (score-neutral)
-        assert_eq!(*via_opts.clone().threads(7).profile(), profile);
     }
 
     #[test]
@@ -1120,7 +991,6 @@ mod tests {
         };
         // bit-identical knobs hash alike…
         assert_eq!(fp(&base), fp(&base.simd(true)));
-        assert_eq!(fp(&base), fp(&base.certified_unchecked(true)));
         // …score-affecting knobs do not
         assert_ne!(fp(&base), fp(&base.algorithm(Algorithm::Permuted)));
         assert_ne!(fp(&base), fp(&base.layout(Layout::Shifted)));

@@ -27,7 +27,7 @@
 //! ```
 //!
 //! [`SolveOptions`] picks the champion algorithm by default and exposes
-//! every knob (algorithm, threads, layout, tile) behind one fallible
+//! every knob (algorithm, layout, tile, `R0` kernel) behind one fallible
 //! entry point. To solve *many* problems, use the pooled
 //! [`batch::BatchEngine`] instead of a loop — it recycles F-table
 //! blocks across solves and schedules each problem in its best shape.
@@ -39,7 +39,7 @@
 //! | [`spec`] | Equations (1)–(3) as a memoized recursion — the correctness oracle |
 //! | [`ftable`] | the packed 4-D table + Fig 10 memory-map options |
 //! | [`baseline`] | the original diagonal-by-diagonal program (the speedup reference) |
-//! | [`kernels`] | the per-triangle compute kernels: double max-plus (naive, permuted, tiled), R1/R2 interleaved finalization, R3/R4 piggybacking |
+//! | [`kernels`] | the per-triangle compute kernels: double max-plus (naive, permuted, tiled, register-tiled), R1/R2 interleaved finalization, R3/R4 piggybacking |
 //! | [`engine`] | the six program versions (Phase I–III) assembled from the kernels |
 //! | [`traceback`] | recovering an optimal [`rna::JointStructure`] from `F` |
 //! | [`schedules`] | Tables I–V encoded as `polyhedral` schedules + dependence system, machine-verified |
@@ -56,14 +56,16 @@
 //!
 //! # Safety policy
 //!
-//! The crate denies `unsafe_code` globally. The only exemptions are the
-//! `certified-unchecked` kernels in [`kernels`], each carrying a
-//! per-function `#[allow(unsafe_code)]` plus a `certified-by:` pointer
-//! to the [`bounds`] certificate (exact Fourier–Motzkin in-bounds proof
-//! over all problem and tile sizes — `bpmax-cli verify --bounds`) that
-//! justifies every elided check.
+//! The crate contains no `unsafe` code: `unsafe_code` is forbidden here
+//! and workspace-wide, so the compiler rejects any `unsafe` block,
+//! unchecked indexing included. Every kernel index keeps Rust's slice
+//! check. The [`bounds`] certificates (exact Fourier–Motzkin proofs over
+//! all problem and tile sizes — `bpmax-cli verify --bounds`) prove that
+//! none of those checks can fire, given the one runtime precondition the
+//! kernels assert at entry: every block holds at least
+//! `layout().storage_len(n)` elements.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod batch;
@@ -92,7 +94,7 @@ pub use engine::{
 };
 pub use error::BpMaxError;
 pub use ftable::{BlockPool, FTable, PoolStats};
-pub use kernels::{BoundsMode, SimdMode};
+pub use kernels::SimdMode;
 pub use serve::{
     Client, RejectReason, Request, Response, RetryPolicy, Server, ServerConfig, ServerStats,
     SolveRequest,

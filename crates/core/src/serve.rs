@@ -104,8 +104,11 @@ pub const MAGIC: &[u8; 8] = b"BPMXSERV";
 /// v2 widened the stats reply with the cache-eviction and read-timeout
 /// counters. v3 added the overload counters (inflight / shed / drained
 /// / panicked) to the stats reply, the [`RejectReason::Overloaded`]
-/// load-shedding rejection, and the per-request deadline field.
-pub const VERSION: u32 = 3;
+/// load-shedding rejection, and the per-request deadline field. v4
+/// dropped the profile's bounds-mode override byte (the kernels have one
+/// bounds-checked form); a v3 cache entry fails the header check and is
+/// treated as a miss.
+pub const VERSION: u32 = 4;
 
 /// Ceiling on a single frame's payload: no request needs more, and the
 /// reader must never let a corrupted length field drive allocation.
@@ -482,23 +485,17 @@ fn take_bool(cur: &mut Cursor<'_>, what: &str) -> Result<bool, BpMaxError> {
 }
 
 fn put_profile(buf: &mut Vec<u8>, profile: &ComputeProfile) {
-    let (alg, tile, layout, bounds, simd) = profile.parts();
+    let (alg, tile, layout, simd) = profile.parts();
     put_algorithm(buf, alg);
     put_opt(buf, tile, put_tile);
     put_opt(buf, layout, |b, l| put_u8(b, layout_code(l)));
-    put_opt(buf, bounds, |b, m| {
-        put_u8(
-            b,
-            u8::from(m == crate::kernels::BoundsMode::CertifiedUnchecked),
-        );
-    });
     put_opt(buf, simd, |b, m| {
         put_u8(b, u8::from(m == crate::kernels::SimdMode::LaneArray));
     });
 }
 
 fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
-    use crate::kernels::{BoundsMode, SimdMode};
+    use crate::kernels::SimdMode;
     let alg = take_algorithm(cur)?;
     let tile = take_presence(cur, "profile tile override")?
         .then(|| take_tile(cur, "profile tile"))
@@ -506,15 +503,6 @@ fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
     let layout = if take_presence(cur, "profile layout override")? {
         let code = cur.u8("profile layout code")?;
         Some(layout_from_code(code, cur)?)
-    } else {
-        None
-    };
-    let bounds = if take_presence(cur, "profile bounds override")? {
-        Some(if take_bool(cur, "profile bounds mode")? {
-            BoundsMode::CertifiedUnchecked
-        } else {
-            BoundsMode::Checked
-        })
     } else {
         None
     };
@@ -527,7 +515,7 @@ fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
     } else {
         None
     };
-    Ok(ComputeProfile::from_parts(alg, tile, layout, bounds, simd))
+    Ok(ComputeProfile::from_parts(alg, tile, layout, simd))
 }
 
 fn header(kind: u8) -> Vec<u8> {
@@ -2042,7 +2030,6 @@ mod tests {
                         j2: 2,
                     })
                     .layout(Layout::Shifted)
-                    .certified_unchecked(true)
                     .simd(false),
             )
             .mem_budget(1 << 20)
@@ -2138,11 +2125,8 @@ mod tests {
             base,
             cache_fingerprint(&profile.algorithm(Algorithm::Baseline), None, false)
         );
-        // bounds/simd are bit-identical paths: same key
-        assert_eq!(
-            base,
-            cache_fingerprint(&profile.certified_unchecked(true).simd(true), None, false)
-        );
+        // the R0 orders are bit-identical paths: same key
+        assert_eq!(base, cache_fingerprint(&profile.simd(true), None, false));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `bpmax-lint` — the repository's own lint engine.
 //!
-//! Four project-specific rules that `clippy` cannot express, enforced
+//! Three project-specific rules that `clippy` cannot express, enforced
 //! over every crate in the workspace (`ci.sh` runs the binary before
 //! the test suites):
 //!
@@ -8,7 +8,6 @@
 //! |---|---|
 //! | `no-panic` | library code never calls `.unwrap()` / `.expect(..)` / `panic!(..)` — fallible entry points return [`Result`]; escape: `// lint: allow(unwrap\|expect\|panic): reason` |
 //! | `atomic-ordering` | every atomic `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` use carries a `// ordering:` justification on the same or an adjacent preceding line |
-//! | `certified-unchecked` | `get_unchecked` appears only inside functions whose doc block carries a `certified-by:` pointer to a `bpmax::bounds` certificate |
 //! | `instant-hot-loop` | `Instant::now` never appears in the solver hot-path files (timing belongs to the supervision `Watch` and the bench crate); escape: `// lint: allow(instant): reason` |
 //!
 //! There is no `syn` in the offline workspace, so the engine is a
@@ -318,38 +317,6 @@ fn test_region_start(views: &Views) -> Option<usize> {
         .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
 }
 
-/// Is the `fn` enclosing `line` documented with a `certified-by:`
-/// pointer? Walks up to the nearest `fn ` header, then through the
-/// contiguous comment/attribute block above it.
-fn enclosing_fn_certified(views: &Views, line: usize) -> bool {
-    let mut l = line;
-    loop {
-        let code = &views.code[l];
-        if code.contains("fn ") && !code.trim_start().starts_with("fn_") {
-            // scan the contiguous doc/attr block above the header
-            let mut k = l;
-            while k > 0 {
-                k -= 1;
-                let code_above = views.code[k].trim();
-                let comment_above = views.comment[k].trim();
-                if comment_above.contains("certified-by:") {
-                    return true;
-                }
-                let is_attr = code_above.starts_with("#[") || code_above.starts_with("#!");
-                let is_comment_only = code_above.is_empty() && !comment_above.is_empty();
-                if !is_attr && !is_comment_only {
-                    return false;
-                }
-            }
-            return false;
-        }
-        if l == 0 {
-            return false;
-        }
-        l -= 1;
-    }
-}
-
 /// Lint one file's source text. `file` is the path as reported in
 /// findings (also used for the hot-file rule), `kind` decides which
 /// rules apply.
@@ -413,20 +380,7 @@ pub fn lint_source(file: &str, text: &str, kind: FileKind) -> Vec<Finding> {
             }
         }
 
-        // Rule 3: unchecked indexing only inside certificate-scoped
-        // functions. The dot makes this the method call — a mention of
-        // the name in an identifier or path does not count.
-        if code.contains(".get_unchecked") && !enclosing_fn_certified(&v, i) {
-            out.push(finding(
-                i,
-                "certified-unchecked",
-                "`get_unchecked` outside a function documented with a \
-                 `certified-by:` bounds-certificate pointer"
-                    .to_string(),
-            ));
-        }
-
-        // Rule 4: no ad-hoc timing in the solver hot paths.
+        // Rule 3: no ad-hoc timing in the solver hot paths.
         if hot
             && !in_test(i)
             && code.contains("Instant::now")
@@ -584,16 +538,6 @@ mod tests {
         assert_eq!(f[0].rule, "atomic-ordering");
         let ok = "fn t() {\n    // ordering: test counter, no synchronization implied\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
         assert!(lint_source("crates/x/tests/a.rs", ok, FileKind::Test).is_empty());
-    }
-
-    #[test]
-    fn get_unchecked_requires_certified_fn() {
-        let bad = "fn f(xs: &[u8]) -> u8 {\n    unsafe { *xs.get_unchecked(0) }\n}\n";
-        let f = lint_source("crates/x/src/a.rs", bad, FileKind::Lib);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "certified-unchecked");
-        let good = "/// certified-by: `bounds::spec` (tier 1).\n#[allow(unsafe_code)]\nfn f(xs: &[u8]) -> u8 {\n    unsafe { *xs.get_unchecked(0) }\n}\n";
-        assert!(lint_source("crates/x/src/a.rs", good, FileKind::Lib).is_empty());
     }
 
     #[test]

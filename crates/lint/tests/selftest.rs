@@ -49,20 +49,6 @@ fn mutant_relaxed_no_comment_is_flagged() {
 }
 
 #[test]
-fn mutant_stray_unchecked_is_flagged() {
-    let f = lint_source(
-        "crates/x/src/mutant.rs",
-        &fixture("stray_unchecked.rs"),
-        FileKind::Lib,
-    );
-    assert_eq!(
-        rules(&f),
-        ["certified-unchecked"],
-        "bare get_unchecked flagged, certified-by one passes: {f:?}"
-    );
-}
-
-#[test]
 fn mutant_instant_in_kernel_is_flagged() {
     // Linted under a hot-path name the bare Instant::now is an error...
     let f = lint_source(

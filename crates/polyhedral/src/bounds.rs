@@ -31,9 +31,10 @@
 //!   bounded `n` (see `bpmax::bounds` and `tropical::triangular` tests)
 //!   and recorded as a named assumption in the certificate.
 //!
-//! Together the tiers justify the `certified-unchecked` kernel path: a
-//! Tier-1-certified logical access composed with a Tier-2-validated layout
-//! cannot index out of bounds.
+//! Together the tiers prove that the kernels never panic on a bounds
+//! check: a Tier-1-certified logical access composed with a
+//! Tier-2-validated layout cannot index out of bounds, so the slice checks
+//! Rust keeps in every kernel can never fire.
 
 use crate::affine::{v, AffineExpr, Env};
 use crate::domain::{Constraint, Domain};
