@@ -111,8 +111,13 @@ for _ in $(seq 1 200); do
     [ -S "$SERVE_SOCK" ] && break
     sleep 0.05
 done
-"$BPMAX" client --socket "$SERVE_SOCK" solve GGGAAACCC UUUGG | grep -q "^score: 15"
-"$BPMAX" client --socket "$SERVE_SOCK" solve GGGAAACCC UUUGG | grep -q "cache hit"
+# Each client writes to a file before grep reads it: `client | grep -q`
+# can close the pipe at the first match, and the client's next write
+# then fails (exit 101) and aborts this script under pipefail.
+"$BPMAX" client --socket "$SERVE_SOCK" solve GGGAAACCC UUUGG > "$SERVE_DIR/cold.out"
+grep -q "^score: 15" "$SERVE_DIR/cold.out"
+"$BPMAX" client --socket "$SERVE_SOCK" solve GGGAAACCC UUUGG > "$SERVE_DIR/warm.out"
+grep -q "cache hit" "$SERVE_DIR/warm.out"
 reject_rc=0
 "$BPMAX" client --socket "$SERVE_SOCK" solve GGGGGGGGGG CCCCCCCCCC \
     --mem-budget 64 2> /dev/null || reject_rc=$?
@@ -161,7 +166,8 @@ if [ "$shed_rc" -ne 2 ] || ! grep -q "overloaded" "$OVER_DIR/b.err"; then
 fi
 # a retrying client backs off past the hold and gets a real answer
 "$BPMAXF" client --socket "$OVER_SOCK" solve GGCAUUCC AUGGCAU --retries 8 \
-    | grep -q "^score:"
+    > "$OVER_DIR/retry.out"
+grep -q "^score:" "$OVER_DIR/retry.out"
 wait "$A_PID"
 grep -q "^score: 15" "$OVER_DIR/a.out"
 # drain: a shutdown landing while a solve is in flight...

@@ -1,7 +1,6 @@
-//! Criterion bench: the six `BPMax` program versions (Fig 15's measured
-//! side) at a bench-friendly size. Pinned to `simd(false)` so the tiled
-//! version runs the paper's tiled `R0` order with its tile shape, as in
-//! `fig15_bpmax_perf`.
+//! Criterion bench: `BPMax` program versions (Fig 15's measured side) at
+//! a bench-friendly size; the tiled version runs the paper's tiled `R0`
+//! order with its tile shape, as in `fig15_bpmax_perf`.
 
 use bench::{model, workload};
 use bpmax::kernels::Tile;
@@ -24,10 +23,7 @@ fn bench_variants(c: &mut Criterion) {
         },
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(alg.label()), &alg, |b, &alg| {
-            b.iter(|| {
-                p.solve_opts(&SolveOptions::new().algorithm(alg).simd(false))
-                    .unwrap()
-            });
+            b.iter(|| p.solve_opts(&SolveOptions::new().algorithm(alg)).unwrap());
         });
     }
     group.finish();

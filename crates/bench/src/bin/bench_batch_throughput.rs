@@ -1,5 +1,4 @@
-//! Batch engine throughput: pooled arena + adaptive scheduling vs a naive
-//! solve loop.
+//! Batch engine throughput: pooled arena vs a naive solve loop.
 //!
 //! Measured part: a mixed-size problem set (cycled from `--sizes`) solved
 //! three ways — a plain per-problem `solve_opts` loop (fresh table every
@@ -9,8 +8,8 @@
 //! the cold wave the steady state must allocate **zero** new blocks
 //! (`second_wave_allocs`), which this binary asserts — that part is
 //! hardware-independent. The wall-clock speedup is reported but not
-//! asserted: on a single-core host (or under the sequential rayon shim)
-//! one-problem-per-thread scheduling has no cores to win on.
+//! asserted. The engine solves one problem at a time on the calling
+//! thread, so every record is a one-thread (`t=1`) measurement.
 //!
 //! Also measured: the same wave with durable checkpoint journaling
 //! (`solve_all_checkpointed` — the fsync-per-problem overhead) and a
@@ -24,15 +23,14 @@ use bpmax::{BpMaxProblem, SolveOptions};
 use std::time::Duration;
 
 fn main() {
-    let opts = Opts::parse(&[8, 12, 16, 20], &[8]);
+    let opts = Opts::parse(&[8, 12, 16, 20], &[]);
     let mut rep = Reporter::new("bench_batch_throughput", &opts);
     banner(
         "Batch",
         "batch engine throughput and arena reuse",
-        "steady-state solves allocate zero F-table blocks; coarse scheduling scales with cores",
+        "steady-state solves allocate zero F-table blocks",
     );
 
-    let threads = opts.threads[0].max(1);
     let count = if opts.smoke {
         24
     } else if opts.full {
@@ -73,7 +71,7 @@ fn main() {
 
     // Batch engine: cold wave populates the arena, warm waves must not
     // allocate.
-    let engine = BatchEngine::new(BatchOptions::new().threads(threads)).expect("engine");
+    let engine = BatchEngine::new(BatchOptions::new()).expect("engine");
     let cold = engine.solve_all(&problems).expect("cold wave");
     let cold_scores: Vec<f32> = cold.items.iter().map(|i| i.score).collect();
     assert_eq!(cold_scores, naive_scores, "batch must match naive solves");
@@ -93,14 +91,9 @@ fn main() {
 
     let speedup = naive_stats.median_s / warm_stats.median_s;
     let (lat_min, lat_med, lat_max) = warm.latency_s();
-    rep.measured(
-        format!("measured/batch/t={threads}"),
-        warm_stats,
-        Some(total_flops),
-    );
+    rep.measured("measured/batch/t=1", warm_stats, Some(total_flops));
     rep.annotate(&[
         ("problems", count as f64),
-        ("threads", threads as f64),
         ("speedup_vs_naive", speedup),
         ("coarse_fraction", warm.coarse_fraction()),
         ("latency_median_s", lat_med),
@@ -114,7 +107,6 @@ fn main() {
     // is a couple of relaxed atomic loads per diagonal, nothing more.
     let supervised = BatchEngine::new(
         BatchOptions::new()
-            .threads(threads)
             .deadline(Duration::from_secs(600))
             .mem_budget(4 << 30),
     )
@@ -138,7 +130,7 @@ fn main() {
         "supervised batch must match naive solves"
     );
     rep.measured(
-        format!("measured/batch-supervised/t={threads}"),
+        "measured/batch-supervised/t=1",
         sup_stats,
         Some(total_flops),
     );
@@ -184,7 +176,7 @@ fn main() {
         "replayed scores must match naive solves"
     );
     rep.measured(
-        format!("measured/batch-checkpointed/t={threads}"),
+        "measured/batch-checkpointed/t=1",
         ckpt_stats,
         Some(total_flops),
     );
@@ -195,11 +187,7 @@ fn main() {
             (ckpt_stats.median_s - warm_stats.median_s) / warm_stats.median_s,
         ),
     ]);
-    rep.measured(
-        format!("measured/batch-resume-replay/t={threads}"),
-        resume_stats,
-        None,
-    );
+    rep.measured("measured/batch-resume-replay/t=1", resume_stats, None);
     rep.annotate(&[
         ("problems", count as f64),
         ("replayed", resumed.replayed as f64),
@@ -223,8 +211,7 @@ fn main() {
     }
     t.print();
     println!(
-        "\ncold wave: {:.4} s; warm speedup vs naive loop: {:.2}x at {threads} threads \
-         ({:.0}% coarse)",
+        "\ncold wave: {:.4} s; warm speedup vs naive loop: {:.2}x ({:.0}% coarse)",
         cold.wall_s,
         speedup,
         100.0 * warm.coarse_fraction()

@@ -57,14 +57,6 @@ fn problem_set(opts: &Opts) -> Vec<BpMaxProblem> {
         .collect()
 }
 
-/// One thread per worker process: inter-problem parallelism comes from
-/// the process fan-out, which keeps the simsched comparison honest
-/// (W workers ≙ W lanes). Excluded from the batch fingerprint, so the
-/// coordinator and baseline still share one manifest hash.
-fn batch_opts() -> BatchOptions {
-    BatchOptions::new().threads(1)
-}
-
 fn assert_bit_identical(what: &str, baseline: &BatchReport, got: &BatchReport) {
     assert_eq!(got.items.len(), baseline.items.len(), "{what}: item count");
     for (b, g) in baseline.items.iter().zip(&got.items) {
@@ -123,7 +115,7 @@ fn main() {
     // Worker re-invocation: the coordinator spawned us with the
     // BPMAX_COORD_* contract — claim and solve, never benchmark.
     if let Some(env) = coordinator::worker_env() {
-        let code = match coordinator::run_worker(&problems, batch_opts(), &env) {
+        let code = match coordinator::run_worker(&problems, BatchOptions::new(), &env) {
             Ok(()) => 0,
             Err(_) => 1,
         };
@@ -154,12 +146,13 @@ fn main() {
         let copts = CoordinatorOptions::new()
             .workers(workers)
             .backoff(Duration::from_millis(5), Duration::from_millis(40));
-        coordinator::run(&problems, &batch_opts(), &copts, &cmd, dir).expect("coordinator run")
+        coordinator::run(&problems, &BatchOptions::new(), &copts, &cmd, dir)
+            .expect("coordinator run")
     };
 
     // Single-process baseline: the bit-identity reference and the
     // per-problem costs the simsched model consumes.
-    let engine = BatchEngine::new(batch_opts()).expect("engine");
+    let engine = BatchEngine::new(BatchOptions::new()).expect("engine");
     let baseline = engine.solve_all(&problems).expect("baseline");
     let reps = opts.reps(3);
     let single_stats = time_stats(reps, || {

@@ -12,11 +12,12 @@
 //!    max-plus instance (`R0Order::SimdReg`) versus the cache-tiled
 //!    order — the trajectory point the acceptance gate pins.
 //! 3. **Bit-identity.** Every R0 order agrees on the dmp checksum and
-//!    all six program versions (SIMD on *and* off) agree with the
-//!    memoized specification oracle — asserted at runtime, every run.
+//!    every program version (`hybrid+tiled` and `hybrid+reg` among them)
+//!    agrees with the memoized specification oracle — asserted at
+//!    runtime, every run.
 //!
-//! Both `R0` orders are always compiled and picked per run
-//! (`SolveOptions::simd`), so this binary measures the same code in every
+//! Both `R0` orders are always compiled and picked per run by the
+//! program version, so this binary measures the same code in every
 //! build.
 
 use bench::dmp::{dmp_flops, dmp_solve};
@@ -114,26 +115,23 @@ fn main() {
         orders.len()
     );
 
-    // --- runtime bit-identity: all six program versions vs the oracle,
-    //     with the SIMD path forced on and forced off ---
+    // --- runtime bit-identity: every program version vs the oracle ---
     let (s1, s2) = workload(opts.seed, 9, 10);
     let oracle = spec_score(&s1, &s2, &model());
     let p = BpMaxProblem::new(s1, s2, model());
     for &alg in Algorithm::ALL {
-        for simd_on in [true, false] {
-            let solution = p
-                .solve_opts(&SolveOptions::new().algorithm(alg).simd(simd_on))
-                .expect("solve failed");
-            assert_eq!(
-                solution.score().to_bits(),
-                oracle.to_bits(),
-                "{} (simd={simd_on}) diverges from the memoized oracle",
-                alg.label()
-            );
-        }
+        let solution = p
+            .solve_opts(&SolveOptions::new().algorithm(alg))
+            .expect("solve failed");
+        assert_eq!(
+            solution.score().to_bits(),
+            oracle.to_bits(),
+            "{} diverges from the memoized oracle",
+            alg.label()
+        );
     }
     println!(
-        "bit-identity: all {} algorithms x simd on/off match the memoized oracle",
+        "bit-identity: all {} algorithms match the memoized oracle",
         Algorithm::ALL.len()
     );
 

@@ -14,11 +14,10 @@ use machine::spec::MachineSpec;
 use machine::traffic;
 use simsched::speedup::HtModel;
 
-/// Solve with `alg` on the paper's kernels: `simd(false)` keeps the
-/// hybrid+tiled row on its Phase III tiled `R0` instead of the default
-/// register-tiled one.
+/// Solve with `alg` (`hybrid+tiled` runs the paper's Phase III tiled
+/// `R0`).
 fn solve(p: &BpMaxProblem, alg: Algorithm) -> bpmax::FTable {
-    p.solve_opts(&SolveOptions::new().algorithm(alg).simd(false))
+    p.solve_opts(&SolveOptions::new().algorithm(alg))
         .expect("unsupervised bench solve")
         .into_ftable()
 }

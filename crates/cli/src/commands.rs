@@ -8,7 +8,7 @@
 
 use bpmax::batch::{BatchEngine, BatchOptions};
 use bpmax::coordinator;
-use bpmax::kernels::{Ctx, Tile};
+use bpmax::kernels::Ctx;
 use bpmax::serve::{Client, Response, RetryPolicy, Server, ServerConfig, SolveRequest};
 use bpmax::windowed::scan_ranked;
 use bpmax::{Algorithm, BpMaxError, BpMaxProblem, ComputeProfile};
@@ -20,19 +20,18 @@ use std::path::{Path, PathBuf};
 /// Usage text shown on errors and by `help`.
 pub(crate) const USAGE: &str = "usage:
   bpmax-cli fold <seq> [--min-loop K]
-  bpmax-cli interact <seq1> <seq2> [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled]
-                     [--min-loop K] [--simd | --no-simd]
-  bpmax-cli scan <query> <target> [--window W] [--top K] [--batch] [--threads T]
+  bpmax-cli interact <seq1> <seq2> [--min-loop K]
+                     [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled|hybrid-reg]
+  bpmax-cli scan <query> <target> [--window W] [--top K] [--batch]
                  [--deadline SECS] [--mem-budget BYTES] [--workers N]
-                 [--checkpoint-dir DIR] [--resume] [--simd | --no-simd]
-  bpmax-cli serve --socket PATH [--threads T] [--mem-budget BYTES]
+                 [--checkpoint-dir DIR] [--resume]
+  bpmax-cli serve --socket PATH [--mem-budget BYTES]
                   [--max-seconds S] [--cache-dir DIR] [--cache-mem BYTES]
                   [--read-timeout S] [--max-inflight N] [--queue-depth N]
                   [--queue-wait S] [--drain-timeout S]
   bpmax-cli client --socket PATH solve <seq1> <seq2>
-                   [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled]
-                   [--min-loop K] [--simd | --no-simd]
-                   [--mem-budget BYTES] [--degrade]
+                   [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled|hybrid-reg]
+                   [--min-loop K] [--mem-budget BYTES] [--degrade]
                    [--deadline S] [--retries N]
   bpmax-cli client --socket PATH stats
   bpmax-cli client --socket PATH shutdown
@@ -40,14 +39,19 @@ pub(crate) const USAGE: &str = "usage:
   bpmax-cli verify [M N] [--static] [--bounds]
   bpmax-cli help
 
+--alg picks the program version; the default, hybrid-reg, runs the
+register-tiled R0 kernel, and hybrid-tiled runs the paper's Phase III
+tiled order. Every version computes the same scores — the flag changes
+speed, never results.
+
 scan --batch solves every window as an independent problem on the pooled
-batch engine (same scores, arena-recycled tables; --threads sizes its
-worker pool). --deadline bounds the wall clock of the whole batch
-(seconds, fractional, must be > 0) and --mem-budget caps each problem's
-F-table (bytes; K/M/G suffixes). Budget-starved windows degrade to the
-banded algorithm and rank with lower-bound scores; timed-out, cancelled,
-or failed windows are dropped from the ranking and the run exits 3 with
-the partial results plus a failure summary.
+batch engine (same scores, arena-recycled tables). --deadline bounds the
+wall clock of the whole batch (seconds, fractional, must be > 0) and
+--mem-budget caps each problem's F-table (bytes; K/M/G suffixes).
+Budget-starved windows degrade to the banded algorithm and rank with
+lower-bound scores; timed-out, cancelled, or failed windows are dropped
+from the ranking and the run exits 3 with the partial results plus a
+failure summary.
 
 --checkpoint-dir DIR journals every completed window to a crash-safe
 checkpoint under DIR (write-to-temp + fsync + atomic rename; a kill at
@@ -67,11 +71,6 @@ killing workers is quarantined after the retry cap and reported like any
 failed window (exit 3). The merged ranking is bit-identical to a
 single-process run. --workers conflicts with --resume: the ledger is
 recreated fresh each run.
-
---simd / --no-simd pick the hybrid+tiled algorithm's R0 kernel: --simd
-(the default) runs the register-tiled SIMD kernel (SimdReg), --no-simd
-the paper's Phase III tiled order. Both are bit-identical — the flags
-change speed, never scores. For scan, the flags apply only with --batch.
 
 serve runs a resident solve daemon on a Unix socket: one warm batch
 engine (hot block-pool arenas) answers every client request, results are
@@ -297,41 +296,19 @@ fn cmd_fold(mut args: Vec<String>) -> Result<String, CliError> {
     Ok(out.trim_end().to_string())
 }
 
-/// Parse the tri-state `--simd` / `--no-simd` override. `None` keeps
-/// the default (`--simd`, the register-tiled `R0`).
-fn take_simd(args: &mut Vec<String>) -> Result<Option<bool>, CliError> {
-    let on = take_flag(args, "--simd");
-    let off = take_flag(args, "--no-simd");
-    if on && off {
-        return Err(usage("--simd and --no-simd are mutually exclusive"));
-    }
-    Ok(match (on, off) {
-        (true, _) => Some(true),
-        (_, true) => Some(false),
-        _ => None,
-    })
-}
-
 fn cmd_interact(mut args: Vec<String>) -> Result<String, CliError> {
     let model = model_with_min_loop(&mut args)?;
     let alg = match take_opt(&mut args, "--alg")? {
         Some(name) => name.parse::<Algorithm>()?,
-        None => Algorithm::HybridTiled {
-            tile: Tile::default(),
-        },
+        None => Algorithm::HybridReg,
     };
-    let simd = take_simd(&mut args)?;
     let [a1, a2] = args.as_slice() else {
         return Err(usage("interact takes exactly two sequences"));
     };
     let s1 = load_seq(a1)?;
     let s2 = load_seq(a2)?;
     let problem = BpMaxProblem::new(s1.clone(), s2.clone(), model);
-    let mut solve = bpmax::SolveOptions::new().algorithm(alg);
-    if let Some(on) = simd {
-        solve = solve.simd(on);
-    }
-    let solution = problem.solve_opts(&solve)?;
+    let solution = problem.solve_opts(&bpmax::SolveOptions::new().algorithm(alg))?;
     let st = solution.traceback();
     st.validate(s1.len(), s2.len())
         .map_err(|e| CliError::Check(format!("internal error — invalid traceback: {e}")))?;
@@ -350,18 +327,6 @@ fn cmd_interact(mut args: Vec<String>) -> Result<String, CliError> {
         st.inter.len()
     );
     Ok(out.trim_end().to_string())
-}
-
-/// Parse `--threads T`, shared by `scan --batch`, `serve`, and the
-/// batch-args table; the worker count must be at least 1.
-fn take_threads(args: &mut Vec<String>) -> Result<Option<usize>, CliError> {
-    take_opt(args, "--threads")?
-        .map(|v| match v.parse::<usize>() {
-            Ok(t) if t >= 1 => Ok(t),
-            Ok(_) => Err(bad_arg("--threads must be at least 1")),
-            Err(_) => Err(bad_arg("bad --threads")),
-        })
-        .transpose()
 }
 
 /// Parse `--deadline SECS` / `--max-seconds SECS`-style positive
@@ -384,26 +349,22 @@ fn take_seconds(args: &mut Vec<String>, flag: &str) -> Result<Option<f64>, CliEr
 /// `--checkpoint-dir`) live here too.
 struct BatchArgs {
     batch: bool,
-    threads: Option<usize>,
     deadline: Option<std::time::Duration>,
     mem_budget: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    simd: Option<bool>,
     workers: Option<usize>,
 }
 
 impl BatchArgs {
     fn parse(args: &mut Vec<String>) -> Result<BatchArgs, CliError> {
         let batch = take_flag(args, "--batch");
-        let threads = take_threads(args)?;
         let deadline = take_seconds(args, "--deadline")?.map(std::time::Duration::from_secs_f64);
         let mem_budget = take_opt(args, "--mem-budget")?
             .map(|v| parse_bytes(&v))
             .transpose()?;
         let checkpoint_dir = take_opt(args, "--checkpoint-dir")?.map(PathBuf::from);
         let resume = take_flag(args, "--resume");
-        let simd = take_simd(args)?;
         let workers = take_opt(args, "--workers")?
             .map(|v| match v.parse::<usize>() {
                 Ok(n) if n >= 1 => Ok(n),
@@ -413,7 +374,6 @@ impl BatchArgs {
             })
             .transpose()?;
         let gated = [
-            (threads.is_some(), "--threads"),
             (
                 deadline.is_some() || mem_budget.is_some(),
                 "--deadline/--mem-budget",
@@ -422,7 +382,6 @@ impl BatchArgs {
                 checkpoint_dir.is_some() || resume,
                 "--checkpoint-dir/--resume",
             ),
-            (simd.is_some(), "--simd/--no-simd"),
             (workers.is_some(), "--workers"),
         ];
         if !batch {
@@ -443,12 +402,10 @@ impl BatchArgs {
         }
         Ok(BatchArgs {
             batch,
-            threads,
             deadline,
             mem_budget,
             checkpoint_dir,
             resume,
-            simd,
             workers,
         })
     }
@@ -541,12 +498,6 @@ fn scan_batched(
     raw: &[String],
 ) -> Result<BatchedScan, CliError> {
     let mut opts = BatchOptions::new();
-    if let Some(t) = sup.threads {
-        opts = opts.threads(t);
-    }
-    if let Some(on) = sup.simd {
-        opts = opts.solve(bpmax::SolveOptions::new().simd(on));
-    }
     if let Some(d) = sup.deadline {
         opts = opts.deadline(d);
     }
@@ -665,10 +616,6 @@ fn scan_coordinated(
         copts = copts.worker_deadline(d);
     }
 
-    // each worker gets its share of the thread budget (the fingerprint
-    // excludes threads, so per-worker counts never invalidate the ledger)
-    let total_threads = opts.threads;
-    let per_worker = (total_threads / n.max(1)).max(1);
     let mut wargs = vec!["scan".to_string()];
     let mut skip_value = false;
     for a in raw {
@@ -677,13 +624,11 @@ fn scan_coordinated(
             continue;
         }
         match a.as_str() {
-            "--workers" | "--checkpoint-dir" | "--threads" => skip_value = true,
+            "--workers" | "--checkpoint-dir" => skip_value = true,
             "--resume" => {}
             _ => wargs.push(a.clone()),
         }
     }
-    wargs.push("--threads".to_string());
-    wargs.push(per_worker.to_string());
     let program = std::env::current_exe().map_err(|e| {
         CliError::BpMax(BpMaxError::Coordinator {
             detail: format!("resolving the worker binary path: {e}"),
@@ -733,7 +678,6 @@ fn cmd_serve(mut args: Vec<String>) -> Result<String, CliError> {
     let socket = take_opt(&mut args, "--socket")?
         .map(PathBuf::from)
         .ok_or_else(|| usage("serve requires --socket PATH"))?;
-    let threads = take_threads(&mut args)?;
     let mem_budget = take_opt(&mut args, "--mem-budget")?
         .map(|v| parse_bytes(&v))
         .transpose()?;
@@ -773,7 +717,6 @@ fn cmd_serve(mut args: Vec<String>) -> Result<String, CliError> {
     }
     let server = Server::new(ServerConfig {
         socket: socket.clone(),
-        threads,
         mem_budget,
         max_predicted_s,
         cache_dir,
@@ -821,7 +764,6 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
             let alg = take_opt(&mut args, "--alg")?
                 .map(|name| name.parse::<Algorithm>())
                 .transpose()?;
-            let simd = take_simd(&mut args)?;
             let mem_budget = take_opt(&mut args, "--mem-budget")?
                 .map(|v| parse_bytes(&v))
                 .transpose()?;
@@ -844,9 +786,6 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
             let mut profile = ComputeProfile::new();
             if let Some(alg) = alg {
                 profile = profile.algorithm(alg);
-            }
-            if let Some(on) = simd {
-                profile = profile.simd(on);
             }
             let mut req = SolveRequest::new(s1, s2, model)
                 .profile(profile)
@@ -1180,6 +1119,7 @@ mod tests {
             "fine",
             "hybrid",
             "hybrid-tiled",
+            "hybrid-reg",
         ] {
             let out = run(&["interact", "GGGAAACCC", "UUU", "--alg", alg]).unwrap();
             assert!(out.contains("interaction score: 15"), "{alg}: {out}");
@@ -1187,16 +1127,17 @@ mod tests {
     }
 
     #[test]
-    fn interact_simd_flags_bit_identical() {
-        // Both SIMD modes are always compiled; the flags pick one per run
-        // and the rendered output (scores included) must not change.
-        let on = run(&["interact", "GGGAAACCC", "UUU", "--simd"]).unwrap();
-        let off = run(&["interact", "GGGAAACCC", "UUU", "--no-simd"]).unwrap();
-        let default = run(&["interact", "GGGAAACCC", "UUU"]).unwrap();
-        assert_eq!(on, off);
-        assert_eq!(on, default);
-        let err = run(&["interact", "GGG", "CCC", "--simd", "--no-simd"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+    fn interact_defaults_to_hybrid_reg() {
+        // the default version and the paper's tiled one render the same
+        // solve apart from the algorithm line
+        let default = run(&["interact", "GGGAAACCC", "UUUGG"]).unwrap();
+        let tiled = run(&["interact", "GGGAAACCC", "UUUGG", "--alg", "hybrid-tiled"]).unwrap();
+        assert!(default.contains("algorithm: hybrid+reg"), "{default}");
+        assert_eq!(
+            default.replace("hybrid+reg", "hybrid+tiled"),
+            tiled,
+            "{default}\nvs\n{tiled}"
+        );
     }
 
     #[test]
@@ -1238,44 +1179,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(tail(&banded), tail(&batched), "{banded}\nvs\n{batched}");
-    }
-
-    #[test]
-    fn scan_batch_threads_flag() {
-        let out = run(&[
-            "scan",
-            "GGG",
-            "CCCAAACCC",
-            "--window",
-            "3",
-            "--batch",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert!(out.contains("batch engine:"), "{out}");
-        let err = run(&["scan", "GGG", "CCC", "--threads", "2"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn scan_batch_simd_flags() {
-        let base = &["scan", "GGG", "CCCAAACCC", "--window", "3", "--batch"];
-        let mut on = base.to_vec();
-        on.push("--simd");
-        let mut off = base.to_vec();
-        off.push("--no-simd");
-        let out_on = run(&on).unwrap();
-        let out_off = run(&off).unwrap();
-        let results = |s: &str| {
-            s.lines()
-                .skip_while(|l| !l.starts_with("top "))
-                .map(String::from)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(results(&out_on), results(&out_off));
-        let err = run(&["scan", "GGG", "CCC", "--simd"]).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
     }
 
     #[test]
@@ -1441,16 +1344,13 @@ mod tests {
     fn flag_misuse_table_exits_2() {
         let cases: &[&[&str]] = &[
             // batch-gated scan flags without --batch
-            &["scan", "GGG", "CCC", "--threads", "2"],
             &["scan", "GGG", "CCC", "--deadline", "1"],
             &["scan", "GGG", "CCC", "--mem-budget", "1M"],
             &["scan", "GGG", "CCC", "--checkpoint-dir", "/tmp/x"],
             &["scan", "GGG", "CCC", "--resume"],
-            &["scan", "GGG", "CCC", "--simd"],
             &["scan", "GGG", "CCC", "--workers", "2"],
             // pair-wise constraints
             &["scan", "GGG", "CCC", "--batch", "--resume"],
-            &["scan", "GGG", "CCC", "--batch", "--simd", "--no-simd"],
             &[
                 "scan",
                 "GGG",
@@ -1463,8 +1363,6 @@ mod tests {
                 "--resume",
             ],
             // bad values (batch table parses them centrally)
-            &["scan", "GGG", "CCC", "--batch", "--threads", "0"],
-            &["scan", "GGG", "CCC", "--batch", "--threads", "many"],
             &["scan", "GGG", "CCC", "--batch", "--deadline", "0"],
             &["scan", "GGG", "CCC", "--batch", "--mem-budget", "lots"],
             &["scan", "GGG", "CCC", "--batch", "--workers", "0"],
@@ -1472,7 +1370,6 @@ mod tests {
             // serve misuse (validated before binding anything)
             &["serve"],
             &["serve", "--socket"],
-            &["serve", "--socket", "/tmp/s.sock", "--threads", "0"],
             &["serve", "--socket", "/tmp/s.sock", "--max-seconds", "0"],
             &["serve", "--socket", "/tmp/s.sock", "--max-seconds", "soon"],
             &["serve", "--socket", "/tmp/s.sock", "--mem-budget", "lots"],
@@ -1507,16 +1404,6 @@ mod tests {
                 "CCC",
                 "--mem-budget",
                 "lots",
-            ],
-            &[
-                "client",
-                "--socket",
-                "/tmp/s.sock",
-                "solve",
-                "GGG",
-                "CCC",
-                "--simd",
-                "--no-simd",
             ],
             &[
                 "client",

@@ -5,7 +5,7 @@
 //! bpmax-cli interact GGGAAACCC UUUGG
 //! bpmax-cli interact seq1.fa seq2.fa --alg hybrid-tiled --min-loop 3
 //! bpmax-cli scan GGCAUUCC target.fa --window 16 --top 5
-//! bpmax-cli scan GGCAUUCC target.fa --window 16 --batch --threads 4
+//! bpmax-cli scan GGCAUUCC target.fa --window 16 --batch
 //! bpmax-cli info 16 2048
 //! ```
 //!

@@ -40,16 +40,7 @@ fn scan_args(workers: Option<usize>, dir: Option<&Path>) -> Vec<String> {
     // --top 23 ranks every window, so bit-identity checks cover the
     // full ordering, not just the podium
     let mut args: Vec<String> = [
-        "scan",
-        QUERY,
-        TARGET,
-        "--window",
-        "6",
-        "--top",
-        "23",
-        "--batch",
-        "--threads",
-        "2",
+        "scan", QUERY, TARGET, "--window", "6", "--top", "23", "--batch",
     ]
     .iter()
     .map(ToString::to_string)

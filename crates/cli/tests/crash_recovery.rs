@@ -30,19 +30,10 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn scan_args(dir: Option<&Path>, resume: bool) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "scan",
-        QUERY,
-        TARGET,
-        "--window",
-        "6",
-        "--batch",
-        "--threads",
-        "1",
-    ]
-    .iter()
-    .map(ToString::to_string)
-    .collect();
+    let mut args: Vec<String> = ["scan", QUERY, TARGET, "--window", "6", "--batch"]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     if let Some(dir) = dir {
         args.push("--checkpoint-dir".into());
         args.push(dir.to_str().unwrap().into());

@@ -61,6 +61,7 @@ fn unknown_algorithm_names_the_candidates() {
     assert_eq!(code, 2);
     assert!(stderr.contains("unknown algorithm \"warp\""), "{stderr}");
     assert!(stderr.contains("hybrid-tiled"), "{stderr}");
+    assert!(stderr.contains("hybrid-reg"), "{stderr}");
 }
 
 #[test]
@@ -111,8 +112,6 @@ fn batch_scan_succeeds_end_to_end() {
         "--window",
         "5",
         "--batch",
-        "--threads",
-        "2",
     ]);
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("batch engine:"), "{stdout}");

@@ -11,21 +11,21 @@
 //!    transient allocations; the engine routes them through one
 //!    [`BlockPool`] arena so the steady state allocates **nothing**
 //!    ([`PoolStats`] is the receipt — see `bench_batch_throughput`).
-//! 2. **Scheduling shape.** A batch of small problems wants
-//!    one-problem-per-thread (coarse), while a large problem runs alone,
-//!    where an interrupt can snapshot its resumable prefix. Every problem
-//!    runs the same serial wavefront traversal (see [`crate::engine`]).
-//!    [`Policy::Auto`] classifies each problem with the calibratable
-//!    [`perfmodel`](crate::perfmodel) cost model and runs each class in
-//!    its shape.
+//! 2. **Resumable large problems.** Every problem runs the same serial
+//!    wavefront traversal (see [`crate::engine`]), one at a time.
+//!    [`BatchEngine::classify_coarse`] prices each problem with the
+//!    calibratable [`perfmodel`](crate::perfmodel) cost model: small
+//!    (*coarse*) problems run first, and only a large problem that is
+//!    interrupted snapshots its finished diagonals for
+//!    [`BatchEngine::resume`].
 //! 3. **Telemetry.** A service needs per-problem latency and aggregate
 //!    throughput, not a bare score: [`BatchReport`] carries both and
 //!    feeds the `bench::report` JSON schema.
 //!
 //! Results are **bit-identical** to per-problem [`BpMaxProblem::solve_opts`]
-//! calls (property-tested in `tests/batch_identical.rs`): every traversal
-//! mode of the engine computes the same F-table by the wavefront
-//! invariant.
+//! calls (property-tested in `tests/batch_identical.rs`): a pooled,
+//! supervised or resumed solve computes the same F-table by the
+//! wavefront invariant.
 //!
 //! **Bounded failure.** One bad problem never poisons the wave: each
 //! solve runs under the [`supervise`](crate::supervise) layer (batch-wide
@@ -38,7 +38,7 @@
 use crate::checkpoint::{
     self, problem_id, CheckpointSink, Fnv64, JournalRecord, RunManifest, TableSnapshot,
 };
-use crate::engine::{Algorithm, BpMaxProblem, Solution, SolveOptions};
+use crate::engine::{BpMaxProblem, Solution, SolveOptions};
 use crate::error::BpMaxError;
 use crate::ftable::{BlockPool, FTable, PoolStats};
 use crate::perfmodel::{predict_bpmax_seconds, CostModel};
@@ -48,44 +48,24 @@ use crate::supervise::{
 };
 use crate::windowed::{max_window_within, solve_windowed_watched};
 use machine::spec::MachineSpec;
-use rayon::prelude::*;
 use simsched::speedup::HtModel;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// How the engine maps problems onto the worker pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Policy {
-    /// Classify per problem with the cost model: problems whose predicted
-    /// serial time is below [`BatchOptions::coarse_cutoff_s`] run
-    /// one-per-thread; larger ones run one at a time.
-    #[default]
-    Auto,
-    /// Every problem one-per-thread, fully serial inside (best for large
-    /// batches of small problems).
-    Coarse,
-    /// Every problem sequentially, one at a time (a few large problems;
-    /// an interrupted one snapshots its resumable prefix).
-    IntraProblem,
-}
+/// Predicted serial seconds below which [`BatchEngine::classify_coarse`]
+/// marks a problem coarse: it runs in the batch's first group, and an
+/// interrupt does not snapshot its table.
+const COARSE_CUTOFF_S: f64 = 0.01;
 
 /// Configuration of a [`BatchEngine`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchOptions {
-    /// Worker threads of the engine's dedicated rayon pool.
-    pub threads: usize,
-    /// Scheduling policy (see [`Policy`]).
-    pub policy: Policy,
-    /// Per-problem solve configuration (algorithm, layout, tile). The
-    /// `threads` knob of [`SolveOptions`] is ignored here — the engine's
-    /// shared pool is the only pool.
+    /// Per-problem solve configuration: the compute profile (program
+    /// version, layout) plus per-solve supervision.
     pub solve: SolveOptions,
     /// Keep each problem's full F-table in its [`BatchItem`] (disables
     /// block recycling for those tables; default `false`).
     pub keep_tables: bool,
-    /// [`Policy::Auto`] threshold: predicted serial seconds below which a
-    /// problem is scheduled coarse (default 10 ms).
-    pub coarse_cutoff_s: f64,
     /// Wall-clock budget for the whole wave, anchored when
     /// [`BatchEngine::solve_all`] starts. Problems running (or queued)
     /// past it finish as [`Outcome::TimedOut`].
@@ -104,11 +84,8 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
-            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            policy: Policy::Auto,
             solve: SolveOptions::new(),
             keep_tables: false,
-            coarse_cutoff_s: 0.01,
             deadline: None,
             mem_budget: None,
             degrade: true,
@@ -118,24 +95,10 @@ impl Default for BatchOptions {
 }
 
 impl BatchOptions {
-    /// Defaults (host-parallelism threads, [`Policy::Auto`], champion
-    /// algorithm).
+    /// Defaults: the champion algorithm, no supervision, degrade over
+    /// budget.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the worker-thread count.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Set the scheduling policy.
-    #[must_use]
-    pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Set the per-problem solve configuration.
@@ -183,13 +146,12 @@ impl BatchOptions {
     /// FNV-1a fingerprint of every *score-affecting* option — the
     /// checkpoint manifest's compatibility rule. Two configurations with
     /// the same fingerprint produce bit-identical scores, so their
-    /// checkpoints are interchangeable. Threads, scheduling policy, the
-    /// coarse cutoff and deadlines change wall clock, never scores, and
-    /// are deliberately excluded: a resumed run may scale its workers or
-    /// get a fresh deadline.
+    /// checkpoints are interchangeable. Deadlines and cancellation change
+    /// wall clock, never scores, and are deliberately excluded: a resumed
+    /// run may get a fresh deadline.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
-        // algorithm / tile / layout: the shared ComputeProfile rule, the
+        // algorithm (with its tile) / layout: the shared ComputeProfile rule, the
         // same bytes the serve result-cache key hashes
         self.solve.profile().fingerprint_into(&mut h);
         // memory budgets and degradation decide exact-vs-windowed scores
@@ -218,8 +180,9 @@ pub struct BatchItem {
     pub seconds: f64,
     /// Max-plus FLOPs of the instance.
     pub flops: u64,
-    /// `true` when scheduled one-per-thread, `false` when solved alone
-    /// (both run the serial traversal).
+    /// `true` when [`BatchEngine::classify_coarse`] found the problem
+    /// small: it ran in the first group, and an interrupt would not
+    /// snapshot its table.
     pub coarse: bool,
     /// How this problem ended.
     pub outcome: Outcome,
@@ -284,7 +247,8 @@ impl BatchReport {
         (lat[0], lat[lat.len() / 2], lat[lat.len() - 1])
     }
 
-    /// Fraction of problems scheduled coarse (one-per-thread).
+    /// Fraction of problems classified coarse (small enough that an
+    /// interrupt does not snapshot them).
     pub fn coarse_fraction(&self) -> f64 {
         if self.items.is_empty() {
             return 0.0;
@@ -302,11 +266,11 @@ impl BatchReport {
     }
 }
 
-/// The throughput engine: a shared rayon pool plus a block arena, reused
-/// across [`BatchEngine::solve_all`] waves so the arena stays warm.
+/// The throughput engine: a block arena reused across
+/// [`BatchEngine::solve_all`] waves so it stays warm, plus the cost model
+/// that classifies problems.
 pub struct BatchEngine {
     opts: BatchOptions,
-    pool: rayon::ThreadPool,
     blocks: BlockPool,
     cost: CostModel,
     spec: MachineSpec,
@@ -317,13 +281,7 @@ impl BatchEngine {
     /// Build an engine (validates the solve configuration once, so a bad
     /// tile fails here rather than per problem).
     pub fn new(opts: BatchOptions) -> Result<BatchEngine, BpMaxError> {
-        opts.solve.resolved_algorithm()?;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(opts.threads.max(1))
-            .build()
-            .map_err(|e| BpMaxError::InvalidArgument {
-                detail: format!("building rayon pool of {} threads: {e}", opts.threads),
-            })?;
+        opts.solve.validated_algorithm()?;
         let spec = MachineSpec::xeon_e5_1650v4();
         let ht = HtModel {
             physical: spec.cores,
@@ -331,7 +289,6 @@ impl BatchEngine {
         };
         Ok(BatchEngine {
             opts,
-            pool,
             blocks: BlockPool::new(),
             cost: CostModel::nominal(),
             spec,
@@ -349,16 +306,9 @@ impl BatchEngine {
         self.blocks.stats()
     }
 
-    /// Worker threads in the resident rayon pool — the engine's natural
-    /// concurrency. The serve daemon reports it and the load benchmark
-    /// annotates it; more concurrent [`BatchEngine::solve_pooled`]
-    /// callers than this queue inside rayon, not in the OS scheduler.
-    pub fn pool_threads(&self) -> usize {
-        self.pool.current_num_threads()
-    }
-
-    /// `true` when the cost model predicts this problem is below
-    /// [`BatchOptions::coarse_cutoff_s`] — the [`Policy::Auto`] classifier.
+    /// `true` when the cost model predicts this problem below a 10 ms
+    /// cutoff: it runs in the batch's first group, and an interrupt does
+    /// not snapshot its table (only large problems are worth the bytes).
     pub fn classify_coarse(&self, problem: &BpMaxProblem) -> bool {
         self.classify_coarse_with(problem, &self.opts.solve)
     }
@@ -366,33 +316,25 @@ impl BatchEngine {
     /// [`BatchEngine::classify_coarse`] against explicit solve options
     /// (the daemon classifies per request, not per engine).
     fn classify_coarse_with(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> bool {
-        match self.opts.policy {
-            Policy::Coarse => true,
-            Policy::IntraProblem => false,
-            Policy::Auto => {
-                let alg = solve.resolved_algorithm().unwrap_or(Algorithm::Permuted);
-                let (m, n) = (problem.ctx().m(), problem.ctx().n());
-                predict_bpmax_seconds(alg, m, n, 1, &self.cost, &self.spec, self.ht)
-                    < self.opts.coarse_cutoff_s
-            }
-        }
+        self.predict_seconds(problem, solve) < COARSE_CUTOFF_S
     }
 
     /// Predicted single-thread solve seconds for `problem` under `solve` —
     /// the perfmodel number the serve daemon's admission control compares
     /// against its `max_predicted_s` cap.
     pub fn predict_seconds(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> f64 {
-        let alg = solve.resolved_algorithm().unwrap_or(Algorithm::Permuted);
+        let (alg, _) = solve.profile().parts();
         let (m, n) = (problem.ctx().m(), problem.ctx().n());
         predict_bpmax_seconds(alg, m, n, 1, &self.cost, &self.spec, self.ht)
     }
 
-    /// Solve one problem on the engine's resident rayon pool and warm
-    /// block arena with *per-request* solve options — the serve daemon's
-    /// entry point. Scheduling (coarse or alone) is classified per
-    /// request through the perfmodel exactly like [`Policy::Auto`]; supervision merges the engine-wide layer with the
-    /// request's own. Infallible like the batch waves: every failure mode
-    /// folds into the returned item's [`Outcome`] + error.
+    /// Solve one problem on the engine's warm block arena with
+    /// *per-request* solve options — the serve daemon's entry point. The
+    /// request is classified like a batch problem
+    /// ([`BatchEngine::classify_coarse`]); supervision merges the
+    /// engine-wide layer with the request's own. Infallible like the
+    /// batch waves: every failure mode folds into the returned item's
+    /// [`Outcome`] + error.
     pub fn solve_pooled(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> BatchItem {
         let batch_sup = Supervision {
             cancel: self.opts.cancel.clone(),
@@ -402,16 +344,14 @@ impl BatchEngine {
         };
         let sup = Supervision::merged(&batch_sup, solve.supervision());
         let coarse = self.classify_coarse_with(problem, solve);
-        self.pool
-            .install(|| self.solve_one(problem, 0, coarse, &sup, None, None, solve))
+        self.solve_one(problem, 0, coarse, &sup, None, None, solve)
     }
 
     /// Solve every problem; results come back in input order,
     /// bit-identical to per-problem [`BpMaxProblem::solve_opts`] calls.
     ///
-    /// Coarse-classified problems run one-per-thread over the shared pool
-    /// with serial traversals; the rest run one at a time, each using the
-    /// whole pool for its own diagonals.
+    /// Problems run one at a time: the coarse-classified ones first, then
+    /// the rest, each group in input order.
     ///
     /// Supervision is per-problem, never per-wave: a problem that is
     /// cancelled, times out, blows its memory budget, or panics becomes a
@@ -588,32 +528,15 @@ impl BatchEngine {
         let sup = Supervision::merged(&batch_sup, self.opts.solve.supervision());
         let coarse_class: Vec<bool> = problems.iter().map(|p| self.classify_coarse(p)).collect();
 
-        // Wave 1: the coarse class, problems distributed over workers.
-        let coarse_idx: Vec<usize> = (0..problems.len())
-            .filter(|&i| coarse_class[i] && slots[i].is_none())
-            .collect();
-        let solved: Vec<BatchItem> = self.pool.install(|| {
-            coarse_idx
-                .par_iter()
-                .map(|&i| {
+        // the coarse class first, then the rest, each in input order
+        for coarse in [true, false] {
+            for (i, problem) in problems.iter().enumerate() {
+                if coarse_class[i] == coarse && slots[i].is_none() {
                     let snap = snapshot.filter(|s| s.index as usize == i);
-                    self.solve_one(&problems[i], i, true, &sup, ckpt, snap, &self.opts.solve)
-                })
-                .collect()
-        });
-        for item in solved {
-            let slot = item.index;
-            slots[slot] = Some(item);
-        }
-
-        // Wave 2: the large problems, one at a time on the same pool.
-        for (i, problem) in problems.iter().enumerate() {
-            if !coarse_class[i] && slots[i].is_none() {
-                let snap = snapshot.filter(|s| s.index as usize == i);
-                let item = self.pool.install(|| {
-                    self.solve_one(problem, i, false, &sup, ckpt, snap, &self.opts.solve)
-                });
-                slots[i] = Some(item);
+                    let item =
+                        self.solve_one(problem, i, coarse, &sup, ckpt, snap, &self.opts.solve);
+                    slots[i] = Some(item);
+                }
             }
         }
 
@@ -709,7 +632,7 @@ impl BatchEngine {
         snap: Option<&TableSnapshot>,
         solve: &SolveOptions,
     ) -> Result<(Outcome, f32, Option<FTable>), BpMaxError> {
-        let algorithm = solve.resolved_algorithm()?;
+        let algorithm = solve.validated_algorithm()?;
         let layout = solve.resolved_layout(problem.layout());
         let (m, n) = (problem.ctx().m(), problem.ctx().n());
         let mut watch = Watch::new(sup);
@@ -762,8 +685,7 @@ impl BatchEngine {
                 }
                 panic!("injected fault: compute panic at problem {index}"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
             }
-            let simd = solve.resolved_simd_mode();
-            problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch, simd)
+            problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch)
         }));
         match run {
             Ok(Ok(())) => {
@@ -780,9 +702,9 @@ impl BatchEngine {
             Ok(Err(interrupt)) => {
                 // flush the resumable prefix before giving the table up:
                 // diagonals 0..progress are final by the wavefront
-                // invariant. Only the one-at-a-time (fine) wave
-                // snapshots — there is a single snapshot file, and only
-                // large problems are worth the bytes.
+                // invariant. Only non-coarse problems snapshot — there
+                // is a single snapshot file, and only large problems are
+                // worth the bytes.
                 if let Some(sink) = ckpt {
                     let done = watch.progress();
                     if !coarse && done > 0 {
@@ -825,6 +747,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Algorithm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rna::{RnaSeq, ScoringModel};
@@ -852,7 +775,7 @@ mod tests {
     #[test]
     fn batch_scores_match_sequential_solves() {
         let problems = mixed_problems(12, 41);
-        let engine = BatchEngine::new(BatchOptions::new().threads(2)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let report = engine.solve_all(&problems).unwrap();
         assert_eq!(report.len(), problems.len());
         for (i, item) in report.items.iter().enumerate() {
@@ -873,26 +796,10 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_gives_the_same_scores() {
-        let problems = mixed_problems(8, 42);
-        let want: Vec<f32> = problems
-            .iter()
-            .map(|p| score(p, Algorithm::Permuted))
-            .collect();
-        for policy in [Policy::Auto, Policy::Coarse, Policy::IntraProblem] {
-            let engine = BatchEngine::new(BatchOptions::new().threads(2).policy(policy)).unwrap();
-            let report = engine.solve_all(&problems).unwrap();
-            let got: Vec<f32> = report.items.iter().map(|i| i.score).collect();
-            assert_eq!(got, want, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn keep_tables_returns_full_tables() {
         let problems = mixed_problems(4, 43);
         let engine = BatchEngine::new(
             BatchOptions::new()
-                .threads(1)
                 .solve(SolveOptions::new().algorithm(Algorithm::Permuted))
                 .keep_tables(true),
         )
@@ -913,7 +820,7 @@ mod tests {
     #[test]
     fn warm_pool_allocates_nothing_on_the_second_wave() {
         let problems = mixed_problems(10, 44);
-        let engine = BatchEngine::new(BatchOptions::new().threads(1)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let first = engine.solve_all(&problems).unwrap();
         assert!(first.pool.allocated > 0, "cold start allocates");
         let second = engine.solve_all(&problems).unwrap();
@@ -928,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_classifies_by_predicted_cost() {
+    fn classify_coarse_uses_the_predicted_cost() {
         let model = ScoringModel::bpmax_default();
         let mut rng = StdRng::seed_from_u64(45);
         let small = BpMaxProblem::new(
@@ -941,14 +848,27 @@ mod tests {
             RnaSeq::random(&mut rng, 64),
             model,
         );
-        let engine = BatchEngine::new(BatchOptions::new().threads(2)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         assert!(engine.classify_coarse(&small), "tiny problem goes coarse");
-        assert!(!engine.classify_coarse(&large), "large problem goes fine");
+        assert!(
+            !engine.classify_coarse(&large),
+            "large problem is not coarse"
+        );
+        // the 10 ms cutoff falls between the 35×35 and 36×36 squares
+        let mut square = |n| {
+            BpMaxProblem::new(
+                RnaSeq::random(&mut rng, n),
+                RnaSeq::random(&mut rng, n),
+                ScoringModel::bpmax_default(),
+            )
+        };
+        assert!(engine.classify_coarse(&square(35)));
+        assert!(!engine.classify_coarse(&square(36)));
     }
 
     #[test]
     fn empty_batch_and_empty_strands_are_fine() {
-        let engine = BatchEngine::new(BatchOptions::new().threads(1)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let report = engine.solve_all(&[]).unwrap();
         assert!(report.is_empty());
         assert_eq!(report.latency_s(), (0.0, 0.0, 0.0));
@@ -966,7 +886,7 @@ mod tests {
     #[test]
     fn clean_waves_report_all_ok() {
         let problems = mixed_problems(6, 46);
-        let engine = BatchEngine::new(BatchOptions::new().threads(2)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let report = engine.solve_all(&problems).unwrap();
         let counts = report.outcomes();
         assert!(counts.all_ok(), "{counts}");
@@ -983,8 +903,7 @@ mod tests {
         let problems = mixed_problems(5, 47);
         let token = CancelToken::new();
         token.cancel();
-        let engine =
-            BatchEngine::new(BatchOptions::new().threads(2).cancel(token.clone())).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new().cancel(token.clone())).unwrap();
         let report = engine.solve_all(&problems).unwrap();
         let counts = report.outcomes();
         assert_eq!(counts.cancelled, 5, "{counts}");
@@ -1001,8 +920,7 @@ mod tests {
     #[test]
     fn zero_deadline_marks_every_item_timed_out() {
         let problems = mixed_problems(4, 48);
-        let engine =
-            BatchEngine::new(BatchOptions::new().threads(1).deadline(Duration::ZERO)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new().deadline(Duration::ZERO)).unwrap();
         let report = engine.solve_all(&problems).unwrap();
         assert_eq!(report.outcomes().timed_out, 4);
         for item in &report.items {
@@ -1033,7 +951,7 @@ mod tests {
         // budget chosen between the two table sizes: small fits, large not
         let budget = FTable::estimate_bytes(12, 14, crate::ftable::Layout::Packed).unwrap() / 2;
         assert!(budget > FTable::estimate_bytes(3, 3, crate::ftable::Layout::Packed).unwrap());
-        let engine = BatchEngine::new(BatchOptions::new().threads(1).mem_budget(budget)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new().mem_budget(budget)).unwrap();
         let report = engine.solve_all(&[small, large]).unwrap();
         let counts = report.outcomes();
         assert_eq!((counts.ok, counts.degraded), (1, 1), "{counts}");
@@ -1054,13 +972,8 @@ mod tests {
             RnaSeq::random(&mut rng, 14),
             ScoringModel::bpmax_default(),
         );
-        let engine = BatchEngine::new(
-            BatchOptions::new()
-                .threads(1)
-                .mem_budget(budget)
-                .degrade(false),
-        )
-        .unwrap();
+        let engine =
+            BatchEngine::new(BatchOptions::new().mem_budget(budget).degrade(false)).unwrap();
         let report = engine.solve_all(std::slice::from_ref(&large)).unwrap();
         assert_eq!(report.outcomes().failed, 1);
         assert!(
@@ -1088,9 +1001,7 @@ mod tests {
         let base = BatchOptions::new();
         let fp = base.fingerprint();
         assert_eq!(fp, BatchOptions::new().fingerprint(), "deterministic");
-        // scheduling knobs do not move the fingerprint
-        assert_eq!(fp, base.clone().threads(13).fingerprint());
-        assert_eq!(fp, base.clone().policy(Policy::Coarse).fingerprint());
+        // wall-clock knobs do not move the fingerprint
         assert_eq!(
             fp,
             base.clone().deadline(Duration::from_secs(1)).fingerprint()
@@ -1110,7 +1021,7 @@ mod tests {
     fn checkpoint_resume_replays_completed_work() {
         let problems = mixed_problems(8, 50);
         let dir = tmpdir("replay");
-        let engine = BatchEngine::new(BatchOptions::new().threads(2)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let full = engine.solve_all_checkpointed(&problems, &dir).unwrap();
         assert_eq!(full.replayed, 0);
         let (manifest, records, snapshot) = checkpoint::load(&dir).unwrap();
@@ -1145,14 +1056,12 @@ mod tests {
     fn resume_refuses_mismatched_options_and_problems() {
         let problems = mixed_problems(4, 51);
         let dir = tmpdir("mismatch");
-        let engine = BatchEngine::new(BatchOptions::new().threads(1)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         engine.solve_all_checkpointed(&problems, &dir).unwrap();
 
         // different algorithm: options hash differs
         let other = BatchEngine::new(
-            BatchOptions::new()
-                .threads(1)
-                .solve(SolveOptions::new().algorithm(Algorithm::Permuted)),
+            BatchOptions::new().solve(SolveOptions::new().algorithm(Algorithm::Permuted)),
         )
         .unwrap();
         let err = other.resume(&problems, &dir).unwrap_err();
@@ -1182,7 +1091,7 @@ mod tests {
     fn resume_rejects_a_corrupt_journal() {
         let problems = mixed_problems(3, 53);
         let dir = tmpdir("corrupt");
-        let engine = BatchEngine::new(BatchOptions::new().threads(1)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         engine.solve_all_checkpointed(&problems, &dir).unwrap();
         let jpath = checkpoint::journal_path(&dir);
         let mut bytes = std::fs::read(&jpath).unwrap();
@@ -1203,8 +1112,7 @@ mod tests {
             RnaSeq::random(&mut rng, 12),
             model,
         );
-        let opts = BatchOptions::new().threads(2).policy(Policy::IntraProblem);
-        let engine = BatchEngine::new(opts).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let want = engine.solve_all(std::slice::from_ref(&p)).unwrap().items[0].score;
 
         // hand-build a checkpoint holding diagonals 0..9 of the table,
@@ -1216,7 +1124,7 @@ mod tests {
             problem_ids: vec![problem_id(&p)],
         };
         let sink = CheckpointSink::create(&dir, &manifest).unwrap();
-        let alg = engine.options().solve.resolved_algorithm().unwrap();
+        let alg = engine.options().solve.validated_algorithm().unwrap();
         let prefix = p.compute_prefix(alg, 9).unwrap();
         sink.snapshot(&TableSnapshot::capture(0, problem_id(&p), &prefix, 9));
         assert_eq!(sink.take_error(), None);
@@ -1235,15 +1143,16 @@ mod tests {
 
     #[test]
     fn bad_tile_fails_at_engine_construction() {
-        let err = BatchEngine::new(BatchOptions::new().solve(SolveOptions::new().tile(
-            crate::kernels::Tile {
+        let bad = Algorithm::HybridTiled {
+            tile: crate::kernels::Tile {
                 i2: 0,
                 k2: 1,
                 j2: 1,
             },
-        )))
-        .err()
-        .expect("bad tile must fail");
+        };
+        let err = BatchEngine::new(BatchOptions::new().solve(SolveOptions::new().algorithm(bad)))
+            .err()
+            .expect("bad tile must fail");
         assert!(matches!(err, BpMaxError::BadTile { .. }), "{err}");
     }
 }

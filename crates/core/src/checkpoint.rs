@@ -416,7 +416,8 @@ pub struct JournalRecord {
     pub score: f32,
     /// Wall-clock seconds the original solve took.
     pub seconds: f64,
-    /// Whether the problem ran in the coarse (one-per-thread) wave.
+    /// Whether the problem was classified coarse
+    /// ([`crate::batch::BatchItem::coarse`]).
     pub coarse: bool,
 }
 

@@ -33,10 +33,9 @@
 //!   journal of a killed worker: the journal rewrite is atomic, so it is
 //!   always a valid prefix) is replayed into one ranked
 //!   [`BatchReport`]. Scores are bit-identical to a single-process run
-//!   because every traversal mode computes the same F-table and the
-//!   options fingerprint ([`crate::batch::BatchOptions::fingerprint`])
-//!   excludes threads — each worker may use its own thread count without
-//!   invalidating the ledger. Every torn or corrupt record is a typed
+//!   because every worker computes the same F-table under the same
+//!   options fingerprint ([`crate::batch::BatchOptions::fingerprint`]),
+//!   which the ledger root manifest pins. Every torn or corrupt record is a typed
 //!   [`BpMaxError`], never a panic.
 //!
 //! Workers are the same binary re-invoked with the same scan arguments;
@@ -1159,9 +1158,7 @@ mod tests {
     }
 
     fn opts() -> BatchOptions {
-        BatchOptions::new()
-            .threads(1)
-            .solve(SolveOptions::new().algorithm(Algorithm::Permuted))
+        BatchOptions::new().solve(SolveOptions::new().algorithm(Algorithm::Permuted))
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! | `CoarseGrain` | Phase II | whole triangles distributed over threads | permuted |
 //! | `FineGrain` | Phase II | rows of one triangle distributed; `R1`/`R2` serial | permuted |
 //! | `Hybrid` | Phase III | fine-grain `R0`/`R3`/`R4`, coarse-grain `F`/`R1`/`R2` | permuted |
-//! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | register-tiled (default) or, under `simd(false)`, the tiled one |
+//! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | tiled |
+//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled |
 //!
 //! Every version but `Baseline` runs one serial wavefront traversal with
 //! its own `R0` order: the workspace's `rayon` runs on the calling thread,
@@ -29,7 +30,7 @@
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, Layout};
-use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, SimdMode, Tile};
+use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Tile};
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
 };
@@ -51,17 +52,21 @@ pub enum Algorithm {
     /// Phase III hybrid: fine-grain `R0`/`R3`/`R4` + coarse-grain
     /// finalization.
     Hybrid,
-    /// Phase III hybrid with the tiled double max-plus (the champion).
+    /// Phase III hybrid with the tiled double max-plus.
     HybridTiled {
         /// Tile shape for the `R0` matrix instances.
         tile: Tile,
     },
+    /// Phase III hybrid with the double max-plus register-tiled along
+    /// `k2` — the paper's future-work register tiling, and the champion.
+    HybridReg,
 }
 
 impl Algorithm {
     /// All versions, in the order the paper introduces them (with the
-    /// default tile for the tiled version). The single source of truth
-    /// shared by the CLI, the bench binaries, and the tests.
+    /// default tile for the tiled version), the future-work register
+    /// tiling last. The single source of truth shared by the CLI, the
+    /// bench binaries, and the tests.
     pub const ALL: &'static [Algorithm] = &[
         Algorithm::Baseline,
         Algorithm::Permuted,
@@ -71,6 +76,7 @@ impl Algorithm {
         Algorithm::HybridTiled {
             tile: Tile::DEFAULT,
         },
+        Algorithm::HybridReg,
     ];
 
     /// Short label for tables and figures.
@@ -82,17 +88,26 @@ impl Algorithm {
             Algorithm::FineGrain => "fine",
             Algorithm::Hybrid => "hybrid",
             Algorithm::HybridTiled { .. } => "hybrid+tiled",
+            Algorithm::HybridReg => "hybrid+reg",
+        }
+    }
+
+    /// The `--alg` spelling: [`Algorithm::label`] with `-` for `+`.
+    /// [`FromStr`] parses these, and the unknown-algorithm error lists
+    /// them, both from [`Algorithm::ALL`].
+    pub fn flag(&self) -> &'static str {
+        match self {
+            Algorithm::HybridTiled { .. } => "hybrid-tiled",
+            Algorithm::HybridReg => "hybrid-reg",
+            other => other.label(),
         }
     }
 
     /// The `R0` loop order this version runs (tile shape included).
-    /// Under [`SimdMode::LaneArray`] (the default) the tiled version runs
-    /// the register-tiled order instead of its tile shape; the other
-    /// versions keep their streaming order under both modes.
-    fn r0_order(self, simd: SimdMode) -> R0Order {
-        match (self, simd) {
-            (Algorithm::HybridTiled { .. }, SimdMode::LaneArray) => R0Order::SimdReg,
-            (Algorithm::HybridTiled { tile }, SimdMode::Scalar) => R0Order::Tiled(tile),
+    fn r0_order(self) -> R0Order {
+        match self {
+            Algorithm::HybridTiled { tile } => R0Order::Tiled(tile),
+            Algorithm::HybridReg => R0Order::SimdReg,
             _ => R0Order::Permuted,
         }
     }
@@ -120,24 +135,23 @@ impl FromStr for Algorithm {
 
     /// Parse a version name as the CLI's `--alg` flag and the bench
     /// binaries spell them. Accepts both the flag spellings
-    /// (`hybrid-tiled`) and the figure labels ([`Algorithm::label`],
-    /// `hybrid+tiled`); the tiled version gets [`Tile::DEFAULT`].
+    /// ([`Algorithm::flag`]) and the figure labels ([`Algorithm::label`]),
+    /// plus a few long forms; the tiled version gets [`Tile::DEFAULT`].
     fn from_str(s: &str) -> Result<Algorithm, BpMaxError> {
-        Ok(match s {
-            "base" | "baseline" => Algorithm::Baseline,
-            "permuted" => Algorithm::Permuted,
-            "coarse" | "coarse-grain" => Algorithm::CoarseGrain,
-            "fine" | "fine-grain" => Algorithm::FineGrain,
-            "hybrid" => Algorithm::Hybrid,
-            "hybrid-tiled" | "hybrid+tiled" | "tiled" => Algorithm::HybridTiled {
-                tile: Tile::DEFAULT,
-            },
-            other => {
-                return Err(BpMaxError::UnknownAlgorithm {
-                    name: other.to_string(),
-                })
-            }
-        })
+        let name = match s {
+            "baseline" => "base",
+            "coarse-grain" => "coarse",
+            "fine-grain" => "fine",
+            "tiled" => "hybrid-tiled",
+            other => other,
+        };
+        Algorithm::ALL
+            .iter()
+            .copied()
+            .find(|alg| alg.flag() == name || alg.label() == name)
+            .ok_or_else(|| BpMaxError::UnknownAlgorithm {
+                name: s.to_string(),
+            })
     }
 }
 
@@ -145,32 +159,24 @@ impl FromStr for Algorithm {
 /// solve": [`SolveOptions`] (solo solves), [`crate::batch::BatchOptions`]
 /// (the engine), the checkpoint options fingerprint, and the serve wire
 /// requests all embed this one type instead of hand-syncing copies of the
-/// same four knobs.
+/// same knobs.
 ///
-/// Holds the program version plus the three overrides (tile, layout,
-/// SIMD). Everything *score-affecting* lives here — thread
-/// counts, deadlines and scheduling policy deliberately do not, which is
-/// why the result cache can key on a profile fingerprint and stay valid
-/// across machine shapes.
+/// Holds the program version (its tile shape included) plus the layout
+/// override. Everything *score-affecting* about the computation lives
+/// here — deadlines and cancellation deliberately do not, which is why
+/// the result cache can key on a profile fingerprint.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ComputeProfile {
     algorithm: Algorithm,
-    tile: Option<Tile>,
     layout: Option<Layout>,
-    simd: Option<SimdMode>,
 }
 
 impl Default for ComputeProfile {
-    /// The champion configuration: hybrid+tiled with the default tile,
-    /// problem's layout, the register-tiled `R0`.
+    /// The champion configuration: hybrid+reg on the problem's layout.
     fn default() -> Self {
         ComputeProfile {
-            algorithm: Algorithm::HybridTiled {
-                tile: Tile::DEFAULT,
-            },
-            tile: None,
+            algorithm: Algorithm::HybridReg,
             layout: None,
-            simd: None,
         }
     }
 }
@@ -188,16 +194,6 @@ impl ComputeProfile {
         self
     }
 
-    /// Override the tile shape. Applies when the algorithm is (or
-    /// defaults to) the tiled version *and* runs under `simd(false)`;
-    /// the default register-tiled `R0` ([`SimdMode::LaneArray`]) ignores
-    /// it. The shape still enters the profile fingerprint.
-    #[must_use]
-    pub fn tile(mut self, tile: Tile) -> Self {
-        self.tile = Some(tile);
-        self
-    }
-
     /// Override the inner-triangle memory map (Fig 10 ablation). Default:
     /// the problem's own layout.
     #[must_use]
@@ -206,36 +202,11 @@ impl ComputeProfile {
         self
     }
 
-    /// Select the hybrid+tiled `R0` order: the register-tiled kernel
-    /// (`true`, the default — [`SimdMode::LaneArray`]) or the
-    /// paper's Phase III tiled order with the profile's tile shape
-    /// (`false`, [`SimdMode::Scalar`]). Results are bit-identical either
-    /// way; this only picks the kernel, pinned by the kernel property
-    /// suites.
-    #[must_use]
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = Some(if on {
-            SimdMode::LaneArray
-        } else {
-            SimdMode::Scalar
-        });
-        self
-    }
-
-    /// The algorithm with the tile override folded in, validated.
-    pub(crate) fn resolved_algorithm(&self) -> Result<Algorithm, BpMaxError> {
-        let alg = match (self.algorithm, self.tile) {
-            (Algorithm::HybridTiled { .. }, Some(tile)) => Algorithm::HybridTiled { tile },
-            (alg, _) => alg,
-        };
-        alg.validate()?;
-        Ok(alg)
-    }
-
-    /// The SIMD mode to solve with (explicit override or
-    /// [`SimdMode::LaneArray`]).
-    pub(crate) fn resolved_simd_mode(&self) -> SimdMode {
-        self.simd.unwrap_or_default()
+    /// The program version, validated (a tile with a zero dimension is
+    /// refused).
+    pub(crate) fn validated_algorithm(&self) -> Result<Algorithm, BpMaxError> {
+        self.algorithm.validate()?;
+        Ok(self.algorithm)
     }
 
     /// The layout to solve with, given the problem's own.
@@ -243,48 +214,34 @@ impl ComputeProfile {
         self.layout.unwrap_or(problem_layout)
     }
 
-    /// The explicit layout override, if any — part of the checkpoint
-    /// options fingerprint (layout changes block order inside a snapshot).
-    pub(crate) fn requested_layout(&self) -> Option<Layout> {
-        self.layout
-    }
-
     /// The raw knobs, for the serve wire codec (which must round-trip the
-    /// profile exactly, overrides-vs-defaults included).
-    pub(crate) fn parts(&self) -> (Algorithm, Option<Tile>, Option<Layout>, Option<SimdMode>) {
-        (self.algorithm, self.tile, self.layout, self.simd)
+    /// profile exactly, overrides-vs-defaults included) and the cost
+    /// model (which prices a version whatever its tile).
+    pub(crate) fn parts(&self) -> (Algorithm, Option<Layout>) {
+        (self.algorithm, self.layout)
     }
 
     /// Rebuild from raw knobs (serve wire decode).
-    pub(crate) fn from_parts(
-        algorithm: Algorithm,
-        tile: Option<Tile>,
-        layout: Option<Layout>,
-        simd: Option<SimdMode>,
-    ) -> Self {
-        ComputeProfile {
-            algorithm,
-            tile,
-            layout,
-            simd,
-        }
+    pub(crate) fn from_parts(algorithm: Algorithm, layout: Option<Layout>) -> Self {
+        ComputeProfile { algorithm, layout }
     }
 
-    /// Hash the *score-affecting* knobs into `h`: resolved algorithm
-    /// label, tile shape, layout override. The one fingerprint rule shared
-    /// by the checkpoint manifest ([`crate::batch::BatchOptions::fingerprint`])
-    /// and the serve result-cache key. The SIMD mode is deliberately
-    /// excluded — both `R0` orders are proven bit-identical, so caching
-    /// across them is sound.
+    /// Hash the *score-affecting* knobs into `h`: the algorithm's label,
+    /// its tile shape, the layout override (layout changes block order
+    /// inside a snapshot). The one fingerprint rule
+    /// shared by the checkpoint manifest
+    /// ([`crate::batch::BatchOptions::fingerprint`]) and the serve
+    /// result-cache key. The profile's own algorithm is hashed as is —
+    /// valid or not — so an invalid profile never shares a key with a
+    /// valid one.
     pub(crate) fn fingerprint_into(&self, h: &mut crate::checkpoint::Fnv64) {
-        let alg = self.resolved_algorithm().unwrap_or(Algorithm::Permuted);
-        h.write(alg.label().as_bytes());
-        if let Some(tile) = alg.tile() {
+        h.write(self.algorithm.label().as_bytes());
+        if let Some(tile) = self.algorithm.tile() {
             h.write_u64(tile.i2 as u64);
             h.write_u64(tile.k2 as u64);
             h.write_u64(tile.j2 as u64);
         }
-        match self.requested_layout() {
+        match self.layout {
             None => h.write(&[0xFF]),
             Some(layout) => h.write(&[crate::checkpoint::layout_code(layout)]),
         }
@@ -352,23 +309,6 @@ impl SolveOptions {
         self
     }
 
-    /// Override the tile shape — see [`ComputeProfile::tile`]: it applies
-    /// only to the tiled version under `simd(false)`.
-    #[must_use]
-    pub fn tile(mut self, tile: Tile) -> Self {
-        self.profile = self.profile.tile(tile);
-        self
-    }
-
-    /// Select the register-tiled `R0` (`true`, the default) or the
-    /// paper's Phase III tiled order (`false`) — see
-    /// [`ComputeProfile::simd`].
-    #[must_use]
-    pub fn simd(mut self, on: bool) -> Self {
-        self.profile = self.profile.simd(on);
-        self
-    }
-
     /// Watch a cancellation token: the solve stops with
     /// [`BpMaxError::Cancelled`] at the next per-diagonal checkpoint after
     /// the token fires.
@@ -411,14 +351,9 @@ impl SolveOptions {
         &self.supervision
     }
 
-    /// The algorithm with the tile override folded in, validated.
-    pub(crate) fn resolved_algorithm(&self) -> Result<Algorithm, BpMaxError> {
-        self.profile.resolved_algorithm()
-    }
-
-    /// The SIMD mode to solve with.
-    pub(crate) fn resolved_simd_mode(&self) -> SimdMode {
-        self.profile.resolved_simd_mode()
+    /// The program version, validated.
+    pub(crate) fn validated_algorithm(&self) -> Result<Algorithm, BpMaxError> {
+        self.profile.validated_algorithm()
     }
 
     /// The layout to solve with, given the problem's own.
@@ -485,7 +420,7 @@ impl BpMaxProblem {
     /// over-budget problem is rejected, a cancelled/expired solve errs —
     /// the degrading flavour is [`BpMaxProblem::solve_supervised`].
     pub fn solve_opts(&self, opts: &SolveOptions) -> Result<Solution<'_>, BpMaxError> {
-        let algorithm = opts.resolved_algorithm()?;
+        let algorithm = opts.validated_algorithm()?;
         let layout = opts.resolved_layout(self.layout);
         let sup = opts.supervision();
         let watch = Watch::new(sup);
@@ -503,7 +438,7 @@ impl BpMaxProblem {
         }
         let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), layout)?;
         let m = self.ctx.m();
-        self.compute_watched_range(algorithm, &mut f, 0, m, &watch, opts.resolved_simd_mode())
+        self.compute_watched_range(algorithm, &mut f, 0, m, &watch)
             .map_err(Interrupt::into_error)?;
         Ok(Solution { problem: self, f })
     }
@@ -551,7 +486,7 @@ impl BpMaxProblem {
         budget: MemoryBudget,
     ) -> Result<SupervisedSolve<'_>, BpMaxError> {
         // surface config errors (bad tile) identically to the exact path
-        opts.resolved_algorithm()?;
+        opts.validated_algorithm()?;
         let w = max_window_within(self.ctx.m(), self.ctx.n(), budget.bytes).ok_or(
             BpMaxError::BudgetExceeded {
                 needed_bytes: needed,
@@ -588,11 +523,10 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
-        simd: SimdMode,
     ) -> Result<(), Interrupt> {
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
-            other => self.wavefront_range(other.r0_order(simd), f, start, end, watch),
+            other => self.wavefront_range(other.r0_order(), f, start, end, watch),
         }
     }
 
@@ -603,15 +537,8 @@ impl BpMaxProblem {
     pub fn compute_prefix(&self, algorithm: Algorithm, upto: usize) -> Result<FTable, BpMaxError> {
         algorithm.validate()?;
         let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), self.layout)?;
-        self.compute_watched_range(
-            algorithm,
-            &mut f,
-            0,
-            upto,
-            &Watch::none(),
-            SimdMode::default(),
-        )
-        .map_err(Interrupt::into_error)?;
+        self.compute_watched_range(algorithm, &mut f, 0, upto, &Watch::none())
+            .map_err(Interrupt::into_error)?;
         Ok(f)
     }
 
@@ -637,15 +564,8 @@ impl BpMaxProblem {
                 ),
             });
         }
-        self.compute_watched_range(
-            algorithm,
-            f,
-            start,
-            self.ctx.m(),
-            &Watch::none(),
-            SimdMode::default(),
-        )
-        .map_err(Interrupt::into_error)
+        self.compute_watched_range(algorithm, f, start, self.ctx.m(), &Watch::none())
+            .map_err(Interrupt::into_error)
     }
 
     /// The wavefront driver: ascending outer diagonals `start..end`, and
@@ -930,22 +850,20 @@ mod tests {
             .unwrap();
         assert_eq!(sol.score(), want);
         assert_eq!(sol.ftable().layout(), Layout::Shifted);
-        // tile override applies to the tiled version
-        let sol = p
-            .solve_opts(&SolveOptions::new().tile(Tile::cubic(2)))
-            .unwrap();
-        assert_eq!(sol.score(), want);
     }
 
     #[test]
     fn solve_opts_rejects_bad_tile() {
         let p = problem("GGAU", "CCA");
-        let err = p
-            .solve_opts(&SolveOptions::new().tile(Tile {
+        let bad = Algorithm::HybridTiled {
+            tile: Tile {
                 i2: 0,
                 k2: 4,
                 j2: 4,
-            }))
+            },
+        };
+        let err = p
+            .solve_opts(&SolveOptions::new().algorithm(bad))
             .expect_err("bad tile must fail");
         assert!(
             matches!(err, crate::error::BpMaxError::BadTile { .. }),
@@ -955,7 +873,7 @@ mod tests {
 
     #[test]
     fn algorithm_const_all_lists_every_version_once() {
-        assert_eq!(Algorithm::ALL.len(), 6);
+        assert_eq!(Algorithm::ALL.len(), 7);
         for (i, a) in Algorithm::ALL.iter().enumerate() {
             for b in Algorithm::ALL.iter().skip(i + 1) {
                 assert_ne!(a, b, "duplicate entry in Algorithm::ALL");
@@ -969,39 +887,64 @@ mod tests {
         // embedded ComputeProfile — the single shared options core
         let profile = ComputeProfile::new()
             .algorithm(Algorithm::Hybrid)
-            .tile(Tile::cubic(3))
-            .layout(Layout::Shifted)
-            .simd(false);
+            .layout(Layout::Shifted);
         let via_opts = SolveOptions::new()
             .algorithm(Algorithm::Hybrid)
-            .tile(Tile::cubic(3))
-            .layout(Layout::Shifted)
-            .simd(false);
+            .layout(Layout::Shifted);
         assert_eq!(*via_opts.profile(), profile);
         assert_eq!(*SolveOptions::from_profile(profile).profile(), profile);
     }
 
     #[test]
-    fn profile_fingerprint_ignores_kernel_modes_and_threads() {
+    fn each_version_runs_its_own_r0_order() {
+        let tile = Tile::cubic(3);
+        assert_eq!(
+            Algorithm::HybridTiled { tile }.r0_order(),
+            R0Order::Tiled(tile)
+        );
+        assert_eq!(Algorithm::HybridReg.r0_order(), R0Order::SimdReg);
+        for alg in [
+            Algorithm::Permuted,
+            Algorithm::CoarseGrain,
+            Algorithm::FineGrain,
+            Algorithm::Hybrid,
+        ] {
+            assert_eq!(alg.r0_order(), R0Order::Permuted, "{alg:?}");
+        }
+        assert_eq!(ComputeProfile::new().parts().0, Algorithm::HybridReg);
+    }
+
+    #[test]
+    fn profile_fingerprint_tracks_every_profile_knob() {
         let base = ComputeProfile::new();
         let fp = |p: &ComputeProfile| {
             let mut h = crate::checkpoint::Fnv64::new();
             p.fingerprint_into(&mut h);
             h.finish()
         };
-        // bit-identical knobs hash alike…
-        assert_eq!(fp(&base), fp(&base.simd(true)));
-        // …score-affecting knobs do not
+        let tiled = |tile| base.algorithm(Algorithm::HybridTiled { tile });
         assert_ne!(fp(&base), fp(&base.algorithm(Algorithm::Permuted)));
         assert_ne!(fp(&base), fp(&base.layout(Layout::Shifted)));
-        assert_ne!(fp(&base), fp(&base.tile(Tile::cubic(2))));
+        assert_ne!(fp(&base), fp(&tiled(Tile::DEFAULT)));
+        assert_ne!(fp(&tiled(Tile::DEFAULT)), fp(&tiled(Tile::cubic(2))));
+        // an invalid tile hashes as itself, never as another version
+        let bad = tiled(Tile {
+            i2: 0,
+            k2: 4,
+            j2: 4,
+        });
+        for &alg in Algorithm::ALL {
+            assert_ne!(fp(&bad), fp(&base.algorithm(alg)), "{alg:?}");
+        }
     }
 
     #[test]
     fn algorithm_from_str_accepts_flags_and_labels() {
         for &alg in Algorithm::ALL {
-            // every figure label parses back to its algorithm
+            // every figure label and flag spelling parses back to its
+            // algorithm
             assert_eq!(alg.label().parse::<Algorithm>().unwrap(), alg, "{alg:?}");
+            assert_eq!(alg.flag().parse::<Algorithm>().unwrap(), alg, "{alg:?}");
         }
         assert_eq!(
             "baseline".parse::<Algorithm>().unwrap(),
@@ -1016,6 +959,10 @@ mod tests {
         assert_eq!(
             "tiled".parse::<Algorithm>().unwrap(),
             "hybrid+tiled".parse().unwrap()
+        );
+        assert_eq!(
+            "hybrid-reg".parse::<Algorithm>().unwrap(),
+            Algorithm::HybridReg
         );
         let err = "warp".parse::<Algorithm>().unwrap_err();
         assert!(err.to_string().contains("warp"), "{err}");

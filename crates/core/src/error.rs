@@ -9,6 +9,7 @@
 //! used by [`crate::engine::BpMaxProblem::solve_opts`], the batch engine
 //! ([`crate::batch`]), and `bpmax-cli`.
 
+use crate::engine::Algorithm;
 use crate::kernels::Tile;
 
 /// Everything that can go wrong constructing or solving a `BPMax` problem.
@@ -159,10 +160,11 @@ impl std::fmt::Display for BpMaxError {
                 tile.i2, tile.k2, tile.j2
             ),
             BpMaxError::UnknownAlgorithm { name } => {
+                let flags: Vec<&str> = Algorithm::ALL.iter().map(Algorithm::flag).collect();
                 write!(
                     f,
-                    "unknown algorithm {name:?} (expected one of: base, permuted, \
-                     coarse, fine, hybrid, hybrid-tiled)"
+                    "unknown algorithm {name:?} (expected one of: {})",
+                    flags.join(", ")
                 )
             }
             BpMaxError::InvalidSequence { input, detail } => {
@@ -245,7 +247,8 @@ mod tests {
                 BpMaxError::UnknownAlgorithm {
                     name: "warp".to_string(),
                 },
-                "unknown algorithm \"warp\"",
+                "unknown algorithm \"warp\" (expected one of: base, permuted, coarse, fine, \
+                 hybrid, hybrid-tiled, hybrid-reg)",
             ),
             (
                 BpMaxError::InvalidSequence {

@@ -343,8 +343,8 @@ fn r0_row_band_tiled(
 /// body runs through the fused [`mp_axpy4`] and the streaming tail
 /// through [`mp_axpy`], both joining with the one-instruction
 /// compare-select. This is the kernel [`R0Order::SimdReg`] selects, and
-/// the one the hybrid+tiled solve runs by default
-/// ([`SimdMode::LaneArray`]).
+/// the one the default program version ([`crate::Algorithm::HybridReg`])
+/// runs.
 pub fn r0_instance_simd(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
@@ -458,25 +458,8 @@ pub enum R0Order {
     Tiled(Tile),
     /// Register-level `k2`-unrolled streaming (the paper's future work)
     /// through the kernels of [`tropical::simd`], joined with the
-    /// one-instruction compare-select — the default for hybrid+tiled.
+    /// one-instruction compare-select — the order `hybrid+reg` runs.
     SimdReg,
-}
-
-/// Which `R0` order the hybrid+tiled algorithm runs: the register-tiled
-/// kernel (the default) or the paper's Phase III tiled order.
-///
-/// Results are bit-identical either way, pinned by the kernel property
-/// suites, so the mode is purely a performance choice. The other
-/// algorithms keep their own streaming order under both modes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SimdMode {
-    /// The paper's Phase III order: [`R0Order::Tiled`] with the
-    /// algorithm's tile shape.
-    Scalar,
-    /// [`R0Order::SimdReg`]: `k2` register-tiled through the kernels of
-    /// [`tropical::simd`]; the tile shape does not apply.
-    #[default]
-    LaneArray,
 }
 
 /// Serial Phase A for triangle `(i1, j1)`: accumulate `R0` (in `order`),
@@ -684,11 +667,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn simd_mode_default_is_lane_array() {
-        assert_eq!(SimdMode::default(), SimdMode::LaneArray);
     }
 
     #[test]

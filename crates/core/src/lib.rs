@@ -27,10 +27,10 @@
 //! ```
 //!
 //! [`SolveOptions`] picks the champion algorithm by default and exposes
-//! every knob (algorithm, layout, tile, `R0` kernel) behind one fallible
-//! entry point. To solve *many* problems, use the pooled
+//! every knob (the program version with its tile, the layout) behind one
+//! fallible entry point. To solve *many* problems, use the pooled
 //! [`batch::BatchEngine`] instead of a loop — it recycles F-table
-//! blocks across solves and schedules each problem in its best shape.
+//! blocks across solves.
 //!
 //! # Module map
 //!
@@ -40,14 +40,14 @@
 //! | [`ftable`] | the packed 4-D table + Fig 10 memory-map options |
 //! | [`baseline`] | the original diagonal-by-diagonal program (the speedup reference) |
 //! | [`kernels`] | the per-triangle compute kernels: double max-plus (naive, permuted, tiled, register-tiled), R1/R2 interleaved finalization, R3/R4 piggybacking |
-//! | [`engine`] | the six program versions (Phase I–III) assembled from the kernels |
+//! | [`engine`] | the seven program versions (Phase I–III and register tiling) assembled from the kernels |
 //! | [`traceback`] | recovering an optimal [`rna::JointStructure`] from `F` |
 //! | [`schedules`] | Tables I–V encoded as `polyhedral` schedules + dependence system, machine-verified |
 //! | [`nests`] | generated loop nests per version (Table VI LOC metric) |
 //! | [`perfmodel`] | calibrated cost model + `simsched` composition for the multi-thread figures |
 //! | [`windowed`] | banded/windowed `BPMax` (the Glidemaster-style restriction) |
 //! | [`screening`] | batch all-vs-all scoring and shuffle-null scan significance |
-//! | [`batch`] | the pooled batch engine: arena-recycled tables + adaptive scheduling |
+//! | [`batch`] | the pooled batch engine: arena-recycled tables, supervision, checkpoints |
 //! | [`supervise`] | cancellation, deadlines, memory budgets, outcomes, fault injection |
 //! | [`checkpoint`] | crash-safe batch journaling + integrity-verified table snapshots |
 //! | [`coordinator`] | multi-process shard coordinator: work ledger, worker supervision, crash-tolerant merge |
@@ -86,7 +86,7 @@ pub mod supervise;
 pub mod traceback;
 pub mod windowed;
 
-pub use batch::{BatchEngine, BatchItem, BatchOptions, BatchReport, Policy};
+pub use batch::{BatchEngine, BatchItem, BatchOptions, BatchReport};
 pub use checkpoint::{CheckpointSink, JournalRecord, RunManifest, TableSnapshot};
 pub use coordinator::{CoordinatorOptions, CoordinatorReport, WorkerCommand};
 pub use engine::{
@@ -94,7 +94,6 @@ pub use engine::{
 };
 pub use error::BpMaxError;
 pub use ftable::{BlockPool, FTable, PoolStats};
-pub use kernels::SimdMode;
 pub use serve::{
     Client, RejectReason, Request, Response, RetryPolicy, Server, ServerConfig, ServerStats,
     SolveRequest,
@@ -107,7 +106,7 @@ pub use supervise::{CancelToken, Deadline, MemoryBudget, Outcome, OutcomeCounts,
 /// the doc-deprecated free-function era (`solve`, `solve_with_threads`,
 /// `compute`) with the single options-driven API.
 pub mod prelude {
-    pub use crate::batch::{BatchEngine, BatchItem, BatchOptions, BatchReport, Policy};
+    pub use crate::batch::{BatchEngine, BatchItem, BatchOptions, BatchReport};
     pub use crate::engine::{Algorithm, BpMaxProblem, ComputeProfile, Solution, SolveOptions};
     pub use crate::error::BpMaxError;
     pub use crate::serve::{

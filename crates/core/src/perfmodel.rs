@@ -326,9 +326,9 @@ pub fn predict_bpmax_seconds(
                 // serial finalization (R1/R2 unparallelized)
                 total += (per + fin_flops * spf12 / speed.min(1.0)) * triangles as f64;
             }
-            Algorithm::Hybrid | Algorithm::HybridTiled { .. } => {
+            Algorithm::Hybrid | Algorithm::HybridTiled { .. } | Algorithm::HybridReg => {
                 let spf_r0 = match alg {
-                    Algorithm::HybridTiled { .. } => cm.spf_r0_tiled,
+                    Algorithm::HybridTiled { .. } | Algorithm::HybridReg => cm.spf_r0_tiled,
                     _ => throttle(cm.spf_r0_permuted, 1, ws_r0, spec),
                 };
                 // Stage 1: Phase A per triangle, rows parallel (identical
@@ -451,6 +451,14 @@ mod tests {
         let speedup = base / tiled;
         // paper: >100× at scale with 6 threads
         assert!(speedup > 30.0, "speedup {speedup}");
+        // the register-tiled version is priced exactly like the tiled one
+        let tiled_alg = Algorithm::HybridTiled {
+            tile: Tile::DEFAULT,
+        };
+        for t in [1, 6] {
+            let p = |alg| predict_bpmax_seconds(alg, m, n, t, &cm, &spec, ht).to_bits();
+            assert_eq!(p(Algorithm::HybridReg), p(tiled_alg), "t={t}");
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! RNA-RNA interactions, not solving one pair. Two entry points:
 //!
 //! * [`score_matrix`] — all-vs-all interaction scores (full `BPMax` per
-//!   pair), pairs distributed over the rayon pool. Coarse parallelism over
-//!   *problems* composes with the serial `Permuted` variant per problem —
-//!   at screening scale this is the right processor allocation (each pair
-//!   is independent; no wavefront coupling).
+//!   pair), pairs mapped with `rayon`'s parallel iterators (the
+//!   workspace's offline shim runs them in order on the calling thread).
+//!   Parallelism over *problems* composes with the serial `Permuted`
+//!   variant per problem — at screening scale the pairs are independent,
+//!   with no wavefront coupling.
 //! * [`scan_significance`] — windowed scan of one query against a target
 //!   plus an empirical null from dinucleotide-free shuffles of the query:
 //!   reports each window's z-score so hits can be ranked by surprise, not
@@ -24,7 +25,7 @@ use rayon::prelude::*;
 use rna::{RnaSeq, ScoringModel};
 
 /// All-vs-all interaction scores: `result[q][t]` = `BPMax` score of
-/// `queries[q]` × `targets[t]`. Pairs run in parallel on the rayon pool.
+/// `queries[q]` × `targets[t]`, mapped pair by pair with `par_iter`.
 pub fn score_matrix(queries: &[RnaSeq], targets: &[RnaSeq], model: &ScoringModel) -> Vec<Vec<f32>> {
     queries
         .par_iter()

@@ -35,11 +35,12 @@
 //!
 //! # Concurrency, backpressure, and drain
 //!
-//! Admitted requests execute concurrently on the engine's rayon pool,
-//! but never unboundedly: a bounded in-flight ledger caps how many
-//! solves run at once (`max_inflight`) and how many *bytes* of admitted
-//! F-tables coexist (the server `mem_budget` is an **aggregate** cap
-//! across in-flight work, not only a per-request one). A request that
+//! Admitted requests execute concurrently, each on its connection's
+//! handler thread against the one shared engine, but never unboundedly:
+//! a bounded in-flight ledger caps how many solves run at once
+//! (`max_inflight`) and how many *bytes* of admitted F-tables coexist
+//! (the server `mem_budget` is an **aggregate** cap across in-flight
+//! work, not only a per-request one). A request that
 //! arrives at capacity waits in a bounded queue (`queue_depth` slots,
 //! `queue_wait` at most — tightened by the request's own deadline);
 //! overflow or a wait timeout is shed with a typed
@@ -65,11 +66,13 @@
 //! [`crate::checkpoint::problem_id`] (FNV-1a over strands + scoring
 //! model) crossed with the [`crate::batch::BatchOptions::fingerprint`]
 //! rule over the request's [`ComputeProfile`], effective memory budget,
-//! and degrade flag. Thread counts are deliberately *not* in the key —
-//! every program version is bit-identical at any thread count, so a warm
-//! hit is valid across machine shapes. A warm hit skips the solver
-//! entirely (the pool stats prove zero block acquisitions) and returns
-//! the bit-exact cold score. The in-memory tier holds a configurable
+//! and degrade flag. Deadlines are deliberately *not* in the key — they
+//! decide whether a solve finishes, never its score. A profile that
+//! cannot run (a tile with a zero dimension) is refused before the cache
+//! is consulted, with the same typed error a cold solve gives. A warm hit
+//! skips the solver entirely (the pool stats prove zero block
+//! acquisitions) and returns the bit-exact cold score. The in-memory
+//! tier holds a configurable
 //! byte budget; over-budget entries are evicted least-recently-used
 //! first and spill to the on-disk tier, so eviction changes where an
 //! answer lives, never its bits. The on-disk tier (one CRC-framed file
@@ -106,9 +109,11 @@ pub const MAGIC: &[u8; 8] = b"BPMXSERV";
 /// / panicked) to the stats reply, the [`RejectReason::Overloaded`]
 /// load-shedding rejection, and the per-request deadline field. v4
 /// dropped the profile's bounds-mode override byte (the kernels have one
-/// bounds-checked form); a v3 cache entry fails the header check and is
-/// treated as a miss.
-pub const VERSION: u32 = 4;
+/// bounds-checked form). v5 dropped the profile's tile-override and SIMD
+/// presence bytes (a tile now travels only inside `hybrid+tiled`) and
+/// added algorithm code 6 (`hybrid+reg`). An older cache entry fails the
+/// header check and is treated as a miss.
+pub const VERSION: u32 = 5;
 
 /// Ceiling on a single frame's payload: no request needs more, and the
 /// reader must never let a corrupted length field drive allocation.
@@ -416,6 +421,7 @@ fn algorithm_code(alg: Algorithm) -> u8 {
         Algorithm::FineGrain => 3,
         Algorithm::Hybrid => 4,
         Algorithm::HybridTiled { .. } => 5,
+        Algorithm::HybridReg => 6,
     }
 }
 
@@ -457,6 +463,7 @@ fn take_algorithm(cur: &mut Cursor<'_>) -> Result<Algorithm, BpMaxError> {
         5 => Algorithm::HybridTiled {
             tile: take_tile(cur, "algorithm tile")?,
         },
+        6 => Algorithm::HybridReg,
         other => return Err(cur.corrupt(format!("unknown algorithm code {other}"))),
     })
 }
@@ -485,37 +492,20 @@ fn take_bool(cur: &mut Cursor<'_>, what: &str) -> Result<bool, BpMaxError> {
 }
 
 fn put_profile(buf: &mut Vec<u8>, profile: &ComputeProfile) {
-    let (alg, tile, layout, simd) = profile.parts();
+    let (alg, layout) = profile.parts();
     put_algorithm(buf, alg);
-    put_opt(buf, tile, put_tile);
     put_opt(buf, layout, |b, l| put_u8(b, layout_code(l)));
-    put_opt(buf, simd, |b, m| {
-        put_u8(b, u8::from(m == crate::kernels::SimdMode::LaneArray));
-    });
 }
 
 fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
-    use crate::kernels::SimdMode;
     let alg = take_algorithm(cur)?;
-    let tile = take_presence(cur, "profile tile override")?
-        .then(|| take_tile(cur, "profile tile"))
-        .transpose()?;
     let layout = if take_presence(cur, "profile layout override")? {
         let code = cur.u8("profile layout code")?;
         Some(layout_from_code(code, cur)?)
     } else {
         None
     };
-    let simd = if take_presence(cur, "profile simd override")? {
-        Some(if take_bool(cur, "profile simd mode")? {
-            SimdMode::LaneArray
-        } else {
-            SimdMode::Scalar
-        })
-    } else {
-        None
-    };
-    Ok(ComputeProfile::from_parts(alg, tile, layout, simd))
+    Ok(ComputeProfile::from_parts(alg, layout))
 }
 
 fn header(kind: u8) -> Vec<u8> {
@@ -879,8 +869,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The fingerprint half of the cache key: the shared
 /// [`BatchOptions::fingerprint`] rule over the request's profile,
-/// effective budget, and degrade flag. Thread counts and deadlines are
-/// excluded on purpose — they cannot change a score.
+/// effective budget, and degrade flag. Deadlines are excluded on
+/// purpose — they cannot change a score.
 fn cache_fingerprint(
     profile: &ComputeProfile,
     effective_budget: Option<u64>,
@@ -1115,9 +1105,6 @@ impl ResultCache {
 pub struct ServerConfig {
     /// Unix socket path to listen on (created on bind, removed on exit).
     pub socket: PathBuf,
-    /// Rayon worker threads for the resident engine (default: one per
-    /// core).
-    pub threads: Option<usize>,
     /// Server-side F-table byte cap applied to every request (a request
     /// may tighten it, never widen it).
     pub mem_budget: Option<u64>,
@@ -1287,11 +1274,7 @@ pub struct Server {
 impl Server {
     /// Build the resident engine and cache; nothing listens yet.
     pub fn new(cfg: ServerConfig) -> Result<Server, BpMaxError> {
-        let mut bopts = BatchOptions::new();
-        if let Some(threads) = cfg.threads {
-            bopts = bopts.threads(threads);
-        }
-        let engine = BatchEngine::new(bopts)?;
+        let engine = BatchEngine::new(BatchOptions::new())?;
         let cache = ResultCache::new(cfg.cache_dir.clone(), cfg.cache_mem_budget)?;
         Ok(Server {
             cfg,
@@ -1498,6 +1481,14 @@ impl Server {
     }
 
     fn handle_solve(&self, req: &SolveRequest, seq: u64) -> Response {
+        // A profile that cannot run gets the cold path's typed error
+        // before the cache is consulted, so no cached answer of another
+        // configuration can stand in for it.
+        if let Err(e) = req.profile.validated_algorithm() {
+            return Response::Error {
+                detail: e.to_string(),
+            };
+        }
         let problem = BpMaxProblem::new(req.seq1.clone(), req.seq2.clone(), req.model.clone());
         let effective_budget = match (self.cfg.mem_budget, req.mem_budget) {
             (None, None) => None,
@@ -2024,13 +2015,7 @@ mod tests {
                             j2: 7,
                         },
                     })
-                    .tile(Tile {
-                        i2: 2,
-                        k2: 2,
-                        j2: 2,
-                    })
-                    .layout(Layout::Shifted)
-                    .simd(false),
+                    .layout(Layout::Shifted),
             )
             .mem_budget(1 << 20)
             .degrade(true)
@@ -2125,8 +2110,34 @@ mod tests {
             base,
             cache_fingerprint(&profile.algorithm(Algorithm::Baseline), None, false)
         );
-        // the R0 orders are bit-identical paths: same key
-        assert_eq!(base, cache_fingerprint(&profile.simd(true), None, false));
+    }
+
+    #[test]
+    fn bad_tile_gets_the_cold_error_even_after_a_cached_solve() {
+        let server = Server::new(ServerConfig::default()).unwrap();
+        let tile = Tile {
+            i2: 0,
+            k2: 4,
+            j2: 4,
+        };
+        let bad =
+            request().profile(ComputeProfile::new().algorithm(Algorithm::HybridTiled { tile }));
+        let want = Response::Error {
+            detail: BpMaxError::BadTile { tile }.to_string(),
+        };
+        assert_eq!(server.handle(&Request::Solve(bad.clone())), want, "cold");
+        let permuted = request().profile(ComputeProfile::new().algorithm(Algorithm::Permuted));
+        assert!(matches!(
+            server.handle(&Request::Solve(permuted)),
+            Response::Solved { score, .. } if score == 15.0
+        ));
+        let before = server.stats();
+        assert_eq!(
+            server.handle(&Request::Solve(bad)),
+            want,
+            "a cached solve of another profile must not answer a bad tile"
+        );
+        assert_eq!(server.stats().cache_hits, before.cache_hits);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! their sums are neither. This suite stresses that domain argument with
 //! models whose weights are drawn from the values that could break it —
 //! signed zeros, NaN, `+∞`, `±f32::MAX`, the `NO_PAIR` sentinel — and
-//! checks the *full* F-table of every program version, under both SIMD
-//! modes and through one batch-engine wave, bit for bit against the
-//! oracle.
+//! checks the *full* F-table of every program version (the tiled and the
+//! register-tiled `R0` kernels among them) and of one batch-engine wave,
+//! bit for bit against the oracle.
 
 use bpmax::batch::{BatchEngine, BatchOptions};
 use bpmax::kernels::Tile;
@@ -55,8 +55,9 @@ fn model() -> impl Strategy<Value = ScoringModel> {
         .prop_map(|(intra, inter, min_loop)| ScoringModel::from_tables(intra, inter, min_loop))
 }
 
-/// Every program version, plus the tiled one on a tile small enough to
-/// cut these short strands into several tiles.
+/// Every program version — `HybridTiled` and `HybridReg` run the two
+/// non-streaming `R0` kernels — plus the tiled one on a tile small enough
+/// to cut these short strands into several tiles.
 fn versions() -> Vec<Algorithm> {
     let mut all = Algorithm::ALL.to_vec();
     all.push(Algorithm::HybridTiled {
@@ -92,13 +93,11 @@ proptest! {
         let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
         let mut spec = SpecEval::new(&s1, &s2, &model);
         for alg in versions() {
-            for simd in [true, false] {
-                let sol = p
-                    .solve_opts(&SolveOptions::new().algorithm(alg).simd(simd))
-                    .unwrap();
-                let what = format!("{alg:?} simd({simd}) on {s1}/{s2} under {model:?}");
-                assert_matches_spec(sol.ftable(), &mut spec, &what);
-            }
+            let sol = p
+                .solve_opts(&SolveOptions::new().algorithm(alg))
+                .unwrap();
+            let what = format!("{alg:?} on {s1}/{s2} under {model:?}");
+            assert_matches_spec(sol.ftable(), &mut spec, &what);
         }
     }
 

@@ -1,9 +1,8 @@
-//! The batch engine's contract: pooled, adaptively scheduled solves are
-//! **bit-identical** to per-problem solves — same scores, same full
-//! F-tables — for random mixed-size problem sets, every algorithm, and
-//! every scheduling policy.
+//! The batch engine's contract: pooled solves are **bit-identical** to
+//! per-problem solves — same scores, same full F-tables — for random
+//! mixed-size problem sets and every algorithm.
 
-use bpmax::batch::{BatchEngine, BatchOptions, Policy};
+use bpmax::batch::{BatchEngine, BatchOptions};
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
 use proptest::prelude::*;
 use rna::base::BASES;
@@ -28,10 +27,6 @@ fn algorithm() -> impl Strategy<Value = Algorithm> {
     (0..Algorithm::ALL.len()).prop_map(|i| Algorithm::ALL[i])
 }
 
-fn policy() -> impl Strategy<Value = Policy> {
-    (0..3usize).prop_map(|i| [Policy::Auto, Policy::Coarse, Policy::IntraProblem][i])
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -39,12 +34,9 @@ proptest! {
     fn batch_tables_are_bit_identical_to_sequential_solves(
         problems in problem_set(6),
         alg in algorithm(),
-        policy in policy(),
     ) {
         let engine = BatchEngine::new(
             BatchOptions::new()
-                .threads(2)
-                .policy(policy)
                 .solve(SolveOptions::new().algorithm(alg))
                 .keep_tables(true),
         ).unwrap();
@@ -63,7 +55,7 @@ proptest! {
                 prop_assert_eq!(
                     table.get(i1, j1, i2, j2),
                     reference.get(i1, j1, i2, j2),
-                    "{:?}/{:?} F[{},{},{},{}]", alg, policy, i1, j1, i2, j2
+                    "{:?} F[{},{},{},{}]", alg, i1, j1, i2, j2
                 );
             }
         }
@@ -71,7 +63,7 @@ proptest! {
 
     #[test]
     fn pooled_solves_score_identically_across_waves(problems in problem_set(5)) {
-        let engine = BatchEngine::new(BatchOptions::new().threads(2)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let first = engine.solve_all(&problems).unwrap();
         let second = engine.solve_all(&problems).unwrap();
         let want: Vec<f32> = problems

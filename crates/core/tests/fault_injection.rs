@@ -4,14 +4,16 @@
 //! panic / allocation failure / slow problem maps to exactly the right
 //! per-problem [`Outcome`], the co-scheduled non-faulted problems stay
 //! bit-identical to unsupervised solves, quarantined buffers never
-//! re-enter the arena, and the zero-steady-state-allocation invariant
-//! survives faulted waves.
+//! re-enter the arena, the zero-steady-state-allocation invariant
+//! survives faulted waves, and an interrupted large problem snapshots a
+//! prefix that resumes bit-identically.
 //!
 //! The fault registry is process-global, so every test serializes on one
 //! mutex and disarms through an RAII guard — a panicking assertion can
 //! never leak an armed plan into the next test.
 #![cfg(feature = "fault-inject")]
 
+use bpmax::checkpoint;
 use bpmax::supervise::fault::{self, Fault, FaultPlan};
 use bpmax::{
     Algorithm, BatchEngine, BatchOptions, BpMaxError, BpMaxProblem, Outcome, SolveOptions,
@@ -62,8 +64,8 @@ fn exact_scores(problems: &[BpMaxProblem]) -> Vec<f32> {
         .collect()
 }
 
-fn engine(threads: usize) -> BatchEngine {
-    BatchEngine::new(BatchOptions::new().threads(threads)).unwrap()
+fn engine() -> BatchEngine {
+    BatchEngine::new(BatchOptions::new()).unwrap()
 }
 
 #[test]
@@ -75,7 +77,7 @@ fn injected_panic_maps_to_failed_and_survivors_are_bit_identical() {
             .fail(fault::SITE_COMPUTE, 2, Fault::Panic)
             .fail(fault::SITE_COMPUTE, 5, Fault::Panic),
     );
-    let engine = engine(2);
+    let engine = engine();
     let report = engine
         .solve_all(&problems)
         .expect("a panicked problem must not abort the wave");
@@ -105,7 +107,7 @@ fn injected_alloc_failure_maps_to_failed() {
     let problems = mixed_problems(5, 102);
     let want = exact_scores(&problems);
     let _armed = Armed::new(FaultPlan::new().fail(fault::SITE_ALLOC, 1, Fault::AllocFail));
-    let report = engine(2).solve_all(&problems).unwrap();
+    let report = engine().solve_all(&problems).unwrap();
     assert_eq!(report.outcomes().failed, 1);
     assert_eq!(report.items[1].outcome, Outcome::Failed);
     assert!(
@@ -131,14 +133,10 @@ fn injected_slowness_trips_the_deadline_mid_solve() {
     // after one sleep — finds the deadline blown.
     let _armed =
         Armed::new(FaultPlan::new().fail(fault::SITE_SLOW, 3, Fault::Slow { millis: 200 }));
-    let report = BatchEngine::new(
-        BatchOptions::new()
-            .threads(1)
-            .deadline(Duration::from_millis(150)),
-    )
-    .unwrap()
-    .solve_all(&problems)
-    .unwrap();
+    let report = BatchEngine::new(BatchOptions::new().deadline(Duration::from_millis(150)))
+        .unwrap()
+        .solve_all(&problems)
+        .unwrap();
     assert_eq!(report.items[3].outcome, Outcome::TimedOut, "slow problem");
     assert!(
         matches!(
@@ -162,7 +160,7 @@ fn injected_slowness_trips_the_deadline_mid_solve() {
 #[test]
 fn zero_steady_state_allocation_holds_across_faulted_waves() {
     let problems = mixed_problems(10, 104);
-    let engine = engine(1);
+    let engine = engine();
     // wave 1 (clean): warms the arena
     let warm = engine.solve_all(&problems).unwrap();
     assert!(warm.outcomes().all_ok());
@@ -210,7 +208,7 @@ fn seeded_plans_fault_deterministically() {
 
     let run = |plan: FaultPlan| {
         let _armed = Armed::new(plan);
-        let report = engine(2).solve_all(&problems).unwrap();
+        let report = engine().solve_all(&problems).unwrap();
         report
             .items
             .iter()
@@ -225,6 +223,61 @@ fn seeded_plans_fault_deterministically() {
         first.iter().any(|&(o, _)| o != Outcome::Ok),
         "seeded plan must inject at least one fault into this batch"
     );
+}
+
+#[test]
+fn interrupted_large_problem_snapshots_and_resumes_bit_identically() {
+    // 36×36 is the smallest square the cost model does not class coarse
+    // (10.8 ms predicted), so an interrupt mid-solve snapshots it.
+    let mut rng = StdRng::seed_from_u64(107);
+    let p = BpMaxProblem::new(
+        RnaSeq::random(&mut rng, 36),
+        RnaSeq::random(&mut rng, 36),
+        ScoringModel::bpmax_default(),
+    );
+    let want = p.solve_opts(&SolveOptions::new()).unwrap().score();
+    let problems = std::slice::from_ref(&p);
+    let dir = std::env::temp_dir().join(format!("bpmax-fault-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Every checkpoint sleeps 100 ms against a 400 ms wave deadline. The
+    // watch reads the clock at diagonal 0 (in time) and next at diagonal
+    // 8, at least 900 ms in, where the deadline fires with diagonals
+    // 0..8 final.
+    let interrupted = {
+        let _armed =
+            Armed::new(FaultPlan::new().fail(fault::SITE_SLOW, 0, Fault::Slow { millis: 100 }));
+        let engine =
+            BatchEngine::new(BatchOptions::new().deadline(Duration::from_millis(400))).unwrap();
+        assert!(!engine.classify_coarse(&p), "36x36 must not be coarse");
+        engine.solve_all_checkpointed(problems, &dir).unwrap()
+    };
+    assert_eq!(interrupted.items[0].outcome, Outcome::TimedOut);
+    assert!(!interrupted.items[0].coarse);
+    let (_, records, snapshot) = checkpoint::load(&dir).unwrap();
+    assert!(records.is_empty(), "a timed-out problem is not journaled");
+    let snapshot = snapshot.expect("the interrupted problem snapshots its prefix");
+    assert_eq!(snapshot.index, 0);
+    assert!(
+        snapshot.done >= 1,
+        "snapshot holds {} diagonals",
+        snapshot.done
+    );
+
+    // Resume with neither the fault nor the deadline (deadlines are not
+    // in the fingerprint); the empty plan only serializes the registry.
+    let resumed = {
+        let _armed = Armed::new(FaultPlan::new());
+        engine().resume(problems, &dir).unwrap()
+    };
+    assert_eq!(resumed.replayed, 0, "the snapshot problem was in flight");
+    assert_eq!(resumed.items[0].outcome, Outcome::Ok);
+    assert_eq!(resumed.items[0].score.to_bits(), want.to_bits());
+    assert!(
+        !checkpoint::snapshot_path(&dir).exists(),
+        "the finished problem retires its snapshot"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 mod serve_faults {
@@ -362,7 +415,7 @@ fn disarmed_registry_is_clean() {
         let _armed = Armed::new(FaultPlan::new().fail(fault::SITE_COMPUTE, 0, Fault::Panic));
     }
     let problems = mixed_problems(3, 106);
-    let report = engine(1).solve_all(&problems).unwrap();
+    let report = engine().solve_all(&problems).unwrap();
     assert!(report.outcomes().all_ok(), "{}", report.outcomes());
     let want: Vec<f32> = problems
         .iter()

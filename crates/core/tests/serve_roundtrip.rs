@@ -42,16 +42,15 @@ fn profile() -> impl Strategy<Value = ComputeProfile> {
         .prop_map(|t| t.map(|(i2, k2, j2)| Tile { i2, k2, j2 }));
     let layout =
         opt((0..3usize).prop_map(|i| [Layout::Packed, Layout::Identity, Layout::Shifted][i]));
-    (alg, tile, layout, opt(any::<bool>())).prop_map(|(alg, tile, layout, simd)| {
+    (alg, tile, layout).prop_map(|(alg, tile, layout)| {
+        // arbitrary tiles reach the wire inside the tiled version
+        let alg = match (alg, tile) {
+            (Algorithm::HybridTiled { .. }, Some(tile)) => Algorithm::HybridTiled { tile },
+            _ => alg,
+        };
         let mut p = ComputeProfile::new().algorithm(alg);
-        if let Some(t) = tile {
-            p = p.tile(t);
-        }
         if let Some(l) = layout {
             p = p.layout(l);
-        }
-        if let Some(s) = simd {
-            p = p.simd(s);
         }
         p
     })

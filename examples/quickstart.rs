@@ -25,7 +25,7 @@ fn main() {
 
     let model = ScoringModel::bpmax_default();
     let problem = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
-    // SolveOptions defaults to the champion hybrid+tiled version.
+    // SolveOptions defaults to the champion hybrid+reg version.
     let solution = problem.solve_opts(&SolveOptions::new()).expect("solve");
 
     println!("\noptimal interaction score: {}", solution.score());

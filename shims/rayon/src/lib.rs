@@ -1,7 +1,6 @@
 //! Offline stand-in for the `rayon` crate: the same API surface this
 //! workspace uses (`par_iter`, `par_iter_mut`, `into_par_iter`,
-//! `par_chunks_mut`, `ThreadPoolBuilder`/`install`), executed
-//! sequentially on the calling thread.
+//! `par_chunks_mut`), executed sequentially on the calling thread.
 //!
 //! The build container has no network access and no vendored registry, so
 //! the real crate cannot be fetched. Sequential execution is semantically
@@ -98,72 +97,6 @@ impl<T> ParallelSliceMut<T> for [T] {
     }
 }
 
-/// Builder mirroring `rayon::ThreadPoolBuilder`; the built pool just runs
-/// closures inline.
-#[derive(Default, Debug)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// New builder with default settings.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the requested thread count (informational only here).
-    #[must_use]
-    pub fn num_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
-        self
-    }
-
-    /// Build the (inline-executing) pool. Never fails in this shim.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            num_threads: self.num_threads.max(1),
-        })
-    }
-}
-
-/// Error type for [`ThreadPoolBuilder::build`]; never actually produced.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("thread pool construction failed")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Inline-executing stand-in for `rayon::ThreadPool`.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// Run `op` on the calling thread and return its result.
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        op()
-    }
-
-    /// The configured thread count.
-    #[must_use]
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-}
-
-/// Number of threads the global pool would use (always 1 here).
-#[must_use]
-pub fn current_num_threads() -> usize {
-    1
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -193,16 +126,6 @@ mod tests {
             }
         });
         assert_eq!(v, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
-    }
-
-    #[test]
-    fn pool_install_runs_inline() {
-        let pool = super::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        assert_eq!(pool.install(|| 7), 7);
-        assert_eq!(pool.current_num_threads(), 4);
     }
 
     #[test]
