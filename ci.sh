@@ -28,9 +28,11 @@
 #                                   clean shutdown
 #   9. cargo doc -D warnings        rustdoc integrity
 #  10. sanitizer (SAN_GATE)         ThreadSanitizer over the concurrency
-#                                   models — nightly-only; auto-skipped
-#                                   with a notice when the toolchain
-#                                   lacks it (offline containers)
+#                                   models, the batch suite and the
+#                                   split-wavefront engine tests —
+#                                   nightly-only; auto-skipped with a
+#                                   notice when the toolchain lacks it
+#                                   (offline containers)
 #  11. smoke-bench perf gate        noise-aware wall-clock regression gate
 #
 # SAN_GATE mirrors BENCH_GATE:
@@ -52,7 +54,7 @@
 #   update     refresh results/baseline from a fresh run and exit 0
 #   off        skip the perf gate
 #
-# The workspace vendors offline shims for rand/rayon/proptest/criterion
+# The workspace vendors offline shims for rand/proptest/criterion/loom
 # (see shims/), so no network access is needed at any step.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -203,16 +205,26 @@ echo "== cargo doc (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 # ThreadSanitizer over the concurrency model tests (CancelToken / Watch
-# cancellation, BlockPool quarantine handoff) and the batch engine
-# suite. Needs nightly + rust-src (std is rebuilt instrumented so its
-# synchronization is visible to TSan). $1 is "required" or "auto".
+# cancellation, BlockPool quarantine handoff), the batch engine suite,
+# and the split-wavefront engine tests (engine::tests::split_*: one
+# outer diagonal's triangles on scoped threads that share the table —
+# the first solver data read by more than one thread). Needs nightly +
+# rust-src (std is rebuilt instrumented so its synchronization is
+# visible to TSan). $1 is "required" or "auto".
 run_tsan() {
     local host
     host="$(rustc -vV | sed -n 's/^host: //p')"
     if rustup component list --toolchain nightly 2> /dev/null | grep -q '^rust-src.*(installed)'; then
-        echo "-- tsan: loom models + batch suite ($host)"
-        RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread"             cargo +nightly test -Zbuild-std --target "$host" -p bpmax --offline -q             --test loom_models
-        RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread"             cargo +nightly test -Zbuild-std --target "$host" -p bpmax --offline -q             --lib batch::
+        echo "-- tsan: loom models + batch suite + split wavefront ($host)"
+        RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+            cargo +nightly test -Zbuild-std --target "$host" -p bpmax --offline -q \
+            --test loom_models
+        RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+            cargo +nightly test -Zbuild-std --target "$host" -p bpmax --offline -q \
+            --lib batch::
+        RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+            cargo +nightly test -Zbuild-std --target "$host" -p bpmax --offline -q \
+            --lib engine::tests::split_
     elif [ "$1" = "required" ]; then
         echo "ci.sh: SAN_GATE=$SAN_GATE but nightly rust-src is unavailable" >&2
         exit 2

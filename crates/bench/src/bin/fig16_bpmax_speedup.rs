@@ -1,12 +1,13 @@
 //! Fig 16 — full-BPMax speedup over the original program.
 //!
-//! Measured serial speedups on this machine (loop order + locality only)
-//! plus the modeled 6-thread speedup on the paper's Xeon. Paper headline:
-//! ">100× speedup for longer sequence lengths with 6 threads" for the
-//! hybrid+tiled version.
+//! Measured speedups over the original program on this machine, the
+//! measured two-thread speedup of the split wavefront at M = N = 40
+//! beside its modeled value, and the modeled 6-thread speedup on the
+//! paper's Xeon. Paper headline: ">100× speedup for longer sequence
+//! lengths with 6 threads" for the hybrid+tiled version.
 
 use bench::report::Reporter;
-use bench::{banner, f1, model, time_stats, workload, Opts, Table};
+use bench::{banner, f1, f2, model, time_stats, workload, Opts, Table};
 use bpmax::kernels::Tile;
 use bpmax::perfmodel::{predict_bpmax_seconds, CostModel};
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
@@ -30,8 +31,8 @@ fn main() {
         ">100x at scale with 6 threads for hybrid+tiled",
     );
 
-    println!("\n--- measured serial speedup vs baseline, this machine ---");
-    println!("(hybrid runs the serial traversal like every version but base; see modeled table)");
+    println!("\n--- measured speedup vs baseline, this machine ---");
+    println!("(below the split cutoff every version runs one thread; see the M=N=40 row)");
     let mut t = Table::new(&["M=N", "permuted", "hybrid", "hybrid+tiled"]);
     for &n in &opts.sizes {
         let (s1, s2) = workload(opts.seed, n, n);
@@ -62,13 +63,54 @@ fn main() {
     }
     t.print();
 
-    println!("\n--- modeled speedup vs baseline, 6 threads, paper machine ---");
     let cm = CostModel::nominal(); // representative per-core Xeon rates (see perfmodel)
     let spec = MachineSpec::xeon_e5_1650v4();
     let ht = HtModel {
         physical: spec.cores,
         smt_efficiency: 0.15,
     };
+
+    // 40×40 is above the split cutoff: `coarse` runs the permuted `R0`
+    // order with each diagonal's triangles split across the host's cores,
+    // `permuted` the same order on one thread.
+    let n = 40;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    println!("\n--- measured two-thread speedup at M=N={n}, this machine ---");
+    let (s1, s2) = workload(opts.seed, n, n);
+    let p = BpMaxProblem::new(s1, s2, model());
+    let reps = opts.reps(3);
+    let flops = p.flops();
+    let s_perm = time_stats(reps, || solve(&p, Algorithm::Permuted));
+    let s_coarse = time_stats(reps, || solve(&p, Algorithm::CoarseGrain));
+    let measured = s_perm.median_s / s_coarse.median_s;
+    let modeled = predict_bpmax_seconds(Algorithm::Permuted, n, n, 1, &cm, &spec, ht)
+        / predict_bpmax_seconds(Algorithm::CoarseGrain, n, n, 2, &cm, &spec, ht);
+    rep.measured(
+        format!("measured/coarse-vs-permuted/n={n}"),
+        s_coarse,
+        Some(flops),
+    );
+    rep.annotate(&[("speedup", measured)]);
+    rep.values(
+        format!("modeled/coarse-vs-permuted/n={n}"),
+        bench::report::Kind::Modeled,
+        &[("speedup", modeled)],
+    );
+    let mut t = Table::new(&[
+        "M=N",
+        "host cores",
+        "measured coarse/permuted",
+        "modeled, 2 threads",
+    ]);
+    t.row(vec![
+        n.to_string(),
+        cores.to_string(),
+        f2(measured),
+        f2(modeled),
+    ]);
+    t.print();
+
+    println!("\n--- modeled speedup vs baseline, 6 threads, paper machine ---");
     let sizes: Vec<usize> = if opts.full {
         vec![64, 128, 256, 512, 1024]
     } else {

@@ -158,6 +158,7 @@ fn fig15_fig16_run() {
         &["--sizes", "8,10"],
     );
     assert!(out.contains("modeled speedup vs baseline"));
+    assert!(out.contains("measured two-thread speedup at M=N=40"));
 }
 
 #[test]

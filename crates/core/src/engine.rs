@@ -4,21 +4,30 @@
 //! [`crate::spec`]); they differ in iteration order, parallelization and
 //! tiling — the dimensions the paper explores:
 //!
-//! | [`Algorithm`] | paper version | paper's traversal | `R0` order run here |
-//! |---|---|---|---|
-//! | `Baseline` | original program | diagonal-by-diagonal, reductions innermost | — |
-//! | `Permuted` | Phase I | per-triangle phases, streaming `j2` loops, serial | permuted |
-//! | `CoarseGrain` | Phase II | whole triangles distributed over threads | permuted |
-//! | `FineGrain` | Phase II | rows of one triangle distributed; `R1`/`R2` serial | permuted |
-//! | `Hybrid` | Phase III | fine-grain `R0`/`R3`/`R4`, coarse-grain `F`/`R1`/`R2` | permuted |
-//! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | tiled |
-//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled |
+//! | [`Algorithm`] | paper version | paper's traversal | `R0` order run here | threads here |
+//! |---|---|---|---|---|
+//! | `Baseline` | original program | diagonal-by-diagonal, reductions innermost | — | 1 |
+//! | `Permuted` | Phase I | per-triangle phases, streaming `j2` loops, serial | permuted | 1 |
+//! | `CoarseGrain` | Phase II | whole triangles distributed over threads | permuted | split diagonals |
+//! | `FineGrain` | Phase II | rows of one triangle distributed; `R1`/`R2` serial | permuted | split diagonals |
+//! | `Hybrid` | Phase III | fine-grain `R0`/`R3`/`R4`, coarse-grain `F`/`R1`/`R2` | permuted | split diagonals |
+//! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | tiled | split diagonals |
+//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled | split diagonals |
 //!
-//! Every version but `Baseline` runs one serial wavefront traversal with
-//! its own `R0` order: the workspace's `rayon` runs on the calling thread,
-//! so distributing triangles or rows would only add dispatch. The
-//! parallel versions' multi-thread behaviour is modelled by `simsched`,
-//! and their schedules are verified by [`crate::schedules`].
+//! Every version but `Baseline` runs one wavefront traversal with its own
+//! `R0` order. `Permuted`, the paper's serial Phase I program, runs it on
+//! the calling thread and is the one-thread reference. The other five
+//! split each outer diagonal's triangles across `std::thread::scope`
+//! workers, claimed one at a time: the paper's coarse-grain `parallel
+//! for` with a dynamic schedule of chunk 1. A diagonal gets one worker
+//! per core only while each worker's share is at least 0.7 MFLOP
+//! (`MIN_FLOPS_PER_WORKER`, DESIGN.md §3). Below that cutoff the serial
+//! loop runs unchanged, so the 12×16 and 16×16 solves of scan and serve
+//! never spawn a thread. `FineGrain` and `Hybrid` run the same
+//! coarse-grain split: a per-triangle split would only help diagonals
+//! with fewer triangles than cores. Behaviour beyond this host's cores is
+//! modelled by `simsched`, and the paper's schedules are verified by
+//! [`crate::schedules`].
 //!
 //! The wavefront invariant shared by all optimized versions: triangles are
 //! produced in ascending outer diagonal `d1 = j1 − i1`; within a diagonal,
@@ -31,12 +40,23 @@ use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, Layout};
 use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Tile};
+use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
 };
 use crate::windowed::{max_window_within, solve_windowed_watched};
 use rna::{JointStructure, RnaSeq, ScoringModel};
+use std::num::NonZeroUsize;
 use std::str::FromStr;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// The least max-plus work, in flops, that one worker of a split outer
+/// diagonal must get. A second worker has to save at least twice the
+/// cost of a scoped spawn and join at the one-thread solve rate; the
+/// measurements behind the value are in DESIGN.md §3. Every diagonal of
+/// a 12×16 or 16×16 solve stays below it, and every 40×40 diagonal but
+/// the one-triangle top one splits on two cores.
+pub(crate) const MIN_FLOPS_PER_WORKER: f64 = 0.7e6;
 
 /// Which `BPMax` program version to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -526,7 +546,10 @@ impl BpMaxProblem {
     ) -> Result<(), Interrupt> {
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
-            other => self.wavefront_range(other.r0_order(), f, start, end, watch),
+            Algorithm::Permuted => {
+                self.wavefront_range(R0Order::Permuted, f, start, end, watch, Split::SERIAL)
+            }
+            other => self.wavefront_range(other.r0_order(), f, start, end, watch, Split::host()),
         }
     }
 
@@ -570,11 +593,13 @@ impl BpMaxProblem {
 
     /// The wavefront driver: ascending outer diagonals `start..end`, and
     /// within a diagonal each triangle's Phase A (`R0` in `order`, then
-    /// `R3`/`R4`) and Phase B in turn. The supervision checkpoint sits at
-    /// the top of the `d1` loop — between diagonals every block is inside
-    /// the table, so an interrupt always leaves `f` recyclable (and, via
-    /// [`Watch::note_progress`], with a known-final diagonal prefix the
-    /// checkpoint layer can snapshot).
+    /// `R3`/`R4`) and Phase B. A diagonal that `split` gives one worker
+    /// runs its triangles in turn on this thread; a larger one runs them
+    /// on that many threads ([`run_split`]). The supervision checkpoint
+    /// sits at the top of the `d1` loop — between diagonals every block
+    /// is inside the table, so an interrupt always leaves `f` recyclable
+    /// (and, via [`Watch::note_progress`], with a known-final diagonal
+    /// prefix the checkpoint layer can snapshot).
     fn wavefront_range(
         &self,
         order: R0Order,
@@ -582,6 +607,7 @@ impl BpMaxProblem {
         start: usize,
         end: usize,
         watch: &Watch,
+        split: Split,
     ) -> Result<(), Interrupt> {
         let ctx = &self.ctx;
         let m = ctx.m();
@@ -594,18 +620,113 @@ impl BpMaxProblem {
         for d1 in start..end {
             watch.note_progress(d1);
             watch.check()?;
-            for i1 in 0..m - d1 {
-                let j1 = i1 + d1;
-                let mut acc = f.take_block(i1, j1);
-                accumulate_r034_serial(ctx, f, i1, j1, &mut acc, order);
-                let prev = prev_block(f, i1, j1);
-                finalize_triangle(ctx, i1, j1, f, prev, &mut acc);
-                f.put_block(i1, j1, acc);
+            let workers = split.workers(d1, m, n);
+            if workers == 1 {
+                for i1 in 0..m - d1 {
+                    let j1 = i1 + d1;
+                    let mut acc = f.take_block(i1, j1);
+                    triangle(ctx, f, i1, j1, &mut acc, order);
+                    f.put_block(i1, j1, acc);
+                }
+            } else {
+                let mut blocks: Vec<(usize, Vec<f32>)> = (0..m - d1)
+                    .map(|i1| (i1, f.take_block(i1, i1 + d1)))
+                    .collect();
+                let table = &*f;
+                run_split(&mut blocks, workers, |(i1, acc)| {
+                    triangle(ctx, table, *i1, *i1 + d1, acc, order);
+                });
+                for (i1, acc) in blocks {
+                    f.put_block(i1, i1 + d1, acc);
+                }
             }
         }
         watch.note_progress(end.max(start));
         Ok(())
     }
+}
+
+/// One triangle `(i1, j1)` into its taken-out block `acc`: Phase A, then
+/// Phase B. It reads only blocks of earlier diagonals from `f`.
+fn triangle(ctx: &Ctx, f: &FTable, i1: usize, j1: usize, acc: &mut [f32], order: R0Order) {
+    accumulate_r034_serial(ctx, f, i1, j1, acc, order);
+    let prev = prev_block(f, i1, j1);
+    finalize_triangle(ctx, i1, j1, f, prev, acc);
+}
+
+/// How many threads the wavefront may run one outer diagonal on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Split {
+    /// Threads at most: the host's cores, or 1 for the serial versions.
+    cores: usize,
+    /// Flops each worker must get ([`MIN_FLOPS_PER_WORKER`]; 0 lifts the
+    /// floor, which only tests do).
+    min_flops: f64,
+}
+
+impl Split {
+    /// The serial programs: one worker on every diagonal.
+    const SERIAL: Split = Split {
+        cores: 1,
+        min_flops: MIN_FLOPS_PER_WORKER,
+    };
+
+    /// The split versions on this host.
+    fn host() -> Split {
+        Split {
+            cores: host_cores(),
+            min_flops: MIN_FLOPS_PER_WORKER,
+        }
+    }
+
+    /// Workers for outer diagonal `d1` of an `m × n` problem:
+    /// `min(cores, triangles, ⌊flops / min_flops⌋)`, at least 1, where
+    /// `flops` is the diagonal's `R0`, `R1` and `R2` max-plus work.
+    fn workers(self, d1: usize, m: usize, n: usize) -> usize {
+        let cells = m - d1;
+        let by_work = if self.min_flops > 0.0 {
+            let flops = cells as f64 * (triangle_r0_flops(d1, n) + triangle_r12_flops(n));
+            (flops / self.min_flops) as usize
+        } else {
+            usize::MAX
+        };
+        self.cores.min(cells).min(by_work).max(1)
+    }
+}
+
+/// The cores this process may run on, read once: a call to
+/// `available_parallelism` costs about 19 µs.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Run `work` on every item, on the calling thread and `workers − 1`
+/// scoped helpers that claim items one at a time in order (OpenMP's
+/// `schedule(dynamic, 1)`). A helper the OS refuses to start leaves its
+/// share to the others. A panic in any worker reaches the caller with
+/// its own payload, after every other worker has stopped.
+fn run_split<T: Send>(items: &mut [T], workers: usize, work: impl Fn(&mut T) + Sync) {
+    let claims = Mutex::new(items.iter_mut());
+    let drain = || loop {
+        // the guard drops at the end of this statement: `work` runs unlocked
+        let claimed = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some(item) = claimed else {
+            return;
+        };
+        work(item);
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, drain).ok())
+            .collect();
+        drain();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// The result of [`BpMaxProblem::solve_supervised`]: the per-problem
@@ -986,6 +1107,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Fill diagonals `range` of `f` through the wavefront with `split`.
+    fn split_range(
+        p: &BpMaxProblem,
+        order: R0Order,
+        f: &mut FTable,
+        range: (usize, usize),
+        split: Split,
+    ) {
+        p.wavefront_range(order, f, range.0, range.1, &Watch::none(), split)
+            .unwrap();
+    }
+
+    fn bits(f: &FTable) -> Vec<u32> {
+        f.iter_cells()
+            .map(|(i1, j1, i2, j2)| f.get(i1, j1, i2, j2).to_bits())
+            .collect()
+    }
+
+    /// Every worker count, forced past the cutoff (`min_flops` 0).
+    fn forced() -> [Split; 4] {
+        [1, 2, 3, 8].map(|cores| Split {
+            cores,
+            min_flops: 0.0,
+        })
+    }
+
+    #[test]
+    fn split_diagonals_are_bit_identical_to_one_worker() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let model = ScoringModel::bpmax_default();
+        for m in [1, 2, 3, 7] {
+            let s1 = RnaSeq::random(&mut rng, m);
+            let s2 = RnaSeq::random(&mut rng, 5);
+            let want = spec_score(&s1, &s2, &model);
+            for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
+                let p =
+                    BpMaxProblem::new(s1.clone(), s2.clone(), model.clone()).with_layout(layout);
+                for &alg in &Algorithm::ALL[1..] {
+                    let order = alg.r0_order();
+                    let mut one = FTable::new(m, 5, layout);
+                    split_range(&p, order, &mut one, (0, m), forced()[0]);
+                    for split in forced() {
+                        let mut f = FTable::new(m, 5, layout);
+                        split_range(&p, order, &mut f, (0, m), split);
+                        let tag = format!("{alg:?} {layout:?} m={m} {split:?}");
+                        assert!(bits(&f) == bits(&one), "{tag}: table differs");
+                        assert_eq!(f.final_score(), Some(want), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_prefix_then_resume_is_bit_identical() {
+        let p = problem("GGAUCGACGG", "CCGAUGC");
+        let (m, n) = (p.seq1().len(), p.seq2().len());
+        for &alg in &Algorithm::ALL[1..] {
+            let reference = bits(&table(&p, alg));
+            for split in forced() {
+                for cut in [0, 1, m / 2, m - 1, m] {
+                    let mut f = FTable::new(m, n, p.layout());
+                    split_range(&p, alg.r0_order(), &mut f, (0, cut), split);
+                    split_range(&p, alg.r0_order(), &mut f, (cut, m), split);
+                    assert!(bits(&f) == reference, "{alg:?} {split:?} cut {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_rule_keeps_serve_and_scan_shapes_serial_on_two_cores() {
+        let two = Split {
+            cores: 2,
+            min_flops: MIN_FLOPS_PER_WORKER,
+        };
+        for (m, n) in [(16, 16), (12, 16)] {
+            for d1 in 0..m {
+                assert_eq!(two.workers(d1, m, n), 1, "{m}x{n} d1={d1}");
+            }
+        }
+        for d1 in 0..39 {
+            assert_eq!(two.workers(d1, 40, 40), 2, "40x40 d1={d1}");
+        }
+        assert_eq!(two.workers(39, 40, 40), 1, "the one-triangle top diagonal");
+        for d1 in 0..40 {
+            assert_eq!(Split::SERIAL.workers(d1, 40, 40), 1, "serial d1={d1}");
+        }
+    }
+
+    #[test]
+    fn split_claims_every_item_exactly_once() {
+        for split in forced() {
+            let mut counts = vec![0u32; 50];
+            run_split(&mut counts, split.cores, |c| *c += 1);
+            assert!(counts.iter().all(|&c| c == 1), "{split:?}: {counts:?}");
+        }
+        run_split(&mut [] as &mut [u32], 2, |_| unreachable!("no items"));
+    }
+
+    #[test]
+    fn split_reraises_each_workers_own_panic() {
+        /// Two items on two workers: the caller takes one and waits until
+        /// the helper has taken the other; then the caller or the helper
+        /// panics.
+        fn payload(caller_fails: bool) -> &'static str {
+            let caller = std::thread::current().id();
+            let (claimed, helper_claimed) = std::sync::mpsc::channel();
+            let helper_claimed = std::sync::Mutex::new(helper_claimed);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_split(&mut [0u8; 2], 2, |_| {
+                    let on_caller = std::thread::current().id() == caller;
+                    if on_caller {
+                        helper_claimed
+                            .lock()
+                            .expect("only the caller receives")
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("the helper claims the other item");
+                    } else {
+                        claimed.send(()).expect("the caller is waiting");
+                    }
+                    match (on_caller, caller_fails) {
+                        (true, true) => panic!("caller failed"),
+                        (false, false) => panic!("helper failed"),
+                        _ => {}
+                    }
+                });
+            }))
+            .expect_err("the split must re-raise the panic");
+            err.downcast_ref::<&'static str>()
+                .copied()
+                .unwrap_or("not the original payload")
+        }
+        assert_eq!(payload(false), "helper failed");
+        assert_eq!(payload(true), "caller failed");
     }
 
     #[test]

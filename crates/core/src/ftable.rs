@@ -354,33 +354,6 @@ impl FTable {
         self.blocks[o][k] = v;
     }
 
-    /// Split a (taken) block into per-row mutable slices, outer row first —
-    /// the unit of fine-grain parallelism ("threads work on individual rows
-    /// of an inner triangle").
-    ///
-    /// Only [`Layout::Packed`] and [`Layout::Shifted`] rows tile the
-    /// storage contiguously; for [`Layout::Identity`] the leading slack of
-    /// each row is included in the previous row's slice tail, which is
-    /// harmless because kernels never index past `n − i2 − 1`... — to keep
-    /// it simple and safe this helper supports all layouts by splitting at
-    /// each row's start offset and handing out exactly the valid prefix.
-    pub fn rows_mut<'a>(&self, block: &'a mut [f32]) -> Vec<&'a mut [f32]> {
-        let mut out = Vec::with_capacity(self.n);
-        let mut rest = block;
-        let mut consumed = 0usize;
-        for i2 in 0..self.n {
-            let start = self.inner_row_start(i2);
-            let len = self.n - i2;
-            let skip = start - consumed;
-            let (_, tail) = rest.split_at_mut(skip);
-            let (row, tail) = tail.split_at_mut(len);
-            out.push(row);
-            rest = tail;
-            consumed = start + len;
-        }
-        out
-    }
-
     /// Number of outer blocks on diagonals `0..done` of an `m`-strand
     /// table (the unit of [`FTable::export_diagonals`]).
     pub fn diagonal_blocks(m: usize, done: usize) -> usize {
@@ -527,34 +500,6 @@ mod tests {
         assert_eq!(t.get(0, 0, 0, 0), f32::NEG_INFINITY);
         t.put_block(0, 2, b);
         assert_eq!(t.get(0, 2, 1, 2), 42.0);
-    }
-
-    #[test]
-    fn rows_mut_partitions_every_layout() {
-        for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
-            let t = FTable::new(1, 6, layout);
-            let mut block = vec![0.0f32; layout.storage_len(6)];
-            {
-                let rows = t.rows_mut(&mut block);
-                assert_eq!(rows.len(), 6);
-                for (i2, row) in rows.into_iter().enumerate() {
-                    assert_eq!(row.len(), 6 - i2, "{layout:?}");
-                    for (off, cell) in row.iter_mut().enumerate() {
-                        *cell = (i2 * 100 + i2 + off) as f32; // j2 = i2 + off
-                    }
-                }
-            }
-            // verify through the scalar API
-            for i2 in 0..6 {
-                for j2 in i2..6 {
-                    assert_eq!(
-                        block[t.inner(i2, j2)],
-                        (i2 * 100 + j2) as f32,
-                        "{layout:?} ({i2},{j2})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -66,6 +66,12 @@ impl CostModel {
 
     /// Calibrate by timing the real kernels on a small instance.
     /// `size` ≈ 24–48 gives stable numbers in well under a second.
+    ///
+    /// The `HybridTiled` timing is a one-thread rate only below the split
+    /// cutoff (0.7 MFLOP per worker, DESIGN.md §3): above it the
+    /// version runs each outer diagonal on the host's cores. Every
+    /// diagonal of a square solve up to 24 stays below the cutoff, and the
+    /// one caller, a unit test, uses size 20.
     pub fn calibrate(size: usize) -> Self {
         let seqs = || -> (RnaSeq, RnaSeq) {
             use rand::rngs::StdRng;
@@ -136,13 +142,13 @@ fn r0_working_set(n: usize) -> usize {
 
 /// R0 FLOPs of one triangle at outer diagonal `d1` (over all its `k1`
 /// steps): `2 · d1 · Σ-combinations(n)`.
-fn triangle_r0_flops(d1: usize, n: usize) -> f64 {
+pub(crate) fn triangle_r0_flops(d1: usize, n: usize) -> f64 {
     let s2: u64 = (0..n as u64).map(|d| d * (n as u64 - d)).sum();
     (2 * d1 as u64 * s2) as f64
 }
 
 /// R1+R2 FLOPs of one triangle: `2 · 2 · Σ-combinations(n)`.
-fn triangle_r12_flops(n: usize) -> f64 {
+pub(crate) fn triangle_r12_flops(n: usize) -> f64 {
     let s2: u64 = (0..n as u64).map(|d| d * (n as u64 - d)).sum();
     (4 * s2) as f64
 }

@@ -5,11 +5,9 @@
 //! RNA-RNA interactions, not solving one pair. Two entry points:
 //!
 //! * [`score_matrix`] — all-vs-all interaction scores (full `BPMax` per
-//!   pair), pairs mapped with `rayon`'s parallel iterators (the
-//!   workspace's offline shim runs them in order on the calling thread).
-//!   Parallelism over *problems* composes with the serial `Permuted`
-//!   variant per problem — at screening scale the pairs are independent,
-//!   with no wavefront coupling.
+//!   pair), one serial `Permuted` solve per pair, in order — at
+//!   screening scale the pairs are independent, with no wavefront
+//!   coupling.
 //! * [`scan_significance`] — windowed scan of one query against a target
 //!   plus an empirical null from dinucleotide-free shuffles of the query:
 //!   reports each window's z-score so hits can be ranked by surprise, not
@@ -21,14 +19,13 @@ use crate::windowed::solve_windowed;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use rna::{RnaSeq, ScoringModel};
 
 /// All-vs-all interaction scores: `result[q][t]` = `BPMax` score of
-/// `queries[q]` × `targets[t]`, mapped pair by pair with `par_iter`.
+/// `queries[q]` × `targets[t]`, solved pair by pair.
 pub fn score_matrix(queries: &[RnaSeq], targets: &[RnaSeq], model: &ScoringModel) -> Vec<Vec<f32>> {
     queries
-        .par_iter()
+        .iter()
         .map(|q| {
             targets
                 .iter()
@@ -89,9 +86,8 @@ pub fn scan_significance(
     assert!(shuffles >= 2, "need at least 2 shuffles for a variance");
     let real =
         solve_windowed(&Ctx::new(query.clone(), target.clone(), model.clone()), w).window_scores();
-    // Null distribution per window, shuffles in parallel.
+    // Null distribution per window, one solve per shuffle.
     let null_scores: Vec<Vec<f32>> = (0..shuffles)
-        .into_par_iter()
         .map(|k| {
             let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9));
             let shuffled = shuffle_seq(&mut rng, query);

@@ -72,53 +72,6 @@ impl Nussinov {
     }
 }
 
-impl Nussinov {
-    /// Fold with the anti-diagonal wavefront parallelized (the
-    /// parallelization Palkowski & Bielecki study for Nussinov — cited as
-    /// related work \[17\] in the `BPMax` paper). Cells of one anti-diagonal
-    /// are independent; the split/bifurcation reads stay within earlier
-    /// diagonals. Results are identical to [`Nussinov::fold`].
-    pub fn fold_parallel(seq: &RnaSeq, model: &ScoringModel) -> Fold {
-        use rayon::prelude::*;
-        let n = seq.len();
-        let layout = Layout::Packed;
-        let mut table = Triangular::filled(n, layout, 0.0f32);
-        for d in 1..n {
-            // Compute the whole diagonal from a shared snapshot, then
-            // write back — the values only depend on earlier diagonals.
-            let snapshot = &table;
-            let diagonal: Vec<f32> = (0..n - d)
-                .into_par_iter()
-                .map(|i| {
-                    let j = i + d;
-                    let mut best = snapshot.get(i + 1, j).max(snapshot.get(i, j - 1));
-                    let w = model.intra_pos(i, j, seq[i], seq[j]);
-                    if w != ScoringModel::NO_PAIR {
-                        let inner = if i < j - 1 {
-                            snapshot.get(i + 1, j - 1)
-                        } else {
-                            0.0
-                        };
-                        best = best.max(w + inner);
-                    }
-                    for k in i + 1..j {
-                        best = best.max(snapshot.get(i, k) + snapshot.get(k + 1, j));
-                    }
-                    best
-                })
-                .collect();
-            for (i, v) in diagonal.into_iter().enumerate() {
-                table.set(i, i + d, v);
-            }
-        }
-        Fold {
-            seq: seq.clone(),
-            model: model.clone(),
-            table,
-        }
-    }
-}
-
 impl Fold {
     /// Strand length.
     pub fn n(&self) -> usize {
@@ -356,22 +309,6 @@ mod tests {
             let st = f.traceback();
             st.validate(seq.len()).unwrap();
             assert_eq!(st.score(&seq, &model), f.best_score(), "seq {seq}");
-        }
-    }
-
-    #[test]
-    fn parallel_fold_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = ScoringModel::bpmax_default();
-        for n in [0usize, 1, 2, 9, 24, 40] {
-            let seq = RnaSeq::random(&mut rng, n);
-            let a = Nussinov::fold(&seq, &model);
-            let b = Nussinov::fold_parallel(&seq, &model);
-            for i in 0..n {
-                for j in i..n {
-                    assert_eq!(a.score(i, j), b.score(i, j), "n={n} ({i},{j})");
-                }
-            }
         }
     }
 

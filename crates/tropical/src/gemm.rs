@@ -22,7 +22,6 @@ use crate::matrix::Matrix;
 use crate::scalar::mp_axpy;
 use crate::semiring::Semiring;
 use crate::simd::mp_axpy4;
-use rayon::prelude::*;
 
 /// FLOPs of one `m×k — k×n` semiring product (2 per inner iteration).
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
@@ -207,41 +206,6 @@ pub fn maxplus_gemm_tiled(a: &Matrix<f32>, b: &Matrix<f32>, c: &mut Matrix<f32>,
     }
 }
 
-/// Max-plus product with the rows of `C` distributed over the rayon pool —
-/// the "fine-grain" processor allocation (threads share one product, each
-/// owning a band of rows).
-pub fn maxplus_gemm_par_rows(a: &Matrix<f32>, b: &Matrix<f32>, c: &mut Matrix<f32>, t: TileShape) {
-    check_dims(a, b, c);
-    let (m, kk, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || kk == 0 || n == 0 {
-        return;
-    }
-    let tk = TileShape::clamp(kk, t.tk);
-    let tj = TileShape::clamp(n, t.tj);
-    c.as_mut_slice()
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, crow)| {
-            let mut kk0 = 0;
-            while kk0 < kk {
-                let k_hi = (kk0 + tk).min(kk);
-                let mut jj = 0;
-                while jj < n {
-                    let j_hi = (jj + tj).min(n);
-                    for k in kk0..k_hi {
-                        let aik = a[(i, k)];
-                        if aik == f32::NEG_INFINITY {
-                            continue;
-                        }
-                        mp_axpy(aik, &b.row(k)[jj..j_hi], &mut crow[jj..j_hi]);
-                    }
-                    jj = j_hi;
-                }
-                kk0 = k_hi;
-            }
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,16 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn par_rows_matches_naive() {
-        let (a, b) = small_f32();
-        let mut reference = Matrix::neg_inf(4, 5);
-        maxplus_gemm_naive(&a, &b, &mut reference);
-        let mut c = Matrix::neg_inf(4, 5);
-        maxplus_gemm_par_rows(&a, &b, &mut c, TileShape::j_untiled(1, 2));
-        assert_eq!(c, reference);
-    }
-
-    #[test]
     fn accumulates_into_existing_c() {
         // C starts non-empty: result must be max(C_old, A⊗B).
         let (a, b) = small_f32();
@@ -372,7 +326,6 @@ mod tests {
         let b = Matrix::<f32>::filled(0, 0, 0.0);
         let mut c = Matrix::<f32>::filled(0, 0, 0.0);
         maxplus_gemm_tiled(&a, &b, &mut c, TileShape::cubic(4));
-        maxplus_gemm_par_rows(&a, &b, &mut c, TileShape::cubic(4));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! rounding cannot mask (or fake) disagreements.
 
 use proptest::prelude::*;
-use tropical::gemm::{
-    gemm_naive, gemm_permuted, maxplus_gemm_par_rows, maxplus_gemm_tiled, TileShape,
-};
+use tropical::gemm::{gemm_naive, gemm_permuted, maxplus_gemm_tiled, TileShape};
 use tropical::matrix::Matrix;
 use tropical::scalar::{mp_axpy, mp_axpy_reduce};
 use tropical::semiring::{MaxPlusInt, MinPlus, Semiring, NEG_INF_I64};
@@ -82,9 +80,6 @@ proptest! {
         let mut c = Matrix::neg_inf(m, n);
         maxplus_gemm_tiled(&a, &b, &mut c, TileShape { ti, tk, tj });
         prop_assert_eq!(c.as_slice(), reference.as_slice());
-        let mut cp = Matrix::neg_inf(m, n);
-        maxplus_gemm_par_rows(&a, &b, &mut cp, TileShape { ti, tk, tj });
-        prop_assert_eq!(cp.as_slice(), reference.as_slice());
     }
 
     #[test]
