@@ -17,6 +17,9 @@
 #   4. workspace tests              includes the lint self-test (mutant
 #                                   fixtures flagged + clean tree passes)
 #   5. fault-injection suite        deterministic failure-path proofs
+#   5b. split-wave repeats          the split batch tests and the pool
+#                                   tests, 50 runs each (thread
+#                                   interleavings differ run to run)
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
 #   7. coordinator recovery suite   real spawned worker processes:
 #                                   SIGKILL-a-worker merge bit-identity,
@@ -81,6 +84,29 @@ echo "== fault-injection suite (--features fault-inject) =="
 # proves every injected panic/alloc-failure/slow problem maps to the
 # right batch outcome and that survivors stay bit-identical.
 cargo test -p bpmax --features fault-inject --offline -q
+
+echo "== split-wave repeats (50 runs each) =="
+# A split batch wave's threads claim problems in an order that differs
+# from run to run, and they share one block pool, so one pass proves
+# little: with the pool top-up removed and the split forced,
+# warm_pool_allocates_nothing_on_the_second_wave still passed 161 of
+# 200 runs. Build once, then run the split tests
+# (batch::tests::split_*, forced past the cutoff) and the three pool
+# tests 50 times each; any failure stops the gate. On a disk with slow
+# fsync most of the time is the journaling split test's writes.
+split_bins="$(cargo test -p bpmax --features fault-inject --offline --no-run \
+    --lib --test fault_injection 2>&1)"
+SPLIT_LIB="$(sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))$/\1/p' <<< "$split_bins")"
+SPLIT_FAULT="$(sed -n 's/.*Executable tests\/fault_injection.rs (\(.*\))$/\1/p' <<< "$split_bins")"
+for run in $(seq 1 50); do
+    out="$("$SPLIT_LIB" -q batch::tests::split_ \
+        batch::tests::warm_pool_allocates_nothing_on_the_second_wave \
+        batch::tests::cancelled_token_marks_every_item_cancelled 2>&1)" ||
+        { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
+    out="$("$SPLIT_FAULT" -q --exact zero_steady_state_allocation_holds_across_faulted_waves 2>&1)" ||
+        { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
+done
+echo "-- split waves: 50 runs of the split and pool tests passed"
 
 echo "== crash-recovery suite (cli, --features fault-inject) =="
 # SIGKILLs a checkpointed scan mid-wave and resumes it: the ranked output
@@ -205,17 +231,19 @@ echo "== cargo doc (deny rustdoc warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 # ThreadSanitizer over the concurrency model tests (CancelToken / Watch
-# cancellation, BlockPool quarantine handoff), the batch engine suite,
-# and the split-wavefront engine tests (engine::tests::split_*: one
-# outer diagonal's triangles on scoped threads that share the table —
-# the first solver data read by more than one thread). Needs nightly +
+# cancellation, BlockPool quarantine handoff), the batch engine suite
+# (its `batch::` filter includes the split-wave tests batch::tests::split_*:
+# a wave's coarse problems on scoped threads that share the block pool
+# and the checkpoint journal), and the split-wavefront engine tests
+# (engine::tests::split_*: one outer diagonal's triangles on scoped
+# threads that share the table). Needs nightly +
 # rust-src (std is rebuilt instrumented so its synchronization is
 # visible to TSan). $1 is "required" or "auto".
 run_tsan() {
     local host
     host="$(rustc -vV | sed -n 's/^host: //p')"
     if rustup component list --toolchain nightly 2> /dev/null | grep -q '^rust-src.*(installed)'; then
-        echo "-- tsan: loom models + batch suite + split wavefront ($host)"
+        echo "-- tsan: loom models + batch suite (split waves included) + split wavefront ($host)"
         RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -Zbuild-std --target "$host" -p bpmax --offline -q \
             --test loom_models

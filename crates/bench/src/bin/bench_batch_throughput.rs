@@ -8,8 +8,9 @@
 //! the cold wave the steady state must allocate **zero** new blocks
 //! (`second_wave_allocs`), which this binary asserts — that part is
 //! hardware-independent. The wall-clock speedup is reported but not
-//! asserted. The engine solves one problem at a time on the calling
-//! thread, so every record is a one-thread (`t=1`) measurement.
+//! asserted. Every batch record carries `workers`, the threads the
+//! wave's coarse group ran on (the default sizes are all coarse; 1 when
+//! the wave is too small to split).
 //!
 //! Also measured: the same wave with durable checkpoint journaling
 //! (`solve_all_checkpointed` — the fsync-per-problem overhead) and a
@@ -94,6 +95,7 @@ fn main() {
     rep.measured("measured/batch/t=1", warm_stats, Some(total_flops));
     rep.annotate(&[
         ("problems", count as f64),
+        ("workers", warm.workers as f64),
         ("speedup_vs_naive", speedup),
         ("coarse_fraction", warm.coarse_fraction()),
         ("latency_median_s", lat_med),
@@ -136,6 +138,7 @@ fn main() {
     );
     rep.annotate(&[
         ("problems", count as f64),
+        ("workers", sup_wave.workers as f64),
         ("outcomes_ok", counts.ok as f64),
         ("outcomes_degraded", counts.degraded as f64),
         ("outcomes_failed", counts.failed as f64),
@@ -182,6 +185,7 @@ fn main() {
     );
     rep.annotate(&[
         ("problems", count as f64),
+        ("workers", ckpt_wave.workers as f64),
         (
             "journal_overhead_vs_warm",
             (ckpt_stats.median_s - warm_stats.median_s) / warm_stats.median_s,
@@ -190,6 +194,7 @@ fn main() {
     rep.measured("measured/batch-resume-replay/t=1", resume_stats, None);
     rep.annotate(&[
         ("problems", count as f64),
+        ("workers", resumed.workers as f64),
         ("replayed", resumed.replayed as f64),
     ]);
     let _ = std::fs::remove_dir_all(&ckpt_dir);
@@ -211,10 +216,11 @@ fn main() {
     }
     t.print();
     println!(
-        "\ncold wave: {:.4} s; warm speedup vs naive loop: {:.2}x ({:.0}% coarse)",
+        "\ncold wave: {:.4} s; warm speedup vs naive loop: {:.2}x ({:.0}% coarse, on {} thread(s))",
         cold.wall_s,
         speedup,
-        100.0 * warm.coarse_fraction()
+        100.0 * warm.coarse_fraction(),
+        warm.workers
     );
     println!(
         "arena: {} blocks allocated cold, {} reuses since, {} steady-state allocations",

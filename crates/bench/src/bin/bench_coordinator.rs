@@ -1,7 +1,9 @@
 //! Multi-process coordinator throughput and recovery overhead.
 //!
 //! Measured part: a mixed-size problem set solved three ways — a
-//! single-process `BatchEngine::solve_all` baseline, the multi-process
+//! single-process `BatchEngine::solve_all` baseline (its coarse group
+//! split across the host's cores; the record's `workers` says how many
+//! threads it ran on), the multi-process
 //! coordinator (`bpmax::coordinator::run`, this binary re-invoking
 //! itself as the workers), and the coordinator again with one worker
 //! `SIGKILL`ed mid-run. Merged scores are asserted **bit**-identical to
@@ -163,7 +165,10 @@ fn main() {
         single_stats,
         Some(total_flops),
     );
-    rep.annotate(&[("problems", count as f64)]);
+    rep.annotate(&[
+        ("problems", count as f64),
+        ("workers", baseline.workers as f64),
+    ]);
 
     let costs: Vec<f64> = baseline.items.iter().map(|it| it.seconds).collect();
     let serial_s: f64 = costs.iter().sum();

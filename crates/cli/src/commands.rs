@@ -556,10 +556,11 @@ fn scan_batched(
         })
         .collect();
     let mut note = format!(
-        "batch engine: {} windows in {:.3} s ({:.0} problems/s, {:.0}% coarse, \
-         {} blocks allocated / {} reused)\noutcomes: {counts}",
+        "batch engine: {} windows in {:.3} s on {} thread(s) ({:.0} problems/s, \
+         {:.0}% coarse, {} blocks allocated / {} reused)\noutcomes: {counts}",
         report.len(),
         report.wall_s,
+        report.workers,
         report.problems_per_s(),
         100.0 * report.coarse_fraction(),
         report.pool.allocated,

@@ -11,13 +11,21 @@
 //!    transient allocations; the engine routes them through one
 //!    [`BlockPool`] arena so the steady state allocates **nothing**
 //!    ([`PoolStats`] is the receipt — see `bench_batch_throughput`).
-//! 2. **Resumable large problems.** Every problem runs the same serial
-//!    wavefront traversal (see [`crate::engine`]), one at a time.
+//!    That holds when threads share the arena too: before a split group
+//!    starts, the pool is topped up to as many spares as the group can
+//!    hold in flight, so no interleaving of its workers allocates.
+//! 2. **Two levels of threads, resumable large problems.**
 //!    [`BatchEngine::classify_coarse`] prices each problem with the
-//!    calibratable [`perfmodel`](crate::perfmodel) cost model: small
-//!    (*coarse*) problems run first, and only a large problem that is
-//!    interrupted snapshots its finished diagonals for
-//!    [`BatchEngine::resume`].
+//!    calibratable [`perfmodel`](crate::perfmodel) cost model. The small
+//!    (*coarse*) problems run first, under the paper's coarse-grain
+//!    schedule one level up: up to one thread per core claims whole
+//!    problems one at a time in index order, by the same split rule the
+//!    wavefront applies to an outer diagonal's triangles (at least
+//!    0.7 MFLOP per thread, see [`crate::engine`]). The rest run one at a
+//!    time, and each may split its own diagonals. Only such a large
+//!    problem snapshots its finished diagonals when it is interrupted, for
+//!    [`BatchEngine::resume`]; a coarse problem never does, so the single
+//!    snapshot file has one writer at a time.
 //! 3. **Telemetry.** A service needs per-problem latency and aggregate
 //!    throughput, not a bare score: [`BatchReport`] carries both and
 //!    feeds the `bench::report` JSON schema.
@@ -38,7 +46,7 @@
 use crate::checkpoint::{
     self, problem_id, CheckpointSink, Fnv64, JournalRecord, RunManifest, TableSnapshot,
 };
-use crate::engine::{BpMaxProblem, Solution, SolveOptions};
+use crate::engine::{run_split, BpMaxProblem, Solution, SolveOptions, Split};
 use crate::error::BpMaxError;
 use crate::ftable::{BlockPool, FTable, PoolStats};
 use crate::perfmodel::{predict_bpmax_seconds, CostModel};
@@ -208,6 +216,10 @@ pub struct BatchReport {
     /// instead of recomputed (0 for fresh runs). Replayed items carry
     /// their original score, outcome and latency, but never a table.
     pub replayed: usize,
+    /// Threads the coarse group ran on: 1 for a serial wave, and for a
+    /// coordinator's merged report (each worker process solves one
+    /// problem at a time).
+    pub workers: usize,
 }
 
 impl BatchReport {
@@ -350,8 +362,11 @@ impl BatchEngine {
     /// Solve every problem; results come back in input order,
     /// bit-identical to per-problem [`BpMaxProblem::solve_opts`] calls.
     ///
-    /// Problems run one at a time: the coarse-classified ones first, then
-    /// the rest, each group in input order.
+    /// The coarse-classified problems run first, on up to one thread per
+    /// core ([`BatchReport::workers`]) that claim them one at a time in
+    /// input order; then the rest run one at a time in input order. Each
+    /// item's `seconds` is its own latency, so with two threads the items
+    /// overlap and their sum can exceed the wave's `wall_s`.
     ///
     /// Supervision is per-problem, never per-wave: a problem that is
     /// cancelled, times out, blows its memory budget, or panics becomes a
@@ -359,9 +374,14 @@ impl BatchEngine {
     /// recycled or quarantined), while every other problem completes
     /// normally. The wave-wide deadline clock starts here.
     pub fn solve_all(&self, problems: &[BpMaxProblem]) -> Result<BatchReport, BpMaxError> {
-        let mut slots: Vec<Option<BatchItem>> = Vec::new();
-        slots.resize_with(problems.len(), || None);
-        self.run_batch(problems, None, slots, None, 0)
+        self.run_batch(
+            problems,
+            None,
+            empty_slots(problems),
+            None,
+            0,
+            Split::host(),
+        )
     }
 
     /// [`BatchEngine::solve_all`] with durable progress: a fresh
@@ -370,20 +390,38 @@ impl BatchEngine {
     /// interrupted large problem). A killed or cancelled run can be
     /// picked up by [`BatchEngine::resume`] without recomputing anything
     /// that finished. Any previous checkpoint in `dir` is replaced.
+    ///
+    /// Records land in completion order, which on a split wave can differ
+    /// from input order; [`BatchEngine::resume`] keys on the index.
     pub fn solve_all_checkpointed(
         &self,
         problems: &[BpMaxProblem],
         dir: &Path,
     ) -> Result<BatchReport, BpMaxError> {
+        let sink = self.fresh_checkpoint(problems, dir)?;
+        self.run_batch(
+            problems,
+            Some(&sink),
+            empty_slots(problems),
+            None,
+            0,
+            Split::host(),
+        )
+    }
+
+    /// A new checkpoint for `problems` under `dir`: this engine's
+    /// manifest and an empty journal.
+    fn fresh_checkpoint(
+        &self,
+        problems: &[BpMaxProblem],
+        dir: &Path,
+    ) -> Result<CheckpointSink, BpMaxError> {
         let manifest = RunManifest {
             options_hash: self.opts.fingerprint(),
             seed: 0,
             problem_ids: problems.iter().map(problem_id).collect(),
         };
-        let sink = CheckpointSink::create(dir, &manifest)?;
-        let mut slots: Vec<Option<BatchItem>> = Vec::new();
-        slots.resize_with(problems.len(), || None);
-        self.run_batch(problems, Some(&sink), slots, None, 0)
+        CheckpointSink::create(dir, &manifest)
     }
 
     /// Resume an interrupted [`BatchEngine::solve_all_checkpointed`] run
@@ -429,8 +467,7 @@ impl BatchEngine {
         }
 
         let jpath = checkpoint::journal_path(dir).display().to_string();
-        let mut slots: Vec<Option<BatchItem>> = Vec::new();
-        slots.resize_with(problems.len(), || None);
+        let mut slots = empty_slots(problems);
         let mut replayed = 0usize;
         for rec in &records {
             let i = rec.index as usize;
@@ -504,12 +541,21 @@ impl BatchEngine {
             None => None,
         };
 
-        self.run_batch(problems, Some(&sink), slots, snapshot.as_ref(), replayed)
+        self.run_batch(
+            problems,
+            Some(&sink),
+            slots,
+            snapshot.as_ref(),
+            replayed,
+            Split::host(),
+        )
     }
 
     /// The shared wave driver behind every `solve_all*` flavour. Slots
     /// already filled (journal replays) are skipped; `snapshot`, when it
     /// targets a still-pending problem, seeds that problem's table.
+    /// `split` decides how many threads the coarse group runs on
+    /// ([`Split::host`] outside tests).
     fn run_batch(
         &self,
         problems: &[BpMaxProblem],
@@ -517,6 +563,7 @@ impl BatchEngine {
         mut slots: Vec<Option<BatchItem>>,
         snapshot: Option<&TableSnapshot>,
         replayed: usize,
+        split: Split,
     ) -> Result<BatchReport, BpMaxError> {
         let start = Instant::now();
         let batch_sup = Supervision {
@@ -527,16 +574,33 @@ impl BatchEngine {
         };
         let sup = Supervision::merged(&batch_sup, self.opts.solve.supervision());
         let coarse_class: Vec<bool> = problems.iter().map(|p| self.classify_coarse(p)).collect();
+        let solve = |i: usize| {
+            let snap = snapshot.filter(|s| s.index as usize == i);
+            let coarse = coarse_class[i];
+            self.solve_one(&problems[i], i, coarse, &sup, ckpt, snap, &self.opts.solve)
+        };
 
-        // the coarse class first, then the rest, each in input order
-        for coarse in [true, false] {
-            for (i, problem) in problems.iter().enumerate() {
-                if coarse_class[i] == coarse && slots[i].is_none() {
-                    let snap = snapshot.filter(|s| s.index as usize == i);
-                    let item =
-                        self.solve_one(problem, i, coarse, &sup, ckpt, snap, &self.opts.solve);
-                    slots[i] = Some(item);
-                }
+        // The coarse group first: `workers` threads claim its problems
+        // one at a time in input order, each solving on its own thread
+        // under its own supervision.
+        let mut group: Vec<(usize, &mut Option<BatchItem>)> = slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, slot)| coarse_class[*i] && slot.is_none())
+            .collect();
+        let flops = group.iter().map(|&(i, _)| problems[i].flops() as f64).sum();
+        let workers = split.workers(group.len(), flops);
+        // a wave that is over before it starts allocates nothing
+        if workers > 1 && Watch::new(&sup).check_now().is_ok() {
+            self.top_up(group.iter().map(|&(i, _)| &problems[i]), workers, &sup);
+        }
+        run_split(&mut group, workers, |(i, slot)| **slot = Some(solve(*i)));
+
+        // then the rest, one at a time in input order; each may split
+        // its own outer diagonals
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.is_none() {
+                *slot = Some(solve(i));
             }
         }
 
@@ -556,7 +620,37 @@ impl BatchEngine {
             wall_s: start.elapsed().as_secs_f64(),
             pool: self.blocks.stats(),
             replayed,
+            workers,
         })
+    }
+
+    /// Top the arena up before `workers` threads share it on `group`:
+    /// with at most `workers` tables in flight, spares for the blocks of
+    /// the largest `workers` tables, each as long as the longest block,
+    /// mean best-fit never allocates, however the threads interleave.
+    /// Problems the memory budget refuses never take a table.
+    fn top_up<'p>(
+        &self,
+        group: impl Iterator<Item = &'p BpMaxProblem>,
+        workers: usize,
+        sup: &Supervision,
+    ) {
+        let mut blocks = Vec::new();
+        let mut len = 0;
+        for problem in group {
+            let layout = self.opts.solve.resolved_layout(problem.layout());
+            let (m, n) = (problem.ctx().m(), problem.ctx().n());
+            let Ok((outer, block_len)) = FTable::checked_shape(m, n, layout) else {
+                continue;
+            };
+            let bytes = (outer * block_len * std::mem::size_of::<f32>()) as u64;
+            if sup.budget.is_none_or(|b| b.allows(bytes)) {
+                blocks.push(outer);
+                len = len.max(block_len);
+            }
+        }
+        blocks.sort_unstable_by(|a, b| b.cmp(a));
+        self.blocks.top_up(blocks.iter().take(workers).sum(), len);
     }
 
     /// Solve one problem on a pooled table. Infallible by design: every
@@ -731,6 +825,11 @@ impl BatchEngine {
             }
         }
     }
+}
+
+/// One empty result slot per problem.
+fn empty_slots(problems: &[BpMaxProblem]) -> Vec<Option<BatchItem>> {
+    problems.iter().map(|_| None).collect()
 }
 
 /// Best-effort text of a caught panic payload.
@@ -1139,6 +1238,188 @@ mod tests {
         let (_, records, _) = checkpoint::load(&dir).unwrap();
         assert_eq!(records.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every worker count, forced past the cutoff (`min_flops` 0).
+    fn forced() -> [Split; 4] {
+        [1, 2, 3, 8].map(|cores| Split {
+            cores,
+            min_flops: 0.0,
+        })
+    }
+
+    /// One uncheckpointed wave with its coarse group split by `split`.
+    fn split_wave(engine: &BatchEngine, problems: &[BpMaxProblem], split: Split) -> BatchReport {
+        engine
+            .run_batch(problems, None, empty_slots(problems), None, 0, split)
+            .unwrap()
+    }
+
+    fn score_bits(report: &BatchReport) -> Vec<u32> {
+        report.items.iter().map(|i| i.score.to_bits()).collect()
+    }
+
+    #[test]
+    fn split_waves_are_bit_identical_to_serial_waves_and_solve_opts() {
+        // 5 problems: 8 workers are more threads than problems
+        for count in [5, 12] {
+            let problems = mixed_problems(count, 60);
+            let want: Vec<u32> = problems
+                .iter()
+                .map(|p| {
+                    p.solve_opts(&SolveOptions::new())
+                        .unwrap()
+                        .score()
+                        .to_bits()
+                })
+                .collect();
+            let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+            let serial = split_wave(&engine, &problems, Split::SERIAL);
+            assert_eq!(serial.workers, 1);
+            assert_eq!(score_bits(&serial), want, "serial wave");
+            for split in forced() {
+                let report = split_wave(&engine, &problems, split);
+                assert_eq!(report.workers, split.cores.min(count), "{split:?}");
+                assert_eq!(score_bits(&report), want, "{split:?}");
+                for (i, item) in report.items.iter().enumerate() {
+                    assert_eq!(item.index, i, "{split:?}: input order");
+                    assert_eq!(item.outcome, Outcome::Ok, "{split:?}");
+                    assert!(item.coarse && item.seconds >= 0.0, "{split:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_checkpointed_waves_journal_every_index_once_and_resume_replays_them() {
+        let problems = mixed_problems(5, 61);
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let want = score_bits(&split_wave(&engine, &problems, Split::SERIAL));
+        let every: Vec<u64> = (0..problems.len() as u64).collect();
+        for split in forced() {
+            let dir = tmpdir("split");
+            let sink = engine.fresh_checkpoint(&problems, &dir).unwrap();
+            let report = engine
+                .run_batch(
+                    &problems,
+                    Some(&sink),
+                    empty_slots(&problems),
+                    None,
+                    0,
+                    split,
+                )
+                .unwrap();
+            drop(sink);
+            assert_eq!(score_bits(&report), want, "{split:?}");
+            // records land in completion order; each index exactly once
+            let (_, records, snapshot) = checkpoint::load(&dir).unwrap();
+            let mut journaled: Vec<u64> = records.iter().map(|r| r.index).collect();
+            journaled.sort_unstable();
+            assert_eq!(journaled, every, "{split:?}");
+            assert_eq!(snapshot, None, "{split:?}");
+            let resumed = engine.resume(&problems, &dir).unwrap();
+            assert_eq!(resumed.replayed, problems.len(), "{split:?}");
+            assert_eq!(score_bits(&resumed), want, "{split:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn split_warm_pool_allocates_nothing_on_the_second_wave() {
+        let problems = mixed_problems(10, 44);
+        for split in forced() {
+            let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+            let first = split_wave(&engine, &problems, split);
+            assert!(first.pool.allocated > 0, "cold start allocates");
+            let second = split_wave(&engine, &problems, split);
+            assert_eq!(
+                second.pool.allocated_since(&first.pool),
+                0,
+                "{split:?}: steady state must be allocation-free: {:?} -> {:?}",
+                first.pool,
+                second.pool
+            );
+            assert!(second.pool.reused > first.pool.reused);
+        }
+    }
+
+    #[test]
+    fn split_cancelled_wave_allocates_nothing() {
+        let problems = mixed_problems(5, 47);
+        let token = CancelToken::new();
+        token.cancel();
+        for split in forced() {
+            let engine = BatchEngine::new(BatchOptions::new().cancel(token.clone())).unwrap();
+            let report = split_wave(&engine, &problems, split);
+            assert_eq!(report.outcomes().cancelled, 5, "{split:?}");
+            assert_eq!(report.pool.allocated, 0, "{split:?}");
+            assert_eq!(report.pool.quarantined, 0, "{split:?}");
+        }
+    }
+
+    #[test]
+    fn split_rule_keeps_small_batches_serial_and_splits_a_scan_wave_on_two_cores() {
+        let two = Split {
+            cores: 2,
+            min_flops: crate::engine::MIN_FLOPS_PER_WORKER,
+        };
+        let flops = |ps: &[BpMaxProblem]| ps.iter().map(|p| p.flops() as f64).sum::<f64>();
+        let small = mixed_problems(10, 44);
+        assert_eq!(two.workers(small.len(), flops(&small)), 1);
+        // the `scan --batch` shape: a 12-nt query against each 16-nt
+        // window start of a 200-nt target, every window coarse
+        let mut rng = StdRng::seed_from_u64(62);
+        let query = RnaSeq::random(&mut rng, 12);
+        let target = RnaSeq::random(&mut rng, 200);
+        let windows: Vec<BpMaxProblem> = (0..200)
+            .map(|s| {
+                let window = target.slice(s, (s + 16).min(200));
+                BpMaxProblem::new(query.clone(), window, ScoringModel::bpmax_default())
+            })
+            .collect();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        assert!(windows.iter().all(|p| engine.classify_coarse(p)));
+        assert_eq!(two.workers(windows.len(), flops(&windows)), 2);
+    }
+
+    /// The fault registry is process-global and other unit tests' waves
+    /// consult it, so the fault sits at index 13: past the end of every
+    /// other wave in this crate's unit tests (12 problems at most).
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn split_group_isolates_an_injected_panic() {
+        use crate::supervise::fault::{self, Fault, FaultPlan};
+        struct Disarm;
+        impl Drop for Disarm {
+            fn drop(&mut self) {
+                fault::disarm();
+            }
+        }
+        const AT: usize = 13;
+        let problems = mixed_problems(16, 63);
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let want = score_bits(&split_wave(&engine, &problems, Split::SERIAL));
+        let _disarm = Disarm;
+        fault::arm(FaultPlan::new().fail(fault::SITE_COMPUTE, AT, Fault::Panic));
+        for split in forced() {
+            let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+            let report = split_wave(&engine, &problems, split);
+            for (i, item) in report.items.iter().enumerate() {
+                if i == AT {
+                    assert_eq!(item.outcome, Outcome::Failed, "{split:?}");
+                    assert!(
+                        matches!(&item.error, Some(BpMaxError::Panicked { detail })
+                            if detail.contains("injected fault")),
+                        "{split:?}: {:?}",
+                        item.error
+                    );
+                } else {
+                    assert_eq!(item.outcome, Outcome::Ok, "{split:?}: survivor {i}");
+                    assert_eq!(item.score.to_bits(), want[i], "{split:?}: survivor {i}");
+                }
+            }
+            assert_eq!(report.pool.quarantined, 1, "{split:?}: {:?}", report.pool);
+        }
     }
 
     #[test]

@@ -1123,6 +1123,7 @@ pub fn merge(
         wall_s: 0.0,
         pool: PoolStats::default(),
         replayed: 0,
+        workers: 1,
     })
 }
 

@@ -23,11 +23,12 @@
 //! per core only while each worker's share is at least 0.7 MFLOP
 //! (`MIN_FLOPS_PER_WORKER`, DESIGN.md §3). Below that cutoff the serial
 //! loop runs unchanged, so the 12×16 and 16×16 solves of scan and serve
-//! never spawn a thread. `FineGrain` and `Hybrid` run the same
-//! coarse-grain split: a per-triangle split would only help diagonals
-//! with fewer triangles than cores. Behaviour beyond this host's cores is
-//! modelled by `simsched`, and the paper's schedules are verified by
-//! [`crate::schedules`].
+//! never spawn a thread; a batch wave splits its many small problems
+//! across threads instead, by the same rule ([`crate::batch`]).
+//! `FineGrain` and `Hybrid` run the same coarse-grain split: a
+//! per-triangle split would only help diagonals with fewer triangles than
+//! cores. Behaviour beyond this host's cores is modelled by `simsched`,
+//! and the paper's schedules are verified by [`crate::schedules`].
 //!
 //! The wavefront invariant shared by all optimized versions: triangles are
 //! produced in ascending outer diagonal `d1 = j1 − i1`; within a diagonal,
@@ -50,12 +51,14 @@ use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// The least max-plus work, in flops, that one worker of a split outer
-/// diagonal must get. A second worker has to save at least twice the
-/// cost of a scoped spawn and join at the one-thread solve rate; the
+/// The least max-plus work, in flops, that one worker of a split must
+/// get, whether it splits an outer diagonal's triangles or a batch wave's
+/// coarse problems. A second worker has to save at least twice the cost
+/// of a scoped spawn and join at the one-thread solve rate; the
 /// measurements behind the value are in DESIGN.md §3. Every diagonal of
 /// a 12×16 or 16×16 solve stays below it, and every 40×40 diagonal but
-/// the one-triangle top one splits on two cores.
+/// the one-triangle top one splits on two cores; so does a 200-window
+/// scan wave (143 MFLOP), and a batch of a few tiny problems does not.
 pub(crate) const MIN_FLOPS_PER_WORKER: f64 = 0.7e6;
 
 /// Which `BPMax` program version to run.
@@ -620,7 +623,7 @@ impl BpMaxProblem {
         for d1 in start..end {
             watch.note_progress(d1);
             watch.check()?;
-            let workers = split.workers(d1, m, n);
+            let workers = split.diagonal_workers(d1, m, n);
             if workers == 1 {
                 for i1 in 0..m - d1 {
                     let j1 = i1 + d1;
@@ -654,43 +657,53 @@ fn triangle(ctx: &Ctx, f: &FTable, i1: usize, j1: usize, acc: &mut [f32], order:
     finalize_triangle(ctx, i1, j1, f, prev, acc);
 }
 
-/// How many threads the wavefront may run one outer diagonal on.
+/// How many threads one split may run on: an outer diagonal's triangles
+/// in the wavefront, or a batch wave's coarse problems
+/// ([`crate::batch`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Split {
+pub(crate) struct Split {
     /// Threads at most: the host's cores, or 1 for the serial versions.
-    cores: usize,
+    pub(crate) cores: usize,
     /// Flops each worker must get ([`MIN_FLOPS_PER_WORKER`]; 0 lifts the
     /// floor, which only tests do).
-    min_flops: f64,
+    pub(crate) min_flops: f64,
 }
 
 impl Split {
     /// The serial programs: one worker on every diagonal.
-    const SERIAL: Split = Split {
+    pub(crate) const SERIAL: Split = Split {
         cores: 1,
         min_flops: MIN_FLOPS_PER_WORKER,
     };
 
-    /// The split versions on this host.
-    fn host() -> Split {
+    /// The split versions, and batch waves, on this host.
+    pub(crate) fn host() -> Split {
         Split {
             cores: host_cores(),
             min_flops: MIN_FLOPS_PER_WORKER,
         }
     }
 
-    /// Workers for outer diagonal `d1` of an `m × n` problem:
-    /// `min(cores, triangles, ⌊flops / min_flops⌋)`, at least 1, where
-    /// `flops` is the diagonal's `R0`, `R1` and `R2` max-plus work.
-    fn workers(self, d1: usize, m: usize, n: usize) -> usize {
-        let cells = m - d1;
+    /// Workers for `items` independent pieces of work that total `flops`
+    /// max-plus operations: `min(cores, items, ⌊flops / min_flops⌋)`, at
+    /// least 1.
+    pub(crate) fn workers(self, items: usize, flops: f64) -> usize {
         let by_work = if self.min_flops > 0.0 {
-            let flops = cells as f64 * (triangle_r0_flops(d1, n) + triangle_r12_flops(n));
             (flops / self.min_flops) as usize
         } else {
             usize::MAX
         };
-        self.cores.min(cells).min(by_work).max(1)
+        self.cores.min(items).min(by_work).max(1)
+    }
+
+    /// [`Split::workers`] for outer diagonal `d1` of an `m × n` problem:
+    /// its triangles, priced by their `R0`, `R1` and `R2` work.
+    fn diagonal_workers(self, d1: usize, m: usize, n: usize) -> usize {
+        let cells = m - d1;
+        self.workers(
+            cells,
+            cells as f64 * (triangle_r0_flops(d1, n) + triangle_r12_flops(n)),
+        )
     }
 }
 
@@ -706,7 +719,7 @@ fn host_cores() -> usize {
 /// `schedule(dynamic, 1)`). A helper the OS refuses to start leaves its
 /// share to the others. A panic in any worker reaches the caller with
 /// its own payload, after every other worker has stopped.
-fn run_split<T: Send>(items: &mut [T], workers: usize, work: impl Fn(&mut T) + Sync) {
+pub(crate) fn run_split<T: Send>(items: &mut [T], workers: usize, work: impl Fn(&mut T) + Sync) {
     let claims = Mutex::new(items.iter_mut());
     let drain = || loop {
         // the guard drops at the end of this statement: `work` runs unlocked
@@ -1187,15 +1200,23 @@ mod tests {
         };
         for (m, n) in [(16, 16), (12, 16)] {
             for d1 in 0..m {
-                assert_eq!(two.workers(d1, m, n), 1, "{m}x{n} d1={d1}");
+                assert_eq!(two.diagonal_workers(d1, m, n), 1, "{m}x{n} d1={d1}");
             }
         }
         for d1 in 0..39 {
-            assert_eq!(two.workers(d1, 40, 40), 2, "40x40 d1={d1}");
+            assert_eq!(two.diagonal_workers(d1, 40, 40), 2, "40x40 d1={d1}");
         }
-        assert_eq!(two.workers(39, 40, 40), 1, "the one-triangle top diagonal");
+        assert_eq!(
+            two.diagonal_workers(39, 40, 40),
+            1,
+            "the one-triangle top diagonal"
+        );
         for d1 in 0..40 {
-            assert_eq!(Split::SERIAL.workers(d1, 40, 40), 1, "serial d1={d1}");
+            assert_eq!(
+                Split::SERIAL.diagonal_workers(d1, 40, 40),
+                1,
+                "serial d1={d1}"
+            );
         }
     }
 

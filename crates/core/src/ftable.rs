@@ -70,8 +70,11 @@ impl PoolStats {
 /// capacity) and serves later acquisitions best-fit, so after a warm-up
 /// wave the steady state performs **zero** block allocations
 /// ([`PoolStats`] proves it). Thread-safe: the spare list is behind a
-/// mutex, the counters are atomics — cheap next to the `Θ(M³N³)` solve
-/// each block participates in.
+/// mutex, the counters are atomics, and a table takes and returns all
+/// its blocks under one lock (`acquire_blocks`, `release_blocks`). Two
+/// threads that shared the pool block by block on a split 200-window
+/// scan wave spent about 46% longer per problem than one thread alone;
+/// per table they meet 78 times less often and the difference is gone.
 #[derive(Debug, Default)]
 pub struct BlockPool {
     /// Spare buffers, sorted by ascending capacity.
@@ -93,31 +96,66 @@ impl BlockPool {
     /// spare is grown (counted as an allocation), or a fresh buffer is
     /// allocated.
     pub fn acquire(&self, len: usize) -> Vec<f32> {
-        let mut buf = {
+        self.acquire_blocks(1, len).pop().unwrap_or_default()
+    }
+
+    /// The `count` buffers that `count` calls of [`BlockPool::acquire`]
+    /// would return, taken under one lock: an F-table takes all its
+    /// blocks at once, so threads that share the pool meet once per
+    /// table, not once per block.
+    pub(crate) fn acquire_blocks(&self, count: usize, len: usize) -> Vec<Vec<f32>> {
+        let mut bufs = {
             let mut spares = self.lock_spares();
+            // successive best-fit picks take the sufficient spares in
+            // ascending order, then grow the largest of the rest
             let pos = spares.partition_point(|s| s.capacity() < len);
-            if pos < spares.len() {
-                spares.remove(pos)
-            } else {
-                spares.pop().unwrap_or_default()
-            }
+            let fit = count.min(spares.len() - pos);
+            let mut bufs: Vec<Vec<f32>> = spares.drain(pos..pos + fit).collect();
+            bufs.extend((fit..count).map(|_| spares.pop().unwrap_or_default()));
+            bufs
         };
-        if buf.capacity() >= len {
-            self.reused.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
-        } else {
-            self.allocated.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
+        let grown = bufs.iter().filter(|b| b.capacity() < len).count() as u64;
+        self.allocated.fetch_add(grown, Ordering::Relaxed); // ordering: monotone stats counter
+        self.reused
+            .fetch_add(count as u64 - grown, Ordering::Relaxed); // ordering: monotone stats counter
+        for buf in &mut bufs {
+            buf.clear();
+            buf.resize(len, NEG_INF);
         }
-        buf.clear();
-        buf.resize(len, NEG_INF);
-        buf
+        bufs
     }
 
     /// Return a buffer to the pool for later reuse.
     pub fn release(&self, buf: Vec<f32>) {
-        self.recycled.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
+        self.release_blocks(vec![buf]);
+    }
+
+    /// Return buffers to the pool for later reuse, under one lock.
+    pub(crate) fn release_blocks(&self, bufs: Vec<Vec<f32>>) {
+        self.recycled
+            .fetch_add(bufs.len() as u64, Ordering::Relaxed); // ordering: monotone stats counter
+        add_spares(&mut self.lock_spares(), bufs);
+    }
+
+    /// Make sure at least `count` spares of capacity `len` or more are
+    /// pooled, allocating the shortfall (counted in
+    /// [`PoolStats::allocated`]). When threads share the pool, which
+    /// buffers are live at once depends on how they interleave. If
+    /// `count` bounds the blocks in flight at any moment and `len` bounds
+    /// every block's length, best-fit always finds a spare, so the
+    /// acquisitions allocate nothing whatever the interleaving.
+    pub(crate) fn top_up(&self, count: usize, len: usize) {
+        if len == 0 {
+            return; // an empty block never touches the allocator
+        }
         let mut spares = self.lock_spares();
-        let pos = spares.partition_point(|s| s.capacity() < buf.capacity());
-        spares.insert(pos, buf);
+        let have = spares.len() - spares.partition_point(|s| s.capacity() < len);
+        let short = count.saturating_sub(have);
+        self.allocated.fetch_add(short as u64, Ordering::Relaxed); // ordering: monotone stats counter
+        add_spares(
+            &mut spares,
+            (0..short).map(|_| Vec::with_capacity(len)).collect(),
+        );
     }
 
     /// Reject a buffer from a failed or aborted solve: count it and drop
@@ -154,6 +192,14 @@ impl BlockPool {
     fn lock_spares(&self) -> std::sync::MutexGuard<'_, Vec<Vec<f32>>> {
         self.spares.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// Add `bufs` to a spare list kept sorted by ascending capacity. The
+/// stable sort merges the sorted list with the new run in about linear
+/// time.
+fn add_spares(spares: &mut Vec<Vec<f32>>, bufs: Vec<Vec<f32>>) {
+    spares.extend(bufs);
+    spares.sort_by_key(Vec::capacity);
 }
 
 /// The packed 4-D `BPMax` table.
@@ -204,7 +250,7 @@ impl FTable {
             n,
             layout,
             block_len,
-            blocks: (0..outer).map(|_| pool.acquire(block_len)).collect(),
+            blocks: pool.acquire_blocks(outer, block_len),
         })
     }
 
@@ -216,13 +262,11 @@ impl FTable {
     /// an aborted solve) is [quarantined](BlockPool::quarantine) instead
     /// of re-entering the arena.
     pub fn recycle(self, pool: &BlockPool) {
-        for block in self.blocks {
-            if block.len() == self.block_len {
-                pool.release(block);
-            } else {
-                pool.quarantine(block);
-            }
-        }
+        let block_len = self.block_len;
+        let (good, bad): (Vec<_>, Vec<_>) =
+            self.blocks.into_iter().partition(|b| b.len() == block_len);
+        bad.into_iter().for_each(|b| pool.quarantine(b));
+        pool.release_blocks(good);
     }
 
     /// Bytes of cell storage a table of shape `m × n` would allocate,
@@ -238,7 +282,11 @@ impl FTable {
     /// Validate `(m, n)` and compute `(outer cells, block length)` without
     /// overflow. `MAX_STRAND` keeps the per-dimension triangle arithmetic
     /// in range; the total-byte check keeps the whole table addressable.
-    fn checked_shape(m: usize, n: usize, layout: Layout) -> Result<(usize, usize), BpMaxError> {
+    pub(crate) fn checked_shape(
+        m: usize,
+        n: usize,
+        layout: Layout,
+    ) -> Result<(usize, usize), BpMaxError> {
         if m > MAX_STRAND || n > MAX_STRAND {
             return Err(BpMaxError::SizeOverflow { m, n });
         }
@@ -564,6 +612,52 @@ mod tests {
         // 50 is the smallest capacity >= 30
         assert!(b.capacity() >= 50 && b.capacity() < 100, "{}", b.capacity());
         assert_eq!(pool.spare_count(), 2);
+    }
+
+    #[test]
+    fn acquire_blocks_matches_successive_acquires() {
+        let pool = |caps: &[usize]| {
+            let pool = BlockPool::new();
+            caps.iter()
+                .for_each(|&c| pool.release(Vec::with_capacity(c)));
+            pool
+        };
+        let caps = [4, 10, 10, 16, 3];
+        // 3 fit, then the largest of the rest (4, then 3) grow
+        for count in [0, 2, 3, 5, 7] {
+            let (one, many) = (pool(&caps), pool(&caps));
+            let singles: Vec<_> = (0..count).map(|_| one.acquire(10)).collect();
+            let batch = many.acquire_blocks(count, 10);
+            let capacity = |bs: &[Vec<f32>]| bs.iter().map(Vec::capacity).collect::<Vec<_>>();
+            assert_eq!(capacity(&batch), capacity(&singles), "count {count}");
+            assert!(batch.iter().all(|b| b.len() == 10 && b[9] == NEG_INF));
+            assert_eq!(many.stats(), one.stats(), "count {count}");
+            assert_eq!(many.spare_count(), one.spare_count(), "count {count}");
+            singles.into_iter().for_each(|b| one.release(b));
+            many.release_blocks(batch);
+            assert_eq!(many.stats(), one.stats(), "count {count}");
+        }
+    }
+
+    #[test]
+    fn top_up_allocates_only_the_shortfall() {
+        let pool = BlockPool::new();
+        pool.release(Vec::with_capacity(4));
+        pool.release(Vec::with_capacity(16));
+        // one spare already holds 10 cells: two more are allocated
+        pool.top_up(3, 10);
+        assert_eq!(pool.stats().allocated, 2);
+        assert_eq!(pool.spare_count(), 4);
+        // nothing is short now, and empty blocks never allocate
+        pool.top_up(3, 10);
+        pool.top_up(9, 0);
+        assert_eq!(pool.stats().allocated, 2);
+        // three acquisitions of 10 cells reuse the spares best-fit
+        let taken: Vec<_> = (0..3).map(|_| pool.acquire(10)).collect();
+        let s = pool.stats();
+        assert_eq!((s.allocated, s.reused), (2, 3));
+        assert_eq!(pool.spare_count(), 1, "the 4-cell spare stays");
+        taken.into_iter().for_each(|b| pool.release(b));
     }
 
     #[test]

@@ -21,18 +21,24 @@ use bpmax::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rna::{RnaSeq, ScoringModel};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// The lock every test holds while it touches the registry or runs a
+/// wave that consults it. Each holder leaves the registry disarmed.
+fn gate() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Serializes tests (the registry is global) and disarms on drop.
 struct Armed {
-    _lock: std::sync::MutexGuard<'static, ()>,
+    _lock: MutexGuard<'static, ()>,
 }
 
 impl Armed {
     fn new(plan: FaultPlan) -> Armed {
-        static GATE: Mutex<()> = Mutex::new(());
-        let lock = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let lock = gate();
         fault::arm(plan);
         Armed { _lock: lock }
     }
@@ -415,7 +421,12 @@ fn disarmed_registry_is_clean() {
         let _armed = Armed::new(FaultPlan::new().fail(fault::SITE_COMPUTE, 0, Fault::Panic));
     }
     let problems = mixed_problems(3, 106);
-    let report = engine().solve_all(&problems).unwrap();
+    // the wave holds the gate, so no other test can arm a plan while it
+    // runs; the registry is as the last guard's Drop left it
+    let report = {
+        let _gate = gate();
+        engine().solve_all(&problems).unwrap()
+    };
     assert!(report.outcomes().all_ok(), "{}", report.outcomes());
     let want: Vec<f32> = problems
         .iter()
