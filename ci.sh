@@ -16,10 +16,13 @@
 #                                   no timing in solver hot loops)
 #   4. workspace tests              includes the lint self-test (mutant
 #                                   fixtures flagged + clean tree passes)
+#   4b. bpmax lib tests, release    overflow checks off, as users build it
 #   5. fault-injection suite        deterministic failure-path proofs
 #   5b. split-wave repeats          the split batch tests and the pool
 #                                   tests, 50 runs each (thread
-#                                   interleavings differ run to run)
+#                                   interleavings differ run to run; the
+#                                   threads share one pool of table
+#                                   buffers)
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
 #   7. coordinator recovery suite   real spawned worker processes:
 #                                   SIGKILL-a-worker merge bit-identity,
@@ -79,6 +82,13 @@ cargo run -q -p bpmax-lint --offline -- .
 echo "== cargo test (workspace) =="
 cargo test --workspace --offline -q
 
+echo "== bpmax lib tests (release) =="
+# Every other stage builds with debug overflow checks, which turn
+# arithmetic on a bad input into a panic. A release build wraps instead,
+# and can accept what the debug build refused (an impossible snapshot
+# shape once did), so the library's unit tests run once without them.
+cargo test --release -p bpmax --lib --offline -q
+
 echo "== fault-injection suite (--features fault-inject) =="
 # The deterministic fault harness only compiles under the feature; it
 # proves every injected panic/alloc-failure/slow problem maps to the
@@ -87,8 +97,8 @@ cargo test -p bpmax --features fault-inject --offline -q
 
 echo "== split-wave repeats (50 runs each) =="
 # A split batch wave's threads claim problems in an order that differs
-# from run to run, and they share one block pool, so one pass proves
-# little: with the pool top-up removed and the split forced,
+# from run to run, and they share one pool of table buffers, so one pass
+# proves little: with the pool top-up removed and the split forced,
 # warm_pool_allocates_nothing_on_the_second_wave still passed 161 of
 # 200 runs. Build once, then run the split tests
 # (batch::tests::split_*, forced past the cutoff) and the three pool
@@ -233,10 +243,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 # ThreadSanitizer over the concurrency model tests (CancelToken / Watch
 # cancellation, BlockPool quarantine handoff), the batch engine suite
 # (its `batch::` filter includes the split-wave tests batch::tests::split_*:
-# a wave's coarse problems on scoped threads that share the block pool
-# and the checkpoint journal), and the split-wavefront engine tests
-# (engine::tests::split_*: one outer diagonal's triangles on scoped
-# threads that share the table). Needs nightly +
+# a wave's coarse problems on scoped threads that share the pool of table
+# buffers and the checkpoint journal), and the split-wavefront engine
+# tests (engine::tests::split_*: one outer diagonal's triangles on scoped
+# threads, each writing its own block while all read the earlier
+# diagonals). Needs nightly +
 # rust-src (std is rebuilt instrumented so its synchronization is
 # visible to TSan). $1 is "required" or "auto".
 run_tsan() {

@@ -5,7 +5,7 @@
 //! time), the batch engine cold (arena empty), and the batch engine warm
 //! (arena populated by the cold wave). Scores are asserted bit-identical
 //! across all three. The headline *metrics* are the arena counters: after
-//! the cold wave the steady state must allocate **zero** new blocks
+//! the cold wave the steady state must allocate **zero** new tables
 //! (`second_wave_allocs`), which this binary asserts — that part is
 //! hardware-independent. The wall-clock speedup is reported but not
 //! asserted. Every batch record carries `workers`, the threads the
@@ -29,7 +29,7 @@ fn main() {
     banner(
         "Batch",
         "batch engine throughput and arena reuse",
-        "steady-state solves allocate zero F-table blocks",
+        "steady-state solves allocate zero F-table buffers",
     );
 
     let count = if opts.smoke {
@@ -86,7 +86,7 @@ fn main() {
     assert_eq!(
         warm_allocs,
         0,
-        "steady state allocated {warm_allocs} blocks (pool {:?})",
+        "steady state allocated {warm_allocs} tables (pool {:?})",
         engine.pool_stats()
     );
 
@@ -223,7 +223,7 @@ fn main() {
         warm.workers
     );
     println!(
-        "arena: {} blocks allocated cold, {} reuses since, {} steady-state allocations",
+        "arena: {} tables allocated cold, {} reuses since, {} steady-state allocations",
         after_cold.allocated,
         engine.pool_stats().reused,
         warm_allocs

@@ -557,7 +557,7 @@ fn scan_batched(
         .collect();
     let mut note = format!(
         "batch engine: {} windows in {:.3} s on {} thread(s) ({:.0} problems/s, \
-         {:.0}% coarse, {} blocks allocated / {} reused)\noutcomes: {counts}",
+         {:.0}% coarse, {} tables allocated / {} reused)\noutcomes: {counts}",
         report.len(),
         report.wall_s,
         report.workers,
@@ -840,7 +840,7 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
                 "requests: {}\ncache hits: {}\nsolves: {}\nrejected: {}\n\
                  cache evictions: {}\nread timeouts: {}\nin flight: {}\n\
                  shed (overload): {}\ndrained: {}\nhandler panics: {}\n\
-                 pool blocks: {} allocated, {} reused, {} recycled, {} quarantined",
+                 pool tables: {} allocated, {} reused, {} recycled, {} quarantined",
                 stats.requests,
                 stats.cache_hits,
                 stats.solves,

@@ -6,14 +6,14 @@
 //! make a batch qualitatively different from a loop over
 //! [`BpMaxProblem::solve_opts`]:
 //!
-//! 1. **Allocation.** Every solve builds a `Θ(M²N²)` [`FTable`] out of
-//!    `M(M+1)/2` block buffers. Across a batch that is millions of
-//!    transient allocations; the engine routes them through one
-//!    [`BlockPool`] arena so the steady state allocates **nothing**
-//!    ([`PoolStats`] is the receipt — see `bench_batch_throughput`).
-//!    That holds when threads share the arena too: before a split group
-//!    starts, the pool is topped up to as many spares as the group can
-//!    hold in flight, so no interleaving of its workers allocates.
+//! 1. **Allocation.** Every solve builds a `Θ(M²N²)` [`FTable`] buffer.
+//!    Across a batch that is one large transient allocation per problem;
+//!    the engine routes them through one [`BlockPool`] arena so the
+//!    steady state allocates **nothing** ([`PoolStats`] is the receipt —
+//!    see `bench_batch_throughput`). That holds when threads share the
+//!    arena too: before a split group starts, the pool is topped up to
+//!    one spare per worker, each as long as the group's longest table, so
+//!    no interleaving of its workers allocates.
 //! 2. **Two levels of threads, resumable large problems.**
 //!    [`BatchEngine::classify_coarse`] prices each problem with the
 //!    calibratable [`perfmodel`](crate::perfmodel) cost model. The small
@@ -40,8 +40,8 @@
 //! [`Deadline`]/[`CancelToken`]/[`MemoryBudget`] merged with any per-solve
 //! supervision), panics are isolated with `catch_unwind`, and every
 //! [`BatchItem`] records an [`Outcome`] instead of aborting
-//! [`BatchEngine::solve_all`]. Buffers touched by a panicked solve are
-//! quarantined, never recycled ([`PoolStats::quarantined`] counts them).
+//! [`BatchEngine::solve_all`]. The buffer of a panicked solve is
+//! quarantined, never recycled ([`PoolStats::quarantined`] counts it).
 
 use crate::checkpoint::{
     self, problem_id, CheckpointSink, Fnv64, JournalRecord, RunManifest, TableSnapshot,
@@ -72,7 +72,7 @@ pub struct BatchOptions {
     /// version, layout) plus per-solve supervision.
     pub solve: SolveOptions,
     /// Keep each problem's full F-table in its [`BatchItem`] (disables
-    /// block recycling for those tables; default `false`).
+    /// buffer recycling for those tables; default `false`).
     pub keep_tables: bool,
     /// Wall-clock budget for the whole wave, anchored when
     /// [`BatchEngine::solve_all`] starts. Problems running (or queued)
@@ -278,12 +278,12 @@ impl BatchReport {
     }
 }
 
-/// The throughput engine: a block arena reused across
+/// The throughput engine: a table arena reused across
 /// [`BatchEngine::solve_all`] waves so it stays warm, plus the cost model
 /// that classifies problems.
 pub struct BatchEngine {
     opts: BatchOptions,
-    blocks: BlockPool,
+    pool: BlockPool,
     cost: CostModel,
     spec: MachineSpec,
     ht: HtModel,
@@ -301,7 +301,7 @@ impl BatchEngine {
         };
         Ok(BatchEngine {
             opts,
-            blocks: BlockPool::new(),
+            pool: BlockPool::new(),
             cost: CostModel::nominal(),
             spec,
             ht,
@@ -315,7 +315,7 @@ impl BatchEngine {
 
     /// Current arena counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.blocks.stats()
+        self.pool.stats()
     }
 
     /// `true` when the cost model predicts this problem below a 10 ms
@@ -340,7 +340,7 @@ impl BatchEngine {
         predict_bpmax_seconds(alg, m, n, 1, &self.cost, &self.spec, self.ht)
     }
 
-    /// Solve one problem on the engine's warm block arena with
+    /// Solve one problem on the engine's warm table arena with
     /// *per-request* solve options — the serve daemon's entry point. The
     /// request is classified like a batch problem
     /// ([`BatchEngine::classify_coarse`]); supervision merges the
@@ -370,7 +370,7 @@ impl BatchEngine {
     ///
     /// Supervision is per-problem, never per-wave: a problem that is
     /// cancelled, times out, blows its memory budget, or panics becomes a
-    /// [`BatchItem`] with the matching [`Outcome`] (and its buffers are
+    /// [`BatchItem`] with the matching [`Outcome`] (and its buffer is
     /// recycled or quarantined), while every other problem completes
     /// normally. The wave-wide deadline clock starts here.
     pub fn solve_all(&self, problems: &[BpMaxProblem]) -> Result<BatchReport, BpMaxError> {
@@ -583,7 +583,7 @@ impl BatchEngine {
         // The coarse group first: `workers` threads claim its problems
         // one at a time in input order, each solving on its own thread
         // under its own supervision.
-        let mut group: Vec<(usize, &mut Option<BatchItem>)> = slots
+        let group: Vec<(usize, &mut Option<BatchItem>)> = slots
             .iter_mut()
             .enumerate()
             .filter(|(i, slot)| coarse_class[*i] && slot.is_none())
@@ -594,7 +594,9 @@ impl BatchEngine {
         if workers > 1 && Watch::new(&sup).check_now().is_ok() {
             self.top_up(group.iter().map(|&(i, _)| &problems[i]), workers, &sup);
         }
-        run_split(&mut group, workers, |(i, slot)| **slot = Some(solve(*i)));
+        run_split(group.into_iter(), workers, |(i, slot)| {
+            *slot = Some(solve(i));
+        });
 
         // then the rest, one at a time in input order; each may split
         // its own outer diagonals
@@ -618,39 +620,33 @@ impl BatchEngine {
                 .map(|s| s.expect("every slot filled")) // lint: allow(expect): the dispatch loop filled every slot
                 .collect(),
             wall_s: start.elapsed().as_secs_f64(),
-            pool: self.blocks.stats(),
+            pool: self.pool.stats(),
             replayed,
             workers,
         })
     }
 
     /// Top the arena up before `workers` threads share it on `group`:
-    /// with at most `workers` tables in flight, spares for the blocks of
-    /// the largest `workers` tables, each as long as the longest block,
-    /// mean best-fit never allocates, however the threads interleave.
-    /// Problems the memory budget refuses never take a table.
+    /// with at most `workers` tables in flight, `workers` spares, each as
+    /// long as the longest table, mean that best-fit never allocates,
+    /// however the threads interleave. Problems the memory budget refuses
+    /// never take a table.
     fn top_up<'p>(
         &self,
         group: impl Iterator<Item = &'p BpMaxProblem>,
         workers: usize,
         sup: &Supervision,
     ) {
-        let mut blocks = Vec::new();
-        let mut len = 0;
-        for problem in group {
-            let layout = self.opts.solve.resolved_layout(problem.layout());
-            let (m, n) = (problem.ctx().m(), problem.ctx().n());
-            let Ok((outer, block_len)) = FTable::checked_shape(m, n, layout) else {
-                continue;
-            };
-            let bytes = (outer * block_len * std::mem::size_of::<f32>()) as u64;
-            if sup.budget.is_none_or(|b| b.allows(bytes)) {
-                blocks.push(outer);
-                len = len.max(block_len);
-            }
-        }
-        blocks.sort_unstable_by(|a, b| b.cmp(a));
-        self.blocks.top_up(blocks.iter().take(workers).sum(), len);
+        let longest = group
+            .filter_map(|problem| {
+                let layout = self.opts.solve.resolved_layout(problem.layout());
+                FTable::estimate_bytes(problem.ctx().m(), problem.ctx().n(), layout).ok()
+            })
+            .filter(|&bytes| sup.budget.is_none_or(|b| b.allows(bytes)))
+            .max()
+            .unwrap_or(0);
+        let cells = longest / std::mem::size_of::<f32>() as u64;
+        self.pool.top_up(workers, cells as usize);
     }
 
     /// Solve one problem on a pooled table. Infallible by design: every
@@ -760,7 +756,7 @@ impl BatchEngine {
         if fault::active(fault::SITE_ALLOC, index) == Some(fault::Fault::AllocFail) {
             return Err(BpMaxError::SizeOverflow { m, n });
         }
-        let mut f = FTable::try_new_in(m, n, layout, &self.blocks)?;
+        let mut f = FTable::try_new_in(m, n, layout, &self.pool)?;
         // seed the table from a checkpoint snapshot when one targets this
         // problem; a snapshot that no longer fits (layout/shape drift
         // beyond the fingerprint) is simply ignored — recomputing from
@@ -772,11 +768,6 @@ impl BatchEngine {
         let inject_panic = fault::active(fault::SITE_COMPUTE, index) == Some(fault::Fault::Panic);
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if inject_panic {
-                if m > 0 && n > 0 {
-                    // die exactly like a worker mid-triangle: a taken
-                    // block is dropped on the unwind path
-                    let _hostage = f.take_block(0, 0);
-                }
                 panic!("injected fault: compute panic at problem {index}"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
             }
             problem.compute_watched_range(algorithm, &mut f, start_diag, m, &watch)
@@ -788,7 +779,7 @@ impl BatchEngine {
                 let table = if self.opts.keep_tables {
                     Some(solution.into_ftable())
                 } else {
-                    solution.into_ftable().recycle(&self.blocks);
+                    solution.into_ftable().recycle(&self.pool);
                     None
                 };
                 Ok((Outcome::Ok, score, table))
@@ -810,15 +801,13 @@ impl BatchEngine {
                         ));
                     }
                 }
-                // interrupted between diagonals: every block is in the
-                // table, so the recycle is clean
-                f.recycle(&self.blocks);
+                f.recycle(&self.pool);
                 Err(interrupt.into_error())
             }
             Err(payload) => {
-                // recycle validates: blocks lost to the unwind are empty
-                // placeholders and get quarantined, never reused
-                f.recycle(&self.blocks);
+                // whatever the panic left in the buffer never reaches
+                // another problem
+                f.quarantine(&self.pool);
                 Err(BpMaxError::Panicked {
                     detail: panic_detail(payload.as_ref()),
                 })

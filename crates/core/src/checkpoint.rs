@@ -544,6 +544,13 @@ impl TableSnapshot {
         let m = cur.u64("snapshot m")? as usize;
         let n = cur.u64("snapshot n")? as usize;
         let layout = layout_from_code(cur.u8("snapshot layout")?, cur)?;
+        // the CRC only guards against accidents: a shape no table can have
+        // must not reach the block arithmetic below
+        if FTable::estimate_bytes(m, n, layout).is_err() {
+            return Err(cur.corrupt(format!(
+                "snapshot claims a {m}x{n} table, beyond any addressable size"
+            )));
+        }
         let done = cur.u64("snapshot done diagonals")? as usize;
         if done > m {
             return Err(cur.corrupt(format!(
@@ -811,9 +818,12 @@ impl CheckpointSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Algorithm;
+    use crate::engine::{Algorithm, SolveOptions};
     use rna::ScoringModel;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// [`Fnv64`] of the snapshot cell stream in `snapshot_cell_stream_is_pinned`.
+    const PINNED_CELL_STREAM: u64 = 0x4b3b_1a08_a40a_612e;
 
     fn tmpdir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1031,6 +1041,58 @@ mod tests {
             matches!(err, BpMaxError::CheckpointMismatch { .. }),
             "{err}"
         );
+    }
+
+    /// The diagonal-major cell stream a snapshot stores, pinned by hash
+    /// over solved tables of every layout, several shapes (empty and
+    /// one-base strands included) and every prefix: a snapshot written by
+    /// an earlier build must restore into this one.
+    #[test]
+    fn snapshot_cell_stream_is_pinned() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut h = Fnv64::new();
+        for (m, n) in [(0, 3), (1, 4), (3, 0), (2, 1), (5, 3), (7, 6)] {
+            let s1 = rna::RnaSeq::random(&mut rng, m);
+            let s2 = rna::RnaSeq::random(&mut rng, n);
+            for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
+                let p = BpMaxProblem::new(s1.clone(), s2.clone(), ScoringModel::bpmax_default())
+                    .with_layout(layout);
+                let f = p.solve_opts(&SolveOptions::new()).unwrap().into_ftable();
+                for done in 0..=m {
+                    let cells = f.export_diagonals(done);
+                    h.write_u64(cells.len() as u64);
+                    cells.iter().for_each(|&c| h.write_f32(c));
+                }
+            }
+        }
+        assert_eq!(h.finish(), PINNED_CELL_STREAM, "{:#018x}", h.finish());
+    }
+
+    #[test]
+    fn snapshot_with_an_impossible_shape_is_corrupt_not_a_panic() {
+        let dir = tmpdir("shape");
+        let manifest = RunManifest {
+            options_hash: 1,
+            seed: 0,
+            problem_ids: vec![1],
+        };
+        let sink = CheckpointSink::create(&dir, &manifest).unwrap();
+        // a well-formed frame, CRC included, whose shape no table can have
+        sink.snapshot(&TableSnapshot {
+            index: 0,
+            problem_id: 1,
+            m: 1 << 62,
+            n: 4,
+            layout: Layout::Packed,
+            done: 1 << 62,
+            cells: Vec::new(),
+        });
+        assert_eq!(sink.take_error(), None);
+        let err = load(&dir).unwrap_err();
+        assert!(matches!(err, BpMaxError::CorruptCheckpoint { .. }), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! workers, claimed one at a time: the paper's coarse-grain `parallel
 //! for` with a dynamic schedule of chunk 1. A diagonal gets one worker
 //! per core only while each worker's share is at least 0.7 MFLOP
-//! (`MIN_FLOPS_PER_WORKER`, DESIGN.md §3). Below that cutoff the serial
-//! loop runs unchanged, so the 12×16 and 16×16 solves of scan and serve
-//! never spawn a thread; a batch wave splits its many small problems
-//! across threads instead, by the same rule ([`crate::batch`]).
+//! (`MIN_FLOPS_PER_WORKER`, DESIGN.md §3). Below that cutoff the
+//! triangles run in turn on the calling thread, so the 12×16 and 16×16
+//! solves of scan and serve never spawn a thread; a batch wave splits
+//! its many small problems across threads instead, by the same rule
+//! ([`crate::batch`]).
 //! `FineGrain` and `Hybrid` run the same coarse-grain split: a
 //! per-triangle split would only help diagonals with fewer triangles than
 //! cores. Behaviour beyond this host's cores is modelled by `simsched`,
@@ -39,7 +40,7 @@
 
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
-use crate::ftable::{FTable, Layout};
+use crate::ftable::{FTable, FView, Layout};
 use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Tile};
 use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
 use crate::supervise::{
@@ -533,12 +534,10 @@ impl BpMaxProblem {
 
     /// Compute outer diagonals `start..end` into a caller-provided table
     /// under a supervision watch. On interrupt the table is left partially
-    /// filled, never with blocks missing (every taken block is put back
-    /// before the checkpoint that can fire). Diagonals `0..start` must
-    /// already hold final values (a checkpoint snapshot restore);
-    /// `end < m` computes a resumable prefix. By the wavefront invariant
-    /// the cells produced are bit-identical to a full run's, whatever the
-    /// split point.
+    /// filled. Diagonals `0..start` must already hold final values (a
+    /// checkpoint snapshot restore); `end < m` computes a resumable
+    /// prefix. By the wavefront invariant the cells produced are
+    /// bit-identical to a full run's, whatever the split point.
     pub(crate) fn compute_watched_range(
         &self,
         algorithm: Algorithm,
@@ -596,13 +595,11 @@ impl BpMaxProblem {
 
     /// The wavefront driver: ascending outer diagonals `start..end`, and
     /// within a diagonal each triangle's Phase A (`R0` in `order`, then
-    /// `R3`/`R4`) and Phase B. A diagonal that `split` gives one worker
-    /// runs its triangles in turn on this thread; a larger one runs them
-    /// on that many threads ([`run_split`]). The supervision checkpoint
-    /// sits at the top of the `d1` loop — between diagonals every block
-    /// is inside the table, so an interrupt always leaves `f` recyclable
-    /// (and, via [`Watch::note_progress`], with a known-final diagonal
-    /// prefix the checkpoint layer can snapshot).
+    /// `R3`/`R4`) and Phase B, on as many threads as `split` gives the
+    /// diagonal ([`run_split`]). The supervision checkpoint sits at the
+    /// top of the `d1` loop, so an interrupt leaves, via
+    /// [`Watch::note_progress`], a known-final diagonal prefix the
+    /// checkpoint layer can snapshot.
     fn wavefront_range(
         &self,
         order: R0Order,
@@ -624,34 +621,19 @@ impl BpMaxProblem {
             watch.note_progress(d1);
             watch.check()?;
             let workers = split.diagonal_workers(d1, m, n);
-            if workers == 1 {
-                for i1 in 0..m - d1 {
-                    let j1 = i1 + d1;
-                    let mut acc = f.take_block(i1, j1);
-                    triangle(ctx, f, i1, j1, &mut acc, order);
-                    f.put_block(i1, j1, acc);
-                }
-            } else {
-                let mut blocks: Vec<(usize, Vec<f32>)> = (0..m - d1)
-                    .map(|i1| (i1, f.take_block(i1, i1 + d1)))
-                    .collect();
-                let table = &*f;
-                run_split(&mut blocks, workers, |(i1, acc)| {
-                    triangle(ctx, table, *i1, *i1 + d1, acc, order);
-                });
-                for (i1, acc) in blocks {
-                    f.put_block(i1, i1 + d1, acc);
-                }
-            }
+            let (done, diagonal) = f.diagonal_mut(d1);
+            run_split(diagonal.enumerate(), workers, |(i1, acc)| {
+                triangle(ctx, &done, i1, i1 + d1, acc, order);
+            });
         }
         watch.note_progress(end.max(start));
         Ok(())
     }
 }
 
-/// One triangle `(i1, j1)` into its taken-out block `acc`: Phase A, then
-/// Phase B. It reads only blocks of earlier diagonals from `f`.
-fn triangle(ctx: &Ctx, f: &FTable, i1: usize, j1: usize, acc: &mut [f32], order: R0Order) {
+/// One triangle `(i1, j1)` into its block `acc`: Phase A, then Phase B.
+/// It reads only the earlier diagonals that `f` holds.
+fn triangle(ctx: &Ctx, f: &FView<'_>, i1: usize, j1: usize, acc: &mut [f32], order: R0Order) {
     accumulate_r034_serial(ctx, f, i1, j1, acc, order);
     let prev = prev_block(f, i1, j1);
     finalize_triangle(ctx, i1, j1, f, prev, acc);
@@ -716,11 +698,20 @@ fn host_cores() -> usize {
 
 /// Run `work` on every item, on the calling thread and `workers − 1`
 /// scoped helpers that claim items one at a time in order (OpenMP's
-/// `schedule(dynamic, 1)`). A helper the OS refuses to start leaves its
-/// share to the others. A panic in any worker reaches the caller with
-/// its own payload, after every other worker has stopped.
-pub(crate) fn run_split<T: Send>(items: &mut [T], workers: usize, work: impl Fn(&mut T) + Sync) {
-    let claims = Mutex::new(items.iter_mut());
+/// `schedule(dynamic, 1)`); one worker runs them in turn, with no scope
+/// and no lock. A helper the OS refuses to start leaves its share to the
+/// others. A panic in any worker reaches the caller with its own
+/// payload, after every other worker has stopped.
+pub(crate) fn run_split<I>(items: I, workers: usize, work: impl Fn(I::Item) + Sync)
+where
+    I: Iterator + Send,
+    I::Item: Send,
+{
+    if workers <= 1 {
+        items.for_each(work);
+        return;
+    }
+    let claims = Mutex::new(items);
     let drain = || loop {
         // the guard drops at the end of this statement: `work` runs unlocked
         let claimed = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
@@ -789,7 +780,7 @@ impl<'p> SupervisedSolve<'p> {
 }
 
 /// The pair-1 source block `(i1+1, j1−1)`, when it exists.
-fn prev_block(f: &FTable, i1: usize, j1: usize) -> Option<&[f32]> {
+fn prev_block<'a>(f: &'a FView<'_>, i1: usize, j1: usize) -> Option<&'a [f32]> {
     (j1 >= i1 + 2).then(|| f.block(i1 + 1, j1 - 1))
 }
 
@@ -816,7 +807,7 @@ impl<'p> Solution<'p> {
     }
 
     /// Consume the solution, yielding the F-table (e.g. to recycle its
-    /// blocks into a [`crate::ftable::BlockPool`]).
+    /// buffer into a [`crate::ftable::BlockPool`]).
     pub fn into_ftable(self) -> FTable {
         self.f
     }
@@ -1224,10 +1215,10 @@ mod tests {
     fn split_claims_every_item_exactly_once() {
         for split in forced() {
             let mut counts = vec![0u32; 50];
-            run_split(&mut counts, split.cores, |c| *c += 1);
+            run_split(counts.iter_mut(), split.cores, |c| *c += 1);
             assert!(counts.iter().all(|&c| c == 1), "{split:?}: {counts:?}");
         }
-        run_split(&mut [] as &mut [u32], 2, |_| unreachable!("no items"));
+        run_split(std::iter::empty::<u32>(), 2, |_| unreachable!("no items"));
     }
 
     #[test]
@@ -1240,7 +1231,7 @@ mod tests {
             let (claimed, helper_claimed) = std::sync::mpsc::channel();
             let helper_claimed = std::sync::Mutex::new(helper_claimed);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_split(&mut [0u8; 2], 2, |_| {
+                run_split(0..2, 2, |_| {
                     let on_caller = std::thread::current().id() == caller;
                     if on_caller {
                         helper_claimed

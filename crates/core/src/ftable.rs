@@ -1,9 +1,10 @@
 //! The 4-D `BPMax` table: a triangle of triangles.
 //!
 //! `F[i1][j1][i2][j2]` is defined for `0 ≤ i1 ≤ j1 < M`, `0 ≤ i2 ≤ j2 < N`.
-//! Storage is one *inner-triangle block* per outer cell `(i1, j1)`; the
-//! outer cells are packed like a row-major triangle, the inner block layout
-//! is selectable:
+//! Storage is one buffer of *inner-triangle blocks*, one block per outer
+//! cell `(i1, j1)`. The outer cells run diagonal-major: diagonal
+//! `d1 = j1 − i1` ascending, `i1` ascending within it, which is the
+//! wavefront's production order. The inner block layout is selectable:
 //!
 //! * [`Layout::Packed`] (default) — `N(N+1)/2` elements per block, rows
 //!   contiguous. Total = `T(M)·T(N)` cells ≈ ¼ of the `M²N²` bounding box
@@ -17,11 +18,14 @@
 //! changes only addressing — the `memlayout` bench reproduces the paper's
 //! option-1 vs option-2 comparison by flipping this enum.
 //!
-//! Blocks are separate `Vec`s so a kernel can temporarily *take* a block
-//! out ([`FTable::take_block`]), mutate it with shared read access to the
-//! rest of the table (the wavefront guarantees disjointness), and put it
-//! back — the safe-Rust shape of the paper's "threads work on distinct
-//! inner triangles".
+//! Every diagonal sits after the diagonals it reads, so
+//! [`FTable::diagonal_mut`] splits the buffer in two: a read-only
+//! [`FView`] of the finished diagonals, and disjoint `&mut` blocks of the
+//! next one — the safe-Rust shape of the paper's "threads work on
+//! distinct inner triangles". The view ends where the diagonal begins,
+//! so a kernel that reads a block that is not final yet fails the slice
+//! check instead of reading an accumulator. A snapshot of finished
+//! diagonals is a prefix of the buffer.
 
 pub use tropical::triangular::Layout;
 
@@ -35,23 +39,25 @@ const NEG_INF: f32 = f32::NEG_INFINITY;
 /// Strand lengths above this bound always refuse with
 /// [`BpMaxError::SizeOverflow`] — the `Θ(M²N²)` table could not be
 /// addressed anyway, and keeping the bound well under `2³²` lets the
-/// internal index arithmetic (`n·(n+1)/2`, `i·(2n−i+1)/2`) stay overflow-
+/// internal index arithmetic (`n·(n+1)/2`, `d·(2m−d+1)/2`) stay overflow-
 /// free on every platform.
 const MAX_STRAND: usize = 1 << 30;
 
 /// Allocation/reuse counters of a [`BlockPool`] — the observability hook
-/// behind the batch engine's "zero steady-state allocation" claim.
+/// behind the batch engine's "zero steady-state allocation" claim. Each
+/// count is of table buffers: an F-table holds one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Block acquisitions that had to touch the allocator (fresh buffer,
-    /// or a spare grown beyond its capacity).
+    /// Acquisitions that had to touch the allocator (fresh buffer, or a
+    /// spare grown beyond its capacity), plus spares pooled ahead of
+    /// need.
     pub allocated: u64,
-    /// Block acquisitions served entirely from pooled spares.
+    /// Acquisitions served entirely from pooled spares.
     pub reused: u64,
-    /// Blocks returned to the pool.
+    /// Buffers returned to the pool.
     pub recycled: u64,
-    /// Buffers rejected at recycle time (wrong length after a failed or
-    /// panicked solve) and dropped instead of re-entering the arena.
+    /// Buffers of panicked solves dropped instead of re-entering the
+    /// arena.
     pub quarantined: u64,
 }
 
@@ -62,19 +68,15 @@ impl PoolStats {
     }
 }
 
-/// A recycling arena for F-table blocks.
+/// A recycling arena for F-table buffers.
 ///
-/// Solving a `BPMax` instance allocates one `Vec<f32>` per outer cell —
-/// `M(M+1)/2` buffers of `Θ(N²)` bytes. In a batch workload that pattern
-/// repeats per problem; the pool keeps released buffers (sorted by
-/// capacity) and serves later acquisitions best-fit, so after a warm-up
-/// wave the steady state performs **zero** block allocations
+/// Solving a `BPMax` instance allocates one `Θ(M²N²)` buffer. In a batch
+/// workload that repeats per problem; the pool keeps released buffers
+/// (sorted by capacity) and serves later acquisitions best-fit, so after
+/// a warm-up wave the steady state performs **zero** allocations
 /// ([`PoolStats`] proves it). Thread-safe: the spare list is behind a
-/// mutex, the counters are atomics, and a table takes and returns all
-/// its blocks under one lock (`acquire_blocks`, `release_blocks`). Two
-/// threads that shared the pool block by block on a split 200-window
-/// scan wave spent about 46% longer per problem than one thread alone;
-/// per table they meet 78 times less often and the difference is gone.
+/// mutex, which a table takes once to acquire its buffer and once to
+/// return it, and the counters are atomics.
 #[derive(Debug, Default)]
 pub struct BlockPool {
     /// Spare buffers, sorted by ascending capacity.
@@ -96,74 +98,64 @@ impl BlockPool {
     /// spare is grown (counted as an allocation), or a fresh buffer is
     /// allocated.
     pub fn acquire(&self, len: usize) -> Vec<f32> {
-        self.acquire_blocks(1, len).pop().unwrap_or_default()
-    }
-
-    /// The `count` buffers that `count` calls of [`BlockPool::acquire`]
-    /// would return, taken under one lock: an F-table takes all its
-    /// blocks at once, so threads that share the pool meet once per
-    /// table, not once per block.
-    pub(crate) fn acquire_blocks(&self, count: usize, len: usize) -> Vec<Vec<f32>> {
-        let mut bufs = {
+        let mut buf = {
             let mut spares = self.lock_spares();
-            // successive best-fit picks take the sufficient spares in
-            // ascending order, then grow the largest of the rest
             let pos = spares.partition_point(|s| s.capacity() < len);
-            let fit = count.min(spares.len() - pos);
-            let mut bufs: Vec<Vec<f32>> = spares.drain(pos..pos + fit).collect();
-            bufs.extend((fit..count).map(|_| spares.pop().unwrap_or_default()));
-            bufs
+            if pos < spares.len() {
+                spares.remove(pos)
+            } else {
+                spares.pop().unwrap_or_default()
+            }
         };
-        let grown = bufs.iter().filter(|b| b.capacity() < len).count() as u64;
-        self.allocated.fetch_add(grown, Ordering::Relaxed); // ordering: monotone stats counter
-        self.reused
-            .fetch_add(count as u64 - grown, Ordering::Relaxed); // ordering: monotone stats counter
-        for buf in &mut bufs {
-            buf.clear();
-            buf.resize(len, NEG_INF);
-        }
-        bufs
+        let counter = if buf.capacity() < len {
+            &self.allocated
+        } else {
+            &self.reused
+        };
+        counter.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
+        buf.clear();
+        buf.resize(len, NEG_INF);
+        buf
     }
 
     /// Return a buffer to the pool for later reuse.
     pub fn release(&self, buf: Vec<f32>) {
-        self.release_blocks(vec![buf]);
-    }
-
-    /// Return buffers to the pool for later reuse, under one lock.
-    pub(crate) fn release_blocks(&self, bufs: Vec<Vec<f32>>) {
-        self.recycled
-            .fetch_add(bufs.len() as u64, Ordering::Relaxed); // ordering: monotone stats counter
-        add_spares(&mut self.lock_spares(), bufs);
+        self.recycled.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
+        add_spare(&mut self.lock_spares(), buf);
     }
 
     /// Make sure at least `count` spares of capacity `len` or more are
     /// pooled, allocating the shortfall (counted in
     /// [`PoolStats::allocated`]). When threads share the pool, which
     /// buffers are live at once depends on how they interleave. If
-    /// `count` bounds the blocks in flight at any moment and `len` bounds
-    /// every block's length, best-fit always finds a spare, so the
+    /// `count` bounds the tables in flight at any moment and `len` bounds
+    /// every table's length, best-fit always finds a spare, so the
     /// acquisitions allocate nothing whatever the interleaving.
     pub(crate) fn top_up(&self, count: usize, len: usize) {
-        if len == 0 {
-            return; // an empty block never touches the allocator
-        }
         let mut spares = self.lock_spares();
         let have = spares.len() - spares.partition_point(|s| s.capacity() < len);
-        let short = count.saturating_sub(have);
-        self.allocated.fetch_add(short as u64, Ordering::Relaxed); // ordering: monotone stats counter
-        add_spares(
-            &mut spares,
-            (0..short).map(|_| Vec::with_capacity(len)).collect(),
-        );
+        self.add_fresh(&mut spares, count.saturating_sub(have), len);
+    }
+
+    /// Pool `count` fresh spares of capacity `len`, counted in
+    /// [`PoolStats::allocated`]. An empty buffer never touches the
+    /// allocator, so `len` 0 adds nothing.
+    fn add_fresh(&self, spares: &mut Vec<Vec<f32>>, count: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        self.allocated.fetch_add(count as u64, Ordering::Relaxed); // ordering: monotone stats counter
+        for _ in 0..count {
+            add_spare(spares, Vec::with_capacity(len));
+        }
     }
 
     /// Reject a buffer from a failed or aborted solve: count it and drop
     /// it on the floor. A quarantined buffer never re-enters the spare
-    /// list, so a solve that died mid-flight (panic unwound with blocks
-    /// taken out of the table) can never hand a short buffer to the next
-    /// problem. Safe over-approximation: quarantining costs one fresh
-    /// allocation later, recycling a bad buffer costs correctness.
+    /// list, so nothing a solve that died mid-flight left behind can
+    /// reach the next problem. Safe over-approximation: quarantining
+    /// costs one fresh allocation, recycling a bad buffer costs
+    /// correctness.
     pub fn quarantine(&self, buf: Vec<f32>) {
         self.quarantined.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
         drop(buf);
@@ -194,111 +186,52 @@ impl BlockPool {
     }
 }
 
-/// Add `bufs` to a spare list kept sorted by ascending capacity. The
-/// stable sort merges the sorted list with the new run in about linear
-/// time.
-fn add_spares(spares: &mut Vec<Vec<f32>>, bufs: Vec<Vec<f32>>) {
-    spares.extend(bufs);
-    spares.sort_by_key(Vec::capacity);
+/// Insert `buf` into a spare list kept sorted by ascending capacity.
+fn add_spare(spares: &mut Vec<Vec<f32>>, buf: Vec<f32>) {
+    let pos = spares.partition_point(|s| s.capacity() < buf.capacity());
+    spares.insert(pos, buf);
 }
 
-/// The packed 4-D `BPMax` table.
+/// Outer cells on diagonals `0..d1` of an `m`-strand table (diagonal `e`
+/// holds `m − e`): the offset, in blocks, of diagonal `d1`. `d1 ≤ m`.
+#[inline(always)]
+fn diagonal_start(m: usize, d1: usize) -> usize {
+    d1 * (2 * m + 1 - d1) / 2
+}
+
+/// The packed 4-D `BPMax` table over cell storage `C`: the owned
+/// [`FTable`], or an [`FView`] of its leading diagonals. The two share
+/// this one addressing implementation.
 #[derive(Clone, Debug)]
-pub struct FTable {
+pub struct Table<C> {
     m: usize,
     n: usize,
     layout: Layout,
     block_len: usize,
-    blocks: Vec<Vec<f32>>,
+    cells: C,
 }
 
-impl FTable {
-    /// Allocate for strand lengths `m × n`, all cells `-∞`.
-    ///
-    /// Panics on sizes the address arithmetic cannot represent; the
-    /// fallible front door is [`FTable::try_new`].
-    pub fn new(m: usize, n: usize, layout: Layout) -> Self {
-        Self::try_new(m, n, layout).expect("F-table size overflow") // lint: allow(expect): documented panicking front door; try_new is fallible
-    }
+/// An F-table that owns its buffer.
+pub type FTable = Table<Vec<f32>>;
 
-    /// Fallible allocation: checks the `Θ(M²N²)` footprint against the
-    /// address space before touching the allocator, returning
-    /// [`BpMaxError::SizeOverflow`] instead of panicking/aborting.
-    pub fn try_new(m: usize, n: usize, layout: Layout) -> Result<Self, BpMaxError> {
-        let (outer, block_len) = Self::checked_shape(m, n, layout)?;
-        Ok(FTable {
-            m,
-            n,
-            layout,
-            block_len,
-            blocks: (0..outer).map(|_| vec![NEG_INF; block_len]).collect(),
-        })
-    }
+/// A read-only view of an F-table ([`FTable::view`]) or of its finished
+/// diagonals ([`FTable::diagonal_mut`]) — what the kernels read.
+pub type FView<'a> = Table<&'a [f32]>;
 
-    /// Like [`FTable::try_new`], but every block buffer is acquired from
-    /// `pool` — the batch engine's zero-steady-state-allocation path.
-    /// Pair with [`FTable::recycle`].
-    pub fn try_new_in(
-        m: usize,
-        n: usize,
-        layout: Layout,
-        pool: &BlockPool,
-    ) -> Result<Self, BpMaxError> {
-        let (outer, block_len) = Self::checked_shape(m, n, layout)?;
-        Ok(FTable {
-            m,
-            n,
-            layout,
-            block_len,
-            blocks: pool.acquire_blocks(outer, block_len),
-        })
-    }
-
-    /// Return every block buffer to `pool` and drop the table shell.
-    ///
-    /// Buffers are validated first: a block whose length is not the
-    /// table's `block_len` (an empty `Vec` left behind when a panic
-    /// unwound past a [`FTable::take_block`], or anything else mangled by
-    /// an aborted solve) is [quarantined](BlockPool::quarantine) instead
-    /// of re-entering the arena.
-    pub fn recycle(self, pool: &BlockPool) {
-        let block_len = self.block_len;
-        let (good, bad): (Vec<_>, Vec<_>) =
-            self.blocks.into_iter().partition(|b| b.len() == block_len);
-        bad.into_iter().for_each(|b| pool.quarantine(b));
-        pool.release_blocks(good);
-    }
-
-    /// Bytes of cell storage a table of shape `m × n` would allocate,
-    /// without allocating it — the [`crate::supervise::MemoryBudget`]
-    /// admission check. Errs with [`BpMaxError::SizeOverflow`] on shapes
-    /// [`FTable::try_new`] would refuse anyway.
-    pub fn estimate_bytes(m: usize, n: usize, layout: Layout) -> Result<u64, BpMaxError> {
-        let (outer, block_len) = Self::checked_shape(m, n, layout)?;
-        // fits: checked_shape bounds the product by isize::MAX
-        Ok((outer * block_len * std::mem::size_of::<f32>()) as u64)
-    }
-
-    /// Validate `(m, n)` and compute `(outer cells, block length)` without
-    /// overflow. `MAX_STRAND` keeps the per-dimension triangle arithmetic
-    /// in range; the total-byte check keeps the whole table addressable.
-    pub(crate) fn checked_shape(
-        m: usize,
-        n: usize,
-        layout: Layout,
-    ) -> Result<(usize, usize), BpMaxError> {
-        if m > MAX_STRAND || n > MAX_STRAND {
-            return Err(BpMaxError::SizeOverflow { m, n });
+impl<C> Table<C> {
+    /// This table's shape over `cells`.
+    fn with_cells<D>(&self, cells: D) -> Table<D> {
+        Table {
+            m: self.m,
+            n: self.n,
+            layout: self.layout,
+            block_len: self.block_len,
+            cells,
         }
-        let outer = m * (m + 1) / 2;
-        let block_len = layout.storage_len(n);
-        let total_bytes = outer as u128 * block_len as u128 * std::mem::size_of::<f32>() as u128;
-        if total_bytes > isize::MAX as u128 {
-            return Err(BpMaxError::SizeOverflow { m, n });
-        }
-        Ok((outer, block_len))
     }
+}
 
+impl<C: AsRef<[f32]>> Table<C> {
     /// Strand-1 length `M`.
     #[inline(always)]
     pub fn m(&self) -> usize {
@@ -316,12 +249,8 @@ impl FTable {
         self.layout
     }
 
-    /// Total bytes allocated for cell storage.
-    pub fn storage_bytes(&self) -> usize {
-        self.blocks.len() * self.block_len * std::mem::size_of::<f32>()
-    }
-
-    /// Outer index of cell `(i1, j1)` (packed row-major triangle).
+    /// Outer index of cell `(i1, j1)`: diagonal-major, `i1` within a
+    /// diagonal.
     #[inline(always)]
     pub fn outer(&self, i1: usize, j1: usize) -> usize {
         debug_assert!(
@@ -329,36 +258,14 @@ impl FTable {
             "outer index ({i1},{j1}) m={}",
             self.m
         );
-        i1 * (2 * self.m - i1 + 1) / 2 + (j1 - i1)
+        diagonal_start(self.m, j1 - i1) + i1
     }
 
     /// The inner-triangle block of `(i1, j1)`.
     #[inline(always)]
     pub fn block(&self, i1: usize, j1: usize) -> &[f32] {
-        &self.blocks[self.outer(i1, j1)]
-    }
-
-    /// Mutable inner-triangle block of `(i1, j1)`.
-    #[inline(always)]
-    pub fn block_mut(&mut self, i1: usize, j1: usize) -> &mut [f32] {
-        let o = self.outer(i1, j1);
-        &mut self.blocks[o]
-    }
-
-    /// Move block `(i1, j1)` out of the table (replaced by an empty `Vec`).
-    /// Pair with [`FTable::put_block`]. Lets a writer own its triangle
-    /// while readers borrow the rest of the table.
-    pub fn take_block(&mut self, i1: usize, j1: usize) -> Vec<f32> {
-        let o = self.outer(i1, j1);
-        std::mem::take(&mut self.blocks[o])
-    }
-
-    /// Return a block previously removed by [`FTable::take_block`].
-    pub fn put_block(&mut self, i1: usize, j1: usize, block: Vec<f32>) {
-        assert_eq!(block.len(), self.block_len, "block length mismatch");
-        let o = self.outer(i1, j1);
-        debug_assert!(self.blocks[o].is_empty(), "putting back a non-taken block");
-        self.blocks[o] = block;
+        let start = self.outer(i1, j1) * self.block_len;
+        &self.cells.as_ref()[start..start + self.block_len]
     }
 
     /// Offset of `(i2, j2)` inside a block.
@@ -381,7 +288,7 @@ impl FTable {
         &block[s..s + (self.n - i2)]
     }
 
-    /// Mutable flavour of [`FTable::row_of`].
+    /// Mutable flavour of [`Table::row_of`].
     #[inline(always)]
     pub fn row_of_mut<'a>(&self, block: &'a mut [f32], i2: usize) -> &'a mut [f32] {
         let s = self.inner_row_start(i2);
@@ -391,38 +298,148 @@ impl FTable {
     /// Read `F[i1, j1, i2, j2]`.
     #[inline(always)]
     pub fn get(&self, i1: usize, j1: usize, i2: usize, j2: usize) -> f32 {
-        self.blocks[self.outer(i1, j1)][self.inner(i2, j2)]
+        self.block(i1, j1)[self.inner(i2, j2)]
+    }
+}
+
+impl FTable {
+    /// Allocate for strand lengths `m × n`, all cells `-∞`.
+    ///
+    /// Panics on sizes the address arithmetic cannot represent; the
+    /// fallible front door is [`FTable::try_new`].
+    pub fn new(m: usize, n: usize, layout: Layout) -> Self {
+        Self::try_new(m, n, layout).expect("F-table size overflow") // lint: allow(expect): documented panicking front door; try_new is fallible
+    }
+
+    /// Fallible allocation: checks the `Θ(M²N²)` footprint against the
+    /// address space before touching the allocator, returning
+    /// [`BpMaxError::SizeOverflow`] instead of panicking/aborting.
+    pub fn try_new(m: usize, n: usize, layout: Layout) -> Result<Self, BpMaxError> {
+        let (len, block_len) = Self::checked_shape(m, n, layout)?;
+        Ok(Table {
+            m,
+            n,
+            layout,
+            block_len,
+            cells: vec![NEG_INF; len],
+        })
+    }
+
+    /// Like [`FTable::try_new`], but the buffer is acquired from `pool` —
+    /// the batch engine's zero-steady-state-allocation path. Pair with
+    /// [`FTable::recycle`], or [`FTable::quarantine`] after a panic.
+    pub fn try_new_in(
+        m: usize,
+        n: usize,
+        layout: Layout,
+        pool: &BlockPool,
+    ) -> Result<Self, BpMaxError> {
+        let (len, block_len) = Self::checked_shape(m, n, layout)?;
+        Ok(Table {
+            m,
+            n,
+            layout,
+            block_len,
+            cells: pool.acquire(len),
+        })
+    }
+
+    /// Return the buffer to `pool` and drop the table shell.
+    pub fn recycle(self, pool: &BlockPool) {
+        pool.release(self.cells);
+    }
+
+    /// Give up the buffer of a table whose solve panicked: `pool`
+    /// [quarantines](BlockPool::quarantine) it and pools a fresh spare
+    /// of the same capacity in its place (counted in
+    /// [`PoolStats::allocated`]), so the spares a split wave was topped
+    /// up with still cover the tables in flight.
+    pub fn quarantine(self, pool: &BlockPool) {
+        let capacity = self.cells.capacity();
+        pool.quarantine(self.cells);
+        pool.add_fresh(&mut pool.lock_spares(), 1, capacity);
+    }
+
+    /// Bytes of cell storage a table of shape `m × n` would allocate,
+    /// without allocating it — the [`crate::supervise::MemoryBudget`]
+    /// admission check. Errs with [`BpMaxError::SizeOverflow`] on shapes
+    /// [`FTable::try_new`] would refuse anyway.
+    pub fn estimate_bytes(m: usize, n: usize, layout: Layout) -> Result<u64, BpMaxError> {
+        let (len, _) = Self::checked_shape(m, n, layout)?;
+        // fits: checked_shape bounds the byte count by isize::MAX
+        Ok((len * std::mem::size_of::<f32>()) as u64)
+    }
+
+    /// Validate `(m, n)` and compute `(cells, block length)` without
+    /// overflow. `MAX_STRAND` keeps the per-dimension triangle arithmetic
+    /// in range; the total-byte check keeps the whole table addressable.
+    fn checked_shape(m: usize, n: usize, layout: Layout) -> Result<(usize, usize), BpMaxError> {
+        if m > MAX_STRAND || n > MAX_STRAND {
+            return Err(BpMaxError::SizeOverflow { m, n });
+        }
+        let outer = m * (m + 1) / 2;
+        let block_len = layout.storage_len(n);
+        let total_bytes = outer as u128 * block_len as u128 * std::mem::size_of::<f32>() as u128;
+        if total_bytes > isize::MAX as u128 {
+            return Err(BpMaxError::SizeOverflow { m, n });
+        }
+        Ok((outer * block_len, block_len))
+    }
+
+    /// Total bytes allocated for cell storage.
+    pub fn storage_bytes(&self) -> usize {
+        self.cells.len() * std::mem::size_of::<f32>()
+    }
+
+    /// The whole table, read-only, as the kernels take it.
+    pub fn view(&self) -> FView<'_> {
+        self.with_cells(self.cells.as_slice())
+    }
+
+    /// Split the table at outer diagonal `d1`: a read-only view of
+    /// diagonals `0..d1`, and the blocks `(i1, i1 + d1)` of diagonal `d1`
+    /// in `i1` order, each a disjoint `&mut` slice.
+    ///
+    /// Panics unless `d1 < m` and `n > 0` (an empty block cannot be
+    /// chunked).
+    pub fn diagonal_mut(&mut self, d1: usize) -> (FView<'_>, std::slice::ChunksMut<'_, f32>) {
+        assert!(
+            d1 < self.m && self.block_len > 0,
+            "diagonal {d1} of a {}x{} table",
+            self.m,
+            self.n
+        );
+        let start = diagonal_start(self.m, d1) * self.block_len;
+        let len = (self.m - d1) * self.block_len;
+        let shape = self.with_cells(());
+        let (done, rest) = self.cells.split_at_mut(start);
+        (
+            shape.with_cells(&*done),
+            rest[..len].chunks_mut(shape.block_len),
+        )
     }
 
     /// Write `F[i1, j1, i2, j2]`.
     #[inline(always)]
     pub fn set(&mut self, i1: usize, j1: usize, i2: usize, j2: usize, v: f32) {
-        let o = self.outer(i1, j1);
-        let k = self.inner(i2, j2);
-        self.blocks[o][k] = v;
+        let k = self.outer(i1, j1) * self.block_len + self.inner(i2, j2);
+        self.cells[k] = v;
     }
 
     /// Number of outer blocks on diagonals `0..done` of an `m`-strand
-    /// table (the unit of [`FTable::export_diagonals`]).
+    /// table (the unit of [`FTable::export_diagonals`]), for an `m` that
+    /// [`FTable::estimate_bytes`] accepts.
     pub fn diagonal_blocks(m: usize, done: usize) -> usize {
-        let done = done.min(m);
-        (0..done).map(|d1| m - d1).sum()
+        diagonal_start(m, done.min(m))
     }
 
-    /// Copy the blocks of outer diagonals `0..done` out, diagonal-major
-    /// (`d1` ascending, `i1` ascending within a diagonal) — the wavefront
-    /// production order, so a prefix of completed diagonals serializes to
-    /// a contiguous, order-stable cell stream for
-    /// [`crate::checkpoint::TableSnapshot`].
+    /// Copy the blocks of outer diagonals `0..done` out: the buffer's
+    /// prefix, diagonal-major (`d1` ascending, `i1` ascending within a
+    /// diagonal) — the wavefront production order, so a prefix of
+    /// completed diagonals serializes to a contiguous, order-stable cell
+    /// stream for [`crate::checkpoint::TableSnapshot`].
     pub fn export_diagonals(&self, done: usize) -> Vec<f32> {
-        let done = done.min(self.m);
-        let mut out = Vec::with_capacity(Self::diagonal_blocks(self.m, done) * self.block_len);
-        for d1 in 0..done {
-            for i1 in 0..self.m - d1 {
-                out.extend_from_slice(self.block(i1, i1 + d1));
-            }
-        }
-        out
+        self.cells[..Self::diagonal_blocks(self.m, done) * self.block_len].to_vec()
     }
 
     /// Overwrite the blocks of outer diagonals `0..done` from a cell
@@ -444,15 +461,7 @@ impl FTable {
                 ),
             });
         }
-        let mut offset = 0;
-        for d1 in 0..done {
-            for i1 in 0..self.m - d1 {
-                let next = offset + self.block_len;
-                self.block_mut(i1, i1 + d1)
-                    .copy_from_slice(&cells[offset..next]);
-                offset = next;
-            }
-        }
+        self.cells[..expect].copy_from_slice(cells);
         Ok(())
     }
 
@@ -539,32 +548,12 @@ mod tests {
     }
 
     #[test]
-    fn take_put_block_round_trip() {
-        let mut t = FTable::new(3, 3, Layout::Packed);
-        t.set(0, 2, 1, 2, 42.0);
-        let b = t.take_block(0, 2);
-        assert_eq!(b[t.inner(1, 2)], 42.0);
-        // other blocks still readable
-        assert_eq!(t.get(0, 0, 0, 0), f32::NEG_INFINITY);
-        t.put_block(0, 2, b);
-        assert_eq!(t.get(0, 2, 1, 2), 42.0);
-    }
-
-    #[test]
     fn final_score_edges() {
         let t = FTable::new(0, 4, Layout::Packed);
         assert_eq!(t.final_score(), None);
         let mut t = FTable::new(2, 2, Layout::Packed);
         t.set(0, 1, 0, 1, 7.0);
         assert_eq!(t.final_score(), Some(7.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "block length mismatch")]
-    fn put_wrong_block_panics() {
-        let mut t = FTable::new(2, 4, Layout::Packed);
-        let _ = t.take_block(0, 0);
-        t.put_block(0, 0, vec![0.0; 3]);
     }
 
     #[test]
@@ -615,31 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn acquire_blocks_matches_successive_acquires() {
-        let pool = |caps: &[usize]| {
-            let pool = BlockPool::new();
-            caps.iter()
-                .for_each(|&c| pool.release(Vec::with_capacity(c)));
-            pool
-        };
-        let caps = [4, 10, 10, 16, 3];
-        // 3 fit, then the largest of the rest (4, then 3) grow
-        for count in [0, 2, 3, 5, 7] {
-            let (one, many) = (pool(&caps), pool(&caps));
-            let singles: Vec<_> = (0..count).map(|_| one.acquire(10)).collect();
-            let batch = many.acquire_blocks(count, 10);
-            let capacity = |bs: &[Vec<f32>]| bs.iter().map(Vec::capacity).collect::<Vec<_>>();
-            assert_eq!(capacity(&batch), capacity(&singles), "count {count}");
-            assert!(batch.iter().all(|b| b.len() == 10 && b[9] == NEG_INF));
-            assert_eq!(many.stats(), one.stats(), "count {count}");
-            assert_eq!(many.spare_count(), one.spare_count(), "count {count}");
-            singles.into_iter().for_each(|b| one.release(b));
-            many.release_blocks(batch);
-            assert_eq!(many.stats(), one.stats(), "count {count}");
-        }
-    }
-
-    #[test]
     fn top_up_allocates_only_the_shortfall() {
         let pool = BlockPool::new();
         pool.release(Vec::with_capacity(4));
@@ -658,21 +622,6 @@ mod tests {
         assert_eq!((s.allocated, s.reused), (2, 3));
         assert_eq!(pool.spare_count(), 1, "the 4-cell spare stays");
         taken.into_iter().for_each(|b| pool.release(b));
-    }
-
-    #[test]
-    fn recycle_quarantines_taken_blocks() {
-        let pool = BlockPool::new();
-        let mut t = FTable::try_new_in(3, 3, Layout::Packed, &pool).unwrap();
-        // simulate a solve that died with two blocks taken out: the empty
-        // placeholder Vecs must not re-enter the arena
-        let _abandoned = t.take_block(0, 1);
-        let _abandoned = t.take_block(1, 2);
-        t.recycle(&pool);
-        let s = pool.stats();
-        assert_eq!(s.quarantined, 2);
-        assert_eq!(s.recycled, 4); // the other four blocks are fine
-        assert_eq!(pool.spare_count(), 4);
     }
 
     #[test]
@@ -708,7 +657,7 @@ mod tests {
         assert_eq!(t.get(0, 3, 1, 2), 5.0);
         assert_eq!(t.get(0, 0, 0, 0), f32::NEG_INFINITY);
         let first_wave = pool.stats().allocated;
-        assert_eq!(first_wave, 10); // one per outer cell
+        assert_eq!(first_wave, 1); // one buffer per table
         t.recycle(&pool);
         // second wave of the same shape: zero fresh allocations, and the
         // recycled buffers come back fully reset to -inf
@@ -717,5 +666,61 @@ mod tests {
         for (i1, j1, i2, j2) in t2.iter_cells().collect::<Vec<_>>() {
             assert_eq!(t2.get(i1, j1, i2, j2), f32::NEG_INFINITY);
         }
+    }
+
+    #[test]
+    fn diagonal_mut_hands_out_one_diagonal_over_a_view_of_the_earlier_ones() {
+        for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
+            for m in [0, 1, 2, 7] {
+                let mut t = FTable::new(m, 3, layout);
+                let mut v = 0.0f32;
+                for (i1, j1, i2, j2) in t.iter_cells().collect::<Vec<_>>() {
+                    t.set(i1, j1, i2, j2, v);
+                    v += 1.0;
+                }
+                let reference = t.clone();
+                assert_eq!(t.view().m(), m);
+                for d1 in 0..m {
+                    let tag = format!("{layout:?} m={m} d1={d1}");
+                    let before = t.clone();
+                    let (done, diagonal) = t.diagonal_mut(d1);
+                    for i1 in 0..m {
+                        for j1 in i1..(i1 + d1).min(m) {
+                            assert_eq!(done.block(i1, j1), before.block(i1, j1), "{tag}");
+                        }
+                    }
+                    let blocks: Vec<&mut [f32]> = diagonal.collect();
+                    assert_eq!(blocks.len(), m - d1, "{tag}");
+                    for (i1, block) in blocks.into_iter().enumerate() {
+                        assert_eq!(&*block, reference.block(i1, i1 + d1), "{tag}");
+                        block.fill(-(d1 as f32));
+                    }
+                    let (done, _) = t.diagonal_mut(d1);
+                    let unfinished = std::panic::catch_unwind(|| done.block(0, d1).len());
+                    assert!(unfinished.is_err(), "{tag}: the view reaches diagonal d1");
+                }
+                for (i1, j1, i2, j2) in t.iter_cells().collect::<Vec<_>>() {
+                    assert_eq!(
+                        t.get(i1, j1, i2, j2),
+                        -((j1 - i1) as f32),
+                        "{layout:?} m={m}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quarantine_pools_a_same_size_spare_that_the_next_acquire_reuses() {
+        let pool = BlockPool::new();
+        let t = FTable::try_new_in(4, 3, Layout::Packed, &pool).unwrap();
+        t.quarantine(&pool);
+        let s = pool.stats();
+        assert_eq!((s.allocated, s.quarantined, s.recycled), (2, 1, 0));
+        assert_eq!(pool.spare_count(), 1);
+        let _again = FTable::try_new_in(4, 3, Layout::Packed, &pool).unwrap();
+        let s = pool.stats();
+        assert_eq!((s.allocated, s.reused), (2, 1), "the spare is reused");
+        assert_eq!(pool.spare_count(), 0);
     }
 }

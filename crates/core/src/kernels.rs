@@ -27,7 +27,7 @@
 //! the paper's "we ensure that F-table gets updated when k2 reaches j2"
 //! interleave that keeps `R1`/`R2` vectorizable despite their reduction.
 
-use crate::ftable::FTable;
+use crate::ftable::FView;
 use rna::nussinov::{Fold, Nussinov};
 use rna::{RnaSeq, ScoringModel};
 use tropical::scalar::mp_axpy;
@@ -211,13 +211,13 @@ impl Tile {
 /// the kernels. It is asserted unconditionally at the public compute
 /// entry boundary (each `r0_instance_*`, [`accumulate_r034_serial`],
 /// [`finalize_triangle`]) and nowhere in the interior: the hot loops
-/// index blocks through `FTable::inner`/`row_of` with Rust's slice
+/// index blocks through `FView::inner`/`row_of` with Rust's slice
 /// checks, and the [`crate::bounds`] certificates *plus* this entry
 /// assertion prove that none of those checks can panic. The check is
 /// `O(#blocks)` per call — noise against the `O(n²)`..`O(n³)` work
 /// behind it.
 #[inline]
-fn assert_block_shapes(ft: &FTable, blocks: &[&[f32]]) {
+fn assert_block_shapes(ft: &FView<'_>, blocks: &[&[f32]]) {
     let need = ft.layout().storage_len(ft.n());
     for (idx, blk) in blocks.iter().enumerate() {
         assert!(
@@ -231,7 +231,7 @@ fn assert_block_shapes(ft: &FTable, blocks: &[&[f32]]) {
 /// `R0` matrix instance, **naive** order: `(i2, j2, k2)` with the reduction
 /// innermost — a dot product per cell, strided reads of `B`, no
 /// vectorization. This is the loop order the original `BPMax` uses.
-pub fn r0_instance_naive(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) {
+pub fn r0_instance_naive(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     for i2 in 0..n {
@@ -254,7 +254,7 @@ pub fn r0_instance_naive(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) {
 /// [`mp_axpy`] from a contiguous `B` row into a contiguous `acc` row
 /// segment. This is the Phase I loop permutation that unlocks
 /// auto-vectorization.
-pub fn r0_instance_permuted(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) {
+pub fn r0_instance_permuted(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     for i2 in 0..n {
@@ -275,7 +275,7 @@ pub fn r0_instance_permuted(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) 
 /// chunks (untiled by default) — Phase III's locality transformation,
 /// keeping the `B` row panel and `acc` row band in cache across `k2`
 /// steps.
-pub fn r0_instance_tiled(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32], t: Tile) {
+pub fn r0_instance_tiled(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32], t: Tile) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     if n < 2 {
@@ -290,7 +290,7 @@ pub fn r0_instance_tiled(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32], t: 
 /// paper's fine-grain parallelism distributes ("we parallelize the outer
 /// i2 dimension" of the tiled space).
 fn r0_row_band_tiled(
-    ft: &FTable,
+    ft: &FView<'_>,
     a: &[f32],
     b: &[f32],
     acc: &mut [f32],
@@ -345,7 +345,7 @@ fn r0_row_band_tiled(
 /// compare-select. This is the kernel [`R0Order::SimdReg`] selects, and
 /// the one the default program version ([`crate::Algorithm::HybridReg`])
 /// runs.
-pub fn r0_instance_simd(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) {
+pub fn r0_instance_simd(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     if n < 2 {
@@ -375,7 +375,7 @@ pub fn r0_instance_simd(ft: &FTable, a: &[f32], b: &[f32], acc: &mut [f32]) {
 // (its only caller in this crate), `r0_instance_simd` compiled to code
 // that ran about 10% slower per instance.
 #[inline(always)]
-pub(crate) fn r0_row_simd(ft: &FTable, arow: &[f32], b: &[f32], crow: &mut [f32], i2: usize) {
+pub(crate) fn r0_row_simd(ft: &FView<'_>, arow: &[f32], b: &[f32], crow: &mut [f32], i2: usize) {
     let n = ft.n();
     debug_assert!(i2 < n, "row {i2} outside triangle of {n} rows");
     debug_assert!(
@@ -466,7 +466,7 @@ pub enum R0Order {
 /// `R3` and `R4` into `acc` across all splits `k1`.
 pub fn accumulate_r034_serial(
     ctx: &Ctx,
-    ft: &FTable,
+    ft: &FView<'_>,
     i1: usize,
     j1: usize,
     acc: &mut [f32],
@@ -506,7 +506,7 @@ pub fn finalize_triangle(
     ctx: &Ctx,
     i1: usize,
     j1: usize,
-    ft: &FTable,
+    ft: &FView<'_>,
     prev: Option<&[f32]>,
     acc: &mut [f32],
 ) {
@@ -589,7 +589,7 @@ pub fn finalize_triangle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftable::Layout;
+    use crate::ftable::{FTable, FView, Layout};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -602,7 +602,7 @@ mod tests {
     }
 
     /// Random triangle block over the given layout, slack cells -inf.
-    fn random_block(ft: &FTable, rng: &mut StdRng) -> Vec<f32> {
+    fn random_block(ft: &FView<'_>, rng: &mut StdRng) -> Vec<f32> {
         let mut block = vec![f32::NEG_INFINITY; ft.layout().storage_len(ft.n())];
         for i2 in 0..ft.n() {
             for j2 in i2..ft.n() {
@@ -617,7 +617,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
             for n in [1usize, 2, 3, 5, 8, 9, 13, 16, 23] {
-                let ft = FTable::new(2, n, layout);
+                let table = FTable::new(2, n, layout);
+                let ft = table.view();
                 let a = random_block(&ft, &mut rng);
                 let b = random_block(&ft, &mut rng);
                 let mut c1 = random_block(&ft, &mut rng);
@@ -648,7 +649,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
             for n in [1usize, 2, 4, 5, 7, 11, 16, 23] {
-                let ft = FTable::new(2, n, layout);
+                let table = FTable::new(2, n, layout);
+                let ft = table.view();
                 let a = random_block(&ft, &mut rng);
                 let b = random_block(&ft, &mut rng);
                 let mut c1 = random_block(&ft, &mut rng);
@@ -673,7 +675,8 @@ mod tests {
     fn r0_matches_direct_definition() {
         // acc'[i2][j2] = max(acc, max_{k2 in [i2, j2)} a[i2][k2] + b[k2+1][j2])
         let mut rng = StdRng::seed_from_u64(9);
-        let ft = FTable::new(2, 7, Layout::Packed);
+        let table = FTable::new(2, 7, Layout::Packed);
+        let ft = table.view();
         let a = random_block(&ft, &mut rng);
         let b = random_block(&ft, &mut rng);
         let mut acc = random_block(&ft, &mut rng);
@@ -693,7 +696,8 @@ mod tests {
     #[test]
     fn r3_r4_match_direct_definition() {
         let mut rng = StdRng::seed_from_u64(4);
-        let ft = FTable::new(2, 6, Layout::Packed);
+        let table = FTable::new(2, 6, Layout::Packed);
+        let ft = table.view();
         let b = random_block(&ft, &mut rng);
         let mut acc = random_block(&ft, &mut rng);
         let orig = acc.clone();
@@ -715,7 +719,8 @@ mod tests {
         // Single-base strands: F = max(iscore, 0) — exercised through the
         // full finalize path with an all--inf accumulator.
         let c = ctx("G", "C");
-        let ft = FTable::new(1, 1, Layout::Packed);
+        let table = FTable::new(1, 1, Layout::Packed);
+        let ft = table.view();
         let mut acc = vec![f32::NEG_INFINITY; 1];
         finalize_triangle(&c, 0, 0, &ft, None, &mut acc);
         assert_eq!(acc[0], 3.0); // G–C inter pair

@@ -30,7 +30,7 @@
 //! every knob (the program version with its tile, the layout) behind one
 //! fallible entry point. To solve *many* problems, use the pooled
 //! [`batch::BatchEngine`] instead of a loop — it recycles F-table
-//! blocks across solves.
+//! buffers across solves.
 //!
 //! # Module map
 //!

@@ -70,7 +70,7 @@
 //! decide whether a solve finishes, never its score. A profile that
 //! cannot run (a tile with a zero dimension) is refused before the cache
 //! is consulted, with the same typed error a cold solve gives. A warm hit
-//! skips the solver entirely (the pool stats prove zero block
+//! skips the solver entirely (the pool stats prove zero table
 //! acquisitions) and returns the bit-exact cold score. The in-memory
 //! tier holds a configurable
 //! byte budget; over-budget entries are evicted least-recently-used

@@ -104,7 +104,7 @@ fn injected_panic_maps_to_failed_and_survivors_are_bit_identical() {
             assert_eq!(item.score, want[i], "survivor {i} must be bit-identical");
         }
     }
-    // each injected panic dropped exactly one taken block -> quarantined
+    // each injected panic quarantined its table's one buffer
     assert_eq!(report.pool.quarantined, 2, "{:?}", report.pool);
 }
 
