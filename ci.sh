@@ -17,6 +17,9 @@
 #   4. workspace tests              includes the lint self-test (mutant
 #                                   fixtures flagged + clean tree passes)
 #   4b. bpmax lib tests, release    overflow checks off, as users build it
+#   4c. perfbench build + smoke     the benchmark of record (a workspace of
+#                                   its own) builds against this tree, and
+#                                   two workloads answer correctly
 #   5. fault-injection suite        deterministic failure-path proofs
 #   5b. split-wave repeats          the split batch tests and the pool
 #                                   tests, 50 runs each (thread
@@ -88,6 +91,26 @@ echo "== bpmax lib tests (release) =="
 # and can accept what the debug build refused (an impossible snapshot
 # shape once did), so the library's unit tests run once without them.
 cargo test --release -p bpmax --lib --offline -q
+
+echo "== perfbench build + smoke (the benchmark of record) =="
+# perfbench is a Cargo workspace of its own, so no stage above builds it:
+# a library change that breaks an API it uses would first show up as a
+# failed benchmark run. Build it, then run two workloads for one second
+# each; each must exit 0 and report a correct answer. scan-journaled is
+# left out: it mounts a tmpfs in a private namespace, which not every
+# host permits.
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+for workload in solve-large serve-mixed; do
+    out="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0)" ||
+        { echo "$out" >&2; echo "ci.sh: perfbench $workload failed" >&2; exit 1; }
+    if ! tail -n 1 <<< "$out" | grep -q '^{"correct": true,'; then
+        echo "$out" >&2
+        echo "ci.sh: perfbench $workload did not report a correct answer" >&2
+        exit 1
+    fi
+done
+echo "-- perfbench: built; solve-large and serve-mixed answered correctly"
 
 echo "== fault-injection suite (--features fault-inject) =="
 # The deterministic fault harness only compiles under the feature; it

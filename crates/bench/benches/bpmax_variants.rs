@@ -17,7 +17,7 @@ fn bench_variants(c: &mut Criterion) {
     for alg in [
         Algorithm::Baseline,
         Algorithm::Permuted,
-        Algorithm::Hybrid,
+        Algorithm::CoarseGrain,
         Algorithm::HybridTiled {
             tile: Tile::small(),
         },

@@ -8,7 +8,7 @@
 use bench::report::Reporter;
 use bench::{banner, f1, f2, model, time_stats, workload, Opts, Table};
 use bpmax::kernels::Tile;
-use bpmax::perfmodel::{predict_bpmax_gflops, predict_bpmax_seconds, CostModel};
+use bpmax::perfmodel::{predict_bpmax_gflops, predict_bpmax_seconds, BpMaxVariant, CostModel};
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
 use machine::spec::MachineSpec;
 use machine::traffic;
@@ -79,29 +79,9 @@ fn main() {
             smt_efficiency: 0.15,
         };
         let threads = spec.cores;
-        let base = predict_bpmax_seconds(Algorithm::Baseline, n, n, 1, &cm, &spec, ht);
-        let tiled = predict_bpmax_seconds(
-            Algorithm::HybridTiled {
-                tile: Tile::default(),
-            },
-            n,
-            n,
-            threads,
-            &cm,
-            &spec,
-            ht,
-        );
-        let g = predict_bpmax_gflops(
-            Algorithm::HybridTiled {
-                tile: Tile::default(),
-            },
-            n,
-            n,
-            threads,
-            &cm,
-            &spec,
-            ht,
-        );
+        let base = predict_bpmax_seconds(BpMaxVariant::Base, n, n, 1, &cm, &spec, ht);
+        let tiled = predict_bpmax_seconds(BpMaxVariant::Tiled, n, n, threads, &cm, &spec, ht);
+        let g = predict_bpmax_gflops(BpMaxVariant::Tiled, n, n, threads, &cm, &spec, ht);
         rep.modeled_gflops(format!("modeled/{}/t={threads}/n={n}", spec.name), g);
         rep.annotate(&[
             ("speedup_vs_base_1t", base / tiled),

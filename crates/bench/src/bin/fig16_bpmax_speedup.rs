@@ -9,7 +9,7 @@
 use bench::report::Reporter;
 use bench::{banner, f1, f2, model, time_stats, workload, Opts, Table};
 use bpmax::kernels::Tile;
-use bpmax::perfmodel::{predict_bpmax_seconds, CostModel};
+use bpmax::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
 use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
@@ -33,7 +33,7 @@ fn main() {
 
     println!("\n--- measured speedup vs baseline, this machine ---");
     println!("(below the split cutoff every version runs one thread; see the M=N=40 row)");
-    let mut t = Table::new(&["M=N", "permuted", "hybrid", "hybrid+tiled"]);
+    let mut t = Table::new(&["M=N", "permuted", "coarse", "hybrid+tiled"]);
     for &n in &opts.sizes {
         let (s1, s2) = workload(opts.seed, n, n);
         let p = BpMaxProblem::new(s1, s2, model());
@@ -45,7 +45,7 @@ fn main() {
         let mut cells = vec![n.to_string()];
         for alg in [
             Algorithm::Permuted,
-            Algorithm::Hybrid,
+            Algorithm::CoarseGrain,
             Algorithm::HybridTiled {
                 tile: Tile::default(),
             },
@@ -83,8 +83,8 @@ fn main() {
     let s_perm = time_stats(reps, || solve(&p, Algorithm::Permuted));
     let s_coarse = time_stats(reps, || solve(&p, Algorithm::CoarseGrain));
     let measured = s_perm.median_s / s_coarse.median_s;
-    let modeled = predict_bpmax_seconds(Algorithm::Permuted, n, n, 1, &cm, &spec, ht)
-        / predict_bpmax_seconds(Algorithm::CoarseGrain, n, n, 2, &cm, &spec, ht);
+    let modeled = predict_bpmax_seconds(BpMaxVariant::Permuted, n, n, 1, &cm, &spec, ht)
+        / predict_bpmax_seconds(BpMaxVariant::Coarse, n, n, 2, &cm, &spec, ht);
     rep.measured(
         format!("measured/coarse-vs-permuted/n={n}"),
         s_coarse,
@@ -117,23 +117,21 @@ fn main() {
         vec![64, 128, 256, 512]
     };
     let curves = [
-        Algorithm::CoarseGrain,
-        Algorithm::FineGrain,
-        Algorithm::Hybrid,
-        Algorithm::HybridTiled {
-            tile: Tile::default(),
-        },
+        BpMaxVariant::Coarse,
+        BpMaxVariant::Fine,
+        BpMaxVariant::Hybrid,
+        BpMaxVariant::Tiled,
     ];
     let mut header = vec!["M=N".to_string()];
-    header.extend(curves.iter().map(|a| a.label().to_string()));
+    header.extend(curves.iter().map(|v| v.label().to_string()));
     let mut t = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
     for &n in &sizes {
-        let base = predict_bpmax_seconds(Algorithm::Baseline, n, n, 1, &cm, &spec, ht);
+        let base = predict_bpmax_seconds(BpMaxVariant::Base, n, n, 1, &cm, &spec, ht);
         let mut cells = vec![n.to_string()];
-        for &alg in &curves {
-            let s = predict_bpmax_seconds(alg, n, n, opts.threads[0], &cm, &spec, ht);
+        for &v in &curves {
+            let s = predict_bpmax_seconds(v, n, n, opts.threads[0], &cm, &spec, ht);
             rep.values(
-                format!("modeled/{}/t={}/n={n}", alg.label(), opts.threads[0]),
+                format!("modeled/{}/t={}/n={n}", v.label(), opts.threads[0]),
                 bench::report::Kind::Modeled,
                 &[("speedup_vs_base", base / s)],
             );

@@ -11,7 +11,7 @@ use bpmax::coordinator;
 use bpmax::kernels::Ctx;
 use bpmax::serve::{Client, Response, RetryPolicy, Server, ServerConfig, SolveRequest};
 use bpmax::windowed::scan_ranked;
-use bpmax::{Algorithm, BpMaxError, BpMaxProblem, ComputeProfile};
+use bpmax::{Algorithm, BpMaxError, BpMaxProblem};
 use rna::nussinov::Nussinov;
 use rna::{RnaSeq, ScoringModel};
 use std::fmt::Write as _;
@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 pub(crate) const USAGE: &str = "usage:
   bpmax-cli fold <seq> [--min-loop K]
   bpmax-cli interact <seq1> <seq2> [--min-loop K]
-                     [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled|hybrid-reg]
+                     [--alg base|permuted|coarse|hybrid-tiled|hybrid-reg]
   bpmax-cli scan <query> <target> [--window W] [--top K] [--batch]
                  [--deadline SECS] [--mem-budget BYTES] [--workers N]
                  [--checkpoint-dir DIR] [--resume]
@@ -30,7 +30,7 @@ pub(crate) const USAGE: &str = "usage:
                   [--read-timeout S] [--max-inflight N] [--queue-depth N]
                   [--queue-wait S] [--drain-timeout S]
   bpmax-cli client --socket PATH solve <seq1> <seq2>
-                   [--alg base|permuted|coarse|fine|hybrid|hybrid-tiled|hybrid-reg]
+                   [--alg base|permuted|coarse|hybrid-tiled|hybrid-reg]
                    [--min-loop K] [--mem-budget BYTES] [--degrade]
                    [--deadline S] [--retries N]
   bpmax-cli client --socket PATH stats
@@ -39,7 +39,9 @@ pub(crate) const USAGE: &str = "usage:
   bpmax-cli verify [M N] [--static] [--bounds]
   bpmax-cli help
 
---alg picks the program version; the default, hybrid-reg, runs the
+--alg picks the program version. base and permuted run on one thread;
+coarse, hybrid-tiled and hybrid-reg split each large outer diagonal's
+triangles across the host's cores. The default, hybrid-reg, runs the
 register-tiled R0 kernel, and hybrid-tiled runs the paper's Phase III
 tiled order. Every version computes the same scores — the flag changes
 speed, never results.
@@ -784,12 +786,8 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
             };
             let s1 = load_seq(a1)?;
             let s2 = load_seq(a2)?;
-            let mut profile = ComputeProfile::new();
-            if let Some(alg) = alg {
-                profile = profile.algorithm(alg);
-            }
             let mut req = SolveRequest::new(s1, s2, model)
-                .profile(profile)
+                .algorithm(alg.unwrap_or_default())
                 .degrade(degrade);
             if let Some(bytes) = mem_budget {
                 req = req.mem_budget(bytes);
@@ -1113,15 +1111,7 @@ mod tests {
 
     #[test]
     fn interact_algorithm_selection() {
-        for alg in [
-            "base",
-            "permuted",
-            "coarse",
-            "fine",
-            "hybrid",
-            "hybrid-tiled",
-            "hybrid-reg",
-        ] {
+        for alg in ["base", "permuted", "coarse", "hybrid-tiled", "hybrid-reg"] {
             let out = run(&["interact", "GGGAAACCC", "UUU", "--alg", alg]).unwrap();
             assert!(out.contains("interaction score: 15"), "{alg}: {out}");
         }

@@ -62,6 +62,13 @@ fn unknown_algorithm_names_the_candidates() {
     assert!(stderr.contains("unknown algorithm \"warp\""), "{stderr}");
     assert!(stderr.contains("hybrid-tiled"), "{stderr}");
     assert!(stderr.contains("hybrid-reg"), "{stderr}");
+    // the retired versions ran coarse's work; their names are refused,
+    // never remapped
+    for retired in ["fine", "hybrid", "fine-grain"] {
+        let (code, _, stderr) = run(&["interact", "GG", "CC", "--alg", retired]);
+        assert_eq!(code, 2, "{retired}: {stderr}");
+        assert!(stderr.contains("unknown algorithm"), "{retired}: {stderr}");
+    }
 }
 
 #[test]

@@ -49,7 +49,7 @@ use crate::checkpoint::{
 use crate::engine::{run_split, BpMaxProblem, Solution, SolveOptions, Split};
 use crate::error::BpMaxError;
 use crate::ftable::{BlockPool, FTable, PoolStats};
-use crate::perfmodel::{predict_bpmax_seconds, CostModel};
+use crate::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
 use crate::supervise::{
     fault, CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, OutcomeCounts, Supervision,
     Watch,
@@ -68,8 +68,8 @@ const COARSE_CUTOFF_S: f64 = 0.01;
 /// Configuration of a [`BatchEngine`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchOptions {
-    /// Per-problem solve configuration: the compute profile (program
-    /// version, layout) plus per-solve supervision.
+    /// Per-problem solve configuration: the program version plus
+    /// per-solve supervision.
     pub solve: SolveOptions,
     /// Keep each problem's full F-table in its [`BatchItem`] (disables
     /// buffer recycling for those tables; default `false`).
@@ -159,9 +159,9 @@ impl BatchOptions {
     /// run may get a fresh deadline.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
-        // algorithm (with its tile) / layout: the shared ComputeProfile rule, the
-        // same bytes the serve result-cache key hashes
-        self.solve.profile().fingerprint_into(&mut h);
+        // algorithm (with its tile): the shared Algorithm rule, the same
+        // bytes the serve result-cache key hashes
+        self.solve.raw_algorithm().fingerprint_into(&mut h);
         // memory budgets and degradation decide exact-vs-windowed scores
         h.write_u64(self.mem_budget.unwrap_or(u64::MAX));
         h.write(&[u8::from(self.degrade)]);
@@ -335,9 +335,9 @@ impl BatchEngine {
     /// the perfmodel number the serve daemon's admission control compares
     /// against its `max_predicted_s` cap.
     pub fn predict_seconds(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> f64 {
-        let (alg, _) = solve.profile().parts();
+        let variant = BpMaxVariant::of(solve.raw_algorithm());
         let (m, n) = (problem.ctx().m(), problem.ctx().n());
-        predict_bpmax_seconds(alg, m, n, 1, &self.cost, &self.spec, self.ht)
+        predict_bpmax_seconds(variant, m, n, 1, &self.cost, &self.spec, self.ht)
     }
 
     /// Solve one problem on the engine's warm table arena with
@@ -639,8 +639,8 @@ impl BatchEngine {
     ) {
         let longest = group
             .filter_map(|problem| {
-                let layout = self.opts.solve.resolved_layout(problem.layout());
-                FTable::estimate_bytes(problem.ctx().m(), problem.ctx().n(), layout).ok()
+                let (m, n) = (problem.ctx().m(), problem.ctx().n());
+                FTable::estimate_bytes(m, n, problem.layout()).ok()
             })
             .filter(|&bytes| sup.budget.is_none_or(|b| b.allows(bytes)))
             .max()
@@ -723,7 +723,7 @@ impl BatchEngine {
         solve: &SolveOptions,
     ) -> Result<(Outcome, f32, Option<FTable>), BpMaxError> {
         let algorithm = solve.validated_algorithm()?;
-        let layout = solve.resolved_layout(problem.layout());
+        let layout = problem.layout();
         let (m, n) = (problem.ctx().m(), problem.ctx().n());
         let mut watch = Watch::new(sup);
         if let Some(fault::Fault::Slow { millis }) = fault::active(fault::SITE_SLOW, index) {
@@ -1103,6 +1103,32 @@ mod tests {
         );
         assert_ne!(fp, base.clone().mem_budget(1 << 20).fingerprint());
         assert_ne!(fp, base.clone().degrade(false).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Every checkpoint manifest stores this value, and a resume
+        // refuses a mismatch: a new value for an old configuration would
+        // orphan every checkpoint already on disk.
+        let with_alg = |alg| BatchOptions::new().solve(SolveOptions::new().algorithm(alg));
+        let pins = [
+            (BatchOptions::new(), 0xef7d_c2a0_d95a_ae66_u64),
+            (with_alg(Algorithm::Permuted), 0x9524_508c_cf9c_f4d5),
+            (
+                with_alg(Algorithm::HybridTiled {
+                    tile: crate::kernels::Tile::cubic(2),
+                }),
+                0x21d8_5677_909d_4bee,
+            ),
+            (
+                BatchOptions::new().mem_budget(1 << 20),
+                0x8be1_26a2_0afe_0e3e,
+            ),
+        ];
+        for (opts, want) in pins {
+            let got = opts.fingerprint();
+            assert_eq!(got, want, "{opts:?}: {got:#018x}");
+        }
     }
 
     #[test]

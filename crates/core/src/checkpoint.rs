@@ -358,10 +358,10 @@ pub(crate) fn outcome_from_code(code: u8, cur: &Cursor<'_>) -> Result<Outcome, B
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunManifest {
     /// FNV-1a fingerprint of every score-affecting batch option
-    /// (algorithm + tile, layout override, memory budget, degradation,
-    /// solve-level supervision budget). Threads, scheduling policy and
-    /// deadlines do *not* change scores and are excluded, so a resumed
-    /// run may use more workers or a fresh deadline.
+    /// (algorithm + tile, memory budget, degradation, solve-level
+    /// supervision budget). Threads and deadlines do *not* change scores
+    /// and are excluded, so a resumed run may use more workers or a fresh
+    /// deadline.
     pub options_hash: u64,
     /// Caller-chosen run seed (0 when unused) — carried verbatim.
     pub seed: u64,
@@ -897,7 +897,7 @@ mod tests {
         sink.record(&rec0);
         sink.record(&rec2);
         let p = problem("GGAUCGAC", "CCGAUG");
-        let f = p.compute_prefix(Algorithm::Hybrid, 5).unwrap();
+        let f = p.compute_prefix(Algorithm::CoarseGrain, 5).unwrap();
         let snap = TableSnapshot::capture(1, problem_id(&p), &f, 5);
         sink.snapshot(&snap);
         assert_eq!(sink.take_error(), None);
@@ -911,10 +911,10 @@ mod tests {
         let snap = got_snapshot.unwrap();
         let mut f2 = FTable::new(p.seq1().len(), p.seq2().len(), Layout::Packed);
         snap.restore_into(&mut f2).unwrap();
-        p.resume_from(Algorithm::Hybrid, &mut f2, snap.done)
+        p.resume_from(Algorithm::CoarseGrain, &mut f2, snap.done)
             .unwrap();
         let reference = p
-            .solve_opts(&crate::engine::SolveOptions::new().algorithm(Algorithm::Hybrid))
+            .solve_opts(&crate::engine::SolveOptions::new().algorithm(Algorithm::CoarseGrain))
             .unwrap()
             .into_ftable();
         for (i1, j1, i2, j2) in reference.iter_cells().collect::<Vec<_>>() {

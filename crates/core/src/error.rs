@@ -247,8 +247,8 @@ mod tests {
                 BpMaxError::UnknownAlgorithm {
                     name: "warp".to_string(),
                 },
-                "unknown algorithm \"warp\" (expected one of: base, permuted, coarse, fine, \
-                 hybrid, hybrid-tiled, hybrid-reg)",
+                "unknown algorithm \"warp\" (expected one of: base, permuted, coarse, \
+                 hybrid-tiled, hybrid-reg)",
             ),
             (
                 BpMaxError::InvalidSequence {

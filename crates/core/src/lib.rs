@@ -27,8 +27,9 @@
 //! ```
 //!
 //! [`SolveOptions`] picks the champion algorithm by default and exposes
-//! every knob (the program version with its tile, the layout) behind one
-//! fallible entry point. To solve *many* problems, use the pooled
+//! the one score-affecting knob, the program version with its tile,
+//! behind one fallible entry point; the table's memory map is the
+//! problem's own ([`BpMaxProblem::with_layout`]). To solve *many* problems, use the pooled
 //! [`batch::BatchEngine`] instead of a loop — it recycles F-table
 //! buffers across solves.
 //!
@@ -40,7 +41,7 @@
 //! | [`ftable`] | the packed 4-D table + Fig 10 memory-map options |
 //! | [`baseline`] | the original diagonal-by-diagonal program (the speedup reference) |
 //! | [`kernels`] | the per-triangle compute kernels: double max-plus (naive, permuted, tiled, register-tiled), R1/R2 interleaved finalization, R3/R4 piggybacking |
-//! | [`engine`] | the seven program versions (Phase I–III and register tiling) assembled from the kernels |
+//! | [`engine`] | the five runnable program versions (Phase I–III and register tiling) assembled from the kernels |
 //! | [`traceback`] | recovering an optimal [`rna::JointStructure`] from `F` |
 //! | [`schedules`] | Tables I–V encoded as `polyhedral` schedules + dependence system, machine-verified |
 //! | [`nests`] | generated loop nests per version (Table VI LOC metric) |
@@ -89,9 +90,7 @@ pub mod windowed;
 pub use batch::{BatchEngine, BatchItem, BatchOptions, BatchReport};
 pub use checkpoint::{CheckpointSink, JournalRecord, RunManifest, TableSnapshot};
 pub use coordinator::{CoordinatorOptions, CoordinatorReport, WorkerCommand};
-pub use engine::{
-    Algorithm, BpMaxProblem, ComputeProfile, Solution, SolveOptions, SupervisedSolve,
-};
+pub use engine::{Algorithm, BpMaxProblem, Solution, SolveOptions, SupervisedSolve};
 pub use error::BpMaxError;
 pub use ftable::{BlockPool, FTable, PoolStats};
 pub use serve::{
@@ -107,7 +106,7 @@ pub use supervise::{CancelToken, Deadline, MemoryBudget, Outcome, OutcomeCounts,
 /// `compute`) with the single options-driven API.
 pub mod prelude {
     pub use crate::batch::{BatchEngine, BatchItem, BatchOptions, BatchReport};
-    pub use crate::engine::{Algorithm, BpMaxProblem, ComputeProfile, Solution, SolveOptions};
+    pub use crate::engine::{Algorithm, BpMaxProblem, Solution, SolveOptions};
     pub use crate::error::BpMaxError;
     pub use crate::serve::{
         Client, RejectReason, Request, Response, Server, ServerConfig, ServerStats, SolveRequest,

@@ -283,9 +283,57 @@ pub fn predict_dmp_gflops(
     flops / predict_dmp_seconds(v, m, n, threads, cm, spec, ht) / 1e9
 }
 
+/// A full-program curve of Figs 15/16: one of the paper's program
+/// versions, priced by [`predict_bpmax_seconds`]. `Fine` and `Hybrid`
+/// are the paper's Phase II fine-grain and Phase III hybrid schedules;
+/// they are modeled here and verified by [`crate::schedules`], but not
+/// run ([`crate::engine`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BpMaxVariant {
+    /// The original program, serial.
+    Base,
+    /// Phase I: the loop-permuted program, serial.
+    Permuted,
+    /// Phase II coarse-grain: triangles of a diagonal across threads.
+    Coarse,
+    /// Phase II fine-grain: rows of one triangle across threads; `R1`/`R2`
+    /// serial.
+    Fine,
+    /// Phase III hybrid: fine-grain `R0`/`R3`/`R4`, coarse-grain
+    /// finalization.
+    Hybrid,
+    /// Phase III hybrid with the tiled `R0`.
+    Tiled,
+}
+
+impl BpMaxVariant {
+    /// The curve that prices `alg`. Both tiled versions are `Tiled`,
+    /// whatever their tile.
+    pub fn of(alg: Algorithm) -> BpMaxVariant {
+        match alg {
+            Algorithm::Baseline => BpMaxVariant::Base,
+            Algorithm::Permuted => BpMaxVariant::Permuted,
+            Algorithm::CoarseGrain => BpMaxVariant::Coarse,
+            Algorithm::HybridTiled { .. } | Algorithm::HybridReg => BpMaxVariant::Tiled,
+        }
+    }
+
+    /// Label used in figures and bench record ids.
+    pub fn label(&self) -> &'static str {
+        match self {
+            BpMaxVariant::Base => "base",
+            BpMaxVariant::Permuted => "permuted",
+            BpMaxVariant::Coarse => "coarse",
+            BpMaxVariant::Fine => "fine",
+            BpMaxVariant::Hybrid => "hybrid",
+            BpMaxVariant::Tiled => "hybrid+tiled",
+        }
+    }
+}
+
 /// Predict seconds for the **full `BPMax` program** (Figs 15/16).
 pub fn predict_bpmax_seconds(
-    alg: Algorithm,
+    v: BpMaxVariant,
     m: usize,
     n: usize,
     threads: usize,
@@ -301,19 +349,19 @@ pub fn predict_bpmax_seconds(
     for d1 in 0..m {
         let triangles = m - d1;
         let fin_flops = triangle_r12_flops(n) + cells_per_triangle * (cm.spf_cell / cm.spf_r12);
-        match alg {
-            Algorithm::Baseline => {
+        match v {
+            BpMaxVariant::Base => {
                 let spf = throttle(cm.spf_r0_naive, 1, ws_r0, spec);
                 total += triangles as f64
                     * (triangle_r0_flops(d1, n) * spf + fin_flops * cm.spf_r0_naive);
             }
-            Algorithm::Permuted => {
+            BpMaxVariant::Permuted => {
                 let spf = throttle(cm.spf_r0_permuted, 1, ws_r0, spec);
                 total += triangles as f64
                     * (triangle_r0_flops(d1, n) * spf
                         + fin_flops * throttle(cm.spf_r12, 1, ws_r12, spec));
             }
-            Algorithm::CoarseGrain => {
+            BpMaxVariant::Coarse => {
                 let active = threads.min(triangles).max(1);
                 let spf = throttle(cm.spf_r0_permuted, active, ws_r0, spec);
                 let spf12 = throttle(cm.spf_r12, active, ws_r12, spec);
@@ -322,7 +370,7 @@ pub fn predict_bpmax_seconds(
                     .makespan
                     / speed;
             }
-            Algorithm::FineGrain => {
+            BpMaxVariant::Fine => {
                 let spf = throttle(cm.spf_r0_permuted, 1, ws_r0, spec);
                 let spf12 = throttle(cm.spf_r12, 1, ws_r12, spec);
                 let rows = triangle_row_costs(d1, n, spf);
@@ -332,9 +380,9 @@ pub fn predict_bpmax_seconds(
                 // serial finalization (R1/R2 unparallelized)
                 total += (per + fin_flops * spf12 / speed.min(1.0)) * triangles as f64;
             }
-            Algorithm::Hybrid | Algorithm::HybridTiled { .. } | Algorithm::HybridReg => {
-                let spf_r0 = match alg {
-                    Algorithm::HybridTiled { .. } | Algorithm::HybridReg => cm.spf_r0_tiled,
+            BpMaxVariant::Hybrid | BpMaxVariant::Tiled => {
+                let spf_r0 = match v {
+                    BpMaxVariant::Tiled => cm.spf_r0_tiled,
                     _ => throttle(cm.spf_r0_permuted, 1, ws_r0, spec),
                 };
                 // Stage 1: Phase A per triangle, rows parallel (identical
@@ -360,7 +408,7 @@ pub fn predict_bpmax_seconds(
 
 /// Predict GFLOPS for the full program.
 pub fn predict_bpmax_gflops(
-    alg: Algorithm,
+    v: BpMaxVariant,
     m: usize,
     n: usize,
     threads: usize,
@@ -369,7 +417,7 @@ pub fn predict_bpmax_gflops(
     ht: HtModel,
 ) -> f64 {
     let flops = traffic::bpmax_flops(m, n) as f64;
-    flops / predict_bpmax_seconds(alg, m, n, threads, cm, spec, ht) / 1e9
+    flops / predict_bpmax_seconds(v, m, n, threads, cm, spec, ht) / 1e9
 }
 
 #[cfg(test)]
@@ -425,13 +473,11 @@ mod tests {
         let (cm, spec, ht) = setup();
         let (m, n, t) = (48, 48, 6);
         let g = |a| predict_bpmax_gflops(a, m, n, t, &cm, &spec, ht);
-        let base = g(Algorithm::Baseline);
-        let coarse = g(Algorithm::CoarseGrain);
-        let fine = g(Algorithm::FineGrain);
-        let hybrid = g(Algorithm::Hybrid);
-        let tiled = g(Algorithm::HybridTiled {
-            tile: Tile::default(),
-        });
+        let base = g(BpMaxVariant::Base);
+        let coarse = g(BpMaxVariant::Coarse);
+        let fine = g(BpMaxVariant::Fine);
+        let hybrid = g(BpMaxVariant::Hybrid);
+        let tiled = g(BpMaxVariant::Tiled);
         assert!(base < fine);
         assert!(hybrid > fine, "hybrid {hybrid} > fine {fine}");
         assert!(hybrid > coarse, "hybrid {hybrid} > coarse {coarse}");
@@ -442,18 +488,8 @@ mod tests {
     fn tiled_speedup_over_base_is_large() {
         let (cm, spec, ht) = setup();
         let (m, n) = (64, 64);
-        let base = predict_bpmax_seconds(Algorithm::Baseline, m, n, 1, &cm, &spec, ht);
-        let tiled = predict_bpmax_seconds(
-            Algorithm::HybridTiled {
-                tile: Tile::default(),
-            },
-            m,
-            n,
-            6,
-            &cm,
-            &spec,
-            ht,
-        );
+        let base = predict_bpmax_seconds(BpMaxVariant::Base, m, n, 1, &cm, &spec, ht);
+        let tiled = predict_bpmax_seconds(BpMaxVariant::Tiled, m, n, 6, &cm, &spec, ht);
         let speedup = base / tiled;
         // paper: >100× at scale with 6 threads
         assert!(speedup > 30.0, "speedup {speedup}");
@@ -462,7 +498,9 @@ mod tests {
             tile: Tile::DEFAULT,
         };
         for t in [1, 6] {
-            let p = |alg| predict_bpmax_seconds(alg, m, n, t, &cm, &spec, ht).to_bits();
+            let p = |alg| {
+                predict_bpmax_seconds(BpMaxVariant::of(alg), m, n, t, &cm, &spec, ht).to_bits()
+            };
             assert_eq!(p(Algorithm::HybridReg), p(tiled_alg), "t={t}");
         }
     }
@@ -481,7 +519,7 @@ mod tests {
         let (cm, spec, ht) = setup();
         let mut prev = f64::INFINITY;
         for t in [1usize, 2, 4, 6] {
-            let s = predict_bpmax_seconds(Algorithm::Hybrid, 48, 48, t, &cm, &spec, ht);
+            let s = predict_bpmax_seconds(BpMaxVariant::Hybrid, 48, 48, t, &cm, &spec, ht);
             assert!(s <= prev + 1e-12, "t={t}: {s} > {prev}");
             prev = s;
         }

@@ -142,7 +142,7 @@ mod tests {
         for (qi, q) in queries.iter().enumerate() {
             for (ti, t) in targets.iter().enumerate() {
                 let direct = BpMaxProblem::new(q.clone(), t.clone(), model.clone())
-                    .solve_opts(&SolveOptions::new().algorithm(Algorithm::Hybrid))
+                    .solve_opts(&SolveOptions::new().algorithm(Algorithm::CoarseGrain))
                     .unwrap()
                     .score();
                 assert_eq!(m[qi][ti], direct);

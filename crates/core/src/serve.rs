@@ -65,9 +65,9 @@
 //! keyed by `(problem content-id) × (options fingerprint)`:
 //! [`crate::checkpoint::problem_id`] (FNV-1a over strands + scoring
 //! model) crossed with the [`crate::batch::BatchOptions::fingerprint`]
-//! rule over the request's [`ComputeProfile`], effective memory budget,
+//! rule over the request's [`Algorithm`], effective memory budget,
 //! and degrade flag. Deadlines are deliberately *not* in the key — they
-//! decide whether a solve finishes, never its score. A profile that
+//! decide whether a solve finishes, never its score. A version that
 //! cannot run (a tile with a zero dimension) is refused before the cache
 //! is consulted, with the same typed error a cold solve gives. A warm hit
 //! skips the solver entirely (the pool stats prove zero table
@@ -81,10 +81,10 @@
 
 use crate::batch::{BatchEngine, BatchOptions};
 use crate::checkpoint::{
-    layout_code, layout_from_code, outcome_code, outcome_from_code, problem_id, put_f32, put_f64,
-    put_frame, put_u32, put_u64, put_u8, read_file, take_frame, write_atomic, Cursor,
+    outcome_code, outcome_from_code, problem_id, put_f32, put_f64, put_frame, put_u32, put_u64,
+    put_u8, read_file, take_frame, write_atomic, Cursor,
 };
-use crate::engine::{Algorithm, BpMaxProblem, ComputeProfile, SolveOptions};
+use crate::engine::{Algorithm, BpMaxProblem, SolveOptions};
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, PoolStats};
 use crate::kernels::Tile;
@@ -108,12 +108,15 @@ pub const MAGIC: &[u8; 8] = b"BPMXSERV";
 /// counters. v3 added the overload counters (inflight / shed / drained
 /// / panicked) to the stats reply, the [`RejectReason::Overloaded`]
 /// load-shedding rejection, and the per-request deadline field. v4
-/// dropped the profile's bounds-mode override byte (the kernels have one
-/// bounds-checked form). v5 dropped the profile's tile-override and SIMD
+/// dropped the request's bounds-mode override byte (the kernels have one
+/// bounds-checked form). v5 dropped the request's tile-override and SIMD
 /// presence bytes (a tile now travels only inside `hybrid+tiled`) and
-/// added algorithm code 6 (`hybrid+reg`). An older cache entry fails the
-/// header check and is treated as a miss.
-pub const VERSION: u32 = 5;
+/// added algorithm code 6 (`hybrid+reg`). v6 dropped the layout-override
+/// presence byte (a table's layout is always its problem's) and retired
+/// algorithm codes 3 and 4 (`fine`, `hybrid`), which are now refused as
+/// unknown. An older cache entry fails the header check and is treated
+/// as a miss.
+pub const VERSION: u32 = 6;
 
 /// Ceiling on a single frame's payload: no request needs more, and the
 /// reader must never let a corrupted length field drive allocation.
@@ -151,7 +154,7 @@ fn protocol(detail: String) -> BpMaxError {
 // ---------------------------------------------------------------------------
 
 /// One solve job, exactly as it crosses the wire: the problem content
-/// (strands + scoring model) plus the score-affecting [`ComputeProfile`]
+/// (strands + scoring model) plus the score-affecting [`Algorithm`]
 /// and the request-side supervision knobs. This is the unified request
 /// type the CLI's one-shot path and the daemon share — both build it,
 /// one solves it locally, the other encodes it.
@@ -163,8 +166,8 @@ pub struct SolveRequest {
     pub seq2: RnaSeq,
     /// The scoring model (round-tripped bit-exactly).
     pub model: ScoringModel,
-    /// The score-affecting solve configuration.
-    pub profile: ComputeProfile,
+    /// The program version: the score-affecting solve configuration.
+    pub algorithm: Algorithm,
     /// Request-side F-table byte cap; the server's own cap still applies
     /// (the tighter one wins).
     pub mem_budget: Option<u64>,
@@ -179,23 +182,23 @@ pub struct SolveRequest {
 }
 
 impl SolveRequest {
-    /// A request with the default (champion) profile and no caps.
+    /// A request with the default (champion) algorithm and no caps.
     pub fn new(seq1: RnaSeq, seq2: RnaSeq, model: ScoringModel) -> Self {
         SolveRequest {
             seq1,
             seq2,
             model,
-            profile: ComputeProfile::default(),
+            algorithm: Algorithm::default(),
             mem_budget: None,
             degrade: false,
             deadline: None,
         }
     }
 
-    /// Replace the compute profile.
+    /// Select the program version.
     #[must_use]
-    pub fn profile(mut self, profile: ComputeProfile) -> Self {
-        self.profile = profile;
+    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.algorithm = algorithm;
         self
     }
 
@@ -418,8 +421,6 @@ fn algorithm_code(alg: Algorithm) -> u8 {
         Algorithm::Baseline => 0,
         Algorithm::Permuted => 1,
         Algorithm::CoarseGrain => 2,
-        Algorithm::FineGrain => 3,
-        Algorithm::Hybrid => 4,
         Algorithm::HybridTiled { .. } => 5,
         Algorithm::HybridReg => 6,
     }
@@ -458,8 +459,6 @@ fn take_algorithm(cur: &mut Cursor<'_>) -> Result<Algorithm, BpMaxError> {
         0 => Algorithm::Baseline,
         1 => Algorithm::Permuted,
         2 => Algorithm::CoarseGrain,
-        3 => Algorithm::FineGrain,
-        4 => Algorithm::Hybrid,
         5 => Algorithm::HybridTiled {
             tile: take_tile(cur, "algorithm tile")?,
         },
@@ -491,23 +490,6 @@ fn take_bool(cur: &mut Cursor<'_>, what: &str) -> Result<bool, BpMaxError> {
     take_presence(cur, what)
 }
 
-fn put_profile(buf: &mut Vec<u8>, profile: &ComputeProfile) {
-    let (alg, layout) = profile.parts();
-    put_algorithm(buf, alg);
-    put_opt(buf, layout, |b, l| put_u8(b, layout_code(l)));
-}
-
-fn take_profile(cur: &mut Cursor<'_>) -> Result<ComputeProfile, BpMaxError> {
-    let alg = take_algorithm(cur)?;
-    let layout = if take_presence(cur, "profile layout override")? {
-        let code = cur.u8("profile layout code")?;
-        Some(layout_from_code(code, cur)?)
-    } else {
-        None
-    };
-    Ok(ComputeProfile::from_parts(alg, layout))
-}
-
 fn header(kind: u8) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(MAGIC);
@@ -535,7 +517,7 @@ fn solve_request_payload(req: &SolveRequest) -> Vec<u8> {
     put_seq(&mut p, &req.seq1);
     put_seq(&mut p, &req.seq2);
     put_model(&mut p, &req.model);
-    put_profile(&mut p, &req.profile);
+    put_algorithm(&mut p, req.algorithm);
     put_opt(&mut p, req.mem_budget, put_u64);
     put_u8(&mut p, u8::from(req.degrade));
     // Deadlines cross the wire as whole milliseconds: sub-millisecond
@@ -551,7 +533,7 @@ fn take_solve_request(cur: &mut Cursor<'_>) -> Result<SolveRequest, BpMaxError> 
     let seq1 = take_seq(cur, "strand 1")?;
     let seq2 = take_seq(cur, "strand 2")?;
     let model = take_model(cur)?;
-    let profile = take_profile(cur)?;
+    let algorithm = take_algorithm(cur)?;
     let mem_budget = take_presence(cur, "request mem budget")?
         .then(|| cur.u64("request mem budget bytes"))
         .transpose()?;
@@ -564,7 +546,7 @@ fn take_solve_request(cur: &mut Cursor<'_>) -> Result<SolveRequest, BpMaxError> 
         seq1,
         seq2,
         model,
-        profile,
+        algorithm,
         mem_budget,
         degrade,
         deadline,
@@ -868,16 +850,12 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 // ---------------------------------------------------------------------------
 
 /// The fingerprint half of the cache key: the shared
-/// [`BatchOptions::fingerprint`] rule over the request's profile,
+/// [`BatchOptions::fingerprint`] rule over the request's algorithm,
 /// effective budget, and degrade flag. Deadlines are excluded on
 /// purpose — they cannot change a score.
-fn cache_fingerprint(
-    profile: &ComputeProfile,
-    effective_budget: Option<u64>,
-    degrade: bool,
-) -> u64 {
+fn cache_fingerprint(algorithm: Algorithm, effective_budget: Option<u64>, degrade: bool) -> u64 {
     let mut opts = BatchOptions::new()
-        .solve(SolveOptions::from_profile(*profile))
+        .solve(SolveOptions::new().algorithm(algorithm))
         .degrade(degrade);
     if let Some(bytes) = effective_budget {
         opts = opts.mem_budget(bytes);
@@ -1481,10 +1459,10 @@ impl Server {
     }
 
     fn handle_solve(&self, req: &SolveRequest, seq: u64) -> Response {
-        // A profile that cannot run gets the cold path's typed error
+        // A version that cannot run gets the cold path's typed error
         // before the cache is consulted, so no cached answer of another
         // configuration can stand in for it.
-        if let Err(e) = req.profile.validated_algorithm() {
+        if let Err(e) = req.algorithm.validate() {
             return Response::Error {
                 detail: e.to_string(),
             };
@@ -1498,11 +1476,11 @@ impl Server {
         // Cache first: a warm hit answers without touching the solver,
         // the pool, or the in-flight ledger — it holds no F-table bytes
         // and no slot. The key is the problem content-id crossed with
-        // the fingerprint of everything score-affecting (profile +
+        // the fingerprint of everything score-affecting (algorithm +
         // effective budget + degrade — a degraded score depends on the
         // budget).
         let pid = problem_id(&problem);
-        let fp = cache_fingerprint(&req.profile, effective_budget, req.degrade);
+        let fp = cache_fingerprint(req.algorithm, effective_budget, req.degrade);
         if let Some(hit) = self.cache.get(pid, fp) {
             // ordering: monotonic counter
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1520,8 +1498,10 @@ impl Server {
 
         // Admission: memory, then predicted runtime — both before any
         // F-table allocation.
-        let mut solve = SolveOptions::from_profile(req.profile).degrade(req.degrade);
-        let layout = req.profile.resolved_layout(problem.layout());
+        let mut solve = SolveOptions::new()
+            .algorithm(req.algorithm)
+            .degrade(req.degrade);
+        let layout = problem.layout();
         let needed = match FTable::estimate_bytes(req.seq1.len(), req.seq2.len(), layout) {
             Ok(needed) => needed,
             Err(e) => {
@@ -1992,7 +1972,6 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ftable::Layout;
     use crate::kernels::Tile;
 
     fn request() -> SolveRequest {
@@ -2006,22 +1985,33 @@ mod tests {
     #[test]
     fn request_round_trips_with_every_override() {
         let req = request()
-            .profile(
-                ComputeProfile::new()
-                    .algorithm(Algorithm::HybridTiled {
-                        tile: Tile {
-                            i2: 3,
-                            k2: 5,
-                            j2: 7,
-                        },
-                    })
-                    .layout(Layout::Shifted),
-            )
+            .algorithm(Algorithm::HybridTiled {
+                tile: Tile {
+                    i2: 3,
+                    k2: 5,
+                    j2: 7,
+                },
+            })
             .mem_budget(1 << 20)
             .degrade(true)
             .deadline(Duration::from_millis(1500));
         let wire = encode_request(&Request::Solve(req.clone()));
         assert_eq!(decode_request(&wire).unwrap(), Request::Solve(req));
+    }
+
+    #[test]
+    fn retired_algorithm_codes_are_refused_not_remapped() {
+        // codes 3 and 4 were `fine` and `hybrid`, which ran `coarse`'s
+        // work; 7 was never assigned
+        for code in [3u8, 4, 7] {
+            let err = take_algorithm(&mut Cursor::new(&[code], Path::new("wire")))
+                .expect_err("no version has this code");
+            let want = format!("unknown algorithm code {code}");
+            assert!(
+                matches!(&err, BpMaxError::CorruptCheckpoint { detail, .. } if *detail == want),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -2100,16 +2090,13 @@ mod tests {
 
     #[test]
     fn cache_fingerprint_ignores_nothing_score_affecting() {
-        let profile = ComputeProfile::new();
-        let base = cache_fingerprint(&profile, None, false);
+        let alg = Algorithm::default();
+        let base = cache_fingerprint(alg, None, false);
         // budget and degrade are part of the key
-        assert_ne!(base, cache_fingerprint(&profile, Some(1 << 20), false));
-        assert_ne!(base, cache_fingerprint(&profile, None, true));
+        assert_ne!(base, cache_fingerprint(alg, Some(1 << 20), false));
+        assert_ne!(base, cache_fingerprint(alg, None, true));
         // a different algorithm is a different key
-        assert_ne!(
-            base,
-            cache_fingerprint(&profile.algorithm(Algorithm::Baseline), None, false)
-        );
+        assert_ne!(base, cache_fingerprint(Algorithm::Baseline, None, false));
     }
 
     #[test]
@@ -2120,13 +2107,12 @@ mod tests {
             k2: 4,
             j2: 4,
         };
-        let bad =
-            request().profile(ComputeProfile::new().algorithm(Algorithm::HybridTiled { tile }));
+        let bad = request().algorithm(Algorithm::HybridTiled { tile });
         let want = Response::Error {
             detail: BpMaxError::BadTile { tile }.to_string(),
         };
         assert_eq!(server.handle(&Request::Solve(bad.clone())), want, "cold");
-        let permuted = request().profile(ComputeProfile::new().algorithm(Algorithm::Permuted));
+        let permuted = request().algorithm(Algorithm::Permuted);
         assert!(matches!(
             server.handle(&Request::Solve(permuted)),
             Response::Solved { score, .. } if score == 15.0
@@ -2135,7 +2121,7 @@ mod tests {
         assert_eq!(
             server.handle(&Request::Solve(bad)),
             want,
-            "a cached solve of another profile must not answer a bad tile"
+            "a cached solve of another algorithm must not answer a bad tile"
         );
         assert_eq!(server.stats().cache_hits, before.cache_hits);
     }

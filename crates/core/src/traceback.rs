@@ -230,7 +230,7 @@ mod tests {
             let s2 = RnaSeq::random(&mut rng, 7);
             let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
             let sol = p
-                .solve_opts(&SolveOptions::new().algorithm(Algorithm::Hybrid))
+                .solve_opts(&SolveOptions::new().algorithm(Algorithm::CoarseGrain))
                 .unwrap();
             let st = sol.traceback();
             st.validate(9, 7)

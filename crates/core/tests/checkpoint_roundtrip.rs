@@ -108,7 +108,7 @@ fn corrupted_snapshot_bytes_never_load() {
         problem_ids: vec![checkpoint::problem_id(&p)],
     };
     let sink = CheckpointSink::create(&dir, &manifest).unwrap();
-    let prefix = p.compute_prefix(Algorithm::Hybrid, 4).unwrap();
+    let prefix = p.compute_prefix(Algorithm::CoarseGrain, 4).unwrap();
     sink.snapshot(&TableSnapshot::capture(
         0,
         checkpoint::problem_id(&p),

@@ -46,7 +46,7 @@ fn solve_racing_a_cancel_is_complete_or_cleanly_interrupted() {
     let s2: RnaSeq = "CCGAUAGC".parse().expect("seq");
     let problem = Arc::new(BpMaxProblem::new(s1, s2, ScoringModel::bpmax_default()));
     let want = problem
-        .solve_opts(&SolveOptions::new().algorithm(Algorithm::Hybrid))
+        .solve_opts(&SolveOptions::new().algorithm(Algorithm::CoarseGrain))
         .expect("unsupervised reference solve")
         .score();
     loom::model(move || {
@@ -56,7 +56,7 @@ fn solve_racing_a_cancel_is_complete_or_cleanly_interrupted() {
         let solver = loom::thread::spawn(move || {
             p.solve_opts(
                 &SolveOptions::new()
-                    .algorithm(Algorithm::Hybrid)
+                    .algorithm(Algorithm::CoarseGrain)
                     .cancel(watched),
             )
             .map(|sol| sol.score())

@@ -60,7 +60,7 @@ proptest! {
     fn traceback_is_always_valid_and_optimal(s1 in seq(7), s2 in seq(7), model in scoring()) {
         let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
         let sol = p
-            .solve_opts(&SolveOptions::new().algorithm(Algorithm::Hybrid))
+            .solve_opts(&SolveOptions::new().algorithm(Algorithm::CoarseGrain))
             .unwrap();
         let st = sol.traceback();
         prop_assert!(st.validate(s1.len(), s2.len()).is_ok());

@@ -5,14 +5,13 @@
 //! [`BpMaxError::Protocol`] — never a panic, never a silently different
 //! message.
 
-use bpmax::ftable::Layout;
 use bpmax::kernels::Tile;
 use bpmax::serve::{
     decode_request, decode_response, encode_request, encode_response, read_message,
 };
 use bpmax::{
-    Algorithm, BpMaxError, ComputeProfile, Outcome, PoolStats, RejectReason, Request, Response,
-    ServerStats, SolveRequest,
+    Algorithm, BpMaxError, Outcome, PoolStats, RejectReason, Request, Response, ServerStats,
+    SolveRequest,
 };
 use proptest::prelude::*;
 use rna::base::BASES;
@@ -36,23 +35,16 @@ fn opt<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
     (any::<bool>(), inner).prop_map(|(some, v)| if some { Some(v) } else { None })
 }
 
-fn profile() -> impl Strategy<Value = ComputeProfile> {
+fn algorithm() -> impl Strategy<Value = Algorithm> {
     let alg = (0..Algorithm::ALL.len()).prop_map(|i| Algorithm::ALL[i]);
     let tile = opt((1usize..64, 1usize..64, 1usize..64))
         .prop_map(|t| t.map(|(i2, k2, j2)| Tile { i2, k2, j2 }));
-    let layout =
-        opt((0..3usize).prop_map(|i| [Layout::Packed, Layout::Identity, Layout::Shifted][i]));
-    (alg, tile, layout).prop_map(|(alg, tile, layout)| {
+    (alg, tile).prop_map(|(alg, tile)| {
         // arbitrary tiles reach the wire inside the tiled version
-        let alg = match (alg, tile) {
+        match (alg, tile) {
             (Algorithm::HybridTiled { .. }, Some(tile)) => Algorithm::HybridTiled { tile },
             _ => alg,
-        };
-        let mut p = ComputeProfile::new().algorithm(alg);
-        if let Some(l) = layout {
-            p = p.layout(l);
         }
-        p
     })
 }
 
@@ -61,24 +53,22 @@ fn solve_request() -> impl Strategy<Value = SolveRequest> {
         seq(12),
         seq(9),
         model(),
-        profile(),
+        algorithm(),
         (opt(any::<u64>()), opt(0u64..1 << 40)),
         any::<bool>(),
     )
-        .prop_map(
-            |(s1, s2, model, profile, (mem_budget, deadline_ms), degrade)| {
-                let mut req = SolveRequest::new(s1, s2, model)
-                    .profile(profile)
-                    .degrade(degrade);
-                if let Some(b) = mem_budget {
-                    req = req.mem_budget(b);
-                }
-                if let Some(ms) = deadline_ms {
-                    req = req.deadline(std::time::Duration::from_millis(ms));
-                }
-                req
-            },
-        )
+        .prop_map(|(s1, s2, model, alg, (mem_budget, deadline_ms), degrade)| {
+            let mut req = SolveRequest::new(s1, s2, model)
+                .algorithm(alg)
+                .degrade(degrade);
+            if let Some(b) = mem_budget {
+                req = req.mem_budget(b);
+            }
+            if let Some(ms) = deadline_ms {
+                req = req.deadline(std::time::Duration::from_millis(ms));
+            }
+            req
+        })
 }
 
 fn response() -> impl Strategy<Value = Response> {
@@ -190,7 +180,7 @@ fn every_byte_flip_is_rejected() {
             "CCGAUG".parse().unwrap(),
             ScoringModel::bpmax_default(),
         )
-        .profile(ComputeProfile::new().algorithm(Algorithm::Hybrid))
+        .algorithm(Algorithm::CoarseGrain)
         .mem_budget(1 << 20),
     );
     let wire = encode_request(&req);

@@ -90,7 +90,7 @@ fn interaction_never_below_independent_folds() {
     for _ in 0..8 {
         let (s1, s2) = random_pair(&mut rng, 8, 6);
         let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
-        let score = solve(&p, Algorithm::Hybrid).score();
+        let score = solve(&p, Algorithm::CoarseGrain).score();
         let floor =
             Nussinov::fold(&s1, &model).best_score() + Nussinov::fold(&s2, &model).best_score();
         assert!(score >= floor, "{s1}/{s2}: {score} < {floor}");
@@ -145,7 +145,7 @@ fn antisense_duplex_is_recovered() {
         binding.clone(),
         ScoringModel::bpmax_default(),
     );
-    let sol = solve(&p, Algorithm::Hybrid);
+    let sol = solve(&p, Algorithm::CoarseGrain);
     let st = sol.traceback();
     st.validate(12, 12).unwrap();
     // A full duplex pairs every position intermolecularly (or does at
@@ -192,5 +192,5 @@ fn fasta_to_interaction_pipeline() {
         records[1].seq.clone(),
         ScoringModel::bpmax_default(),
     );
-    assert_eq!(solve(&p, Algorithm::Hybrid).score(), 15.0);
+    assert_eq!(solve(&p, Algorithm::CoarseGrain).score(), 15.0);
 }
