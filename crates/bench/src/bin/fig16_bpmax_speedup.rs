@@ -5,9 +5,15 @@
 //! beside its modeled value, and the modeled 6-thread speedup on the
 //! paper's Xeon. Paper headline: ">100× speedup for longer sequence
 //! lengths with 6 threads" for the hybrid+tiled version.
+//!
+//! The two-thread speedup is a ratio of two wall times, so host drift
+//! between timing one version and then the other lands in it whole. Each
+//! round therefore times `permuted` and then `coarse` back to back, and
+//! the table reports the median per-round ratio with its quartiles and
+//! range.
 
 use bench::report::Reporter;
-use bench::{banner, f1, f2, model, time_stats, workload, Opts, Table};
+use bench::{banner, f1, f2, model, time_once, time_stats, workload, Opts, Table, TimeStats};
 use bpmax::kernels::Tile;
 use bpmax::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
 use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
@@ -78,19 +84,32 @@ fn main() {
     println!("\n--- measured two-thread speedup at M=N={n}, this machine ---");
     let (s1, s2) = workload(opts.seed, n, n);
     let p = BpMaxProblem::new(s1, s2, model());
-    let reps = opts.reps(3);
+    let rounds = opts.reps(5);
     let flops = p.flops();
-    let s_perm = time_stats(reps, || solve(&p, Algorithm::Permuted));
-    let s_coarse = time_stats(reps, || solve(&p, Algorithm::CoarseGrain));
-    let measured = s_perm.median_s / s_coarse.median_s;
+    solve(&p, Algorithm::Permuted);
+    solve(&p, Algorithm::CoarseGrain);
+    let (mut ratios, mut t_coarse) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let t_perm = time_once(|| solve(&p, Algorithm::Permuted));
+        let t = time_once(|| solve(&p, Algorithm::CoarseGrain));
+        ratios.push(t_perm / t);
+        t_coarse.push(t);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let len = ratios.len();
+    let (q1, measured, q3) = (ratios[len / 4], ratios[len / 2], ratios[3 * len / 4]);
     let modeled = predict_bpmax_seconds(BpMaxVariant::Permuted, n, n, 1, &cm, &spec, ht)
         / predict_bpmax_seconds(BpMaxVariant::Coarse, n, n, 2, &cm, &spec, ht);
     rep.measured(
         format!("measured/coarse-vs-permuted/n={n}"),
-        s_coarse,
+        TimeStats::from_samples(t_coarse),
         Some(flops),
     );
-    rep.annotate(&[("speedup", measured)]);
+    rep.annotate(&[
+        ("speedup", measured),
+        ("speedup_q1", q1),
+        ("speedup_q3", q3),
+    ]);
     rep.values(
         format!("modeled/coarse-vs-permuted/n={n}"),
         bench::report::Kind::Modeled,
@@ -99,13 +118,19 @@ fn main() {
     let mut t = Table::new(&[
         "M=N",
         "host cores",
+        "rounds",
         "measured coarse/permuted",
+        "q1-q3",
+        "min-max",
         "modeled, 2 threads",
     ]);
     t.row(vec![
         n.to_string(),
         cores.to_string(),
+        rounds.to_string(),
         f2(measured),
+        format!("{}-{}", f2(q1), f2(q3)),
+        format!("{}-{}", f2(ratios[0]), f2(ratios[len - 1])),
         f2(modeled),
     ]);
     t.print();

@@ -169,27 +169,33 @@ pub struct TimeStats {
     pub mad_s: f64,
 }
 
+impl TimeStats {
+    /// Median + MAD of wall times already taken, in seconds (at least one).
+    pub fn from_samples(mut times: Vec<f64>) -> TimeStats {
+        times.sort_by(f64::total_cmp);
+        let median_s = times[times.len() / 2];
+        let mut devs: Vec<f64> = times.iter().map(|&t| (t - median_s).abs()).collect();
+        devs.sort_by(f64::total_cmp);
+        TimeStats {
+            reps: times.len(),
+            median_s,
+            mad_s: devs[devs.len() / 2],
+        }
+    }
+}
+
+/// Wall time of one call, in seconds.
+pub fn time_once<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
 /// Time a closure: one warm-up call, then `reps` timed calls summarized
 /// as median + MAD.
 pub fn time_stats<T>(reps: usize, mut f: impl FnMut() -> T) -> TimeStats {
     std::hint::black_box(f());
-    let reps = reps.max(1);
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    let median_s = times[times.len() / 2];
-    let mut devs: Vec<f64> = times.iter().map(|&t| (t - median_s).abs()).collect();
-    devs.sort_by(f64::total_cmp);
-    TimeStats {
-        reps,
-        median_s,
-        mad_s: devs[devs.len() / 2],
-    }
+    TimeStats::from_samples((0..reps.max(1)).map(|_| time_once(&mut f)).collect())
 }
 
 /// Time a closure: one warm-up call, then the median of `reps` timed

@@ -6,6 +6,11 @@
 use bench::report::{Kind, Report};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Numbers each run's JSON directory, so tests that run one binary at
+/// the same time never share one.
+static RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// Whether the artifact is expected to carry at least one nonzero-GFLOPS
 /// measurement (the four structural artifacts — dependence tables,
@@ -29,8 +34,17 @@ fn carries_gflops(artifact: &str) -> bool {
 /// (and nonzero finite GFLOPS where the artifact promises throughput).
 /// Returns the captured stdout for marker assertions.
 fn run(bin: &str, artifact: &str, args: &[&str]) -> String {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("bpmax-smoke-{}-{artifact}", std::process::id()));
+    run_report(bin, artifact, args).0
+}
+
+/// [`run`], also returning the parsed report for record assertions.
+fn run_report(bin: &str, artifact: &str, args: &[&str]) -> (String, Report) {
+    // ordering: a unique number is all that is needed; nothing is published.
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir: PathBuf = std::env::temp_dir().join(format!(
+        "bpmax-smoke-{}-{artifact}-{run}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(bin)
         .args(args)
@@ -74,7 +88,7 @@ fn run(bin: &str, artifact: &str, args: &[&str]) -> String {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    String::from_utf8_lossy(&out.stdout).into_owned()
+    (String::from_utf8_lossy(&out.stdout).into_owned(), report)
 }
 
 #[test]
@@ -159,6 +173,7 @@ fn fig15_fig16_run() {
     );
     assert!(out.contains("modeled speedup vs baseline"));
     assert!(out.contains("measured two-thread speedup at M=N=40"));
+    assert!(out.contains("q1-q3"));
 }
 
 #[test]
@@ -297,6 +312,24 @@ fn ablations_run() {
         &[],
     );
     assert!(out.contains("dynamic"));
+}
+
+#[test]
+fn ablation_locality_times_the_three_memory_maps() {
+    let (out, report) = run_report(
+        env!("CARGO_BIN_EXE_ablation_locality"),
+        "ablation_locality",
+        &["--reps", "1"],
+    );
+    assert!(out.contains("memory map, wall clock"));
+    for map in ["option1_identity", "option2_shifted", "packed"] {
+        let m = report
+            .find(&format!("measured/map/{map}"))
+            .unwrap_or_else(|| panic!("no measured/map/{map} record"));
+        assert_eq!(m.kind, Kind::Measured, "{map}");
+        let g = m.gflops.unwrap_or_else(|| panic!("{map}: no GFLOPS"));
+        assert!(g.is_finite() && g > 0.0, "{map}: GFLOPS {g}");
+    }
 }
 
 #[test]

@@ -47,7 +47,6 @@
 //! | [`nests`] | generated loop nests per version (Table VI LOC metric) |
 //! | [`perfmodel`] | calibrated cost model + `simsched` composition for the multi-thread figures |
 //! | [`windowed`] | banded/windowed `BPMax` (the Glidemaster-style restriction) |
-//! | [`screening`] | batch all-vs-all scoring and shuffle-null scan significance |
 //! | [`batch`] | the pooled batch engine: arena-recycled tables, supervision, checkpoints |
 //! | [`supervise`] | cancellation, deadlines, memory budgets, outcomes, fault injection |
 //! | [`checkpoint`] | crash-safe batch journaling + integrity-verified table snapshots |
@@ -80,7 +79,6 @@ pub mod kernels;
 pub mod nests;
 pub mod perfmodel;
 pub mod schedules;
-pub mod screening;
 pub mod serve;
 pub mod spec;
 pub mod supervise;

@@ -39,11 +39,6 @@
 //! * [`parser`] — a miniature Alpha-like surface syntax: systems,
 //!   domains, dependences and schedules as text (the shape of the paper's
 //!   "alphabets" programs and command scripts).
-//! * [`scangen`] — automatic scan-loop generation from a (domain,
-//!   schedule) pair for signed-permutation schedules (`AlphaZ`'s
-//!   `generateScheduleC`, restricted to the class Tables I–V use per
-//!   variable); generated nests are proven to visit instances in exactly
-//!   the executor's order.
 //! * [`executor`] — an interpreter that runs a system's statements in
 //!   schedule order (used by tests to execute `BPMax` straight from the
 //!   encoded paper schedules) and can emit memory-access traces for the
@@ -87,7 +82,6 @@ pub mod domain;
 pub mod executor;
 pub mod parser;
 pub mod presburger;
-pub mod scangen;
 pub mod schedule;
 pub mod tiling;
 pub mod verify_static;

@@ -42,16 +42,6 @@ pub fn kissing_hairpins(stem: usize, loop_len: usize) -> (RnaSeq, RnaSeq, usize,
     (RnaSeq::new(s1), RnaSeq::new(s2), stem, loop_len)
 }
 
-/// A target with a planted binding site: random background of `target_len`
-/// with the reverse complement of `query` spliced in at `site`.
-pub fn planted_site(rng: &mut impl Rng, query: &RnaSeq, target_len: usize, site: usize) -> RnaSeq {
-    assert!(site + query.len() <= target_len, "site out of range");
-    let mut bases = RnaSeq::random_gc(rng, target_len, 0.5).bases().to_vec();
-    let rc = query.reverse_complement();
-    bases.splice(site..site + rc.len(), rc.bases().iter().copied());
-    RnaSeq::new(bases)
-}
-
 /// A strand that folds into a strong hairpin with an accessible A-loop
 /// (the `GGG…AAA…CCC` shape used throughout the test-suite), sized up.
 pub fn hairpin_with_loop(stem: usize, loop_len: usize) -> RnaSeq {
@@ -99,23 +89,5 @@ mod tests {
         // strand1 stem: G–C ×stem; strand2 stem: A–U ×stem
         assert!(f1.best_score() >= 3.0 * stem as f32);
         assert!(f2.best_score() >= 2.0 * stem as f32);
-    }
-
-    #[test]
-    fn planted_site_places_reverse_complement() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let q: RnaSeq = "GGAUC".parse().unwrap();
-        let t = planted_site(&mut rng, &q, 40, 17);
-        assert_eq!(t.len(), 40);
-        let window = t.slice(17, 22);
-        assert_eq!(window, q.reverse_complement());
-    }
-
-    #[test]
-    #[should_panic(expected = "site out of range")]
-    fn planted_site_bounds_checked() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let q: RnaSeq = "GGAUC".parse().unwrap();
-        let _ = planted_site(&mut rng, &q, 8, 5);
     }
 }

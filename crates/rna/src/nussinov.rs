@@ -31,14 +31,8 @@ pub struct Fold {
 impl Nussinov {
     /// Fold `seq` under `model`, producing the full table (packed layout).
     pub fn fold(seq: &RnaSeq, model: &ScoringModel) -> Fold {
-        Self::fold_with_layout(seq, model, Layout::Packed)
-    }
-
-    /// Fold with an explicit table [`Layout`] (the `BPMax` kernels stream rows
-    /// of `S`, so layout choice matters there; results are identical).
-    pub fn fold_with_layout(seq: &RnaSeq, model: &ScoringModel, layout: Layout) -> Fold {
         let n = seq.len();
-        let mut table = Triangular::filled(n, layout, 0.0f32);
+        let mut table = Triangular::filled(n, Layout::Packed, 0.0f32);
         // Diagonal-by-diagonal: d = j - i increasing.
         for d in 1..n {
             for i in 0..n - d {
@@ -309,21 +303,6 @@ mod tests {
             let st = f.traceback();
             st.validate(seq.len()).unwrap();
             assert_eq!(st.score(&seq, &model), f.best_score(), "seq {seq}");
-        }
-    }
-
-    #[test]
-    fn layouts_agree() {
-        let seq: RnaSeq = "GGCAUCGGAUUACG".parse().unwrap();
-        let model = ScoringModel::bpmax_default();
-        let a = Nussinov::fold_with_layout(&seq, &model, Layout::Packed);
-        let b = Nussinov::fold_with_layout(&seq, &model, Layout::Identity);
-        let c = Nussinov::fold_with_layout(&seq, &model, Layout::Shifted);
-        for i in 0..seq.len() {
-            for j in i..seq.len() {
-                assert_eq!(a.score(i, j), b.score(i, j));
-                assert_eq!(a.score(i, j), c.score(i, j));
-            }
         }
     }
 

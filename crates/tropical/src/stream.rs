@@ -10,8 +10,7 @@
 //! micro-benchmark.
 //!
 //! [`StreamBench`] packages allocation, a deterministic fill, the timed run
-//! and FLOP accounting so that both the Criterion bench and the Fig-12
-//! harness binary share one implementation.
+//! and FLOP accounting for the Fig-12 harness binary.
 
 use crate::scalar::mp_axpy;
 use std::time::Instant;

@@ -18,7 +18,7 @@
 //!
 //! All three expose a uniform row API — `row(i)` covers columns `i..n` with
 //! element `(i, j)` at `row(i)[j - i]` — so the kernels are layout-generic
-//! and the memory-map ablation (bench `memlayout`) changes *only* the map.
+//! and the memory-map ablation (`ablation_locality`) changes *only* the map.
 
 /// Memory map for an upper-triangular table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,11 +109,6 @@ impl<T: Copy> Triangular<T> {
         self.layout
     }
 
-    /// Number of valid (triangle) entries, `n(n+1)/2`.
-    pub fn len_triangle(&self) -> usize {
-        self.n * (self.n + 1) / 2
-    }
-
     /// Bytes actually allocated.
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
@@ -138,40 +133,6 @@ impl<T: Copy> Triangular<T> {
     pub fn row(&self, i: usize) -> &[T] {
         let s = self.layout.row_start(self.n, i);
         &self.data[s..s + (self.n - i)]
-    }
-
-    /// Mutable row `i` (columns `i..n`).
-    #[inline(always)]
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
-        let s = self.layout.row_start(self.n, i);
-        let e = s + (self.n - i);
-        &mut self.data[s..e]
-    }
-
-    /// Rows `i` (mutable) and `k` (shared) with `i < k` — the aliasing shape
-    /// of in-triangle max-plus updates `row_i ⊕= a ⊗ row_k`.
-    pub fn row_pair(&mut self, i: usize, k: usize) -> (&mut [T], &[T]) {
-        assert!(i < k && k < self.n, "row_pair requires i < k < n");
-        let si = self.layout.row_start(self.n, i);
-        let ei = si + (self.n - i);
-        let sk = self.layout.row_start(self.n, k);
-        let ek = sk + (self.n - k);
-        // In every layout rows are disjoint ranges and i < k ⇒ si ≤ ei ≤ sk
-        // except Identity where ei = i·n + n ≤ k·n = sk − k + ... still ≤ sk.
-        debug_assert!(ei <= sk);
-        let (lo, hi) = self.data.split_at_mut(sk);
-        (&mut lo[si..ei], &hi[..ek - sk])
-    }
-
-    /// Iterate valid cells `(i, j, value)` in row-major order.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        (0..self.n).flat_map(move |i| (i..self.n).map(move |j| (i, j, self.get(i, j))))
-    }
-
-    /// Re-materialise with a different layout (values preserved; slack cells
-    /// of the target filled with `fill`).
-    pub fn with_layout(&self, layout: Layout, fill: T) -> Self {
-        Triangular::from_fn(self.n, layout, fill, |i, j| self.get(i, j))
     }
 }
 
@@ -232,42 +193,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn row_pair_is_consistent() {
-        for layout in [Layout::Identity, Layout::Shifted, Layout::Packed] {
-            let mut t = Triangular::from_fn(5, layout, 0i32, |i, j| (i * 5 + j) as i32);
-            let (r1, r3) = t.row_pair(1, 3);
-            assert_eq!(r1[0], 6); // (1,1)
-            assert_eq!(r3[1], 19); // (3,4)
-            r1[2] = -7; // (1,3)
-            assert_eq!(t.get(1, 3), -7, "{layout:?}");
-        }
-    }
-
-    #[test]
-    fn layout_conversion_preserves_values() {
-        let t = Triangular::from_fn(7, Layout::Packed, f32::NEG_INFINITY, |i, j| (i + j) as f32);
-        for target in [Layout::Identity, Layout::Shifted] {
-            let u = t.with_layout(target, f32::NEG_INFINITY);
-            for (i, j, v) in t.iter_cells() {
-                assert_eq!(u.get(i, j), v);
-            }
-        }
-    }
-
-    #[test]
-    fn iter_cells_counts() {
-        let t = Triangular::filled(4, Layout::Packed, 0u8);
-        assert_eq!(t.iter_cells().count(), 10);
-        assert_eq!(t.len_triangle(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "row_pair requires")]
-    fn row_pair_rejects_equal_rows() {
-        let mut t = Triangular::filled(4, Layout::Packed, 0u8);
-        let _ = t.row_pair(2, 2);
     }
 }

@@ -1,6 +1,6 @@
 //! Offline stand-in for the `rand` crate, implementing exactly the 0.8 API
 //! subset this workspace uses (`StdRng`, `SeedableRng::seed_from_u64`,
-//! `Rng::{gen_range, gen_bool}`, `seq::SliceRandom::{shuffle, choose}`).
+//! `Rng::{gen_range, gen_bool}`).
 //!
 //! The build container has no network access and no vendored registry, so
 //! the real crate cannot be fetched; this shim keeps the workspace building
@@ -150,46 +150,9 @@ macro_rules! float_sample_uniform {
 
 float_sample_uniform!(f32, f64);
 
-/// Slice sampling helpers, mirroring `rand::seq`.
-pub mod seq {
-    use super::{Rng, RngCore};
-
-    /// Shuffle and element-choice operations on slices.
-    pub trait SliceRandom {
-        /// Element type.
-        type Item;
-
-        /// Fisher–Yates shuffle in place.
-        fn shuffle<R: RngCore>(&mut self, rng: &mut R);
-
-        /// A uniformly chosen element (`None` on an empty slice).
-        fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&Self::Item>;
-    }
-
-    impl<T> SliceRandom for [T] {
-        type Item = T;
-
-        fn shuffle<R: RngCore>(&mut self, rng: &mut R) {
-            for i in (1..self.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                self.swap(i, j);
-            }
-        }
-
-        fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                self.get(rng.gen_range(0..self.len()))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
     #[test]
@@ -212,29 +175,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(!rng.gen_bool(0.0));
         assert!(rng.gen_bool(1.0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut v: Vec<u32> = (0..50).collect();
-        v.shuffle(&mut rng);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_covers_all_elements() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let v = [1, 2, 3];
-        let mut seen = [false; 3];
-        for _ in 0..100 {
-            seen[*v.choose(&mut rng).unwrap() as usize - 1] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        let empty: [i32; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
     }
 
     #[test]
