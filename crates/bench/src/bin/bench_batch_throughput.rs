@@ -10,7 +10,9 @@
 //! hardware-independent. The wall-clock speedup is reported but not
 //! asserted. Every batch record carries `workers`, the threads the
 //! wave's coarse group ran on (the default sizes are all coarse; 1 when
-//! the wave is too small to split).
+//! the wave is too small to split), and `lane_problems` / `lane_tables`,
+//! the problems the warm wave solved in same-shape lane groups and the
+//! wave-scoped lane tables it allocated for them.
 //!
 //! Also measured: the same wave with durable checkpoint journaling
 //! (`solve_all_checkpointed` — the fsync-per-problem overhead) and a
@@ -102,6 +104,8 @@ fn main() {
         ("pool_allocated", after_cold.allocated as f64),
         ("pool_reused", engine.pool_stats().reused as f64),
         ("steady_state_allocs", warm_allocs as f64),
+        ("lane_problems", warm.lane_problems as f64),
+        ("lane_tables", warm.lane_tables as f64),
     ]);
 
     // Supervised warm wave: a generous deadline and budget must leave
@@ -227,6 +231,10 @@ fn main() {
         after_cold.allocated,
         engine.pool_stats().reused,
         warm_allocs
+    );
+    println!(
+        "lanes (warm wave): {} problems solved in lane groups on {} lane table(s)",
+        warm.lane_problems, warm.lane_tables
     );
     println!(
         "per-problem latency (warm): min {:.2} us / median {:.2} us / max {:.2} us",

@@ -10,7 +10,8 @@
 //! between timing one version and then the other lands in it whole. Each
 //! round therefore times `permuted` and then `coarse` back to back, and
 //! the table reports the median per-round ratio with its quartiles and
-//! range.
+//! range. `--smoke` times one round and skips the warm-up solves: it
+//! checks that the section runs, not what it measures.
 
 use bench::report::Reporter;
 use bench::{banner, f1, f2, model, time_once, time_stats, workload, Opts, Table, TimeStats};
@@ -84,10 +85,13 @@ fn main() {
     println!("\n--- measured two-thread speedup at M=N={n}, this machine ---");
     let (s1, s2) = workload(opts.seed, n, n);
     let p = BpMaxProblem::new(s1, s2, model());
-    let rounds = opts.reps(5);
+    // a smoke run times one round and skips the warm-up solves
+    let rounds = if opts.smoke { 1 } else { opts.reps(5) };
     let flops = p.flops();
-    solve(&p, Algorithm::Permuted);
-    solve(&p, Algorithm::CoarseGrain);
+    if !opts.smoke {
+        solve(&p, Algorithm::Permuted);
+        solve(&p, Algorithm::CoarseGrain);
+    }
     let (mut ratios, mut t_coarse) = (Vec::new(), Vec::new());
     for _ in 0..rounds {
         let t_perm = time_once(|| solve(&p, Algorithm::Permuted));

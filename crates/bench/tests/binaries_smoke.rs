@@ -169,7 +169,7 @@ fn fig15_fig16_run() {
     let out = run(
         env!("CARGO_BIN_EXE_fig16_bpmax_speedup"),
         "fig16_bpmax_speedup",
-        &["--sizes", "8,10"],
+        &["--sizes", "8,10", "--smoke"],
     );
     assert!(out.contains("modeled speedup vs baseline"));
     assert!(out.contains("measured two-thread speedup at M=N=40"));

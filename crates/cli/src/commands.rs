@@ -559,7 +559,8 @@ fn scan_batched(
         .collect();
     let mut note = format!(
         "batch engine: {} windows in {:.3} s on {} thread(s) ({:.0} problems/s, \
-         {:.0}% coarse, {} tables allocated / {} reused)\noutcomes: {counts}",
+         {:.0}% coarse, {} tables allocated / {} reused, {} solved in lanes on {} lane \
+         table(s))\noutcomes: {counts}",
         report.len(),
         report.wall_s,
         report.workers,
@@ -567,6 +568,8 @@ fn scan_batched(
         100.0 * report.coarse_fraction(),
         report.pool.allocated,
         report.pool.reused,
+        report.lane_problems,
+        report.lane_tables,
     );
     if let Some(coord) = coord_note {
         let _ = write!(note, "\n{coord}");

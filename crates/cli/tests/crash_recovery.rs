@@ -2,7 +2,9 @@
 //!
 //! The durable-checkpoint promise, pinned end-to-end against the real
 //! binary: a SIGKILL at an arbitrary instant mid-wave loses at most the
-//! problem in flight; `--resume` replays every journaled window without
+//! work in flight — one problem, or the lane group of up to eight
+//! same-shape windows solved together, whose members are journaled only
+//! when the group finishes; `--resume` replays every journaled window without
 //! recomputing it and produces ranked output **bit-identical** to an
 //! uninterrupted run; and any corruption of the bytes on disk is
 //! refused with exit 2 and a typed `corrupt checkpoint` diagnostic,

@@ -83,10 +83,10 @@ pub(crate) fn solve_baseline_watched_range(
 /// order differs).
 fn cell(ctx: &Ctx, f: &FTable, i1: usize, j1: usize, i2: usize, j2: usize) -> f32 {
     // S1 + S2 (no interaction)
-    let mut best = ctx.s1v(i1, j1) + ctx.s2v(i2, j2);
+    let mut best = ctx.terms().s1v(i1, j1) + ctx.terms().s2v(i2, j2);
     // 1×1 box
     if i1 == j1 && i2 == j2 {
-        let wi = ctx.wi(i1, i2);
+        let wi = ctx.terms().wi(i1, i2);
         if wi != ScoringModel::NO_PAIR {
             best = best.max(wi);
         }
@@ -99,40 +99,40 @@ fn cell(ctx: &Ctx, f: &FTable, i1: usize, j1: usize, i2: usize, j2: usize) -> f3
     }
     // R1: S2 prefix + F suffix (same triangle, shorter strand-2 interval)
     for k2 in i2..j2 {
-        best = best.max(ctx.s2v(i2, k2) + f.get(i1, j1, k2 + 1, j2));
+        best = best.max(ctx.terms().s2v(i2, k2) + f.get(i1, j1, k2 + 1, j2));
     }
     // R2: F prefix + S2 suffix
     for k2 in i2..j2 {
-        best = best.max(f.get(i1, j1, i2, k2) + ctx.s2v(k2 + 1, j2));
+        best = best.max(f.get(i1, j1, i2, k2) + ctx.terms().s2v(k2 + 1, j2));
     }
     // R3: S1 prefix + F suffix (earlier outer diagonal)
     for k1 in i1..j1 {
-        best = best.max(ctx.s1v(i1, k1) + f.get(k1 + 1, j1, i2, j2));
+        best = best.max(ctx.terms().s1v(i1, k1) + f.get(k1 + 1, j1, i2, j2));
     }
     // R4: F prefix + S1 suffix
     for k1 in i1..j1 {
-        best = best.max(f.get(i1, k1, i2, j2) + ctx.s1v(k1 + 1, j1));
+        best = best.max(f.get(i1, k1, i2, j2) + ctx.terms().s1v(k1 + 1, j1));
     }
     // pair i1–j1
     if j1 > i1 {
-        let w1 = ctx.w1(i1, j1);
+        let w1 = ctx.terms().w1(i1, j1);
         if w1 != ScoringModel::NO_PAIR {
             let inner = if j1 - i1 >= 2 {
                 f.get(i1 + 1, j1 - 1, i2, j2)
             } else {
-                ctx.s2v(i2, j2) // empty strand-1 interval
+                ctx.terms().s2v(i2, j2) // empty strand-1 interval
             };
             best = best.max(inner + w1);
         }
     }
     // pair i2–j2
     if j2 > i2 {
-        let w2 = ctx.w2(i2, j2);
+        let w2 = ctx.terms().w2(i2, j2);
         if w2 != ScoringModel::NO_PAIR {
             let inner = if j2 - i2 >= 2 {
                 f.get(i1, j1, i2 + 1, j2 - 1)
             } else {
-                ctx.s1v(i1, j1) // empty strand-2 interval
+                ctx.terms().s1v(i1, j1) // empty strand-2 interval
             };
             best = best.max(inner + w2);
         }

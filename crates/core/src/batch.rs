@@ -26,7 +26,17 @@
 //!    problem snapshots its finished diagonals when it is interrupted, for
 //!    [`BatchEngine::resume`]; a coarse problem never does, so the single
 //!    snapshot file has one writer at a time.
-//! 3. **Telemetry.** A service needs per-problem latency and aggregate
+//! 3. **Lanes.** Within the coarse group, same-shape problems (a scan's
+//!    windows) run in lane groups of up to eight: one lane table holds
+//!    their F-tables cell by cell (`[f32; 8]`, lane `l` = member `l`), and
+//!    one wavefront of the element-generic kernels over it solves them
+//!    all, lane `l` running exactly member `l`'s scalar update sequence.
+//!    Each member keeps its own entry check, budget admission, fault
+//!    sites, journal record and [`BatchItem`]; the group shares one watch,
+//!    so a deadline or cancellation stops it as a unit, and a panic
+//!    re-runs its members one at a time. Lane tables live for one wave,
+//!    one per worker ([`BatchReport::lane_tables`]).
+//! 4. **Telemetry.** A service needs per-problem latency and aggregate
 //!    throughput, not a bare score: [`BatchReport`] carries both and
 //!    feeds the `bench::report` JSON schema.
 //!
@@ -46,9 +56,10 @@
 use crate::checkpoint::{
     self, problem_id, CheckpointSink, Fnv64, JournalRecord, RunManifest, TableSnapshot,
 };
-use crate::engine::{run_split, BpMaxProblem, Solution, SolveOptions, Split};
+use crate::engine::{run_split, wavefront, Algorithm, BpMaxProblem, Solution, SolveOptions, Split};
 use crate::error::BpMaxError;
-use crate::ftable::{BlockPool, FTable, PoolStats};
+use crate::ftable::{BlockPool, FTable, Layout, PoolStats};
+use crate::kernels::Terms;
 use crate::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
 use crate::supervise::{
     fault, CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, OutcomeCounts, Supervision,
@@ -57,13 +68,23 @@ use crate::supervise::{
 use crate::windowed::{max_window_within, solve_windowed_watched};
 use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+use tropical::scalar::{Lanes, LANES};
 
 /// Predicted serial seconds below which [`BatchEngine::classify_coarse`]
 /// marks a problem coarse: it runs in the batch's first group, and an
 /// interrupt does not snapshot its table.
 const COARSE_CUTOFF_S: f64 = 0.01;
+
+/// Fewest same-shape problems a lane group solves at once; fewer run one
+/// at a time. A lane group costs what 1.8 solves of 12×16, or 2.6 of
+/// 32×32, cost one at a time, so three members is the least fill that
+/// wins at both shapes (DESIGN.md §7).
+const MIN_LANES: usize = 3;
 
 /// Configuration of a [`BatchEngine`].
 #[derive(Clone, Debug, PartialEq)]
@@ -72,7 +93,8 @@ pub struct BatchOptions {
     /// per-solve supervision.
     pub solve: SolveOptions,
     /// Keep each problem's full F-table in its [`BatchItem`] (disables
-    /// buffer recycling for those tables; default `false`).
+    /// buffer recycling for those tables; a lane group copies each lane
+    /// into its member's own pooled table; default `false`).
     pub keep_tables: bool,
     /// Wall-clock budget for the whole wave, anchored when
     /// [`BatchEngine::solve_all`] starts. Problems running (or queued)
@@ -184,7 +206,8 @@ pub struct BatchItem {
     /// The optimal interaction score ([`Outcome::Ok`]), a valid lower
     /// bound ([`Outcome::Degraded`]), or `-∞` for unscored outcomes.
     pub score: f32,
-    /// Wall-clock latency of this solve, seconds.
+    /// Wall-clock latency of this solve, seconds. A lane group's members
+    /// each report the group's wall time divided by its members.
     pub seconds: f64,
     /// Max-plus FLOPs of the instance.
     pub flops: u64,
@@ -220,6 +243,13 @@ pub struct BatchReport {
     /// coordinator's merged report (each worker process solves one
     /// problem at a time).
     pub workers: usize,
+    /// Problems this wave solved in lane groups, eight same-shape
+    /// problems per vector of cells (0 for a coordinator's merged
+    /// report).
+    pub lane_problems: usize,
+    /// Lane tables this wave allocated: at most one per worker, dropped
+    /// when the wave ends.
+    pub lane_tables: usize,
 }
 
 impl BatchReport {
@@ -364,9 +394,11 @@ impl BatchEngine {
     ///
     /// The coarse-classified problems run first, on up to one thread per
     /// core ([`BatchReport::workers`]) that claim them one at a time in
-    /// input order; then the rest run one at a time in input order. Each
-    /// item's `seconds` is its own latency, so with two threads the items
-    /// overlap and their sum can exceed the wave's `wall_s`.
+    /// input order — same-shape ones eight at a time, as lane groups;
+    /// then the rest run one at a time in input order. Each item's
+    /// `seconds` is its own latency (a lane group's wall time divided by
+    /// its members), so with two threads the items overlap and their sum
+    /// can exceed the wave's `wall_s`.
     ///
     /// Supervision is per-problem, never per-wave: a problem that is
     /// cancelled, times out, blows its memory budget, or panics becomes a
@@ -556,6 +588,11 @@ impl BatchEngine {
     /// targets a still-pending problem, seeds that problem's table.
     /// `split` decides how many threads the coarse group runs on
     /// ([`Split::host`] outside tests).
+    ///
+    /// The coarse group's same-shape problems run in lane groups of up
+    /// to [`LANES`] ([`plan_units`]): one lane table holds the group's
+    /// F-tables cell by cell, and one wavefront over it solves them all,
+    /// lane `l` bit-identical to problem `l`'s own solve.
     fn run_batch(
         &self,
         problems: &[BpMaxProblem],
@@ -580,22 +617,47 @@ impl BatchEngine {
             self.solve_one(&problems[i], i, coarse, &sup, ckpt, snap, &self.opts.solve)
         };
 
-        // The coarse group first: `workers` threads claim its problems
-        // one at a time in input order, each solving on its own thread
-        // under its own supervision.
-        let group: Vec<(usize, &mut Option<BatchItem>)> = slots
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, slot)| coarse_class[*i] && slot.is_none())
+        // The coarse group first: `workers` threads claim its units, a
+        // problem or a lane group, one at a time in input order, each
+        // solving on its own thread under its members' own supervision.
+        let pending: Vec<usize> = (0..problems.len())
+            .filter(|&i| coarse_class[i] && slots[i].is_none())
             .collect();
-        let flops = group.iter().map(|&(i, _)| problems[i].flops() as f64).sum();
-        let workers = split.workers(group.len(), flops);
+        let flops = pending.iter().map(|&i| problems[i].flops() as f64).sum();
+        let plan = self.plan(problems, &pending, &sup, snapshot);
+        let workers = split.workers(plan.len(), flops);
+        let mut lanes = LaneTables::default();
         // a wave that is over before it starts allocates nothing
-        if workers > 1 && Watch::new(&sup).check_now().is_ok() {
-            self.top_up(group.iter().map(|&(i, _)| &problems[i]), workers, &sup);
+        if Watch::new(&sup).check_now().is_ok() {
+            if workers > 1 {
+                self.top_up(pending.iter().map(|&i| &problems[i]), workers, &sup);
+            }
+            lanes = LaneTables::for_wave(problems, &plan, workers);
         }
-        run_split(group.into_iter(), workers, |(i, slot)| {
-            *slot = Some(solve(i));
+        let mut open: Vec<Option<&mut Option<BatchItem>>> = slots.iter_mut().map(Some).collect();
+        let units: Vec<Vec<(usize, &mut Option<BatchItem>)>> = plan
+            .iter()
+            .map(|unit| {
+                unit.iter()
+                    .map(|&i| (i, open[i].take().expect("each problem in one unit"))) // lint: allow(expect): plan_units puts each pending index in exactly one unit
+                    .collect()
+            })
+            .collect();
+        drop(open);
+        run_split(units.into_iter(), workers, |mut unit| {
+            if unit.len() < MIN_LANES {
+                for (i, slot) in unit {
+                    *slot = Some(solve(i));
+                }
+                return;
+            }
+            // a group that could not run leaves its members' slots empty
+            self.solve_lanes(problems, &mut unit, &sup, ckpt, &lanes);
+            for (i, slot) in unit {
+                if slot.is_none() {
+                    *slot = Some(solve(i));
+                }
+            }
         });
 
         // then the rest, one at a time in input order; each may split
@@ -623,7 +685,134 @@ impl BatchEngine {
             pool: self.pool.stats(),
             replayed,
             workers,
+            lane_problems: lanes.solved.into_inner(),
+            lane_tables: lanes.allocated.into_inner(),
         })
+    }
+
+    /// The units the coarse group's workers claim ([`plan_units`]). A
+    /// pending problem may join a lane group when this engine's version
+    /// runs the wavefront (every version but `Baseline`), both strands
+    /// are non-empty, the memory budget admits its own table, and no
+    /// snapshot resumes it.
+    fn plan(
+        &self,
+        problems: &[BpMaxProblem],
+        pending: &[usize],
+        sup: &Supervision,
+        snapshot: Option<&TableSnapshot>,
+    ) -> Vec<Vec<usize>> {
+        let wavefront = self.opts.solve.raw_algorithm() != Algorithm::Baseline;
+        plan_units(pending, |i| {
+            let problem = &problems[i];
+            let (m, n) = (problem.ctx().m(), problem.ctx().n());
+            let admitted = FTable::estimate_bytes(m, n, problem.layout())
+                .is_ok_and(|bytes| sup.budget.is_none_or(|b| b.allows(bytes)));
+            let resumes = snapshot.is_some_and(|s| s.index as usize == i);
+            (wavefront && m > 0 && n > 0 && admitted && !resumes).then_some((m, n))
+        })
+    }
+
+    /// Solve the lane group `unit` (same-shape coarse problems) in one
+    /// wavefront over a lane table from `lanes`, filling each member's
+    /// slot. Each member keeps its own entry check and fault sites, and
+    /// gets its own journal record and item; the group runs under one
+    /// watch, so a deadline or cancellation stops it as a unit. When the
+    /// group cannot run as one — its compute panicked, or its lane table
+    /// could not be shaped — its live members' slots stay empty, for the
+    /// caller to solve one at a time, where only a faulty member fails.
+    fn solve_lanes(
+        &self,
+        problems: &[BpMaxProblem],
+        unit: &mut [(usize, &mut Option<BatchItem>)],
+        sup: &Supervision,
+        ckpt: Option<&CheckpointSink>,
+        lanes: &LaneTables,
+    ) {
+        let t = Instant::now();
+        // positions in `unit` of the members that passed admission
+        let mut live = Vec::with_capacity(LANES);
+        let mut slow = None;
+        for (pos, (i, slot)) in unit.iter_mut().enumerate() {
+            let problem = &problems[*i];
+            let (m, n) = (problem.ctx().m(), problem.ctx().n());
+            let admitted = match Watch::new(sup).check_now() {
+                Err(interrupt) => Err(interrupt.into_error()),
+                Ok(()) if fault::active(fault::SITE_ALLOC, *i) == Some(fault::Fault::AllocFail) => {
+                    Err(BpMaxError::SizeOverflow { m, n })
+                }
+                Ok(()) => Ok(()),
+            };
+            match admitted {
+                Ok(()) => {
+                    if let Some(fault::Fault::Slow { millis }) = fault::active(fault::SITE_SLOW, *i)
+                    {
+                        slow = slow.max(Some(millis));
+                    }
+                    live.push(pos);
+                }
+                Err(err) => {
+                    let seconds = t.elapsed().as_secs_f64();
+                    **slot = Some(batch_item(problem, *i, true, seconds, Err(err), ckpt));
+                }
+            }
+        }
+        if live.is_empty() {
+            return;
+        }
+        let members: Vec<&Terms<f32>> = live
+            .iter()
+            .map(|&pos| problems[unit[pos].0].ctx().terms())
+            .collect();
+        let terms = Terms::interleave(&members);
+        let (m, n) = (terms.m(), terms.n());
+        let mut table = lanes.take(m, n);
+        if table.reset(m, n, Layout::Packed).is_err() {
+            lanes.put(table);
+            return;
+        }
+        let mut watch = Watch::new(sup);
+        if let Some(millis) = slow {
+            watch = watch.with_slow(Duration::from_millis(millis));
+        }
+        let inject_panic = live.iter().any(|&pos| {
+            fault::active(fault::SITE_COMPUTE, unit[pos].0) == Some(fault::Fault::Panic)
+        });
+        let order = self.opts.solve.raw_algorithm().r0_order();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if inject_panic {
+                panic!("injected fault: compute panic in a lane group"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
+            }
+            wavefront(&terms, order, &mut table, 0, m, &watch, Split::SERIAL)
+        }));
+        let Ok(result) = run else {
+            // a panic may leave any values in the table: the next group
+            // resets it before reading a cell
+            lanes.put(table);
+            return;
+        };
+        let result = result.map_err(Interrupt::into_error);
+        let seconds = t.elapsed().as_secs_f64() / live.len() as f64;
+        let mut solved = 0;
+        for (lane, &pos) in live.iter().enumerate() {
+            let (i, slot) = &mut unit[pos];
+            let problem = &problems[*i];
+            let result = match &result {
+                Err(err) => Err(err.clone()),
+                Ok(()) => {
+                    solved += 1;
+                    let score = table.get(0, m - 1, 0, n - 1)[lane];
+                    let kept = self
+                        .opts
+                        .keep_tables
+                        .then(|| lane_copy(&table, lane, problem.layout(), &self.pool));
+                    kept.transpose().map(|kept| (Outcome::Ok, score, kept))
+                }
+            };
+            **slot = Some(batch_item(problem, *i, true, seconds, result, ckpt));
+        }
+        lanes.solved.fetch_add(solved, Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
+        lanes.put(table);
     }
 
     /// Top the arena up before `workers` threads share it on `group`:
@@ -664,48 +853,16 @@ impl BatchEngine {
         snap: Option<&TableSnapshot>,
         solve: &SolveOptions,
     ) -> BatchItem {
-        let (m, n) = (problem.ctx().m(), problem.ctx().n());
         let t = Instant::now();
-        let (outcome, score, table, error) =
-            match self.solve_inner(problem, index, coarse, sup, ckpt, snap, solve) {
-                Ok((outcome, score, table)) => (outcome, score, table, None),
-                Err(err) => {
-                    let outcome = match err {
-                        BpMaxError::Cancelled => Outcome::Cancelled,
-                        BpMaxError::DeadlineExceeded { .. } => Outcome::TimedOut,
-                        _ => Outcome::Failed,
-                    };
-                    (outcome, f32::NEG_INFINITY, None, Some(err))
-                }
-            };
-        let seconds = t.elapsed().as_secs_f64();
-        if let Some(sink) = ckpt {
-            if outcome.has_score() {
-                sink.record(&JournalRecord {
-                    index: index as u64,
-                    outcome,
-                    score,
-                    seconds,
-                    coarse,
-                });
-                sink.complete(index as u64);
-            }
-            // unscored outcomes are NOT journaled: failures are
-            // deterministic and cheap to reproduce, and resume should
-            // retry cancelled/timed-out problems, not trust stale errors
-        }
-        BatchItem {
+        let result = self.solve_inner(problem, index, coarse, sup, ckpt, snap, solve);
+        batch_item(
+            problem,
             index,
-            m,
-            n,
-            score,
-            seconds,
-            flops: problem.flops(),
             coarse,
-            outcome,
-            error,
-            table,
-        }
+            t.elapsed().as_secs_f64(),
+            result,
+            ckpt,
+        )
     }
 
     /// The supervised solve pipeline of one problem: entry check → budget
@@ -814,6 +971,161 @@ impl BatchEngine {
             }
         }
     }
+}
+
+/// The item of problem `index`, whose solve took `seconds` and ended
+/// with `result`. A result with a score is journaled first, so a crash
+/// after this point loses nothing.
+fn batch_item(
+    problem: &BpMaxProblem,
+    index: usize,
+    coarse: bool,
+    seconds: f64,
+    result: Result<(Outcome, f32, Option<FTable>), BpMaxError>,
+    ckpt: Option<&CheckpointSink>,
+) -> BatchItem {
+    let (outcome, score, table, error) = match result {
+        Ok((outcome, score, table)) => (outcome, score, table, None),
+        Err(err) => {
+            let outcome = match err {
+                BpMaxError::Cancelled => Outcome::Cancelled,
+                BpMaxError::DeadlineExceeded { .. } => Outcome::TimedOut,
+                _ => Outcome::Failed,
+            };
+            (outcome, f32::NEG_INFINITY, None, Some(err))
+        }
+    };
+    if let Some(sink) = ckpt {
+        if outcome.has_score() {
+            sink.record(&JournalRecord {
+                index: index as u64,
+                outcome,
+                score,
+                seconds,
+                coarse,
+            });
+            sink.complete(index as u64);
+        }
+        // unscored outcomes are NOT journaled: failures are
+        // deterministic and cheap to reproduce, and resume should
+        // retry cancelled/timed-out problems, not trust stale errors
+    }
+    BatchItem {
+        index,
+        m: problem.ctx().m(),
+        n: problem.ctx().n(),
+        score,
+        seconds,
+        flops: problem.flops(),
+        coarse,
+        outcome,
+        error,
+        table,
+    }
+}
+
+/// Split the coarse group's pending problems (input order) into the
+/// units its workers claim, ordered by their first problem. Problems
+/// that `lane_shape` gives the same shape form lane groups of up to
+/// [`LANES`], in input order; a group of fewer than [`MIN_LANES`], and
+/// every problem without a lane shape, is a unit of one.
+fn plan_units(
+    pending: &[usize],
+    lane_shape: impl Fn(usize) -> Option<(usize, usize)>,
+) -> Vec<Vec<usize>> {
+    let mut units = Vec::new();
+    let mut shapes: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+    for &i in pending {
+        match lane_shape(i) {
+            Some(shape) => shapes.entry(shape).or_default().push(i),
+            None => units.push(vec![i]),
+        }
+    }
+    for members in shapes.into_values() {
+        for group in members.chunks(LANES) {
+            if group.len() >= MIN_LANES {
+                units.push(group.to_vec());
+            } else {
+                units.extend(group.iter().map(|&i| vec![i]));
+            }
+        }
+    }
+    units.sort_unstable_by_key(|unit| unit[0]);
+    units
+}
+
+/// The lane tables of one wave: allocated before its split, one per
+/// worker, and handed to whichever worker claims a lane group. They are
+/// dropped with the wave, so an idle engine holds none.
+#[derive(Default)]
+struct LaneTables {
+    spare: Mutex<Vec<FTable<Lanes>>>,
+    /// Tables allocated.
+    allocated: AtomicUsize,
+    /// Problems solved in lanes.
+    solved: AtomicUsize,
+}
+
+impl LaneTables {
+    /// One table per worker that can hold a lane group at once (at most
+    /// one per group), each shaped for the plan's largest group.
+    fn for_wave(problems: &[BpMaxProblem], plan: &[Vec<usize>], workers: usize) -> LaneTables {
+        let groups = plan.iter().filter(|unit| unit.len() >= MIN_LANES);
+        let largest = groups
+            .clone()
+            .map(|unit| (problems[unit[0]].ctx().m(), problems[unit[0]].ctx().n()))
+            .max_by_key(|&(m, n)| FTable::estimate_bytes(m, n, Layout::Packed).unwrap_or(0));
+        let lanes = LaneTables::default();
+        if let Some((m, n)) = largest {
+            for _ in 0..workers.min(groups.count()) {
+                lanes.put(lanes.fresh(m, n));
+            }
+        }
+        lanes
+    }
+
+    /// A new table with room for `m × n`, counted in `allocated`.
+    fn fresh(&self, m: usize, n: usize) -> FTable<Lanes> {
+        self.allocated.fetch_add(1, Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
+        let mut table = FTable::empty();
+        // a shape the arithmetic refuses leaves the table empty, and the
+        // group's own reset refuses it again
+        let _ = table.reset(m, n, Layout::Packed);
+        table
+    }
+
+    /// A spare table, or a fresh one when none is left.
+    fn take(&self, m: usize, n: usize) -> FTable<Lanes> {
+        let spare = self
+            .spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        spare.unwrap_or_else(|| self.fresh(m, n))
+    }
+
+    /// Hand a table back for the next group.
+    fn put(&self, table: FTable<Lanes>) {
+        self.spare
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(table);
+    }
+}
+
+/// Lane `lane` of a solved lane table, copied into a pooled F-table in
+/// `layout`.
+fn lane_copy(
+    lanes: &FTable<Lanes>,
+    lane: usize,
+    layout: Layout,
+    pool: &BlockPool,
+) -> Result<FTable, BpMaxError> {
+    let mut f = FTable::try_new_in(lanes.m(), lanes.n(), layout, pool)?;
+    for (i1, j1, i2, j2) in lanes.iter_cells() {
+        f.set(i1, j1, i2, j2, lanes.get(i1, j1, i2, j2)[lane]);
+    }
+    Ok(f)
 }
 
 /// One empty result slot per problem.
@@ -1395,6 +1707,176 @@ mod tests {
         let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         assert!(windows.iter().all(|p| engine.classify_coarse(p)));
         assert_eq!(two.workers(windows.len(), flops(&windows)), 2);
+    }
+
+    /// `count` problems of one `m × n` shape, random strands.
+    fn same_shape(count: usize, m: usize, n: usize, seed: u64) -> Vec<BpMaxProblem> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                BpMaxProblem::new(
+                    RnaSeq::random(&mut rng, m),
+                    RnaSeq::random(&mut rng, n),
+                    ScoringModel::bpmax_default(),
+                )
+            })
+            .collect()
+    }
+
+    fn table_bits(f: &FTable) -> Vec<u32> {
+        f.iter_cells()
+            .map(|(i1, j1, i2, j2)| f.get(i1, j1, i2, j2).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn lanes_plan_a_scan_wave_into_23_groups_of_8_and_a_mixed_batch_into_none() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let query = RnaSeq::random(&mut rng, 12);
+        let target = RnaSeq::random(&mut rng, 200);
+        let windows: Vec<BpMaxProblem> = (0..200)
+            .map(|s| {
+                let window = target.slice(s, (s + 16).min(200));
+                BpMaxProblem::new(query.clone(), window, ScoringModel::bpmax_default())
+            })
+            .collect();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let every: Vec<usize> = (0..200).collect();
+        let plan = engine.plan(&windows, &every, &Supervision::none(), None);
+        let groups: Vec<&Vec<usize>> = plan.iter().filter(|u| u.len() >= MIN_LANES).collect();
+        assert_eq!(groups.len(), 23);
+        assert!(groups.iter().all(|g| g.len() == LANES));
+        let in_lanes: usize = groups.iter().map(|g| g.len()).sum();
+        assert_eq!(in_lanes, 184, "92% of the wave");
+        // the 185th 12x16 window and the 15 shorter tail windows run alone
+        assert_eq!(plan.len(), 23 + 16);
+        let mut claimed: Vec<usize> = plan.concat();
+        claimed.sort_unstable();
+        assert_eq!(claimed, every, "each problem in exactly one unit");
+        assert!(plan.windows(2).all(|w| w[0][0] < w[1][0]), "input order");
+
+        let mixed = mixed_problems(12, 41);
+        let every: Vec<usize> = (0..12).collect();
+        let plan = engine.plan(&mixed, &every, &Supervision::none(), None);
+        assert!(plan.iter().all(|u| u.len() == 1), "{plan:?}");
+        // the baseline program has no wavefront to run in lanes
+        let baseline = BatchEngine::new(
+            BatchOptions::new().solve(SolveOptions::new().algorithm(Algorithm::Baseline)),
+        )
+        .unwrap();
+        let plan = baseline.plan(
+            &windows,
+            &(0..200).collect::<Vec<_>>(),
+            &Supervision::none(),
+            None,
+        );
+        assert_eq!(plan.len(), 200);
+    }
+
+    #[test]
+    fn lanes_waves_are_bit_identical_to_solve_opts_on_every_split() {
+        // Same-shape groups of 1, 2, 3, 4, 5, 7 and 8 members (below
+        // MIN_LANES they run alone), each wave at most 12 problems long
+        // (see the fault-registry note below), with the problems lane
+        // groups count.
+        let shapes = |groups: &[(usize, usize, usize)]| -> Vec<BpMaxProblem> {
+            (groups.iter().zip(70..))
+                .flat_map(|(&(count, m, n), seed)| same_shape(count, m, n, seed))
+                .collect()
+        };
+        let waves = [
+            (shapes(&[(8, 4, 5), (2, 3, 3), (1, 1, 1), (1, 5, 2)]), 8),
+            (shapes(&[(3, 2, 6), (4, 6, 3), (5, 3, 4)]), 12),
+            (shapes(&[(7, 4, 4), (2, 2, 2), (3, 3, 6)]), 10),
+        ];
+        for &alg in &Algorithm::ALL[1..] {
+            let solve = SolveOptions::new().algorithm(alg);
+            let engine =
+                BatchEngine::new(BatchOptions::new().solve(solve.clone()).keep_tables(true))
+                    .unwrap();
+            for (problems, grouped) in &waves {
+                let want: Vec<FTable> = problems
+                    .iter()
+                    .map(|p| p.solve_opts(&solve).unwrap().into_ftable())
+                    .collect();
+                for split in forced() {
+                    let report = split_wave(&engine, problems, split);
+                    let tag = format!("{alg:?} {split:?}");
+                    assert!(report.outcomes().all_ok(), "{tag}: {}", report.outcomes());
+                    for (item, want) in report.items.iter().zip(&want) {
+                        let table = item.table.as_ref().expect("keep_tables");
+                        assert_eq!(table.layout(), want.layout(), "{tag}");
+                        assert!(
+                            table_bits(table) == table_bits(want),
+                            "{tag}: problem {}",
+                            item.index
+                        );
+                        assert_eq!(item.score.to_bits(), want.final_score().unwrap().to_bits());
+                    }
+                    assert_eq!(report.lane_problems, *grouped, "{tag}");
+                    assert!((1..=split.cores).contains(&report.lane_tables), "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_tables_live_for_one_wave_and_the_pool_stays_allocation_free() {
+        // two groups, of 8 and 4
+        let problems = same_shape(12, 6, 7, 82);
+        for split in forced() {
+            let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+            let first = split_wave(&engine, &problems, split);
+            let second = split_wave(&engine, &problems, split);
+            assert_eq!(second.lane_problems, 12, "{split:?}");
+            // each wave allocates its own lane tables, one per worker at
+            // most, and takes nothing from the F-table pool
+            assert_eq!(first.lane_tables, second.lane_tables, "{split:?}");
+            assert!((1..=split.cores.min(2)).contains(&second.lane_tables));
+            assert_eq!(second.pool.allocated_since(&first.pool), 0, "{split:?}");
+            assert_eq!(second.pool.reused, first.pool.reused, "{split:?}");
+        }
+    }
+
+    #[test]
+    fn lanes_pre_cancelled_wave_allocates_no_lane_table() {
+        let problems = same_shape(8, 4, 4, 83);
+        let token = CancelToken::new();
+        token.cancel();
+        for split in forced() {
+            let engine = BatchEngine::new(BatchOptions::new().cancel(token.clone())).unwrap();
+            let report = split_wave(&engine, &problems, split);
+            assert_eq!(report.outcomes().cancelled, 8, "{split:?}");
+            assert_eq!(
+                (report.lane_tables, report.lane_problems),
+                (0, 0),
+                "{split:?}"
+            );
+            assert_eq!(report.pool.allocated, 0, "{split:?}");
+        }
+    }
+
+    #[test]
+    fn lanes_members_share_the_group_time_and_journal_one_record_each() {
+        let problems = same_shape(8, 5, 5, 84);
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let dir = tmpdir("lanes");
+        let report = engine.solve_all_checkpointed(&problems, &dir).unwrap();
+        assert_eq!(report.lane_problems, 8);
+        let seconds = report.items[0].seconds;
+        assert!(seconds > 0.0);
+        assert!(report
+            .items
+            .iter()
+            .all(|i| i.seconds == seconds && i.coarse));
+        let (_, records, _) = checkpoint::load(&dir).unwrap();
+        let mut journaled: Vec<u64> = records.iter().map(|r| r.index).collect();
+        journaled.sort_unstable();
+        assert_eq!(journaled, (0..8).collect::<Vec<u64>>());
+        let resumed = engine.resume(&problems, &dir).unwrap();
+        assert_eq!(resumed.replayed, 8);
+        assert_eq!(score_bits(&resumed), score_bits(&report));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The fault registry is process-global and other unit tests' waves

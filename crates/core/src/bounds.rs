@@ -429,7 +429,7 @@ fn spec_phase_a_splits() -> KernelSpec {
     }
 }
 
-/// The wavefront driver (`engine::wavefront_range`): diagonal `d`,
+/// The wavefront driver (`engine::wavefront`): diagonal `d`,
 /// cells `(i1, i1 + d)`.
 fn spec_wavefront_driver() -> KernelSpec {
     let domain = Domain::universe(&["d", "i1"])

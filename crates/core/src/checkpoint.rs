@@ -41,6 +41,7 @@ use crate::engine::BpMaxProblem;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, Layout};
 use crate::supervise::Outcome;
+use rna::{RnaSeq, ScoringModel};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -155,17 +156,23 @@ impl Fnv64 {
 /// inputs that determine its scores). Resume uses it to refuse a
 /// checkpoint whose problem list has drifted from the current batch.
 pub fn problem_id(problem: &BpMaxProblem) -> u64 {
+    problem_id_of(problem.seq1(), problem.seq2(), problem.model())
+}
+
+/// [`problem_id`] from the inputs alone, before any problem is built: the
+/// serve daemon keys its result cache with it, so a cache hit never pays
+/// for the Nussinov folds and weight tables of `BpMaxProblem::new`.
+pub fn problem_id_of(seq1: &RnaSeq, seq2: &RnaSeq, model: &ScoringModel) -> u64 {
     use rna::Base;
     let mut h = Fnv64::new();
-    for &b in problem.seq1().bases() {
+    for &b in seq1.bases() {
         h.write(&[b.index() as u8]);
     }
     h.write(&[0xFF]); // strand separator: ("AB","C") != ("A","BC")
-    for &b in problem.seq2().bases() {
+    for &b in seq2.bases() {
         h.write(&[b.index() as u8]);
     }
     h.write(&[0xFE]);
-    let model = problem.model();
     h.write_u64(model.min_loop() as u64);
     const BASES: [Base; 4] = [Base::A, Base::C, Base::G, Base::U];
     for a in BASES {
@@ -869,6 +876,41 @@ mod tests {
             ScoringModel::bpmax_default().with_min_loop(3),
         );
         assert_ne!(a, problem_id(&other_model), "scoring model");
+    }
+
+    #[test]
+    fn problem_id_of_the_inputs_agrees_with_the_built_problem() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(12);
+        let weights = [0.0, -0.0, 1.0, 2.5, -1.5, f32::NAN, f32::INFINITY, f32::MAX];
+        for trial in 0..200 {
+            let (m, n) = (rng.gen_range(0..12), rng.gen_range(0..12));
+            let s1 = RnaSeq::random(&mut rng, m);
+            let s2 = RnaSeq::random(&mut rng, n);
+            let mut table = || {
+                let mut t = [[ScoringModel::NO_PAIR; 4]; 4];
+                for row in &mut t {
+                    for w in row.iter_mut() {
+                        if rng.gen_range(0..3) > 0 {
+                            *w = weights[rng.gen_range(0..weights.len())];
+                        }
+                    }
+                }
+                t
+            };
+            let model = match trial % 3 {
+                0 => ScoringModel::bpmax_default(),
+                1 => ScoringModel::bpmax_default().with_min_loop(trial % 4),
+                _ => ScoringModel::from_tables(table(), table(), trial % 3),
+            };
+            let built = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
+            assert_eq!(
+                problem_id_of(&s1, &s2, &model),
+                problem_id(&built),
+                "{s1}/{s2} under {model:?}"
+            );
+        }
     }
 
     #[test]

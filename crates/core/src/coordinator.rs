@@ -1124,6 +1124,8 @@ pub fn merge(
         pool: PoolStats::default(),
         replayed: 0,
         workers: 1,
+        lane_problems: 0,
+        lane_tables: 0,
     })
 }
 

@@ -42,7 +42,7 @@
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, FView, Layout};
-use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Tile};
+use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Terms, Tile};
 use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
@@ -52,6 +52,7 @@ use rna::{JointStructure, RnaSeq, ScoringModel};
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::{Mutex, OnceLock, PoisonError};
+use tropical::scalar::MaxPlus;
 
 /// The least max-plus work, in flops, that one worker of a split must
 /// get, whether it splits an outer diagonal's triangles or a batch wave's
@@ -125,7 +126,7 @@ impl Algorithm {
     }
 
     /// The `R0` loop order this version runs (tile shape included).
-    fn r0_order(self) -> R0Order {
+    pub(crate) fn r0_order(self) -> R0Order {
         match self {
             Algorithm::HybridTiled { tile } => R0Order::Tiled(tile),
             Algorithm::HybridReg => R0Order::SimdReg,
@@ -446,12 +447,19 @@ impl BpMaxProblem {
         end: usize,
         watch: &Watch,
     ) -> Result<(), Interrupt> {
+        let terms = self.ctx.terms();
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
-            Algorithm::Permuted => {
-                self.wavefront_range(R0Order::Permuted, f, start, end, watch, Split::SERIAL)
-            }
-            other => self.wavefront_range(other.r0_order(), f, start, end, watch, Split::host()),
+            Algorithm::Permuted => wavefront(
+                terms,
+                R0Order::Permuted,
+                f,
+                start,
+                end,
+                watch,
+                Split::SERIAL,
+            ),
+            other => wavefront(terms, other.r0_order(), f, start, end, watch, Split::host()),
         }
     }
 
@@ -492,51 +500,58 @@ impl BpMaxProblem {
         self.compute_watched_range(algorithm, f, start, self.ctx.m(), &Watch::none())
             .map_err(Interrupt::into_error)
     }
+}
 
-    /// The wavefront driver: ascending outer diagonals `start..end`, and
-    /// within a diagonal each triangle's Phase A (`R0` in `order`, then
-    /// `R3`/`R4`) and Phase B, on as many threads as `split` gives the
-    /// diagonal ([`run_split`]). The supervision checkpoint sits at the
-    /// top of the `d1` loop, so an interrupt leaves, via
-    /// [`Watch::note_progress`], a known-final diagonal prefix the
-    /// checkpoint layer can snapshot.
-    fn wavefront_range(
-        &self,
-        order: R0Order,
-        f: &mut FTable,
-        start: usize,
-        end: usize,
-        watch: &Watch,
-        split: Split,
-    ) -> Result<(), Interrupt> {
-        let ctx = &self.ctx;
-        let m = ctx.m();
-        let n = ctx.n();
-        assert!(f.m() == m && f.n() == n, "table shape mismatch");
-        if m == 0 || n == 0 {
-            return Ok(());
-        }
-        let end = end.min(m);
-        for d1 in start..end {
-            watch.note_progress(d1);
-            watch.check()?;
-            let workers = split.diagonal_workers(d1, m, n);
-            let (done, diagonal) = f.diagonal_mut(d1);
-            run_split(diagonal.enumerate(), workers, |(i1, acc)| {
-                triangle(ctx, &done, i1, i1 + d1, acc, order);
-            });
-        }
-        watch.note_progress(end.max(start));
-        Ok(())
+/// The wavefront driver, over one problem's `f32` cells or a lane group's
+/// [`tropical::scalar::Lanes`]: ascending outer diagonals `start..end`,
+/// and within a diagonal each triangle's Phase A (`R0` in `order`, then
+/// `R3`/`R4`) and Phase B, on as many threads as `split` gives the
+/// diagonal ([`run_split`]). The supervision checkpoint sits at the top
+/// of the `d1` loop, so an interrupt leaves, via
+/// [`Watch::note_progress`], a known-final diagonal prefix the
+/// checkpoint layer can snapshot.
+pub(crate) fn wavefront<E: MaxPlus>(
+    terms: &Terms<E>,
+    order: R0Order,
+    f: &mut FTable<E>,
+    start: usize,
+    end: usize,
+    watch: &Watch,
+    split: Split,
+) -> Result<(), Interrupt> {
+    let m = terms.m();
+    let n = terms.n();
+    assert!(f.m() == m && f.n() == n, "table shape mismatch");
+    if m == 0 || n == 0 {
+        return Ok(());
     }
+    let end = end.min(m);
+    for d1 in start..end {
+        watch.note_progress(d1);
+        watch.check()?;
+        let workers = split.diagonal_workers(d1, m, n);
+        let (done, diagonal) = f.diagonal_mut(d1);
+        run_split(diagonal.enumerate(), workers, |(i1, acc)| {
+            triangle(terms, &done, i1, i1 + d1, acc, order);
+        });
+    }
+    watch.note_progress(end.max(start));
+    Ok(())
 }
 
 /// One triangle `(i1, j1)` into its block `acc`: Phase A, then Phase B.
 /// It reads only the earlier diagonals that `f` holds.
-fn triangle(ctx: &Ctx, f: &FView<'_>, i1: usize, j1: usize, acc: &mut [f32], order: R0Order) {
-    accumulate_r034_serial(ctx, f, i1, j1, acc, order);
+fn triangle<E: MaxPlus>(
+    terms: &Terms<E>,
+    f: &FView<'_, E>,
+    i1: usize,
+    j1: usize,
+    acc: &mut [E],
+    order: R0Order,
+) {
+    accumulate_r034_serial(terms, f, i1, j1, acc, order);
     let prev = prev_block(f, i1, j1);
-    finalize_triangle(ctx, i1, j1, f, prev, acc);
+    finalize_triangle(terms, i1, j1, f, prev, acc);
 }
 
 /// How many threads one split may run on: an outer diagonal's triangles
@@ -680,7 +695,7 @@ impl<'p> SupervisedSolve<'p> {
 }
 
 /// The pair-1 source block `(i1+1, j1−1)`, when it exists.
-fn prev_block<'a>(f: &'a FView<'_>, i1: usize, j1: usize) -> Option<&'a [f32]> {
+fn prev_block<'a, E: Copy>(f: &'a FView<'_, E>, i1: usize, j1: usize) -> Option<&'a [E]> {
     (j1 >= i1 + 2).then(|| f.block(i1 + 1, j1 - 1))
 }
 
@@ -998,8 +1013,16 @@ mod tests {
         range: (usize, usize),
         split: Split,
     ) {
-        p.wavefront_range(order, f, range.0, range.1, &Watch::none(), split)
-            .unwrap();
+        wavefront(
+            p.ctx().terms(),
+            order,
+            f,
+            range.0,
+            range.1,
+            &Watch::none(),
+            split,
+        )
+        .unwrap();
     }
 
     fn bits(f: &FTable) -> Vec<u32> {

@@ -1,5 +1,9 @@
 //! The 4-D `BPMax` table: a triangle of triangles.
 //!
+//! A cell is one [`MaxPlus`] element: an `f32` score, or the same cell of
+//! eight same-shape problems ([`tropical::scalar::Lanes`]) when the batch
+//! engine solves a lane group. Addressing is the same for both.
+//!
 //! `F[i1][j1][i2][j2]` is defined for `0 ≤ i1 ≤ j1 < M`, `0 ≤ i2 ≤ j2 < N`.
 //! Storage is one buffer of *inner-triangle blocks*, one block per outer
 //! cell `(i1, j1)`. The outer cells run diagonal-major: diagonal
@@ -30,8 +34,10 @@
 pub use tropical::triangular::Layout;
 
 use crate::error::BpMaxError;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
+use tropical::scalar::MaxPlus;
 
 /// Empty-cell initialiser: max-plus additive identity.
 const NEG_INF: f32 = f32::NEG_INFINITY;
@@ -200,8 +206,8 @@ fn diagonal_start(m: usize, d1: usize) -> usize {
 }
 
 /// The packed 4-D `BPMax` table over cell storage `C`: the owned
-/// [`FTable`], or an [`FView`] of its leading diagonals. The two share
-/// this one addressing implementation.
+/// [`FTable`], or an [`FView`] of its leading diagonals, of `f32` cells
+/// or of lane cells. They all share this one addressing implementation.
 #[derive(Clone, Debug)]
 pub struct Table<C> {
     m: usize,
@@ -212,11 +218,11 @@ pub struct Table<C> {
 }
 
 /// An F-table that owns its buffer.
-pub type FTable = Table<Vec<f32>>;
+pub type FTable<E = f32> = Table<Vec<E>>;
 
 /// A read-only view of an F-table ([`FTable::view`]) or of its finished
 /// diagonals ([`FTable::diagonal_mut`]) — what the kernels read.
-pub type FView<'a> = Table<&'a [f32]>;
+pub type FView<'a, E = f32> = Table<&'a [E]>;
 
 impl<C> Table<C> {
     /// This table's shape over `cells`.
@@ -231,7 +237,7 @@ impl<C> Table<C> {
     }
 }
 
-impl<C: AsRef<[f32]>> Table<C> {
+impl<E: Copy, C: Deref<Target = [E]>> Table<C> {
     /// Strand-1 length `M`.
     #[inline(always)]
     pub fn m(&self) -> usize {
@@ -263,9 +269,9 @@ impl<C: AsRef<[f32]>> Table<C> {
 
     /// The inner-triangle block of `(i1, j1)`.
     #[inline(always)]
-    pub fn block(&self, i1: usize, j1: usize) -> &[f32] {
+    pub fn block(&self, i1: usize, j1: usize) -> &[E] {
         let start = self.outer(i1, j1) * self.block_len;
-        &self.cells.as_ref()[start..start + self.block_len]
+        &self.cells[start..start + self.block_len]
     }
 
     /// Offset of `(i2, j2)` inside a block.
@@ -283,23 +289,129 @@ impl<C: AsRef<[f32]>> Table<C> {
     /// Row `i2` of a block as a slice over columns `i2..n`
     /// (`(i2, j2)` at index `j2 − i2`).
     #[inline(always)]
-    pub fn row_of<'a>(&self, block: &'a [f32], i2: usize) -> &'a [f32] {
+    pub fn row_of<'a>(&self, block: &'a [E], i2: usize) -> &'a [E] {
         let s = self.inner_row_start(i2);
         &block[s..s + (self.n - i2)]
     }
 
     /// Mutable flavour of [`Table::row_of`].
     #[inline(always)]
-    pub fn row_of_mut<'a>(&self, block: &'a mut [f32], i2: usize) -> &'a mut [f32] {
+    pub fn row_of_mut<'a>(&self, block: &'a mut [E], i2: usize) -> &'a mut [E] {
         let s = self.inner_row_start(i2);
         &mut block[s..s + (self.n - i2)]
     }
 
     /// Read `F[i1, j1, i2, j2]`.
     #[inline(always)]
-    pub fn get(&self, i1: usize, j1: usize, i2: usize, j2: usize) -> f32 {
+    pub fn get(&self, i1: usize, j1: usize, i2: usize, j2: usize) -> E {
         self.block(i1, j1)[self.inner(i2, j2)]
     }
+}
+
+impl<E: MaxPlus> FTable<E> {
+    /// A `0 × 0` table holding no buffer, to [`Table::reset`] to a shape.
+    pub(crate) fn empty() -> Self {
+        Table {
+            m: 0,
+            n: 0,
+            layout: Layout::Packed,
+            block_len: 0,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Re-shape in place to `m × n`, all cells `-∞`, reusing the buffer:
+    /// a lane table serves one group after another without touching the
+    /// allocator while their shapes fit its capacity.
+    pub(crate) fn reset(&mut self, m: usize, n: usize, layout: Layout) -> Result<(), BpMaxError> {
+        let (len, block_len) = checked_shape::<E>(m, n, layout)?;
+        *self = Table {
+            m,
+            n,
+            layout,
+            block_len,
+            cells: std::mem::take(&mut self.cells),
+        };
+        self.cells.clear();
+        self.cells.resize(len, E::NEG_INF);
+        Ok(())
+    }
+
+    /// Total bytes allocated for cell storage.
+    pub fn storage_bytes(&self) -> usize {
+        std::mem::size_of_val(self.cells.as_slice())
+    }
+
+    /// The whole table, read-only, as the kernels take it.
+    pub fn view(&self) -> FView<'_, E> {
+        self.with_cells(self.cells.as_slice())
+    }
+
+    /// Split the table at outer diagonal `d1`: a read-only view of
+    /// diagonals `0..d1`, and the blocks `(i1, i1 + d1)` of diagonal `d1`
+    /// in `i1` order, each a disjoint `&mut` slice.
+    ///
+    /// Panics unless `d1 < m` and `n > 0` (an empty block cannot be
+    /// chunked).
+    pub fn diagonal_mut(&mut self, d1: usize) -> (FView<'_, E>, std::slice::ChunksMut<'_, E>) {
+        assert!(
+            d1 < self.m && self.block_len > 0,
+            "diagonal {d1} of a {}x{} table",
+            self.m,
+            self.n
+        );
+        let start = diagonal_start(self.m, d1) * self.block_len;
+        let len = (self.m - d1) * self.block_len;
+        let shape = self.with_cells(());
+        let (done, rest) = self.cells.split_at_mut(start);
+        (
+            shape.with_cells(&*done),
+            rest[..len].chunks_mut(shape.block_len),
+        )
+    }
+
+    /// Write `F[i1, j1, i2, j2]`.
+    #[inline(always)]
+    pub fn set(&mut self, i1: usize, j1: usize, i2: usize, j2: usize, v: E) {
+        let k = self.outer(i1, j1) * self.block_len + self.inner(i2, j2);
+        self.cells[k] = v;
+    }
+
+    /// Iterate all valid 4-index cells (slow; tests only).
+    pub fn iter_cells(&self) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
+        let (m, n) = (self.m, self.n);
+        (0..m).flat_map(move |i1| {
+            (i1..m).flat_map(move |j1| {
+                (0..n).flat_map(move |i2| (i2..n).map(move |j2| (i1, j1, i2, j2)))
+            })
+        })
+    }
+
+    /// The top-level score `F[0, M−1, 0, N−1]` (`None` for an empty strand).
+    pub fn final_score(&self) -> Option<E> {
+        if self.m == 0 || self.n == 0 {
+            None
+        } else {
+            Some(self.get(0, self.m - 1, 0, self.n - 1))
+        }
+    }
+}
+
+/// Validate `(m, n)` and compute `(cells, block length)` of an `E`-celled
+/// table without overflow. `MAX_STRAND` keeps the per-dimension triangle
+/// arithmetic in range; the total-byte check keeps the whole table
+/// addressable.
+fn checked_shape<E>(m: usize, n: usize, layout: Layout) -> Result<(usize, usize), BpMaxError> {
+    if m > MAX_STRAND || n > MAX_STRAND {
+        return Err(BpMaxError::SizeOverflow { m, n });
+    }
+    let outer = m * (m + 1) / 2;
+    let block_len = layout.storage_len(n);
+    let total_bytes = outer as u128 * block_len as u128 * std::mem::size_of::<E>() as u128;
+    if total_bytes > isize::MAX as u128 {
+        return Err(BpMaxError::SizeOverflow { m, n });
+    }
+    Ok((outer * block_len, block_len))
 }
 
 impl FTable {
@@ -315,7 +427,7 @@ impl FTable {
     /// address space before touching the allocator, returning
     /// [`BpMaxError::SizeOverflow`] instead of panicking/aborting.
     pub fn try_new(m: usize, n: usize, layout: Layout) -> Result<Self, BpMaxError> {
-        let (len, block_len) = Self::checked_shape(m, n, layout)?;
+        let (len, block_len) = checked_shape::<f32>(m, n, layout)?;
         Ok(Table {
             m,
             n,
@@ -334,7 +446,7 @@ impl FTable {
         layout: Layout,
         pool: &BlockPool,
     ) -> Result<Self, BpMaxError> {
-        let (len, block_len) = Self::checked_shape(m, n, layout)?;
+        let (len, block_len) = checked_shape::<f32>(m, n, layout)?;
         Ok(Table {
             m,
             n,
@@ -365,65 +477,9 @@ impl FTable {
     /// admission check. Errs with [`BpMaxError::SizeOverflow`] on shapes
     /// [`FTable::try_new`] would refuse anyway.
     pub fn estimate_bytes(m: usize, n: usize, layout: Layout) -> Result<u64, BpMaxError> {
-        let (len, _) = Self::checked_shape(m, n, layout)?;
+        let (len, _) = checked_shape::<f32>(m, n, layout)?;
         // fits: checked_shape bounds the byte count by isize::MAX
         Ok((len * std::mem::size_of::<f32>()) as u64)
-    }
-
-    /// Validate `(m, n)` and compute `(cells, block length)` without
-    /// overflow. `MAX_STRAND` keeps the per-dimension triangle arithmetic
-    /// in range; the total-byte check keeps the whole table addressable.
-    fn checked_shape(m: usize, n: usize, layout: Layout) -> Result<(usize, usize), BpMaxError> {
-        if m > MAX_STRAND || n > MAX_STRAND {
-            return Err(BpMaxError::SizeOverflow { m, n });
-        }
-        let outer = m * (m + 1) / 2;
-        let block_len = layout.storage_len(n);
-        let total_bytes = outer as u128 * block_len as u128 * std::mem::size_of::<f32>() as u128;
-        if total_bytes > isize::MAX as u128 {
-            return Err(BpMaxError::SizeOverflow { m, n });
-        }
-        Ok((outer * block_len, block_len))
-    }
-
-    /// Total bytes allocated for cell storage.
-    pub fn storage_bytes(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<f32>()
-    }
-
-    /// The whole table, read-only, as the kernels take it.
-    pub fn view(&self) -> FView<'_> {
-        self.with_cells(self.cells.as_slice())
-    }
-
-    /// Split the table at outer diagonal `d1`: a read-only view of
-    /// diagonals `0..d1`, and the blocks `(i1, i1 + d1)` of diagonal `d1`
-    /// in `i1` order, each a disjoint `&mut` slice.
-    ///
-    /// Panics unless `d1 < m` and `n > 0` (an empty block cannot be
-    /// chunked).
-    pub fn diagonal_mut(&mut self, d1: usize) -> (FView<'_>, std::slice::ChunksMut<'_, f32>) {
-        assert!(
-            d1 < self.m && self.block_len > 0,
-            "diagonal {d1} of a {}x{} table",
-            self.m,
-            self.n
-        );
-        let start = diagonal_start(self.m, d1) * self.block_len;
-        let len = (self.m - d1) * self.block_len;
-        let shape = self.with_cells(());
-        let (done, rest) = self.cells.split_at_mut(start);
-        (
-            shape.with_cells(&*done),
-            rest[..len].chunks_mut(shape.block_len),
-        )
-    }
-
-    /// Write `F[i1, j1, i2, j2]`.
-    #[inline(always)]
-    pub fn set(&mut self, i1: usize, j1: usize, i2: usize, j2: usize, v: f32) {
-        let k = self.outer(i1, j1) * self.block_len + self.inner(i2, j2);
-        self.cells[k] = v;
     }
 
     /// Number of outer blocks on diagonals `0..done` of an `m`-strand
@@ -463,25 +519,6 @@ impl FTable {
         }
         self.cells[..expect].copy_from_slice(cells);
         Ok(())
-    }
-
-    /// Iterate all valid 4-index cells (slow; tests only).
-    pub fn iter_cells(&self) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
-        let (m, n) = (self.m, self.n);
-        (0..m).flat_map(move |i1| {
-            (i1..m).flat_map(move |j1| {
-                (0..n).flat_map(move |i2| (i2..n).map(move |j2| (i1, j1, i2, j2)))
-            })
-        })
-    }
-
-    /// The top-level score `F[0, M−1, 0, N−1]` (`None` for an empty strand).
-    pub fn final_score(&self) -> Option<f32> {
-        if self.m == 0 || self.n == 0 {
-            None
-        } else {
-            Some(self.get(0, self.m - 1, 0, self.n - 1))
-        }
     }
 }
 

@@ -30,11 +30,13 @@
 use crate::ftable::FView;
 use rna::nussinov::{Fold, Nussinov};
 use rna::{RnaSeq, ScoringModel};
-use tropical::scalar::mp_axpy;
+use std::sync::Arc;
+use tropical::scalar::{mp_axpy, Lanes, MaxPlus, LANES};
 use tropical::simd::mp_axpy4;
+use tropical::triangular::{Layout, Triangular};
 
 /// Shared per-problem context: sequences, model, `S⁽¹⁾`/`S⁽²⁾` tables and
-/// pre-evaluated pair-weight tables.
+/// the [`Terms`] the kernels read.
 pub struct Ctx {
     /// Strand 1.
     pub s1: RnaSeq,
@@ -46,13 +48,8 @@ pub struct Ctx {
     pub fold1: Fold,
     /// Nussinov fold of strand 2 (the `S⁽²⁾` table).
     pub fold2: Fold,
-    /// `w1[i1·M + j1]`: positional intramolecular weight in strand 1
-    /// (`-∞` when the pair is illegal).
-    w1: Vec<f32>,
-    /// `w2[i2·N + j2]`: likewise for strand 2.
-    w2: Vec<f32>,
-    /// `wi[i1·N + i2]`: intermolecular weight.
-    wi: Vec<f32>,
+    /// The S-tables and pair weights, as the kernels read them.
+    terms: Terms<f32>,
 }
 
 impl Ctx {
@@ -60,6 +57,58 @@ impl Ctx {
     pub fn new(s1: RnaSeq, s2: RnaSeq, model: ScoringModel) -> Self {
         let fold1 = Nussinov::fold(&s1, &model);
         let fold2 = Nussinov::fold(&s2, &model);
+        let terms = Terms::new(&s1, &s2, &model, &fold1, &fold2);
+        Ctx {
+            s1,
+            s2,
+            model,
+            fold1,
+            fold2,
+            terms,
+        }
+    }
+
+    /// Strand-1 length.
+    #[inline(always)]
+    pub fn m(&self) -> usize {
+        self.s1.len()
+    }
+
+    /// Strand-2 length.
+    #[inline(always)]
+    pub fn n(&self) -> usize {
+        self.s2.len()
+    }
+
+    /// The S-tables and pair weights of this problem.
+    #[inline(always)]
+    pub fn terms(&self) -> &Terms<f32> {
+        &self.terms
+    }
+}
+
+/// The score tables Phase A and Phase B read, over the cell element `E`:
+/// `S⁽¹⁾`, `S⁽²⁾` and the pre-evaluated pair weights of one problem
+/// (`f32`), or of a lane group's problems interleaved lane by lane
+/// (`[f32; 8]`, built by the batch engine).
+#[derive(Clone, Debug)]
+pub struct Terms<E> {
+    /// `S⁽¹⁾` over strand 1, packed (one problem's is its fold's table).
+    s1: Arc<Triangular<E>>,
+    /// `S⁽²⁾` over strand 2, packed.
+    s2: Arc<Triangular<E>>,
+    /// `w1[i1·M + j1]`: positional intramolecular weight in strand 1
+    /// (`-∞` when the pair is illegal).
+    w1: Vec<E>,
+    /// `w2[i2·N + j2]`: likewise for strand 2.
+    w2: Vec<E>,
+    /// `wi[i1·N + i2]`: intermolecular weight.
+    wi: Vec<E>,
+}
+
+impl Terms<f32> {
+    /// One problem's terms: the folds' S-tables and its weight tables.
+    fn new(s1: &RnaSeq, s2: &RnaSeq, model: &ScoringModel, fold1: &Fold, fold2: &Fold) -> Self {
         let m = s1.len();
         let n = s2.len();
         let mut w1 = vec![ScoringModel::NO_PAIR; m * m];
@@ -80,65 +129,111 @@ impl Ctx {
                 wi[i * n + j] = model.inter(s1[i], s2[j]);
             }
         }
-        Ctx {
-            s1,
-            s2,
-            model,
-            fold1,
-            fold2,
+        Terms {
+            s1: fold1.shared_table(),
+            s2: fold2.shared_table(),
             w1,
             w2,
             wi,
         }
     }
+}
 
+impl Terms<Lanes> {
+    /// The terms of up to [`LANES`] same-shape problems, lane `l` holding
+    /// `members[l]`'s; lanes past the last member copy the first one, so
+    /// a padded lane computes a real problem again. Panics on an empty or
+    /// oversized group, or on members of different shapes.
+    pub(crate) fn interleave(members: &[&Terms<f32>]) -> Self {
+        assert!(
+            (1..=LANES).contains(&members.len()),
+            "a lane group holds 1..={LANES} problems, not {}",
+            members.len()
+        );
+        let lead = members[0];
+        let (m, n) = (lead.m(), lead.n());
+        assert!(
+            members.iter().all(|t| t.m() == m && t.n() == n),
+            "lane group members must share the {m}x{n} shape"
+        );
+        let lane = |l: usize| members.get(l).copied().unwrap_or(lead);
+        let triangle = |side: usize, get: &dyn Fn(&Terms<f32>, usize, usize) -> f32| {
+            Arc::new(Triangular::from_fn(
+                side,
+                Layout::Packed,
+                Lanes::NEG_INF,
+                |i, j| std::array::from_fn(|l| get(lane(l), i, j)),
+            ))
+        };
+        let weights = |get: &dyn Fn(&Terms<f32>) -> &[f32]| -> Vec<Lanes> {
+            (0..get(lead).len())
+                .map(|k| std::array::from_fn(|l| get(lane(l))[k]))
+                .collect()
+        };
+        Terms {
+            s1: triangle(m, &|t, i, j| t.s1.get(i, j)),
+            s2: triangle(n, &|t, i, j| t.s2.get(i, j)),
+            w1: weights(&|t| &t.w1),
+            w2: weights(&|t| &t.w2),
+            wi: weights(&|t| &t.wi),
+        }
+    }
+}
+
+impl<E: MaxPlus> Terms<E> {
     /// Strand-1 length.
     #[inline(always)]
     pub fn m(&self) -> usize {
-        self.s1.len()
+        self.s1.n()
     }
 
     /// Strand-2 length.
     #[inline(always)]
     pub fn n(&self) -> usize {
-        self.s2.len()
+        self.s2.n()
     }
 
     /// `S⁽¹⁾(i1, j1)` with the empty convention (`0` when `j1 < i1`).
     #[inline(always)]
-    pub fn s1v(&self, i1: usize, j1: usize) -> f32 {
+    pub fn s1v(&self, i1: usize, j1: usize) -> E {
         if j1 < i1 {
-            0.0
+            E::ZERO
         } else {
-            self.fold1.score(i1, j1)
+            self.s1.get(i1, j1)
         }
     }
 
     /// `S⁽²⁾(i2, j2)` with the empty convention.
     #[inline(always)]
-    pub fn s2v(&self, i2: usize, j2: usize) -> f32 {
+    pub fn s2v(&self, i2: usize, j2: usize) -> E {
         if j2 < i2 {
-            0.0
+            E::ZERO
         } else {
-            self.fold2.score(i2, j2)
+            self.s2.get(i2, j2)
         }
+    }
+
+    /// Row `i2` of `S⁽²⁾` over columns `i2..N` (`(i2, j2)` at `j2 − i2`).
+    #[inline(always)]
+    pub fn s2_row(&self, i2: usize) -> &[E] {
+        self.s2.row(i2)
     }
 
     /// Intramolecular pair weight in strand 1 (positional, `-∞` = illegal).
     #[inline(always)]
-    pub fn w1(&self, i1: usize, j1: usize) -> f32 {
+    pub fn w1(&self, i1: usize, j1: usize) -> E {
         self.w1[i1 * self.m() + j1]
     }
 
     /// Intramolecular pair weight in strand 2.
     #[inline(always)]
-    pub fn w2(&self, i2: usize, j2: usize) -> f32 {
+    pub fn w2(&self, i2: usize, j2: usize) -> E {
         self.w2[i2 * self.n() + j2]
     }
 
     /// Intermolecular pair weight.
     #[inline(always)]
-    pub fn wi(&self, i1: usize, i2: usize) -> f32 {
+    pub fn wi(&self, i1: usize, i2: usize) -> E {
         self.wi[i1 * self.n() + i2]
     }
 }
@@ -204,6 +299,12 @@ impl Tile {
 
 // ---------------------------------------------------------------------
 // R0: one matrix instance  acc ⊕= A ⊗ B  over triangles
+//
+// Each `r0_instance_*` is `#[inline(never)]`. Generic, they would be
+// inlined into `accumulate_r034_serial`, whose `f32` code then differs
+// from the out-of-line calls the non-generic kernels compiled to, and
+// the hot kernel's speed depends on LLVM's inlining order (see
+// `r0_row_simd`). Out of line, the `f32` instances keep that code.
 // ---------------------------------------------------------------------
 
 /// Always-on check that every block slice is as long as the layout's
@@ -217,7 +318,7 @@ impl Tile {
 /// `O(#blocks)` per call — noise against the `O(n²)`..`O(n³)` work
 /// behind it.
 #[inline]
-fn assert_block_shapes(ft: &FView<'_>, blocks: &[&[f32]]) {
+fn assert_block_shapes<E: Copy>(ft: &FView<'_, E>, blocks: &[&[E]]) {
     let need = ft.layout().storage_len(ft.n());
     for (idx, blk) in blocks.iter().enumerate() {
         assert!(
@@ -231,7 +332,8 @@ fn assert_block_shapes(ft: &FView<'_>, blocks: &[&[f32]]) {
 /// `R0` matrix instance, **naive** order: `(i2, j2, k2)` with the reduction
 /// innermost — a dot product per cell, strided reads of `B`, no
 /// vectorization. This is the loop order the original `BPMax` uses.
-pub fn r0_instance_naive(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
+#[inline(never)]
+pub fn r0_instance_naive<E: MaxPlus>(ft: &FView<'_, E>, a: &[E], b: &[E], acc: &mut [E]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     for i2 in 0..n {
@@ -242,7 +344,7 @@ pub fn r0_instance_naive(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) 
             for k2 in i2..j2 {
                 // B[k2+1][j2]: strided column access
                 let bv = b[ft.inner(k2 + 1, j2)];
-                best = best.max(arow[k2 - i2] + bv);
+                best = best.max_num(arow[k2 - i2].plus(bv));
             }
             crow[j2 - i2] = best;
         }
@@ -254,7 +356,8 @@ pub fn r0_instance_naive(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) 
 /// [`mp_axpy`] from a contiguous `B` row into a contiguous `acc` row
 /// segment. This is the Phase I loop permutation that unlocks
 /// auto-vectorization.
-pub fn r0_instance_permuted(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
+#[inline(never)]
+pub fn r0_instance_permuted<E: MaxPlus>(ft: &FView<'_, E>, a: &[E], b: &[E], acc: &mut [E]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     for i2 in 0..n {
@@ -262,7 +365,7 @@ pub fn r0_instance_permuted(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32
         let crow = ft.row_of_mut(acc, i2);
         for k2 in i2..n.saturating_sub(1) {
             let av = arow[k2 - i2];
-            if av == f32::NEG_INFINITY {
+            if av.skips() {
                 continue;
             }
             let brow = ft.row_of(b, k2 + 1);
@@ -275,7 +378,8 @@ pub fn r0_instance_permuted(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32
 /// chunks (untiled by default) — Phase III's locality transformation,
 /// keeping the `B` row panel and `acc` row band in cache across `k2`
 /// steps.
-pub fn r0_instance_tiled(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32], t: Tile) {
+#[inline(never)]
+pub fn r0_instance_tiled<E: MaxPlus>(ft: &FView<'_, E>, a: &[E], b: &[E], acc: &mut [E], t: Tile) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     if n < 2 {
@@ -289,11 +393,11 @@ pub fn r0_instance_tiled(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32], 
 /// The `[i2lo, i2hi)` row band of the tiled `R0` instance — the unit the
 /// paper's fine-grain parallelism distributes ("we parallelize the outer
 /// i2 dimension" of the tiled space).
-fn r0_row_band_tiled(
-    ft: &FView<'_>,
-    a: &[f32],
-    b: &[f32],
-    acc: &mut [f32],
+fn r0_row_band_tiled<E: MaxPlus>(
+    ft: &FView<'_, E>,
+    a: &[E],
+    b: &[E],
+    acc: &mut [E],
     i2lo: usize,
     i2hi: usize,
     t: Tile,
@@ -316,7 +420,7 @@ fn r0_row_band_tiled(
                         continue;
                     }
                     let av = arow[k2 - i2];
-                    if av == f32::NEG_INFINITY {
+                    if av.skips() {
                         continue;
                     }
                     let brow = ft.row_of(b, k2 + 1);
@@ -345,7 +449,8 @@ fn r0_row_band_tiled(
 /// compare-select. This is the kernel [`R0Order::SimdReg`] selects, and
 /// the one the default program version ([`crate::Algorithm::HybridReg`])
 /// runs.
-pub fn r0_instance_simd(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
+#[inline(never)]
+pub fn r0_instance_simd<E: MaxPlus>(ft: &FView<'_, E>, a: &[E], b: &[E], acc: &mut [E]) {
     let n = ft.n();
     assert_block_shapes(ft, &[a, b, acc]);
     if n < 2 {
@@ -375,7 +480,13 @@ pub fn r0_instance_simd(ft: &FView<'_>, a: &[f32], b: &[f32], acc: &mut [f32]) {
 // (its only caller in this crate), `r0_instance_simd` compiled to code
 // that ran about 10% slower per instance.
 #[inline(always)]
-pub(crate) fn r0_row_simd(ft: &FView<'_>, arow: &[f32], b: &[f32], crow: &mut [f32], i2: usize) {
+pub(crate) fn r0_row_simd<E: MaxPlus>(
+    ft: &FView<'_, E>,
+    arow: &[E],
+    b: &[E],
+    crow: &mut [E],
+    i2: usize,
+) {
     let n = ft.n();
     debug_assert!(i2 < n, "row {i2} outside triangle of {n} rows");
     debug_assert!(
@@ -401,7 +512,7 @@ pub(crate) fn r0_row_simd(ft: &FView<'_>, arow: &[f32], b: &[f32], crow: &mut [f
             let kk = k2 + lane;
             let hi = (k2 + 4).min(n);
             for j2 in kk + 1..hi {
-                crow[j2 - i2] = (av[lane] + brow[j2 - (kk + 1)]).max(crow[j2 - i2]);
+                crow[j2 - i2] = av[lane].plus(brow[j2 - (kk + 1)]).max_num(crow[j2 - i2]);
             }
         }
         // Body: the shared range [k2+4, n) as one fused 4-stream pass
@@ -413,7 +524,7 @@ pub(crate) fn r0_row_simd(ft: &FView<'_>, arow: &[f32], b: &[f32], crow: &mut [f
     // Remainder k2 values: single-stream updates.
     while k2 < n.saturating_sub(1) {
         let av = arow[k2 - i2];
-        if av != f32::NEG_INFINITY {
+        if !av.skips() {
             let brow = ft.row_of(b, k2 + 1);
             mp_axpy(av, brow, &mut crow[k2 + 1 - i2..]);
         }
@@ -428,16 +539,16 @@ pub(crate) fn r0_row_simd(ft: &FView<'_>, arow: &[f32], b: &[f32], crow: &mut [f
 /// `R3` contribution of split `k1`: `acc ⊕= S1(i1, k1) + B` over the whole
 /// block. Slack cells of bounding-box layouts hold `-∞` in `B`, making the
 /// update a no-op there.
-pub fn r3_block(s1_ik1: f32, b: &[f32], acc: &mut [f32]) {
-    if s1_ik1 == f32::NEG_INFINITY {
+pub fn r3_block<E: MaxPlus>(s1_ik1: E, b: &[E], acc: &mut [E]) {
+    if s1_ik1.skips() {
         return;
     }
     mp_axpy(s1_ik1, b, acc);
 }
 
 /// `R4` contribution of split `k1`: `acc ⊕= A + S1(k1+1, j1)`.
-pub fn r4_block(s1_k1p1j: f32, a: &[f32], acc: &mut [f32]) {
-    if s1_k1p1j == f32::NEG_INFINITY {
+pub fn r4_block<E: MaxPlus>(s1_k1p1j: E, a: &[E], acc: &mut [E]) {
+    if s1_k1p1j.skips() {
         return;
     }
     mp_axpy(s1_k1p1j, a, acc);
@@ -464,18 +575,18 @@ pub enum R0Order {
 
 /// Serial Phase A for triangle `(i1, j1)`: accumulate `R0` (in `order`),
 /// `R3` and `R4` into `acc` across all splits `k1`.
-pub fn accumulate_r034_serial(
-    ctx: &Ctx,
-    ft: &FView<'_>,
+pub fn accumulate_r034_serial<E: MaxPlus>(
+    terms: &Terms<E>,
+    ft: &FView<'_, E>,
     i1: usize,
     j1: usize,
-    acc: &mut [f32],
+    acc: &mut [E],
     order: R0Order,
 ) {
     assert!(
-        i1 <= j1 && j1 < ctx.m(),
+        i1 <= j1 && j1 < terms.m(),
         "outer cell ({i1}, {j1}) outside the {0}×{0} upper triangle",
-        ctx.m()
+        terms.m()
     );
     assert_block_shapes(ft, &[acc]);
     for k1 in i1..j1 {
@@ -487,8 +598,8 @@ pub fn accumulate_r034_serial(
             R0Order::Tiled(t) => r0_instance_tiled(ft, a, b, acc, t),
             R0Order::SimdReg => r0_instance_simd(ft, a, b, acc),
         }
-        r3_block(ctx.s1v(i1, k1), b, acc);
-        r4_block(ctx.s1v(k1 + 1, j1), a, acc);
+        r3_block(terms.s1v(i1, k1), b, acc);
+        r4_block(terms.s1v(k1 + 1, j1), a, acc);
     }
 }
 
@@ -502,19 +613,23 @@ pub fn accumulate_r034_serial(
 ///
 /// `prev` is the block of `(i1+1, j1−1)` when `j1 ≥ i1+2` (the pair-1
 /// term's source); for `j1 = i1+1` the term degenerates to `S⁽²⁾`.
-pub fn finalize_triangle(
-    ctx: &Ctx,
+///
+/// The pair terms are guarded by [`MaxPlus::skips`] on their weight: the
+/// `f32` instance skips a `NO_PAIR` (`-∞`) weight, the lane instance
+/// adds it, which cannot move `val` (never NaN, see [`MaxPlus`]).
+pub fn finalize_triangle<E: MaxPlus>(
+    terms: &Terms<E>,
     i1: usize,
     j1: usize,
-    ft: &FView<'_>,
-    prev: Option<&[f32]>,
-    acc: &mut [f32],
+    ft: &FView<'_, E>,
+    prev: Option<&[E]>,
+    acc: &mut [E],
 ) {
     let n = ft.n();
     debug_assert!(
-        i1 <= j1 && j1 < ctx.m(),
+        i1 <= j1 && j1 < terms.m(),
         "outer cell ({i1}, {j1}) outside the {0}×{0} upper triangle",
-        ctx.m()
+        terms.m()
     );
     debug_assert!(
         prev.is_some() == (j1 >= i1 + 2),
@@ -524,11 +639,12 @@ pub fn finalize_triangle(
     if let Some(p) = prev {
         assert_block_shapes(ft, &[p]);
     }
-    let s1ij = ctx.s1v(i1, j1);
+    let s1ij = terms.s1v(i1, j1);
+    // an illegal pair weighs NO_PAIR, which is -∞
     let w1 = if j1 > i1 {
-        ctx.w1(i1, j1)
+        terms.w1(i1, j1)
     } else {
-        ScoringModel::NO_PAIR
+        E::NEG_INF
     };
     for i2 in (0..n).rev() {
         let rs_i2 = ft.inner_row_start(i2);
@@ -536,34 +652,34 @@ pub fn finalize_triangle(
             // --- finalize F[i1, j1, i2, k2] ---
             let idx = ft.inner(i2, k2);
             let mut val = acc[idx];
-            val = val.max(s1ij + ctx.s2v(i2, k2));
+            val = val.max_num(s1ij.plus(terms.s2v(i2, k2)));
             // pair i2–k2 (strand-2 closing)
             let w2 = if k2 > i2 {
-                ctx.w2(i2, k2)
+                terms.w2(i2, k2)
             } else {
-                ScoringModel::NO_PAIR
+                E::NEG_INF
             };
-            if w2 != ScoringModel::NO_PAIR {
+            if !w2.skips() {
                 let inner = if k2 >= i2 + 2 {
                     acc[ft.inner(i2 + 1, k2 - 1)] // row i2+1 already final
                 } else {
                     s1ij // empty strand-2 interval ⇒ F = S1
                 };
-                val = val.max(inner + w2);
+                val = val.max_num(inner.plus(w2));
             }
             // pair i1–j1 (strand-1 closing)
-            if w1 != ScoringModel::NO_PAIR {
+            if !w1.skips() {
                 let inner = match prev {
                     Some(p) => p[ft.inner(i2, k2)],
-                    None => ctx.s2v(i2, k2), // empty strand-1 interval
+                    None => terms.s2v(i2, k2), // empty strand-1 interval
                 };
-                val = val.max(inner + w1);
+                val = val.max_num(inner.plus(w1));
             }
             // 1×1 box: the intermolecular pair
             if i1 == j1 && i2 == k2 {
-                let wi = ctx.wi(i1, i2);
-                if wi != ScoringModel::NO_PAIR {
-                    val = val.max(wi);
+                let wi = terms.wi(i1, i2);
+                if !wi.skips() {
+                    val = val.max_num(wi);
                 }
             }
             acc[idx] = val;
@@ -577,11 +693,10 @@ pub fn finalize_triangle(
             let row_i2 = &mut lo_part[rs_i2..rs_i2 + (n - i2)];
             let dst = &mut row_i2[k2 + 1 - i2..];
             // R1: S2(i2, k2) + F[i1, j1, k2+1, j2]
-            let s2ik = ctx.s2v(i2, k2);
+            let s2ik = terms.s2v(i2, k2);
             mp_axpy(s2ik, frow_next, dst);
             // R2: F[i1, j1, i2, k2] + S2(k2+1, j2)
-            let s2row = ctx.fold2.table().row(k2 + 1);
-            mp_axpy(val, s2row, dst);
+            mp_axpy(val, terms.s2_row(k2 + 1), dst);
         }
     }
 }
@@ -722,11 +837,11 @@ mod tests {
         let table = FTable::new(1, 1, Layout::Packed);
         let ft = table.view();
         let mut acc = vec![f32::NEG_INFINITY; 1];
-        finalize_triangle(&c, 0, 0, &ft, None, &mut acc);
+        finalize_triangle(c.terms(), 0, 0, &ft, None, &mut acc);
         assert_eq!(acc[0], 3.0); // G–C inter pair
         let c = ctx("A", "C");
         let mut acc = vec![f32::NEG_INFINITY; 1];
-        finalize_triangle(&c, 0, 0, &ft, None, &mut acc);
+        finalize_triangle(c.terms(), 0, 0, &ft, None, &mut acc);
         assert_eq!(acc[0], 0.0); // no pair, empty structure
     }
 

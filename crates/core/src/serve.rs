@@ -63,8 +63,9 @@
 //!
 //! Results are cached in a content-addressed in-memory + on-disk store
 //! keyed by `(problem content-id) × (options fingerprint)`:
-//! [`crate::checkpoint::problem_id`] (FNV-1a over strands + scoring
-//! model) crossed with the [`crate::batch::BatchOptions::fingerprint`]
+//! [`crate::checkpoint::problem_id_of`] (FNV-1a over strands + scoring
+//! model, taken from the request before any problem is built) crossed
+//! with the [`crate::batch::BatchOptions::fingerprint`]
 //! rule over the request's [`Algorithm`], effective memory budget,
 //! and degrade flag. Deadlines are deliberately *not* in the key — they
 //! decide whether a solve finishes, never its score. A version that
@@ -81,7 +82,7 @@
 
 use crate::batch::{BatchEngine, BatchOptions};
 use crate::checkpoint::{
-    outcome_code, outcome_from_code, problem_id, put_f32, put_f64, put_frame, put_u32, put_u64,
+    outcome_code, outcome_from_code, problem_id_of, put_f32, put_f64, put_frame, put_u32, put_u64,
     put_u8, read_file, take_frame, write_atomic, Cursor,
 };
 use crate::engine::{Algorithm, BpMaxProblem, SolveOptions};
@@ -1467,7 +1468,6 @@ impl Server {
                 detail: e.to_string(),
             };
         }
-        let problem = BpMaxProblem::new(req.seq1.clone(), req.seq2.clone(), req.model.clone());
         let effective_budget = match (self.cfg.mem_budget, req.mem_budget) {
             (None, None) => None,
             (server, request) => Some(server.unwrap_or(u64::MAX).min(request.unwrap_or(u64::MAX))),
@@ -1475,11 +1475,12 @@ impl Server {
 
         // Cache first: a warm hit answers without touching the solver,
         // the pool, or the in-flight ledger — it holds no F-table bytes
-        // and no slot. The key is the problem content-id crossed with
-        // the fingerprint of everything score-affecting (algorithm +
-        // effective budget + degrade — a degraded score depends on the
-        // budget).
-        let pid = problem_id(&problem);
+        // and no slot, and builds no problem. The key is the problem
+        // content-id, taken from the request's strands and model,
+        // crossed with the fingerprint of everything score-affecting
+        // (algorithm + effective budget + degrade — a degraded score
+        // depends on the budget).
+        let pid = problem_id_of(&req.seq1, &req.seq2, &req.model);
         let fp = cache_fingerprint(req.algorithm, effective_budget, req.degrade);
         if let Some(hit) = self.cache.get(pid, fp) {
             // ordering: monotonic counter
@@ -1491,6 +1492,10 @@ impl Server {
                 cache_hit: true,
             };
         }
+
+        // A miss builds the problem: both Nussinov folds and the weight
+        // tables.
+        let problem = BpMaxProblem::new(req.seq1.clone(), req.seq2.clone(), req.model.clone());
 
         // The request's wall-clock budget starts at receipt and covers
         // the queue wait plus the solve.

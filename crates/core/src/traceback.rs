@@ -66,7 +66,7 @@ impl Tracer<'_> {
         if j1 < i1 {
             0.0
         } else {
-            self.ctx.s1v(i1 as usize, j1 as usize)
+            self.ctx.terms().s1v(i1 as usize, j1 as usize)
         }
     }
 
@@ -74,7 +74,7 @@ impl Tracer<'_> {
         if j2 < i2 {
             0.0
         } else {
-            self.ctx.s2v(i2 as usize, j2 as usize)
+            self.ctx.terms().s2v(i2 as usize, j2 as usize)
         }
     }
 
@@ -111,7 +111,7 @@ impl Tracer<'_> {
         }
         // Case: 1×1 intermolecular pair.
         if ui1 == uj1 && ui2 == uj2 {
-            let wi = self.ctx.wi(ui1, ui2);
+            let wi = self.ctx.terms().wi(ui1, ui2);
             if wi != ScoringModel::NO_PAIR && wi == target {
                 self.inter.push((ui1, ui2));
                 return;
@@ -119,7 +119,7 @@ impl Tracer<'_> {
         }
         // Case: pair i1–j1.
         if uj1 > ui1 {
-            let w1 = self.ctx.w1(ui1, uj1);
+            let w1 = self.ctx.terms().w1(ui1, uj1);
             if w1 != ScoringModel::NO_PAIR && self.fget(i1 + 1, j1 - 1, i2, j2) + w1 == target {
                 self.intra1.push((ui1, uj1));
                 self.trace(i1 + 1, j1 - 1, i2, j2);
@@ -128,7 +128,7 @@ impl Tracer<'_> {
         }
         // Case: pair i2–j2.
         if uj2 > ui2 {
-            let w2 = self.ctx.w2(ui2, uj2);
+            let w2 = self.ctx.terms().w2(ui2, uj2);
             if w2 != ScoringModel::NO_PAIR && self.fget(i1, j1, i2 + 1, j2 - 1) + w2 == target {
                 self.intra2.push((ui2, uj2));
                 self.trace(i1, j1, i2 + 1, j2 - 1);

@@ -188,9 +188,9 @@ pub fn max_window_within(m: usize, n: usize, budget_bytes: u64) -> Option<usize>
 /// in-band entries (every referenced strand-2 interval is a sub-interval,
 /// hence in-band).
 fn cell(ctx: &Ctx, f: &WindowedTable, i1: usize, j1: usize, i2: usize, j2: usize) -> f32 {
-    let mut best = ctx.s1v(i1, j1) + ctx.s2v(i2, j2);
+    let mut best = ctx.terms().s1v(i1, j1) + ctx.terms().s2v(i2, j2);
     if i1 == j1 && i2 == j2 {
-        let wi = ctx.wi(i1, i2);
+        let wi = ctx.terms().wi(i1, i2);
         if wi != ScoringModel::NO_PAIR {
             best = best.max(wi);
         }
@@ -201,31 +201,31 @@ fn cell(ctx: &Ctx, f: &WindowedTable, i1: usize, j1: usize, i2: usize, j2: usize
         }
     }
     for k2 in i2..j2 {
-        best = best.max(ctx.s2v(i2, k2) + f.get(i1, j1, k2 + 1, j2));
-        best = best.max(f.get(i1, j1, i2, k2) + ctx.s2v(k2 + 1, j2));
+        best = best.max(ctx.terms().s2v(i2, k2) + f.get(i1, j1, k2 + 1, j2));
+        best = best.max(f.get(i1, j1, i2, k2) + ctx.terms().s2v(k2 + 1, j2));
     }
     for k1 in i1..j1 {
-        best = best.max(ctx.s1v(i1, k1) + f.get(k1 + 1, j1, i2, j2));
-        best = best.max(f.get(i1, k1, i2, j2) + ctx.s1v(k1 + 1, j1));
+        best = best.max(ctx.terms().s1v(i1, k1) + f.get(k1 + 1, j1, i2, j2));
+        best = best.max(f.get(i1, k1, i2, j2) + ctx.terms().s1v(k1 + 1, j1));
     }
     if j1 > i1 {
-        let w1 = ctx.w1(i1, j1);
+        let w1 = ctx.terms().w1(i1, j1);
         if w1 != ScoringModel::NO_PAIR {
             let inner = if j1 - i1 >= 2 {
                 f.get(i1 + 1, j1 - 1, i2, j2)
             } else {
-                ctx.s2v(i2, j2)
+                ctx.terms().s2v(i2, j2)
             };
             best = best.max(inner + w1);
         }
     }
     if j2 > i2 {
-        let w2 = ctx.w2(i2, j2);
+        let w2 = ctx.terms().w2(i2, j2);
         if w2 != ScoringModel::NO_PAIR {
             let inner = if j2 - i2 >= 2 {
                 f.get(i1, j1, i2 + 1, j2 - 1)
             } else {
-                ctx.s1v(i1, j1)
+                ctx.terms().s1v(i1, j1)
             };
             best = best.max(inner + w2);
         }

@@ -8,8 +8,10 @@
 //! models whose weights are drawn from the values that could break it —
 //! signed zeros, NaN, `+∞`, `±f32::MAX`, the `NO_PAIR` sentinel — and
 //! checks the *full* F-table of every program version (the tiled and the
-//! register-tiled `R0` kernels among them) and of one batch-engine wave,
-//! bit for bit against the oracle.
+//! register-tiled `R0` kernels among them), of one batch-engine wave, and
+//! of every member of a lane group — where the lane kernels add the
+//! `-∞`/`NO_PAIR` terms the scalar ones skip — bit for bit against the
+//! oracle.
 
 use bpmax::batch::{BatchEngine, BatchOptions};
 use bpmax::kernels::Tile;
@@ -116,6 +118,43 @@ proptest! {
         for (item, (s1, s2)) in report.items.iter().zip(&pairs) {
             let table = item.table.as_ref().expect("keep_tables");
             let what = format!("batch wave on {s1}/{s2} under {model:?}");
+            assert_matches_spec(table, &mut SpecEval::new(s1, s2, &model), &what);
+        }
+    }
+
+    #[test]
+    fn lane_group_members_match_the_oracle(
+        (m, n) in (1usize..=7, 1usize..=7),
+        count in 1usize..=8,
+        bases in proptest::collection::vec(0usize..4, 8 * 14),
+        model in model(),
+        alg in 1..Algorithm::ALL.len(),
+    ) {
+        // `count` same-shape problems: a lane group of that many members
+        // (a small one runs its members one at a time instead)
+        let strand = |from: usize, len: usize| {
+            RnaSeq::new(bases[from..from + len].iter().map(|&b| BASES[b]).collect())
+        };
+        let pairs: Vec<(RnaSeq, RnaSeq)> =
+            (0..count).map(|k| (strand(14 * k, m), strand(14 * k + 7, n))).collect();
+        let problems: Vec<BpMaxProblem> = pairs
+            .iter()
+            .map(|(s1, s2)| BpMaxProblem::new(s1.clone(), s2.clone(), model.clone()))
+            .collect();
+        let solve = SolveOptions::new().algorithm(Algorithm::ALL[alg]);
+        let engine = BatchEngine::new(BatchOptions::new().solve(solve).keep_tables(true)).unwrap();
+        let report = engine.solve_all(&problems).unwrap();
+        prop_assert!(report.outcomes().all_ok(), "{}", report.outcomes());
+        if count == 8 {
+            prop_assert_eq!(report.lane_problems, 8, "a full group runs in lanes");
+        }
+        for (item, (s1, s2)) in report.items.iter().zip(&pairs) {
+            let table = item.table.as_ref().expect("keep_tables");
+            let what = format!(
+                "lane member {} of {count} ({:?}) on {s1}/{s2} under {model:?}",
+                item.index,
+                Algorithm::ALL[alg]
+            );
             assert_matches_spec(table, &mut SpecEval::new(s1, s2, &model), &what);
         }
     }

@@ -5,8 +5,10 @@
 //! per-problem [`Outcome`], the co-scheduled non-faulted problems stay
 //! bit-identical to unsupervised solves, quarantined buffers never
 //! re-enter the arena, the zero-steady-state-allocation invariant
-//! survives faulted waves, and an interrupted large problem snapshots a
-//! prefix that resumes bit-identically.
+//! survives faulted waves, an interrupted large problem snapshots a
+//! prefix that resumes bit-identically, and a fault in one member of a
+//! lane group touches only that member (or, for a deadline, the group
+//! as a unit).
 //!
 //! The fault registry is process-global, so every test serializes on one
 //! mutex and disarms through an RAII guard — a panicking assertion can
@@ -203,6 +205,107 @@ fn zero_steady_state_allocation_holds_across_faulted_waves() {
     for (item, want) in wave4.items.iter().zip(&want) {
         assert_eq!(item.score, *want);
     }
+}
+
+/// Ten mixed-shape problems, then eight 8×8 problems: one full lane
+/// group at indices 10..18. `zero_steady_state_allocation_holds_across_faulted_waves`
+/// runs clean ten-problem waves outside the gate, so these tests arm
+/// their faults past index 9, where no such wave reaches.
+fn with_lane_group(seed: u64) -> Vec<BpMaxProblem> {
+    let mut problems = mixed_problems(10, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    problems.extend((0..8).map(|_| {
+        BpMaxProblem::new(
+            RnaSeq::random(&mut rng, 8),
+            RnaSeq::random(&mut rng, 8),
+            ScoringModel::bpmax_default(),
+        )
+    }));
+    problems
+}
+
+#[test]
+fn lane_group_panic_fails_only_its_member() {
+    let problems = with_lane_group(110);
+    let want = exact_scores(&problems);
+    let _armed = Armed::new(FaultPlan::new().fail(fault::SITE_COMPUTE, 13, Fault::Panic));
+    let report = engine().solve_all(&problems).unwrap();
+    for (i, item) in report.items.iter().enumerate() {
+        if i == 13 {
+            assert_eq!(item.outcome, Outcome::Failed);
+            assert!(
+                matches!(&item.error, Some(BpMaxError::Panicked { detail })
+                    if detail.contains("injected fault")),
+                "{:?}",
+                item.error
+            );
+        } else {
+            assert_eq!(item.outcome, Outcome::Ok, "problem {i}");
+            assert_eq!(item.score.to_bits(), want[i].to_bits(), "problem {i}");
+        }
+    }
+    // the group re-ran one problem at a time: only the faulty member's
+    // own table was quarantined
+    assert_eq!(report.lane_problems, 0);
+    assert_eq!(report.pool.quarantined, 1, "{:?}", report.pool);
+}
+
+#[test]
+fn lane_group_alloc_fault_drops_only_its_member() {
+    let problems = with_lane_group(111);
+    let want = exact_scores(&problems);
+    let _armed = Armed::new(FaultPlan::new().fail(fault::SITE_ALLOC, 16, Fault::AllocFail));
+    let report = engine().solve_all(&problems).unwrap();
+    assert!(
+        matches!(
+            report.items[16].error,
+            Some(BpMaxError::SizeOverflow { .. })
+        ),
+        "{:?}",
+        report.items[16].error
+    );
+    for (i, item) in report.items.iter().enumerate().filter(|&(i, _)| i != 16) {
+        assert_eq!(
+            (item.outcome, item.score),
+            (Outcome::Ok, want[i]),
+            "problem {i}"
+        );
+    }
+    assert_eq!(report.lane_problems, 7, "the other seven ran in lanes");
+    assert_eq!(report.pool.quarantined, 0);
+}
+
+#[test]
+fn lane_group_slow_member_times_the_group_out_as_a_unit() {
+    let problems = with_lane_group(112);
+    let want = exact_scores(&problems);
+    // member 12 sleeps 200 ms per checkpoint against a 150 ms wave
+    // deadline; the ten problems before the group take microseconds, and
+    // the group shares one watch, so every member times out
+    let _armed =
+        Armed::new(FaultPlan::new().fail(fault::SITE_SLOW, 12, Fault::Slow { millis: 200 }));
+    let report = BatchEngine::new(BatchOptions::new().deadline(Duration::from_millis(150)))
+        .unwrap()
+        .solve_all(&problems)
+        .unwrap();
+    for (i, item) in report.items.iter().enumerate() {
+        if i < 10 {
+            assert_eq!(
+                (item.outcome, item.score),
+                (Outcome::Ok, want[i]),
+                "problem {i}"
+            );
+        } else {
+            assert!(
+                matches!(item.error, Some(BpMaxError::DeadlineExceeded { .. })),
+                "member {i}: {:?}",
+                item.error
+            );
+        }
+    }
+    assert_eq!(report.outcomes().timed_out, 8, "{}", report.outcomes());
+    assert_eq!(report.lane_problems, 0);
+    assert_eq!(report.pool.quarantined, 0);
 }
 
 #[test]

@@ -15,6 +15,7 @@
 use crate::scoring::ScoringModel;
 use crate::seq::RnaSeq;
 use crate::structure::Structure;
+use std::sync::Arc;
 use tropical::triangular::{Layout, Triangular};
 
 /// The folding entry point.
@@ -25,7 +26,8 @@ pub struct Nussinov;
 pub struct Fold {
     seq: RnaSeq,
     model: ScoringModel,
-    table: Triangular<f32>,
+    /// Shared, so a solver can keep the table without copying it.
+    table: Arc<Triangular<f32>>,
 }
 
 impl Nussinov {
@@ -61,7 +63,7 @@ impl Nussinov {
         Fold {
             seq: seq.clone(),
             model: model.clone(),
-            table,
+            table: Arc::new(table),
         }
     }
 }
@@ -111,6 +113,12 @@ impl Fold {
     /// Borrow the raw triangular table (the `BPMax` kernels read rows of it).
     pub fn table(&self) -> &Triangular<f32> {
         &self.table
+    }
+
+    /// The raw triangular table, shared: a handle to the same cells, not
+    /// a copy.
+    pub fn shared_table(&self) -> Arc<Triangular<f32>> {
+        Arc::clone(&self.table)
     }
 
     /// Recover one optimal structure by traceback.

@@ -1,4 +1,4 @@
-//! Tropical (max-plus) kernels on `f32`.
+//! Tropical (max-plus) kernels on `f32` and on eight-problem lanes.
 //!
 //! The dominant kernel of `BPMax` (the "double max-plus" reduction `R0`)
 //! is, per instance, a *max-plus matrix product* — "matrix multiplication
@@ -10,9 +10,11 @@
 //!
 //! Contents:
 //!
-//! * [`scalar`] — the max-plus join and the streaming axpy
-//!   `y[i] = max(a + x[i], y[i])` on `f32` (the paper uses
-//!   single-precision storage to halve the memory footprint).
+//! * [`scalar`] — the max-plus join, the streaming axpy
+//!   `y[i] = max(a + x[i], y[i])`, and [`scalar::MaxPlus`], the cell
+//!   element both kernels are generic over: one `f32` (the paper uses
+//!   single-precision storage to halve the memory footprint) or
+//!   [`scalar::Lanes`], the same cell of eight same-shape problems.
 //! * [`simd`] — the 4-way fused [`simd::mp_axpy4`] register-blocked inner
 //!   kernel, a plain loop on stable Rust that LLVM vectorizes to packed
 //!   `addps`/`maxps`.

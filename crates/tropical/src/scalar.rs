@@ -1,9 +1,13 @@
-//! Scalar max-plus helpers on `f32`.
+//! Scalar max-plus helpers, and the cell element the kernels are generic
+//! over.
 //!
 //! `BPMax` stores scores in single precision ("we use single-precision storage
 //! to reduce the memory footprint of `BPMax`" — §IV.A). These helpers define
 //! the handful of scalar idioms the kernels are written in, so the hot loops
-//! stay uniform and auto-vectorizable.
+//! stay uniform and auto-vectorizable. [`MaxPlus`] lifts them to a cell
+//! element: one `f32` score, or [`Lanes`] — the same cell of [`LANES`]
+//! independent problems, lane `l` computing exactly problem `l`'s scalar
+//! update sequence.
 
 /// The max-plus join of the axpy family: `if s > c { s } else { c }`,
 /// with the candidate `s` first and the accumulator `c` second.
@@ -28,21 +32,128 @@ pub fn mp_join(s: f32, c: f32) -> f32 {
     }
 }
 
+/// Problems one [`Lanes`] cell carries.
+pub const LANES: usize = 8;
+
+/// One F-table cell of [`LANES`] same-shape problems: lane `l` is problem
+/// `l`'s value. Two SSE registers on the baseline `x86-64` target.
+pub type Lanes = [f32; LANES];
+
+use std::sync::atomic::{compiler_fence, Ordering};
+
+/// A max-plus cell element: the one trait the kernels are generic over.
+///
+/// Every operation is the `f32` operation applied lane by lane, so a
+/// kernel instantiated at [`Lanes`] runs, in lane `l`, the exact scalar
+/// expressions it runs at `f32` for problem `l`. The one place the two
+/// differ is [`MaxPlus::skips`]: the `f32` kernels skip a term whose
+/// coefficient is `−∞` (also `ScoringModel::NO_PAIR`), where the lane
+/// kernels compute it, since one lane's `−∞` says nothing of the others.
+/// Computing it is bit-identical to skipping it: the candidate is `−∞`
+/// or NaN (`−∞ + +∞`), and [`mp_join`] keeps the accumulator for both,
+/// as does [`f32::max`] unless the accumulator is NaN — which a solver
+/// accumulator never is (it starts at `−∞` and only ever takes a
+/// candidate that compared greater, or the non-NaN side of `f32::max`).
+pub trait MaxPlus: Copy + Send + Sync + std::fmt::Debug + 'static {
+    /// `−∞` in every lane: the max-plus zero.
+    const NEG_INF: Self;
+    /// `0` in every lane: the score of an empty interval.
+    const ZERO: Self;
+    /// Lane-wise `+`.
+    fn plus(self, rhs: Self) -> Self;
+    /// Lane-wise [`mp_join`]`(s, c)`, candidate first.
+    fn join(s: Self, c: Self) -> Self;
+    /// Lane-wise [`f32::max`].
+    fn max_num(self, other: Self) -> Self;
+    /// Whether a max-plus term with this coefficient may be skipped: a
+    /// scalar `−∞`. Always `false` for [`Lanes`] (see the trait doc).
+    fn skips(self) -> bool;
+    /// Marks the top of one element of a streaming loop. Nothing for
+    /// `f32`, whose element loops LLVM vectorizes across elements. For
+    /// [`Lanes`] a compiler-only fence, which emits no instruction but
+    /// keeps LLVM's loop vectorizer off the element loop: left alone, it
+    /// vectorizes across four cells and transposes their lanes with
+    /// shuffles, where each cell alone is already two full vectors (the
+    /// SLP vectorizer's `addps`/`maxps` pairs).
+    fn cell_fence();
+}
+
+impl MaxPlus for f32 {
+    const NEG_INF: f32 = f32::NEG_INFINITY;
+    const ZERO: f32 = 0.0;
+
+    #[inline(always)]
+    fn plus(self, rhs: f32) -> f32 {
+        self + rhs
+    }
+
+    #[inline(always)]
+    fn join(s: f32, c: f32) -> f32 {
+        mp_join(s, c)
+    }
+
+    #[inline(always)]
+    fn max_num(self, other: f32) -> f32 {
+        self.max(other)
+    }
+
+    #[inline(always)]
+    fn skips(self) -> bool {
+        self == f32::NEG_INFINITY
+    }
+
+    #[inline(always)]
+    fn cell_fence() {}
+}
+
+impl MaxPlus for Lanes {
+    const NEG_INF: Lanes = [f32::NEG_INFINITY; LANES];
+    const ZERO: Lanes = [0.0; LANES];
+
+    #[inline(always)]
+    fn plus(self, rhs: Lanes) -> Lanes {
+        std::array::from_fn(|l| self[l] + rhs[l])
+    }
+
+    #[inline(always)]
+    fn join(s: Lanes, c: Lanes) -> Lanes {
+        std::array::from_fn(|l| mp_join(s[l], c[l]))
+    }
+
+    #[inline(always)]
+    fn max_num(self, other: Lanes) -> Lanes {
+        std::array::from_fn(|l| self[l].max(other[l]))
+    }
+
+    #[inline(always)]
+    fn skips(self) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn cell_fence() {
+        // ordering: a compiler-only fence that orders nothing between
+        // threads; it only stops the loop vectorizer (see the trait doc)
+        compiler_fence(Ordering::SeqCst);
+    }
+}
+
 /// In-place vector update `y[i] = max(a + x[i], y[i])` over paired slices.
 ///
 /// This is the paper's streaming access pattern (`Y = max(a + X, Y)`): one
 /// scalar broadcast, one load from each of `x` and `y`, one store to `y`;
 /// 2 FLOPs per element, arithmetic intensity `2 / (3 × 4 B) = 1/6` FLOP/byte.
 ///
-/// Each element is `y[i] = mp_join(a + x[i], y[i])`; the plain loop
-/// LLVM vectorizes to one `addps` + `maxps` per vector. It is also the
-/// reference the fused [`crate::simd::mp_axpy4`] is tested bit-identical
-/// against.
+/// Each element is `y[i] = join(a + x[i], y[i])`; the plain loop
+/// LLVM vectorizes to one `addps` + `maxps` per vector (per `f32` vector,
+/// or per half of a [`Lanes`] cell). It is also the reference the fused
+/// [`crate::simd::mp_axpy4`] is tested bit-identical against.
 #[inline]
-pub fn mp_axpy(a: f32, x: &[f32], y: &mut [f32]) {
+pub fn mp_axpy<E: MaxPlus>(a: E, x: &[E], y: &mut [E]) {
     assert_eq!(x.len(), y.len(), "mp_axpy: slice lengths differ");
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi = mp_join(a + xi, *yi);
+        E::cell_fence();
+        *yi = E::join(a.plus(xi), *yi);
     }
 }
 
@@ -78,6 +189,32 @@ mod tests {
         let x = [0.0f32; 3];
         let mut y = [0.0f32; 4];
         mp_axpy(0.0, &x, &mut y);
+    }
+
+    #[test]
+    fn lane_axpy_is_the_scalar_axpy_in_every_lane() {
+        // lane l of a Lanes axpy runs problem l's f32 axpy, -inf
+        // coefficients included (the f32 path skips nothing inside
+        // mp_axpy itself, so this pins the lane arithmetic)
+        let a: Lanes = std::array::from_fn(|l| [2.0, f32::NEG_INFINITY, -1.5, 0.0][l % 4]);
+        let x: Vec<Lanes> = (0..5)
+            .map(|i| {
+                std::array::from_fn(|l| [1.0, f32::INFINITY, -3.0, f32::NEG_INFINITY][(i + l) % 4])
+            })
+            .collect();
+        let mut y: Vec<Lanes> = (0..5)
+            .map(|i| std::array::from_fn(|l| (i * LANES + l) as f32 - 9.0))
+            .collect();
+        let before = y.clone();
+        mp_axpy(a, &x, &mut y);
+        for l in 0..LANES {
+            let xs: Vec<f32> = x.iter().map(|v| v[l]).collect();
+            let mut ys: Vec<f32> = before.iter().map(|v| v[l]).collect();
+            mp_axpy(a[l], &xs, &mut ys);
+            let got: Vec<u32> = y.iter().map(|v| v[l].to_bits()).collect();
+            let want: Vec<u32> = ys.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "lane {l}");
+        }
     }
 
     /// Adversarial join operands: finite values, signed zeros, both

@@ -16,7 +16,7 @@
 //! [`crate::scalar::mp_axpy`] steps fused into one pass over `y`, so it
 //! computes *the same scalar expressions in the same order*.
 //!
-//! The join is [`mp_join`]`(s, c) = if s > c { s } else { c }`, always with
+//! The join is [`crate::scalar::mp_join`]`(s, c) = if s > c { s } else { c }`, always with
 //! the candidate `a + x[i]` as `s` and the accumulator `y[i]` as `c`: that
 //! order is the one `maxps` computes, so the join is one instruction
 //! instead of the five `f32::max` needs for its NaN rule. IEEE-754
@@ -35,7 +35,7 @@
 //! does, so the solver's tables stay bit-identical to the `f32::max`
 //! oracle in `bpmax::spec`.
 
-use crate::scalar::mp_join;
+use crate::scalar::MaxPlus;
 
 /// Four fused max-plus axpy streams into one destination row:
 ///
@@ -43,8 +43,8 @@ use crate::scalar::mp_join;
 /// y[i] = max(y[i], a0 + x0[i], a1 + x1[i], a2 + x2[i], a3 + x3[i])
 /// ```
 ///
-/// evaluated as four *sequential* [`mp_join`] steps per element, in the
-/// order `a0`, `a1`, `a2`, `a3`, so the result is bit-identical to calling
+/// evaluated as four *sequential* [`MaxPlus::join`] steps per element, in
+/// the order `a0`, `a1`, `a2`, `a3`, so the result is bit-identical to calling
 /// [`crate::scalar::mp_axpy`] four times — but with one load/store
 /// of `y` instead of four, lifting arithmetic intensity from 2/12 to 8/24
 /// FLOP/byte. This is the register-blocked inner kernel of the `R0`
@@ -52,9 +52,11 @@ use crate::scalar::mp_join;
 ///
 /// As an element loop rather than fixed-width chunks (see the module doc)
 /// it measured about 15% more 40 × 40 solves per second (perfbench
-/// `solve-large` on a 2-vCPU Xeon, baseline `x86-64` target).
+/// `solve-large` on a 2-vCPU Xeon, baseline `x86-64` target). Over
+/// [`crate::scalar::Lanes`] each element is one cell of eight problems,
+/// so every step is two full SSE vectors and no row is ragged.
 #[inline]
-pub fn mp_axpy4(a: [f32; 4], x: [&[f32]; 4], y: &mut [f32]) {
+pub fn mp_axpy4<E: MaxPlus>(a: [E; 4], x: [&[E]; 4], y: &mut [E]) {
     let [x0, x1, x2, x3] = x;
     let n = y.len();
     assert!(
@@ -62,11 +64,12 @@ pub fn mp_axpy4(a: [f32; 4], x: [&[f32]; 4], y: &mut [f32]) {
         "mp_axpy4: slice lengths differ"
     );
     for ((((yi, &v0), &v1), &v2), &v3) in y.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+        E::cell_fence();
         let mut v = *yi;
-        v = mp_join(a[0] + v0, v);
-        v = mp_join(a[1] + v1, v);
-        v = mp_join(a[2] + v2, v);
-        v = mp_join(a[3] + v3, v);
+        v = E::join(a[0].plus(v0), v);
+        v = E::join(a[1].plus(v1), v);
+        v = E::join(a[2].plus(v2), v);
+        v = E::join(a[3].plus(v3), v);
         *yi = v;
     }
 }
