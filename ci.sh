@@ -21,12 +21,14 @@
 #                                   its own) builds against this tree, and
 #                                   its three workloads answer correctly
 #   5. fault-injection suite        deterministic failure-path proofs
-#   5b. split-wave repeats          the split batch tests, the lane
-#                                   group tests and the pool tests, 50
-#                                   runs each (thread interleavings
-#                                   differ run to run; the threads share
-#                                   one pool of table buffers and one
-#                                   wave's lane tables)
+#   5b. split-wave repeats          the split batch and wavefront
+#                                   tests, the lane group tests and the
+#                                   pool tests, 50 runs each (thread
+#                                   interleavings differ run to run; the
+#                                   threads share one pool of table
+#                                   buffers and one wave's lane tables,
+#                                   and each wavefront worker owns a
+#                                   lane scratch)
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
 #   7. coordinator recovery suite   real spawned worker processes:
 #                                   SIGKILL-a-worker merge bit-identity,
@@ -139,18 +141,20 @@ echo "== split-wave repeats (50 runs each) =="
 # proves little: with the pool top-up removed and the split forced,
 # warm_pool_allocates_nothing_on_the_second_wave still passed 161 of
 # 200 runs. Build once, then run the split tests
-# (batch::tests::split_*, forced past the cutoff), the lane group tests
-# (batch::tests::lanes_* and the fault suite's lane_group_*: the same
-# split workers claim whole lane groups and share the wave's lane
-# tables) and the three pool tests 50 times each; any failure stops the
-# gate. On a disk with slow fsync most of the time is the journaling
-# split test's writes.
+# (batch::tests::split_* and engine::tests::split_*, forced past the
+# cutoff: each wavefront worker packs split points into its own lane
+# scratch, and a scratch two workers shared would corrupt a table on
+# only some runs), the lane group tests (batch::tests::lanes_* and the
+# fault suite's lane_group_*: the same split workers claim whole lane
+# groups and share the wave's lane tables) and the three pool tests 50
+# times each; any failure stops the gate. On a disk with slow fsync
+# most of the time is the journaling split test's writes.
 split_bins="$(cargo test -p bpmax --features fault-inject --offline --no-run \
     --lib --test fault_injection 2>&1)"
 SPLIT_LIB="$(sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))$/\1/p' <<< "$split_bins")"
 SPLIT_FAULT="$(sed -n 's/.*Executable tests\/fault_injection.rs (\(.*\))$/\1/p' <<< "$split_bins")"
 for run in $(seq 1 50); do
-    out="$("$SPLIT_LIB" -q batch::tests::split_ batch::tests::lanes_ \
+    out="$("$SPLIT_LIB" -q batch::tests::split_ batch::tests::lanes_ engine::tests::split_ \
         batch::tests::warm_pool_allocates_nothing_on_the_second_wave \
         batch::tests::cancelled_token_marks_every_item_cancelled 2>&1)" ||
         { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
@@ -160,7 +164,7 @@ for run in $(seq 1 50); do
         lane_group_slow_member_times_the_group_out_as_a_unit 2>&1)" ||
         { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
 done
-echo "-- split waves: 50 runs of the split, lane group and pool tests passed"
+echo "-- split waves: 50 runs of the split, wavefront split, lane group and pool tests passed"
 
 echo "== crash-recovery suite (cli, --features fault-inject) =="
 # SIGKILLs a checkpointed scan mid-wave and resumes it: the ranked output

@@ -59,7 +59,7 @@ use crate::checkpoint::{
 use crate::engine::{run_split, wavefront, Algorithm, BpMaxProblem, Solution, SolveOptions, Split};
 use crate::error::BpMaxError;
 use crate::ftable::{BlockPool, FTable, Layout, PoolStats};
-use crate::kernels::Terms;
+use crate::kernels::{Terms, MIN_LANES};
 use crate::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
 use crate::supervise::{
     fault, CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, OutcomeCounts, Supervision,
@@ -79,12 +79,6 @@ use tropical::scalar::{Lanes, LANES};
 /// marks a problem coarse: it runs in the batch's first group, and an
 /// interrupt does not snapshot its table.
 const COARSE_CUTOFF_S: f64 = 0.01;
-
-/// Fewest same-shape problems a lane group solves at once; fewer run one
-/// at a time. A lane group costs what 1.8 solves of 12×16, or 2.6 of
-/// 32×32, cost one at a time, so three members is the least fill that
-/// wins at both shapes (DESIGN.md §7).
-const MIN_LANES: usize = 3;
 
 /// Configuration of a [`BatchEngine`].
 #[derive(Clone, Debug, PartialEq)]
@@ -644,7 +638,7 @@ impl BatchEngine {
             })
             .collect();
         drop(open);
-        run_split(units.into_iter(), workers, |mut unit| {
+        run_split(units.into_iter(), &mut vec![(); workers], |_, mut unit| {
             if unit.len() < MIN_LANES {
                 for (i, slot) in unit {
                     *slot = Some(solve(i));

@@ -429,6 +429,74 @@ fn spec_phase_a_splits() -> KernelSpec {
     }
 }
 
+/// The pack loop of the split-point lane driver
+/// (`kernels::accumulate_r034_lanes`): a group of `r` real split points
+/// from `g` (`g + r ≤ j1`, at most eight), lane `l` holding split
+/// `k = g + min(l, r − 1)` — relaxed here to `g ≤ k < g + r` — packed
+/// cell by cell from blocks `A = F(i1, k)` and `B = F(k+1, j1)`.
+fn spec_phase_a_lanes_pack() -> KernelSpec {
+    let domain = Domain::universe(&["i1", "j1", "g", "r", "l", "k", "i2", "j2"])
+        .ge0(v("i1"))
+        .ge0(v("g") - v("i1"))
+        .ge0(v("r") - c(1))
+        .le(v("r"), c(8))
+        .le(v("g") + v("r"), v("j1"))
+        .lt(v("j1"), v("M"))
+        .ge0(v("l"))
+        .lt(v("l"), c(8))
+        .ge0(v("k") - v("g"))
+        .lt(v("k"), v("g") + v("r"))
+        .ge0(v("i2"))
+        .ge0(v("j2") - v("i2"))
+        .lt(v("j2"), v("N"));
+    KernelSpec {
+        name: "accumulate_r034_lanes/pack".into(),
+        doc: "split-point lanes: lane l of every cell from block(i1, k) and block(k+1, j1)".into(),
+        params: vec!["M".into(), "N".into()],
+        domain,
+        accesses: vec![
+            AccessSpec {
+                label: "blocks[l]".into(),
+                coords: vec![v("l")],
+                region: Region::Box { dims: vec![c(8)] },
+            },
+            in_triangle("block(i1, k)", v("i1"), v("k"), v("M")),
+            in_triangle("block(k+1, j1)", v("k") + c(1), v("j1"), v("M")),
+            in_triangle("blocks[l][i2,j2]", v("i2"), v("j2"), v("N")),
+            in_triangle("dst[i2,j2]", v("i2"), v("j2"), v("N")),
+        ],
+        assumptions: vec![OUTER_LEMMA.into(), ROW_LEMMA.into()],
+    }
+}
+
+/// The reduce loop of the split-point lane driver: every lane of the lane
+/// accumulator's cell `(i2, j2)` joins into the same cell of `acc`.
+fn spec_phase_a_lanes_reduce() -> KernelSpec {
+    let domain = Domain::universe(&["i2", "j2", "l"])
+        .ge0(v("i2"))
+        .ge0(v("j2") - v("i2"))
+        .lt(v("j2"), v("N"))
+        .ge0(v("l"))
+        .lt(v("l"), c(8));
+    KernelSpec {
+        name: "accumulate_r034_lanes/reduce".into(),
+        doc: "split-point lanes: acc[i2,j2] = max(acc, lanes[i2,j2][l]) over the eight lanes"
+            .into(),
+        params: vec!["N".into()],
+        domain,
+        accesses: vec![
+            in_triangle("lanes[i2,j2]", v("i2"), v("j2"), v("N")),
+            AccessSpec {
+                label: "lanes[i2,j2][l]".into(),
+                coords: vec![v("l")],
+                region: Region::Box { dims: vec![c(8)] },
+            },
+            in_triangle("acc[i2,j2]", v("i2"), v("j2"), v("N")),
+        ],
+        assumptions: vec![ROW_LEMMA.into()],
+    }
+}
+
 /// The wavefront driver (`engine::wavefront`): diagonal `d`,
 /// cells `(i1, i1 + d)`.
 fn spec_wavefront_driver() -> KernelSpec {
@@ -533,6 +601,8 @@ pub fn kernel_specs() -> Vec<KernelSpec> {
         spec_finalize_pair2(),
         spec_finalize_propagate(),
         spec_phase_a_splits(),
+        spec_phase_a_lanes_pack(),
+        spec_phase_a_lanes_reduce(),
         spec_wavefront_driver(),
         spec_windowed_driver(),
         spec_memmap_addr(),
@@ -586,6 +656,8 @@ mod tests {
             "finalize_triangle/pair2",
             "finalize_triangle/propagate",
             "accumulate_r034/splits",
+            "accumulate_r034_lanes/pack",
+            "accumulate_r034_lanes/reduce",
             "wavefront_driver",
             "windowed_driver",
             "memmap_addr",

@@ -10,7 +10,7 @@
 //! | `Permuted` | Phase I | per-triangle phases, streaming `j2` loops, serial | permuted | 1 |
 //! | `CoarseGrain` | Phase II | whole triangles distributed over threads | permuted | split diagonals |
 //! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | tiled | split diagonals |
-//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled | split diagonals |
+//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled, eight split points `k1` per vector | split diagonals |
 //!
 //! Every version but `Baseline` runs one wavefront traversal with its own
 //! `R0` order. `Permuted`, the paper's serial Phase I program, runs it on
@@ -25,7 +25,10 @@
 //! its many small problems across threads instead, by the same rule
 //! ([`crate::batch`]).
 //! So `HybridTiled` and `HybridReg` run the coarse-grain split with the
-//! tiled or register-tiled `R0`. The paper's Phase II fine-grain and
+//! tiled or register-tiled `R0`. `HybridReg` runs a triangle's split
+//! points `k1` eight at a time, packed into lane cells
+//! (`kernels::accumulate_r034_lanes`), on a scratch each worker
+//! keeps for the whole solve. The paper's Phase II fine-grain and
 //! Phase III hybrid schedules share one triangle's rows across threads;
 //! that would only help diagonals with fewer triangles than cores. They
 //! are verified by [`crate::schedules`] and priced by
@@ -42,7 +45,7 @@
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
 use crate::ftable::{FTable, FView, Layout};
-use crate::kernels::{accumulate_r034_serial, finalize_triangle, Ctx, R0Order, Terms, Tile};
+use crate::kernels::{finalize_triangle, Ctx, PhaseA, R0Order, SplitLanes, Terms, Tile};
 use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
@@ -52,7 +55,6 @@ use rna::{JointStructure, RnaSeq, ScoringModel};
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::{Mutex, OnceLock, PoisonError};
-use tropical::scalar::MaxPlus;
 
 /// The least max-plus work, in flops, that one worker of a split must
 /// get, whether it splits an outer diagonal's triangles or a batch wave's
@@ -505,12 +507,14 @@ impl BpMaxProblem {
 /// The wavefront driver, over one problem's `f32` cells or a lane group's
 /// [`tropical::scalar::Lanes`]: ascending outer diagonals `start..end`,
 /// and within a diagonal each triangle's Phase A (`R0` in `order`, then
-/// `R3`/`R4`) and Phase B, on as many threads as `split` gives the
-/// diagonal ([`run_split`]). The supervision checkpoint sits at the top
-/// of the `d1` loop, so an interrupt leaves, via
+/// `R3`/`R4`; [`PhaseA`] picks the driver) and Phase B, on as many
+/// threads as `split` gives the diagonal ([`run_split`]). Each worker
+/// has its own Phase A scratch, kept for the whole range: split helpers
+/// are spawned anew for every diagonal. The supervision checkpoint sits
+/// at the top of the `d1` loop, so an interrupt leaves, via
 /// [`Watch::note_progress`], a known-final diagonal prefix the
 /// checkpoint layer can snapshot.
-pub(crate) fn wavefront<E: MaxPlus>(
+pub(crate) fn wavefront<E: PhaseA>(
     terms: &Terms<E>,
     order: R0Order,
     f: &mut FTable<E>,
@@ -526,14 +530,19 @@ pub(crate) fn wavefront<E: MaxPlus>(
         return Ok(());
     }
     let end = end.min(m);
+    let mut scratch: Vec<SplitLanes> = (0..split.cores.max(1))
+        .map(|_| SplitLanes::default())
+        .collect();
     for d1 in start..end {
         watch.note_progress(d1);
         watch.check()?;
         let workers = split.diagonal_workers(d1, m, n);
         let (done, diagonal) = f.diagonal_mut(d1);
-        run_split(diagonal.enumerate(), workers, |(i1, acc)| {
-            triangle(terms, &done, i1, i1 + d1, acc, order);
-        });
+        run_split(
+            diagonal.enumerate(),
+            &mut scratch[..workers],
+            |scratch, (i1, acc)| triangle(terms, &done, i1, i1 + d1, acc, order, scratch),
+        );
     }
     watch.note_progress(end.max(start));
     Ok(())
@@ -541,15 +550,16 @@ pub(crate) fn wavefront<E: MaxPlus>(
 
 /// One triangle `(i1, j1)` into its block `acc`: Phase A, then Phase B.
 /// It reads only the earlier diagonals that `f` holds.
-fn triangle<E: MaxPlus>(
+fn triangle<E: PhaseA>(
     terms: &Terms<E>,
     f: &FView<'_, E>,
     i1: usize,
     j1: usize,
     acc: &mut [E],
     order: R0Order,
+    scratch: &mut SplitLanes,
 ) {
-    accumulate_r034_serial(terms, f, i1, j1, acc, order);
+    E::accumulate(terms, f, i1, j1, acc, order, scratch);
     let prev = prev_block(f, i1, j1);
     finalize_triangle(terms, i1, j1, f, prev, acc);
 }
@@ -611,35 +621,47 @@ fn host_cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Run `work` on every item, on the calling thread and `workers − 1`
-/// scoped helpers that claim items one at a time in order (OpenMP's
-/// `schedule(dynamic, 1)`); one worker runs them in turn, with no scope
-/// and no lock. A helper the OS refuses to start leaves its share to the
-/// others. A panic in any worker reaches the caller with its own
-/// payload, after every other worker has stopped.
-pub(crate) fn run_split<I>(items: I, workers: usize, work: impl Fn(I::Item) + Sync)
+/// Run `work` on every item, with one worker per element of `states`:
+/// the calling thread, on `states[0]`, and a scoped helper on each of the
+/// others; each claims items one at a time in order (OpenMP's
+/// `schedule(dynamic, 1)`) and hands `work` its own state with each.
+/// One state runs the items in turn, with no scope and no lock, and a
+/// split without state passes `&mut vec![(); workers]`. A helper the OS
+/// refuses to start leaves its share to the others. A panic in any
+/// worker reaches the caller with its own payload, after every other
+/// worker has stopped. Panics if `states` is empty.
+pub(crate) fn run_split<I, S>(items: I, states: &mut [S], work: impl Fn(&mut S, I::Item) + Sync)
 where
     I: Iterator + Send,
     I::Item: Send,
+    S: Send,
 {
-    if workers <= 1 {
-        items.for_each(work);
+    assert!(!states.is_empty(), "a split runs on at least one worker");
+    let (mine, theirs) = states.split_at_mut(1);
+    let mine = &mut mine[0];
+    if theirs.is_empty() {
+        items.for_each(|item| work(mine, item));
         return;
     }
     let claims = Mutex::new(items);
-    let drain = || loop {
+    let drain = |state: &mut S| loop {
         // the guard drops at the end of this statement: `work` runs unlocked
         let claimed = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
         let Some(item) = claimed else {
             return;
         };
-        work(item);
+        work(state, item);
     };
     std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers)
-            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, drain).ok())
+        let helpers: Vec<_> = theirs
+            .iter_mut()
+            .filter_map(|state| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || drain(state))
+                    .ok()
+            })
             .collect();
-        drain();
+        drain(mine);
         for helper in helpers {
             if let Err(payload) = helper.join() {
                 std::panic::resume_unwind(payload);
@@ -1043,7 +1065,9 @@ mod tests {
     fn split_diagonals_are_bit_identical_to_one_worker() {
         let mut rng = StdRng::seed_from_u64(16);
         let model = ScoringModel::bpmax_default();
-        for m in [1, 2, 3, 7] {
+        // m = 20: `hybrid+reg` runs split-point lane groups of every fill,
+        // each worker packing into its own scratch
+        for m in [1, 2, 3, 7, 20] {
             let s1 = RnaSeq::random(&mut rng, m);
             let s2 = RnaSeq::random(&mut rng, 5);
             let want = spec_score(&s1, &s2, &model);
@@ -1084,6 +1108,25 @@ mod tests {
     }
 
     #[test]
+    fn split_hands_each_worker_its_own_state() {
+        for split in forced() {
+            let mut states = vec![Vec::new(); split.cores];
+            run_split(0..64, &mut states, |seen: &mut Vec<_>, item| {
+                seen.push((std::thread::current().id(), item));
+            });
+            let mut items: Vec<i32> = states.iter().flatten().map(|&(_, i)| i).collect();
+            items.sort_unstable();
+            assert!(items == (0..64).collect::<Vec<_>>(), "{split:?}: {items:?}");
+            for seen in &states {
+                assert!(
+                    seen.iter().all(|&(id, _)| id == seen[0].0),
+                    "{split:?}: one state reached two threads"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn split_rule_keeps_serve_and_scan_shapes_serial_on_two_cores() {
         let two = Split {
             cores: 2,
@@ -1115,33 +1158,41 @@ mod tests {
     fn split_claims_every_item_exactly_once() {
         for split in forced() {
             let mut counts = vec![0u32; 50];
-            run_split(counts.iter_mut(), split.cores, |c| *c += 1);
+            run_split(counts.iter_mut(), &mut vec![(); split.cores], |_, c| {
+                *c += 1;
+            });
             assert!(counts.iter().all(|&c| c == 1), "{split:?}: {counts:?}");
         }
-        run_split(std::iter::empty::<u32>(), 2, |_| unreachable!("no items"));
+        run_split(std::iter::empty::<u32>(), &mut [(), ()], |_, _| {
+            unreachable!("no items")
+        });
     }
 
     #[test]
     fn split_reraises_each_workers_own_panic() {
-        /// Two items on two workers: the caller takes one and waits until
-        /// the helper has taken the other; then the caller or the helper
-        /// panics.
+        /// Two items on two workers: each takes one, tells the other, and
+        /// waits to hear the same back, so neither can take both (a helper
+        /// that started first once took both, and the caller never
+        /// failed); then the caller or the helper panics.
         fn payload(caller_fails: bool) -> &'static str {
             let caller = std::thread::current().id();
-            let (claimed, helper_claimed) = std::sync::mpsc::channel();
-            let helper_claimed = std::sync::Mutex::new(helper_claimed);
+            let (to_caller, caller_hears) = std::sync::mpsc::channel();
+            let (to_helper, helper_hears) = std::sync::mpsc::channel();
+            let caller_hears = std::sync::Mutex::new(caller_hears);
+            let helper_hears = std::sync::Mutex::new(helper_hears);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_split(0..2, 2, |_| {
+                run_split(0..2, &mut [(), ()], |_, _| {
                     let on_caller = std::thread::current().id() == caller;
-                    if on_caller {
-                        helper_claimed
-                            .lock()
-                            .expect("only the caller receives")
-                            .recv_timeout(Duration::from_secs(10))
-                            .expect("the helper claims the other item");
+                    let (tell, hear) = if on_caller {
+                        (&to_helper, &caller_hears)
                     } else {
-                        claimed.send(()).expect("the caller is waiting");
-                    }
+                        (&to_caller, &helper_hears)
+                    };
+                    tell.send(()).expect("both receivers outlive the split");
+                    hear.lock()
+                        .expect("one worker receives on each channel")
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("the other worker takes the other item");
                     match (on_caller, caller_fails) {
                         (true, true) => panic!("caller failed"),
                         (false, false) => panic!("helper failed"),

@@ -235,6 +235,14 @@ impl<C> Table<C> {
             cells,
         }
     }
+
+    /// This table's block addressing over cells of element `D`, holding
+    /// no cells: the view a kernel takes for blocks it is handed rather
+    /// than reads from the table, such as a group of split points packed
+    /// into lane cells ([`crate::kernels::accumulate_r034_lanes`]).
+    pub(crate) fn shape_of<D>(&self) -> FView<'static, D> {
+        self.with_cells(&[])
+    }
 }
 
 impl<E: Copy, C: Deref<Target = [E]>> Table<C> {

@@ -18,6 +18,12 @@
 //! * `R4`: `acc ⊕= A + S1(k1+1, j1)` — likewise. ("R3 and R4 are almost
 //!   free since those get computed along with the R0.")
 //!
+//! The default version runs a lone problem's Phase A eight split points
+//! per vector (`accumulate_r034_lanes`): the `A` and `B` blocks of up to
+//! eight consecutive `k1` are packed into one block of [`Lanes`] cells
+//! each, and the same `R0`, `R3` and `R4` kernels run on all eight at
+//! once.
+//!
 //! **Phase B — finalize** (`finalize_triangle`): walk rows `i2` from the
 //! bottom up (descending index, the `-i2` schedule dimension) and, within a
 //! row, columns left to right; at `(i2, k2)` the cell's final value is
@@ -97,11 +103,12 @@ pub struct Terms<E> {
     s1: Arc<Triangular<E>>,
     /// `S⁽²⁾` over strand 2, packed.
     s2: Arc<Triangular<E>>,
-    /// `w1[i1·M + j1]`: positional intramolecular weight in strand 1
-    /// (`-∞` when the pair is illegal).
-    w1: Vec<E>,
-    /// `w2[i2·N + j2]`: likewise for strand 2.
-    w2: Vec<E>,
+    /// Positional intramolecular weights in strand 1, packed over
+    /// `j1 ≥ i1`: `-∞` where the pair is illegal, and on the diagonal
+    /// `j1 = i1`, where no pair can close.
+    w1: Triangular<E>,
+    /// Likewise for strand 2.
+    w2: Triangular<E>,
     /// `wi[i1·N + i2]`: intermolecular weight.
     wi: Vec<E>,
 }
@@ -109,22 +116,18 @@ pub struct Terms<E> {
 impl Terms<f32> {
     /// One problem's terms: the folds' S-tables and its weight tables.
     fn new(s1: &RnaSeq, s2: &RnaSeq, model: &ScoringModel, fold1: &Fold, fold2: &Fold) -> Self {
-        let m = s1.len();
+        let intra = |s: &RnaSeq| {
+            Triangular::from_fn(s.len(), Layout::Packed, ScoringModel::NO_PAIR, |i, j| {
+                if j > i {
+                    model.intra_pos(i, j, s[i], s[j])
+                } else {
+                    ScoringModel::NO_PAIR
+                }
+            })
+        };
         let n = s2.len();
-        let mut w1 = vec![ScoringModel::NO_PAIR; m * m];
-        for i in 0..m {
-            for j in i + 1..m {
-                w1[i * m + j] = model.intra_pos(i, j, s1[i], s1[j]);
-            }
-        }
-        let mut w2 = vec![ScoringModel::NO_PAIR; n * n];
-        for i in 0..n {
-            for j in i + 1..n {
-                w2[i * n + j] = model.intra_pos(i, j, s2[i], s2[j]);
-            }
-        }
-        let mut wi = vec![ScoringModel::NO_PAIR; m * n];
-        for i in 0..m {
+        let mut wi = vec![ScoringModel::NO_PAIR; s1.len() * n];
+        for i in 0..s1.len() {
             for j in 0..n {
                 wi[i * n + j] = model.inter(s1[i], s2[j]);
             }
@@ -132,8 +135,8 @@ impl Terms<f32> {
         Terms {
             s1: fold1.shared_table(),
             s2: fold2.shared_table(),
-            w1,
-            w2,
+            w1: intra(s1),
+            w2: intra(s2),
             wi,
         }
     }
@@ -158,24 +161,18 @@ impl Terms<Lanes> {
         );
         let lane = |l: usize| members.get(l).copied().unwrap_or(lead);
         let triangle = |side: usize, get: &dyn Fn(&Terms<f32>, usize, usize) -> f32| {
-            Arc::new(Triangular::from_fn(
-                side,
-                Layout::Packed,
-                Lanes::NEG_INF,
-                |i, j| std::array::from_fn(|l| get(lane(l), i, j)),
-            ))
-        };
-        let weights = |get: &dyn Fn(&Terms<f32>) -> &[f32]| -> Vec<Lanes> {
-            (0..get(lead).len())
-                .map(|k| std::array::from_fn(|l| get(lane(l))[k]))
-                .collect()
+            Triangular::from_fn(side, Layout::Packed, Lanes::NEG_INF, |i, j| {
+                std::array::from_fn(|l| get(lane(l), i, j))
+            })
         };
         Terms {
-            s1: triangle(m, &|t, i, j| t.s1.get(i, j)),
-            s2: triangle(n, &|t, i, j| t.s2.get(i, j)),
-            w1: weights(&|t| &t.w1),
-            w2: weights(&|t| &t.w2),
-            wi: weights(&|t| &t.wi),
+            s1: Arc::new(triangle(m, &|t, i, j| t.s1.get(i, j))),
+            s2: Arc::new(triangle(n, &|t, i, j| t.s2.get(i, j))),
+            w1: triangle(m, &|t, i, j| t.w1.get(i, j)),
+            w2: triangle(n, &|t, i, j| t.w2.get(i, j)),
+            wi: (0..lead.wi.len())
+                .map(|k| std::array::from_fn(|l| lane(l).wi[k]))
+                .collect(),
         }
     }
 }
@@ -219,16 +216,24 @@ impl<E: MaxPlus> Terms<E> {
         self.s2.row(i2)
     }
 
-    /// Intramolecular pair weight in strand 1 (positional, `-∞` = illegal).
+    /// Intramolecular pair weight in strand 1, `i1 ≤ j1` (positional,
+    /// `-∞` = illegal, and `-∞` when `j1 = i1`).
     #[inline(always)]
     pub fn w1(&self, i1: usize, j1: usize) -> E {
-        self.w1[i1 * self.m() + j1]
+        self.w1.get(i1, j1)
     }
 
-    /// Intramolecular pair weight in strand 2.
+    /// Intramolecular pair weight in strand 2, `i2 ≤ j2`.
     #[inline(always)]
     pub fn w2(&self, i2: usize, j2: usize) -> E {
-        self.w2[i2 * self.n() + j2]
+        self.w2.get(i2, j2)
+    }
+
+    /// Row `i2` of the strand-2 pair weights over columns `i2..N`
+    /// (`(i2, j2)` at `j2 − i2`).
+    #[inline(always)]
+    pub fn w2_row(&self, i2: usize) -> &[E] {
+        self.w2.row(i2)
     }
 
     /// Intermolecular pair weight.
@@ -603,6 +608,157 @@ pub fn accumulate_r034_serial<E: MaxPlus>(
     }
 }
 
+/// Fewest real members a lane group runs with; fewer run one at a time
+/// in `f32`. A group computes all [`LANES`] lanes whatever its fill, so
+/// it pays off only from about three members, in both of its uses:
+/// - a batch wave's same-shape problems ([`crate::batch`]): a group
+///   costs what 1.8 solves of 12×16, or 2.6 of 32×32, cost one at a
+///   time (DESIGN.md §7);
+/// - a triangle's split points ([`accumulate_r034_lanes`]): in three
+///   interleaved runs of serial 40×40, 16×16 and 12×16 solves, a floor
+///   of 3 was the fastest or within 6% of it at every shape, and 1 or 2
+///   was slower at every shape but once (DESIGN.md §11).
+pub(crate) const MIN_LANES: usize = 3;
+
+/// One worker's scratch for [`accumulate_r034_lanes`]: a group's packed
+/// `A` and `B` blocks and the triangle's lane accumulator, one block of
+/// [`Lanes`] cells each. Empty until the worker's first lane group sizes
+/// it; the wavefront keeps one per worker for a whole solve.
+#[derive(Debug, Default)]
+pub(crate) struct SplitLanes {
+    a: Vec<Lanes>,
+    b: Vec<Lanes>,
+    acc: Vec<Lanes>,
+}
+
+/// Serial Phase A for triangle `(i1, j1)` with the register-tiled `R0`,
+/// eight split points per vector: bit for bit what
+/// [`accumulate_r034_serial`] computes with [`R0Order::SimdReg`].
+///
+/// The split points `k1 ∈ [i1, j1)` go in groups of up to [`LANES`]
+/// consecutive ones. Lane `l` of a group's packed blocks holds split
+/// `k1 + l`'s `A = F(i1, k1 + l)` and `B = F(k1 + l + 1, j1)`, and the
+/// lane kernels run `R0` ([`r0_instance_simd`]), `R3` and `R4` on all
+/// eight at once, with per-lane `S⁽¹⁾` coefficients, into one lane
+/// accumulator; the lanes are joined into `acc` at the end. A group of
+/// fewer than eight repeats its last split point in the spare lanes, and
+/// one of fewer than [`MIN_LANES`] runs the `f32` kernels instead.
+///
+/// Regrouping changes which order `acc` meets its candidates in, and a
+/// repeat adds a candidate twice. Neither changes a bit: the max of a
+/// candidate set is order-free unless a NaN or a `+0`/`−0` tie enters,
+/// and no accumulator is ever NaN or `−0` (the domain argument of
+/// [`tropical::scalar::MaxPlus`] and DESIGN.md §11). The pack and reduce
+/// loops are certified by `bounds::accumulate_r034_lanes/{pack,reduce}`.
+pub(crate) fn accumulate_r034_lanes(
+    terms: &Terms<f32>,
+    ft: &FView<'_>,
+    i1: usize,
+    j1: usize,
+    acc: &mut [f32],
+    scratch: &mut SplitLanes,
+) {
+    assert!(
+        i1 <= j1 && j1 < terms.m(),
+        "outer cell ({i1}, {j1}) outside the {0}×{0} upper triangle",
+        terms.m()
+    );
+    assert_block_shapes(ft, &[acc]);
+    let mut k1 = i1;
+    if j1 - k1 >= MIN_LANES {
+        let len = ft.layout().storage_len(ft.n());
+        let lane_ft = ft.shape_of::<Lanes>();
+        let SplitLanes { a, b, acc: lanes } = scratch;
+        a.resize(len, Lanes::NEG_INF);
+        b.resize(len, Lanes::NEG_INF);
+        lanes.clear();
+        lanes.resize(len, Lanes::NEG_INF);
+        while j1 - k1 >= MIN_LANES {
+            let real = (j1 - k1).min(LANES);
+            let split: [usize; LANES] = std::array::from_fn(|l| k1 + l.min(real - 1));
+            pack(a, split.map(|k| ft.block(i1, k)));
+            pack(b, split.map(|k| ft.block(k + 1, j1)));
+            r0_instance_simd(&lane_ft, a, b, lanes);
+            r3_block(split.map(|k| terms.s1v(i1, k)), b, lanes);
+            r4_block(split.map(|k| terms.s1v(k + 1, j1)), a, lanes);
+            k1 += real;
+        }
+        reduce(lanes, acc);
+    }
+    for k1 in k1..j1 {
+        let a = ft.block(i1, k1);
+        let b = ft.block(k1 + 1, j1);
+        r0_instance_simd(ft, a, b, acc);
+        r3_block(terms.s1v(i1, k1), b, acc);
+        r4_block(terms.s1v(k1 + 1, j1), a, acc);
+    }
+}
+
+/// Lane `l` of every cell of `dst` from `blocks[l]`, cell by cell.
+fn pack(dst: &mut [Lanes], blocks: [&[f32]; LANES]) {
+    let blocks = blocks.map(|block| &block[..dst.len()]);
+    for (c, cell) in dst.iter_mut().enumerate() {
+        *cell = std::array::from_fn(|l| blocks[l][c]);
+    }
+}
+
+/// Join the lanes of every cell of `lanes` into the same cell of `acc`.
+fn reduce(lanes: &[Lanes], acc: &mut [f32]) {
+    for (a, cell) in acc.iter_mut().zip(lanes) {
+        *a = cell.iter().fold(*a, |best, &v| f32::join(v, best));
+    }
+}
+
+/// A cell element the wavefront runs Phase A over: which driver a
+/// triangle's Phase A takes. One problem's `f32` cells run the
+/// register-tiled order in split-point lanes ([`accumulate_r034_lanes`]);
+/// every other order, and a lane group's cells, run
+/// [`accumulate_r034_serial`].
+pub(crate) trait PhaseA: MaxPlus {
+    /// Phase A of triangle `(i1, j1)` into `acc`, in `order`, on the
+    /// calling worker's `scratch`.
+    fn accumulate(
+        terms: &Terms<Self>,
+        ft: &FView<'_, Self>,
+        i1: usize,
+        j1: usize,
+        acc: &mut [Self],
+        order: R0Order,
+        scratch: &mut SplitLanes,
+    );
+}
+
+impl PhaseA for f32 {
+    fn accumulate(
+        terms: &Terms<f32>,
+        ft: &FView<'_>,
+        i1: usize,
+        j1: usize,
+        acc: &mut [f32],
+        order: R0Order,
+        scratch: &mut SplitLanes,
+    ) {
+        match order {
+            R0Order::SimdReg => accumulate_r034_lanes(terms, ft, i1, j1, acc, scratch),
+            other => accumulate_r034_serial(terms, ft, i1, j1, acc, other),
+        }
+    }
+}
+
+impl PhaseA for Lanes {
+    fn accumulate(
+        terms: &Terms<Lanes>,
+        ft: &FView<'_, Lanes>,
+        i1: usize,
+        j1: usize,
+        acc: &mut [Lanes],
+        order: R0Order,
+        _scratch: &mut SplitLanes,
+    ) {
+        accumulate_r034_serial(terms, ft, i1, j1, acc, order);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Phase B: finalization (F + R1 + R2)
 // ---------------------------------------------------------------------
@@ -640,25 +796,19 @@ pub fn finalize_triangle<E: MaxPlus>(
         assert_block_shapes(ft, &[p]);
     }
     let s1ij = terms.s1v(i1, j1);
-    // an illegal pair weighs NO_PAIR, which is -∞
-    let w1 = if j1 > i1 {
-        terms.w1(i1, j1)
-    } else {
-        E::NEG_INF
-    };
+    // an illegal pair weighs NO_PAIR, which is -∞, and so does the
+    // diagonal j1 = i1
+    let w1 = terms.w1(i1, j1);
     for i2 in (0..n).rev() {
         let rs_i2 = ft.inner_row_start(i2);
+        let w2_row = terms.w2_row(i2);
         for k2 in i2..n {
             // --- finalize F[i1, j1, i2, k2] ---
             let idx = ft.inner(i2, k2);
             let mut val = acc[idx];
             val = val.max_num(s1ij.plus(terms.s2v(i2, k2)));
-            // pair i2–k2 (strand-2 closing)
-            let w2 = if k2 > i2 {
-                terms.w2(i2, k2)
-            } else {
-                E::NEG_INF
-            };
+            // pair i2–k2 (strand-2 closing; -∞ at k2 = i2)
+            let w2 = w2_row[k2 - i2];
             if !w2.skips() {
                 let inner = if k2 >= i2 + 2 {
                     acc[ft.inner(i2 + 1, k2 - 1)] // row i2+1 already final
@@ -827,6 +977,45 @@ mod tests {
         let before = acc.clone();
         r4_block(f32::NEG_INFINITY, &b, &mut acc);
         assert_eq!(acc, before);
+    }
+
+    #[test]
+    fn lane_driver_is_bit_identical_to_the_serial_register_tiled_phase_a() {
+        // m = 20: outer diagonals 0..19 give groups of every fill 1..=8,
+        // alone and after a full group, and of fills 1..=3 after two
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut scratch = SplitLanes::default();
+        for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
+            for n in [1usize, 2, 5, 9] {
+                let c = Ctx::new(
+                    RnaSeq::random(&mut rng, 20),
+                    RnaSeq::random(&mut rng, n),
+                    ScoringModel::bpmax_default(),
+                );
+                let mut table = FTable::new(20, n, layout);
+                for (i1, j1, i2, j2) in table.iter_cells().collect::<Vec<_>>() {
+                    let v = match rng.gen_range(0..10) {
+                        0 => f32::NEG_INFINITY,
+                        _ => rng.gen_range(-8..8) as f32,
+                    };
+                    table.set(i1, j1, i2, j2, v);
+                }
+                let ft = table.view();
+                for i1 in 0..20 {
+                    for j1 in i1..20 {
+                        let mut want = random_block(&ft, &mut rng);
+                        let mut got = want.clone();
+                        accumulate_r034_serial(c.terms(), &ft, i1, j1, &mut want, R0Order::SimdReg);
+                        accumulate_r034_lanes(c.terms(), &ft, i1, j1, &mut got, &mut scratch);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "{layout:?} n={n} ({i1},{j1}): {got:?} != {want:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -169,8 +169,14 @@ fn injected_slowness_trips_the_deadline_mid_solve() {
 fn zero_steady_state_allocation_holds_across_faulted_waves() {
     let problems = mixed_problems(10, 104);
     let engine = engine();
+    // each clean wave holds the gate, so no other test's fault plan is
+    // armed while it runs
+    let clean_wave = || {
+        let _gate = gate();
+        engine.solve_all(&problems).unwrap()
+    };
     // wave 1 (clean): warms the arena
-    let warm = engine.solve_all(&problems).unwrap();
+    let warm = clean_wave();
     assert!(warm.outcomes().all_ok());
 
     // wave 2 (faulted): one panic quarantines exactly one buffer
@@ -191,9 +197,9 @@ fn zero_steady_state_allocation_holds_across_faulted_waves() {
 
     // wave 3 (clean): the arena re-warms, steady state is allocation-free
     // again and scores are still bit-identical
-    let recovered = engine.solve_all(&problems).unwrap();
+    let recovered = clean_wave();
     assert!(recovered.outcomes().all_ok());
-    let wave4 = engine.solve_all(&problems).unwrap();
+    let wave4 = clean_wave();
     assert_eq!(
         wave4.pool.allocated_since(&recovered.pool),
         0,
@@ -208,9 +214,7 @@ fn zero_steady_state_allocation_holds_across_faulted_waves() {
 }
 
 /// Ten mixed-shape problems, then eight 8×8 problems: one full lane
-/// group at indices 10..18. `zero_steady_state_allocation_holds_across_faulted_waves`
-/// runs clean ten-problem waves outside the gate, so these tests arm
-/// their faults past index 9, where no such wave reaches.
+/// group at indices 10..18.
 fn with_lane_group(seed: u64) -> Vec<BpMaxProblem> {
     let mut problems = mixed_problems(10, seed);
     let mut rng = StdRng::seed_from_u64(seed);
