@@ -22,8 +22,9 @@
 #                                   its three workloads answer correctly
 #   5. fault-injection suite        deterministic failure-path proofs
 #   5b. split-wave repeats          the split batch and wavefront
-#                                   tests, the lane group tests and the
-#                                   pool tests, 50 runs each (thread
+#                                   tests, the run tests, the lane
+#                                   group tests and the pool tests,
+#                                   50 runs each (thread
 #                                   interleavings differ run to run; the
 #                                   threads share one pool of table
 #                                   buffers and one wave's lane tables,
@@ -142,12 +143,15 @@ echo "== split-wave repeats (50 runs each) =="
 # warm_pool_allocates_nothing_on_the_second_wave still passed 161 of
 # 200 runs. Build once, then run the split tests
 # (batch::tests::split_* and engine::tests::split_*, forced past the
-# cutoff: each wavefront worker packs split points into its own lane
-# scratch, and a scratch two workers shared would corrupt a table on
-# only some runs), the lane group tests (batch::tests::lanes_* and the
-# fault suite's lane_group_*: the same split workers claim whole lane
-# groups and share the wave's lane tables) and the three pool tests 50
-# times each; any failure stops the gate. On a disk with slow fsync
+# cutoff: each wavefront worker claims runs of triangles and packs their
+# split points and Phase B lanes into its own lane scratch, and a
+# scratch two workers shared would corrupt a table on only some runs),
+# the run tests (engine::tests::runs_*, how a diagonal is cut into runs,
+# and kernels::tests::lane_runs_*, Phase B in triangle lanes), the lane
+# group tests (batch::tests::lanes_* and the fault suite's
+# lane_group_*: the same split workers claim whole lane groups and
+# share the wave's lane tables) and the three pool tests 50 times each;
+# any failure stops the gate. On a disk with slow fsync
 # most of the time is the journaling split test's writes.
 split_bins="$(cargo test -p bpmax --features fault-inject --offline --no-run \
     --lib --test fault_injection 2>&1)"
@@ -155,6 +159,7 @@ SPLIT_LIB="$(sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))$/\1/p' <<< "$
 SPLIT_FAULT="$(sed -n 's/.*Executable tests\/fault_injection.rs (\(.*\))$/\1/p' <<< "$split_bins")"
 for run in $(seq 1 50); do
     out="$("$SPLIT_LIB" -q batch::tests::split_ batch::tests::lanes_ engine::tests::split_ \
+        engine::tests::runs_ kernels::tests::lane_runs_ \
         batch::tests::warm_pool_allocates_nothing_on_the_second_wave \
         batch::tests::cancelled_token_marks_every_item_cancelled 2>&1)" ||
         { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
@@ -164,7 +169,7 @@ for run in $(seq 1 50); do
         lane_group_slow_member_times_the_group_out_as_a_unit 2>&1)" ||
         { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
 done
-echo "-- split waves: 50 runs of the split, wavefront split, lane group and pool tests passed"
+echo "-- split waves: 50 runs of the split, wavefront split, run, lane group and pool tests passed"
 
 echo "== crash-recovery suite (cli, --features fault-inject) =="
 # SIGKILLs a checkpointed scan mid-wave and resumes it: the ranked output
@@ -182,6 +187,22 @@ echo "== coordinator recovery suite (real spawned worker processes) =="
 # crates/cli/tests/coordinator_recovery.rs.
 cargo test -p bpmax-cli --features fault-inject --offline -q --test coordinator_recovery
 
+# wait_ready BIN SOCK PID: wait until the daemon PID answers on SOCK. The
+# socket file exists before the daemon accepts, so its presence proves
+# nothing (a client that connected in that gap was refused); a `client
+# stats` exchange takes no in-flight slot, so polling with it until it
+# exits 0 leaves the stage's admission state as it was. Fails the stage
+# after 200 polls 0.05 s apart.
+wait_ready() {
+    for _ in $(seq 1 200); do
+        "$1" client --socket "$2" stats > /dev/null 2>&1 && return 0
+        sleep 0.05
+    done
+    echo "ci.sh: the daemon on $2 did not answer \`client stats\` within 10 s" >&2
+    kill "$3" 2> /dev/null || true
+    exit 1
+}
+
 echo "== serve smoke (daemon round-trip against the real binary) =="
 # A live daemon on a throwaway socket: a cold solve, the identical
 # request again as a warm cache hit, an over-budget request that must be
@@ -193,10 +214,7 @@ SERVE_SOCK="$SERVE_DIR/bpmax.sock"
 BPMAX="./target/debug/bpmax-cli"
 "$BPMAX" serve --socket "$SERVE_SOCK" --cache-dir "$SERVE_DIR/cache" &
 SERVE_PID=$!
-for _ in $(seq 1 200); do
-    [ -S "$SERVE_SOCK" ] && break
-    sleep 0.05
-done
+wait_ready "$BPMAX" "$SERVE_SOCK" "$SERVE_PID"
 # Each client writes to a file before grep reads it: `client | grep -q`
 # can close the pipe at the first match, and the client's next write
 # then fails (exit 101) and aborts this script under pipefail.
@@ -232,10 +250,7 @@ OVER_SOCK="$OVER_DIR/bpmax.sock"
 BPMAX_FAULT_SERVE_HOLD_MS=1500 "$BPMAXF" serve --socket "$OVER_SOCK" \
     --max-inflight 1 --queue-depth 0 --queue-wait 0.2 > "$OVER_DIR/serve.out" &
 OVER_PID=$!
-for _ in $(seq 1 200); do
-    [ -S "$OVER_SOCK" ] && break
-    sleep 0.05
-done
+wait_ready "$BPMAXF" "$OVER_SOCK" "$OVER_PID"
 # client A occupies the single slot for the injected 1.5 s hold...
 "$BPMAXF" client --socket "$OVER_SOCK" solve GGGAAACCC UUUGG > "$OVER_DIR/a.out" &
 A_PID=$!

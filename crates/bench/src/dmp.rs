@@ -41,7 +41,7 @@ pub fn dmp_solve(m: usize, n: usize, order: R0Order, layout: Layout) -> f32 {
     let mut f = seeded_table(m, n, layout);
     for d1 in 1..m {
         let (done, diagonal) = f.diagonal_mut(d1);
-        for (i1, acc) in diagonal.enumerate() {
+        for (i1, acc) in diagonal.chunks_mut(done.block_len()).enumerate() {
             let j1 = i1 + d1;
             for k1 in i1..j1 {
                 let a = done.block(i1, k1);

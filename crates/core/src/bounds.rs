@@ -497,6 +497,94 @@ fn spec_phase_a_lanes_reduce() -> KernelSpec {
     }
 }
 
+/// The pair-1 pack of Phase B in triangle lanes (`kernels::finalize_lanes`):
+/// a run of `r` triangles `(i1 + l, i1 + d + l)` (at most eight, the last
+/// one a real cell), lane `l` holding triangle `k = min(l, r − 1)`'s
+/// pair-1 block `(i1 + k + 1, i1 + d + k − 1)` — `k` relaxed here to
+/// `0 ≤ k < r` — when `d ≥ 2`. The accumulators are packed from the run
+/// itself, the blocks `finalize_lanes/unpack` writes back.
+fn spec_phase_b_lanes_pair1() -> KernelSpec {
+    let domain = Domain::universe(&["i1", "d", "r", "l", "k", "i2", "j2"])
+        .ge0(v("i1"))
+        .ge0(v("d") - c(2))
+        .ge0(v("r") - c(1))
+        .le(v("r"), c(8))
+        .le(v("i1") + v("d") + v("r"), v("M"))
+        .ge0(v("l"))
+        .lt(v("l"), c(8))
+        .ge0(v("k"))
+        .lt(v("k"), v("r"))
+        .ge0(v("i2"))
+        .ge0(v("j2") - v("i2"))
+        .lt(v("j2"), v("N"));
+    KernelSpec {
+        name: "finalize_lanes/pair1".into(),
+        doc: "triangle lanes: lane l of every cell from the pair-1 block (i1+k+1, j1+k-1)".into(),
+        params: vec!["M".into(), "N".into()],
+        domain,
+        accesses: vec![
+            AccessSpec {
+                label: "blocks[l]".into(),
+                coords: vec![v("l")],
+                region: Region::Box { dims: vec![c(8)] },
+            },
+            in_triangle(
+                "block(i1+k+1, j1+k-1)",
+                v("i1") + v("k") + c(1),
+                v("i1") + v("d") + v("k") - c(1),
+                v("M"),
+            ),
+            in_triangle("blocks[l][i2,j2]", v("i2"), v("j2"), v("N")),
+            in_triangle("dst[i2,j2]", v("i2"), v("j2"), v("N")),
+        ],
+        assumptions: vec![OUTER_LEMMA.into(), ROW_LEMMA.into()],
+    }
+}
+
+/// The write-back loop of Phase B in triangle lanes: lane `l < r` of every
+/// cell of the lane accumulator into block `l` of the run, triangle
+/// `(i1 + l, i1 + d + l)`. Its accumulator pack reads the same blocks.
+fn spec_phase_b_lanes_unpack() -> KernelSpec {
+    let domain = Domain::universe(&["i1", "d", "r", "l", "i2", "j2"])
+        .ge0(v("i1"))
+        .ge0(v("d"))
+        .ge0(v("r") - c(1))
+        .le(v("r"), c(8))
+        .le(v("i1") + v("d") + v("r"), v("M"))
+        .ge0(v("l"))
+        .lt(v("l"), v("r"))
+        .ge0(v("i2"))
+        .ge0(v("j2") - v("i2"))
+        .lt(v("j2"), v("N"));
+    KernelSpec {
+        name: "finalize_lanes/unpack".into(),
+        doc: "triangle lanes: block l of the run from lane l of every lane accumulator cell".into(),
+        params: vec!["M".into(), "N".into()],
+        domain,
+        accesses: vec![
+            AccessSpec {
+                label: "run block l".into(),
+                coords: vec![v("l")],
+                region: Region::Box { dims: vec![v("r")] },
+            },
+            in_triangle(
+                "block(i1+l, j1+l)",
+                v("i1") + v("l"),
+                v("i1") + v("d") + v("l"),
+                v("M"),
+            ),
+            in_triangle("lanes[i2,j2]", v("i2"), v("j2"), v("N")),
+            AccessSpec {
+                label: "lanes[i2,j2][l]".into(),
+                coords: vec![v("l")],
+                region: Region::Box { dims: vec![c(8)] },
+            },
+            in_triangle("block[i2,j2]", v("i2"), v("j2"), v("N")),
+        ],
+        assumptions: vec![OUTER_LEMMA.into(), ROW_LEMMA.into()],
+    }
+}
+
 /// The wavefront driver (`engine::wavefront`): diagonal `d`,
 /// cells `(i1, i1 + d)`.
 fn spec_wavefront_driver() -> KernelSpec {
@@ -603,6 +691,8 @@ pub fn kernel_specs() -> Vec<KernelSpec> {
         spec_phase_a_splits(),
         spec_phase_a_lanes_pack(),
         spec_phase_a_lanes_reduce(),
+        spec_phase_b_lanes_pair1(),
+        spec_phase_b_lanes_unpack(),
         spec_wavefront_driver(),
         spec_windowed_driver(),
         spec_memmap_addr(),
@@ -658,6 +748,8 @@ mod tests {
             "accumulate_r034/splits",
             "accumulate_r034_lanes/pack",
             "accumulate_r034_lanes/reduce",
+            "finalize_lanes/pair1",
+            "finalize_lanes/unpack",
             "wavefront_driver",
             "windowed_driver",
             "memmap_addr",

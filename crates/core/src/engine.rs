@@ -10,7 +10,7 @@
 //! | `Permuted` | Phase I | per-triangle phases, streaming `j2` loops, serial | permuted | 1 |
 //! | `CoarseGrain` | Phase II | whole triangles distributed over threads | permuted | split diagonals |
 //! | `HybridTiled` | Phase III + tiling | hybrid with the `(i2 × k2 × j2)`-tiled `R0` | tiled | split diagonals |
-//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled, eight split points `k1` per vector | split diagonals |
+//! | `HybridReg` | register tiling (the paper's future work; the default) | hybrid with a `k2`-register-tiled `R0` | register-tiled, eight split points `k1` per vector; Phase B eight triangles per vector | split diagonals, in runs of triangles |
 //!
 //! Every version but `Baseline` runs one wavefront traversal with its own
 //! `R0` order. `Permuted`, the paper's serial Phase I program, runs it on
@@ -27,8 +27,13 @@
 //! So `HybridTiled` and `HybridReg` run the coarse-grain split with the
 //! tiled or register-tiled `R0`. `HybridReg` runs a triangle's split
 //! points `k1` eight at a time, packed into lane cells
-//! (`kernels::accumulate_r034_lanes`), on a scratch each worker
-//! keeps for the whole solve. The paper's Phase II fine-grain and
+//! (`kernels::accumulate_r034_lanes`), and its workers claim runs of up
+//! to eight consecutive triangles of a diagonal, whose Phase B they run
+//! in the lanes of one vector (`kernels::finalize_lanes`), both on a
+//! scratch each worker keeps for the whole solve. One worker cuts a
+//! diagonal into runs of eight; a split cuts it into a multiple of its
+//! workers of runs as even as whole triangles allow (`run_lengths`).
+//! The paper's Phase II fine-grain and
 //! Phase III hybrid schedules share one triangle's rows across threads;
 //! that would only help diagonals with fewer triangles than cores. They
 //! are verified by [`crate::schedules`] and priced by
@@ -44,8 +49,8 @@
 
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
-use crate::ftable::{FTable, FView, Layout};
-use crate::kernels::{finalize_triangle, Ctx, PhaseA, R0Order, SplitLanes, Terms, Tile};
+use crate::ftable::{FTable, Layout};
+use crate::kernels::{Ctx, R0Order, Runs, SplitLanes, Terms, Tile};
 use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
 use crate::supervise::{
     CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
@@ -506,15 +511,16 @@ impl BpMaxProblem {
 
 /// The wavefront driver, over one problem's `f32` cells or a lane group's
 /// [`tropical::scalar::Lanes`]: ascending outer diagonals `start..end`,
-/// and within a diagonal each triangle's Phase A (`R0` in `order`, then
-/// `R3`/`R4`; [`PhaseA`] picks the driver) and Phase B, on as many
-/// threads as `split` gives the diagonal ([`run_split`]). Each worker
-/// has its own Phase A scratch, kept for the whole range: split helpers
-/// are spawned anew for every diagonal. The supervision checkpoint sits
-/// at the top of the `d1` loop, so an interrupt leaves, via
-/// [`Watch::note_progress`], a known-final diagonal prefix the
-/// checkpoint layer can snapshot.
-pub(crate) fn wavefront<E: PhaseA>(
+/// each cut into runs of consecutive triangles ([`run_lengths`]) that
+/// as many threads as `split` gives the diagonal claim one at a time
+/// ([`run_split`]). A worker runs each triangle's Phase A (`R0` in
+/// `order`, then `R3`/`R4`), then the run's Phase B; [`Runs`] picks the
+/// kernels and the longest run. Each worker has its own lane scratch,
+/// kept for the whole range: split helpers are spawned anew for every
+/// diagonal. The supervision checkpoint sits at the top of the `d1`
+/// loop, so an interrupt leaves, via [`Watch::note_progress`], a
+/// known-final diagonal prefix the checkpoint layer can snapshot.
+pub(crate) fn wavefront<E: Runs>(
     terms: &Terms<E>,
     order: R0Order,
     f: &mut FTable<E>,
@@ -530,6 +536,8 @@ pub(crate) fn wavefront<E: PhaseA>(
         return Ok(());
     }
     let end = end.min(m);
+    let run_terms = E::run_terms(terms, order);
+    let longest = E::longest_run(&run_terms);
     let mut scratch: Vec<SplitLanes> = (0..split.cores.max(1))
         .map(|_| SplitLanes::default())
         .collect();
@@ -538,30 +546,56 @@ pub(crate) fn wavefront<E: PhaseA>(
         watch.check()?;
         let workers = split.diagonal_workers(d1, m, n);
         let (done, diagonal) = f.diagonal_mut(d1);
-        run_split(
-            diagonal.enumerate(),
-            &mut scratch[..workers],
-            |scratch, (i1, acc)| triangle(terms, &done, i1, i1 + d1, acc, order, scratch),
-        );
+        let block_len = done.block_len();
+        let runs = cut(diagonal, block_len, run_lengths(m - d1, workers, longest));
+        run_split(runs, &mut scratch[..workers], |scratch, (i1, blocks)| {
+            for (l, acc) in blocks.chunks_exact_mut(block_len).enumerate() {
+                E::accumulate(terms, &done, i1 + l, i1 + l + d1, acc, order, scratch);
+            }
+            E::finalize(terms, &run_terms, &done, i1, d1, blocks, scratch);
+        });
     }
     watch.note_progress(end.max(start));
     Ok(())
 }
 
-/// One triangle `(i1, j1)` into its block `acc`: Phase A, then Phase B.
-/// It reads only the earlier diagonals that `f` holds.
-fn triangle<E: PhaseA>(
-    terms: &Terms<E>,
-    f: &FView<'_, E>,
-    i1: usize,
-    j1: usize,
-    acc: &mut [E],
-    order: R0Order,
-    scratch: &mut SplitLanes,
-) {
-    E::accumulate(terms, f, i1, j1, acc, order, scratch);
-    let prev = prev_block(f, i1, j1);
-    finalize_triangle(terms, i1, j1, f, prev, acc);
+/// The lengths of the runs a diagonal of `cells` triangles is cut into,
+/// in order, for `workers` workers and runs of at most `longest`. One
+/// worker takes runs of `longest`, the last one shorter. A split takes
+/// as few runs as a multiple of the workers allows, as even as whole
+/// triangles allow (the first `cells % count` one longer), so every
+/// worker gets the same share of the diagonal; runs of one triangle stay
+/// one triangle each.
+fn run_lengths(cells: usize, workers: usize, longest: usize) -> impl Iterator<Item = usize> {
+    let fewest = cells.div_ceil(longest);
+    let count = if workers > 1 {
+        fewest.next_multiple_of(workers).min(cells)
+    } else {
+        fewest
+    };
+    (0..count).map(move |r| {
+        if workers > 1 {
+            cells / count + usize::from(r < cells % count)
+        } else {
+            longest.min(cells - r * longest)
+        }
+    })
+}
+
+/// Cut a diagonal's blocks, `block_len` cells each, into runs of the
+/// given lengths: `(i1, blocks)` per run, `i1` its first triangle's.
+fn cut<E>(
+    mut diagonal: &mut [E],
+    block_len: usize,
+    lengths: impl Iterator<Item = usize>,
+) -> impl Iterator<Item = (usize, &mut [E])> {
+    let mut i1 = 0;
+    lengths.map(move |len| {
+        let (run, rest) = std::mem::take(&mut diagonal).split_at_mut(len * block_len);
+        diagonal = rest;
+        i1 += len;
+        (i1 - len, run)
+    })
 }
 
 /// How many threads one split may run on: an outer diagonal's triangles
@@ -716,11 +750,6 @@ impl<'p> SupervisedSolve<'p> {
     }
 }
 
-/// The pair-1 source block `(i1+1, j1−1)`, when it exists.
-fn prev_block<'a, E: Copy>(f: &'a FView<'_, E>, i1: usize, j1: usize) -> Option<&'a [E]> {
-    (j1 >= i1 + 2).then(|| f.block(i1 + 1, j1 - 1))
-}
-
 /// A solved `BPMax` instance.
 pub struct Solution<'p> {
     problem: &'p BpMaxProblem,
@@ -784,10 +813,11 @@ impl<'p> Solution<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::spec_score;
+    use crate::spec::{spec_score, SpecEval};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::time::Duration;
+    use tropical::scalar::LANES;
 
     fn problem(a: &str, b: &str) -> BpMaxProblem {
         BpMaxProblem::new(
@@ -1061,12 +1091,59 @@ mod tests {
         })
     }
 
+    /// A model whose weights include the values that could break the
+    /// lanes' bit identity: signed zeros, NaN, `+∞`, `±f32::MAX` and
+    /// `NO_PAIR`, with small finite weights so real structures still form.
+    fn adversarial_model(rng: &mut StdRng) -> ScoringModel {
+        const WEIGHTS: [f32; 10] = [
+            -0.0,
+            0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            ScoringModel::NO_PAIR,
+            1.0,
+            2.5,
+            -1.5,
+        ];
+        let mut table = || {
+            let mut t = [[0.0f32; 4]; 4];
+            for w in t.iter_mut().flatten() {
+                *w = WEIGHTS[rng.gen_range(0..WEIGHTS.len())];
+            }
+            t
+        };
+        let (intra, inter) = (table(), table());
+        ScoringModel::from_tables(intra, inter, 1)
+    }
+
     #[test]
     fn split_diagonals_are_bit_identical_to_one_worker() {
         let mut rng = StdRng::seed_from_u64(16);
+        // m = 20 under the default version, every cell against the oracle
+        // under an adversarial model: forced splits cut the diagonals into
+        // the balanced runs one worker never takes (at d1 = 0, four runs
+        // of 5 on two workers, 7-7-6 on three, and 3s and 2s on eight)
+        let (s1, s2) = (RnaSeq::random(&mut rng, 20), RnaSeq::random(&mut rng, 5));
+        let model = adversarial_model(&mut rng);
+        let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
+        let mut spec = SpecEval::new(&s1, &s2, &model);
+        for split in forced() {
+            let mut f = FTable::new(20, 5, Layout::Packed);
+            split_range(&p, R0Order::SimdReg, &mut f, (0, 20), split);
+            for (i1, j1, i2, j2) in f.iter_cells().collect::<Vec<_>>() {
+                let want = spec.f(i1 as isize, j1 as isize, i2 as isize, j2 as isize);
+                let got = f.get(i1, j1, i2, j2);
+                assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{split:?} under {model:?}: F[{i1},{j1},{i2},{j2}] = {got}, oracle {want}"
+                );
+            }
+        }
         let model = ScoringModel::bpmax_default();
-        // m = 20: `hybrid+reg` runs split-point lane groups of every fill,
-        // each worker packing into its own scratch
+        // m = 20: `hybrid+reg` runs split-point lane groups and Phase B
+        // runs of every fill, each worker packing into its own scratch
         for m in [1, 2, 3, 7, 20] {
             let s1 = RnaSeq::random(&mut rng, m);
             let s2 = RnaSeq::random(&mut rng, 5);
@@ -1122,6 +1199,39 @@ mod tests {
                     seen.iter().all(|&(id, _)| id == seen[0].0),
                     "{split:?}: one state reached two threads"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn runs_hold_each_triangle_once_and_split_into_a_multiple_of_the_workers() {
+        for cells in 1..=40 {
+            for workers in 1..=cells.min(8) {
+                for longest in [1, LANES] {
+                    let tag = format!("{cells} triangles, {workers} workers, runs of {longest}");
+                    let lengths: Vec<usize> = run_lengths(cells, workers, longest).collect();
+                    assert!(
+                        lengths.iter().all(|&len| (1..=longest).contains(&len)),
+                        "{tag}: {lengths:?}"
+                    );
+                    if workers == 1 {
+                        let (last, full) = lengths.split_last().expect("a run");
+                        assert!(full.iter().all(|&len| len == longest), "{tag}: {lengths:?}");
+                        assert_eq!(*last, cells - full.len() * longest, "{tag}");
+                    } else if longest == LANES {
+                        assert_eq!(lengths.len() % workers, 0, "{tag}: {lengths:?}");
+                    }
+                    // block b of the diagonal holds b in both of its cells
+                    let mut diagonal: Vec<usize> = (0..2 * cells).map(|c| c / 2).collect();
+                    let mut seen = vec![0; cells];
+                    for (i1, run) in cut(&mut diagonal, 2, lengths.into_iter()) {
+                        for (l, block) in run.chunks_exact(2).enumerate() {
+                            assert_eq!(block, [i1 + l; 2], "{tag}: run from {i1}");
+                            seen[i1 + l] += 1;
+                        }
+                    }
+                    assert!(seen.iter().all(|&s| s == 1), "{tag}: {seen:?}");
+                }
             }
         }
     }

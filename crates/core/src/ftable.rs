@@ -24,12 +24,13 @@
 //!
 //! Every diagonal sits after the diagonals it reads, so
 //! [`FTable::diagonal_mut`] splits the buffer in two: a read-only
-//! [`FView`] of the finished diagonals, and disjoint `&mut` blocks of the
-//! next one — the safe-Rust shape of the paper's "threads work on
-//! distinct inner triangles". The view ends where the diagonal begins,
-//! so a kernel that reads a block that is not final yet fails the slice
-//! check instead of reading an accumulator. A snapshot of finished
-//! diagonals is a prefix of the buffer.
+//! [`FView`] of the finished diagonals, and the blocks of the next one,
+//! which the wavefront cuts into disjoint `&mut` runs of consecutive
+//! blocks — the safe-Rust shape of the paper's "threads work on distinct
+//! inner triangles". The view ends where the diagonal begins, so a
+//! kernel that reads a block that is not final yet fails the slice check
+//! instead of reading an accumulator. A snapshot of finished diagonals is
+//! a prefix of the buffer.
 
 pub use tropical::triangular::Layout;
 
@@ -263,6 +264,12 @@ impl<E: Copy, C: Deref<Target = [E]>> Table<C> {
         self.layout
     }
 
+    /// Cells per inner-triangle block: the layout's storage for `N`.
+    #[inline(always)]
+    pub fn block_len(&self) -> usize {
+        self.block_len
+    }
+
     /// Outer index of cell `(i1, j1)`: diagonal-major, `i1` within a
     /// diagonal.
     #[inline(always)]
@@ -357,11 +364,12 @@ impl<E: MaxPlus> FTable<E> {
 
     /// Split the table at outer diagonal `d1`: a read-only view of
     /// diagonals `0..d1`, and the blocks `(i1, i1 + d1)` of diagonal `d1`
-    /// in `i1` order, each a disjoint `&mut` slice.
+    /// in `i1` order, as one `&mut` slice of `m − d1` blocks of
+    /// [`Table::block_len`] cells.
     ///
-    /// Panics unless `d1 < m` and `n > 0` (an empty block cannot be
-    /// chunked).
-    pub fn diagonal_mut(&mut self, d1: usize) -> (FView<'_, E>, std::slice::ChunksMut<'_, E>) {
+    /// Panics unless `d1 < m` and `n > 0` (a diagonal of empty blocks
+    /// cannot be cut into blocks).
+    pub fn diagonal_mut(&mut self, d1: usize) -> (FView<'_, E>, &mut [E]) {
         assert!(
             d1 < self.m && self.block_len > 0,
             "diagonal {d1} of a {}x{} table",
@@ -372,10 +380,7 @@ impl<E: MaxPlus> FTable<E> {
         let len = (self.m - d1) * self.block_len;
         let shape = self.with_cells(());
         let (done, rest) = self.cells.split_at_mut(start);
-        (
-            shape.with_cells(&*done),
-            rest[..len].chunks_mut(shape.block_len),
-        )
+        (shape.with_cells(&*done), &mut rest[..len])
     }
 
     /// Write `F[i1, j1, i2, j2]`.
@@ -734,7 +739,7 @@ mod tests {
                             assert_eq!(done.block(i1, j1), before.block(i1, j1), "{tag}");
                         }
                     }
-                    let blocks: Vec<&mut [f32]> = diagonal.collect();
+                    let blocks: Vec<&mut [f32]> = diagonal.chunks_mut(done.block_len()).collect();
                     assert_eq!(blocks.len(), m - d1, "{tag}");
                     for (i1, block) in blocks.into_iter().enumerate() {
                         assert_eq!(&*block, reference.block(i1, i1 + d1), "{tag}");

@@ -32,6 +32,15 @@
 //! the longer intervals of the same row as two streaming axpys — exactly
 //! the paper's "we ensure that F-table gets updated when k2 reaches j2"
 //! interleave that keeps `R1`/`R2` vectorizable despite their reduction.
+//!
+//! The default version runs a lone problem's Phase B eight triangles per
+//! vector (`finalize_lanes`): the triangles of one outer diagonal share
+//! no data and run the same loop nest, so the accumulators and pair-1
+//! blocks of up to eight consecutive ones are packed into lane cells, and
+//! the same `finalize_triangle` runs on all eight at once, against terms
+//! whose lane `l` is triangle `l`'s (`Terms::along_diagonal`). The
+//! wavefront hands a worker such a run of triangles (`Runs`): their
+//! Phase A one by one, then one lane Phase B.
 
 use crate::ftable::FView;
 use rna::nussinov::{Fold, Nussinov};
@@ -39,7 +48,7 @@ use rna::{RnaSeq, ScoringModel};
 use std::sync::Arc;
 use tropical::scalar::{mp_axpy, Lanes, MaxPlus, LANES};
 use tropical::simd::mp_axpy4;
-use tropical::triangular::{Layout, Triangular};
+use tropical::triangular::Triangular;
 
 /// Shared per-problem context: sequences, model, `S⁽¹⁾`/`S⁽²⁾` tables and
 /// the [`Terms`] the kernels read.
@@ -117,7 +126,7 @@ impl Terms<f32> {
     /// One problem's terms: the folds' S-tables and its weight tables.
     fn new(s1: &RnaSeq, s2: &RnaSeq, model: &ScoringModel, fold1: &Fold, fold2: &Fold) -> Self {
         let intra = |s: &RnaSeq| {
-            Triangular::from_fn(s.len(), Layout::Packed, ScoringModel::NO_PAIR, |i, j| {
+            Triangular::from_fn(s.len(), |i, j| {
                 if j > i {
                     model.intra_pos(i, j, s[i], s[j])
                 } else {
@@ -161,9 +170,7 @@ impl Terms<Lanes> {
         );
         let lane = |l: usize| members.get(l).copied().unwrap_or(lead);
         let triangle = |side: usize, get: &dyn Fn(&Terms<f32>, usize, usize) -> f32| {
-            Triangular::from_fn(side, Layout::Packed, Lanes::NEG_INF, |i, j| {
-                std::array::from_fn(|l| get(lane(l), i, j))
-            })
+            Triangular::from_fn(side, |i, j| std::array::from_fn(|l| get(lane(l), i, j)))
         };
         Terms {
             s1: Arc::new(triangle(m, &|t, i, j| t.s1.get(i, j))),
@@ -173,6 +180,45 @@ impl Terms<Lanes> {
             wi: (0..lead.wi.len())
                 .map(|k| std::array::from_fn(|l| lane(l).wi[k]))
                 .collect(),
+        }
+    }
+
+    /// One problem's terms as [`finalize_lanes`] reads them for a run of
+    /// consecutive triangles of one outer diagonal: lane `l` at
+    /// `(i1, j1)` holds triangle `(i1 + l, j1 + l)`'s `S⁽¹⁾` and `w1`, and
+    /// lane `l` of `wi` row `i1` holds row `i1 + l`; the strand-2 tables
+    /// are the same in every lane. A lane past the end of the diagonal
+    /// holds its last triangle's.
+    pub(crate) fn along_diagonal(terms: &Terms<f32>) -> Self {
+        let (m, n) = (terms.m(), terms.n());
+        let along = |t: &Triangular<f32>| {
+            // diagonal `d` of `t`, cell `(k, k + d)` at `k`, its last cell
+            // repeated for the lanes that run past its end
+            let diagonals: Vec<Vec<f32>> = (0..m)
+                .map(|d| {
+                    let mut cells = Vec::with_capacity(m - d + LANES - 1);
+                    cells.extend((0..m - d).map(|k| t.get(k, k + d)));
+                    cells.resize(m - d + LANES - 1, t.get(m - 1 - d, m - 1));
+                    cells
+                })
+                .collect();
+            Triangular::from_fn(m, |i, j| std::array::from_fn(|l| diagonals[j - i][i + l]))
+        };
+        let splat = |t: &Triangular<f32>| Triangular::from_fn(n, |i, j| [t.get(i, j); LANES]);
+        let mut wi = Vec::with_capacity(m * n);
+        for i1 in 0..m {
+            let rows: [&[f32]; LANES] = std::array::from_fn(|l| {
+                let row = (i1 + l).min(m - 1);
+                &terms.wi[row * n..(row + 1) * n]
+            });
+            wi.extend((0..n).map(|i2| std::array::from_fn(|l| rows[l][i2])));
+        }
+        Terms {
+            s1: Arc::new(along(&terms.s1)),
+            s2: Arc::new(splat(&terms.s2)),
+            w1: along(&terms.w1),
+            w2: splat(&terms.w2),
+            wi,
         }
     }
 }
@@ -610,20 +656,26 @@ pub fn accumulate_r034_serial<E: MaxPlus>(
 
 /// Fewest real members a lane group runs with; fewer run one at a time
 /// in `f32`. A group computes all [`LANES`] lanes whatever its fill, so
-/// it pays off only from about three members, in both of its uses:
+/// it pays off only from about three members, in each of its uses:
 /// - a batch wave's same-shape problems ([`crate::batch`]): a group
 ///   costs what 1.8 solves of 12×16, or 2.6 of 32×32, cost one at a
 ///   time (DESIGN.md §7);
 /// - a triangle's split points ([`accumulate_r034_lanes`]): in three
 ///   interleaved runs of serial 40×40, 16×16 and 12×16 solves, a floor
 ///   of 3 was the fastest or within 6% of it at every shape, and 1 or 2
-///   was slower at every shape but once (DESIGN.md §11).
+///   was slower at every shape but once (DESIGN.md §11);
+/// - a run of a diagonal's triangles in Phase B ([`finalize_lanes`]): in
+///   three interleaved runs of the same shapes, floors 1, 2 and 3 were
+///   within 3% of each other in the 16×16 and 12×16 Phase B, and 4 and 5
+///   were 7–35% slower.
 pub(crate) const MIN_LANES: usize = 3;
 
-/// One worker's scratch for [`accumulate_r034_lanes`]: a group's packed
-/// `A` and `B` blocks and the triangle's lane accumulator, one block of
-/// [`Lanes`] cells each. Empty until the worker's first lane group sizes
-/// it; the wavefront keeps one per worker for a whole solve.
+/// One worker's lane scratch, three blocks of [`Lanes`] cells: a split
+/// point group's packed `A` and `B` blocks and the triangle's lane
+/// accumulator in [`accumulate_r034_lanes`], then a run's packed pair-1
+/// blocks (in `a`) and accumulators (in `acc`) in [`finalize_lanes`].
+/// Empty until the worker's first lane group sizes it; the wavefront
+/// keeps one per worker for a whole solve.
 #[derive(Debug, Default)]
 pub(crate) struct SplitLanes {
     a: Vec<Lanes>,
@@ -709,12 +761,29 @@ fn reduce(lanes: &[Lanes], acc: &mut [f32]) {
     }
 }
 
-/// A cell element the wavefront runs Phase A over: which driver a
-/// triangle's Phase A takes. One problem's `f32` cells run the
-/// register-tiled order in split-point lanes ([`accumulate_r034_lanes`]);
-/// every other order, and a lane group's cells, run
-/// [`accumulate_r034_serial`].
-pub(crate) trait PhaseA: MaxPlus {
+/// A cell element the wavefront runs over, and how one worker computes a
+/// *run*: consecutive triangles `(i1 + l, i1 + l + d1)` of outer
+/// diagonal `d1`, each one's Phase A ([`Runs::accumulate`]), then the
+/// run's Phase B ([`Runs::finalize`]).
+///
+/// One problem's `f32` cells under [`R0Order::SimdReg`] take runs of up
+/// to [`LANES`] triangles: Phase A in split-point lanes
+/// ([`accumulate_r034_lanes`]), Phase B in triangle lanes
+/// ([`finalize_lanes`]). Every other order, and a lane group's cells,
+/// take one triangle per run: [`accumulate_r034_serial`], then
+/// [`finalize_triangle`].
+pub(crate) trait Runs: MaxPlus {
+    /// What Phase B reads besides the problem's terms, built once per
+    /// wavefront: the diagonal lane terms ([`Terms::along_diagonal`]) of
+    /// `f32` cells under `SimdReg`, and nothing otherwise.
+    type RunTerms: Sync;
+
+    /// Build [`Runs::RunTerms`] for `terms` under `order`.
+    fn run_terms(terms: &Terms<Self>, order: R0Order) -> Self::RunTerms;
+
+    /// The most triangles one run may hold.
+    fn longest_run(run_terms: &Self::RunTerms) -> usize;
+
     /// Phase A of triangle `(i1, j1)` into `acc`, in `order`, on the
     /// calling worker's `scratch`.
     fn accumulate(
@@ -726,9 +795,35 @@ pub(crate) trait PhaseA: MaxPlus {
         order: R0Order,
         scratch: &mut SplitLanes,
     );
+
+    /// Phase B of the run whose first triangle is `(i1, i1 + d1)` and
+    /// whose blocks, their Phase A done, `blocks` holds.
+    fn finalize(
+        terms: &Terms<Self>,
+        run_terms: &Self::RunTerms,
+        ft: &FView<'_, Self>,
+        i1: usize,
+        d1: usize,
+        blocks: &mut [Self],
+        scratch: &mut SplitLanes,
+    );
 }
 
-impl PhaseA for f32 {
+impl Runs for f32 {
+    type RunTerms = Option<Terms<Lanes>>;
+
+    fn run_terms(terms: &Terms<f32>, order: R0Order) -> Option<Terms<Lanes>> {
+        (order == R0Order::SimdReg && terms.m() >= MIN_LANES).then(|| Terms::along_diagonal(terms))
+    }
+
+    fn longest_run(diagonal: &Option<Terms<Lanes>>) -> usize {
+        if diagonal.is_some() {
+            LANES
+        } else {
+            1
+        }
+    }
+
     fn accumulate(
         terms: &Terms<f32>,
         ft: &FView<'_>,
@@ -743,9 +838,29 @@ impl PhaseA for f32 {
             other => accumulate_r034_serial(terms, ft, i1, j1, acc, other),
         }
     }
+
+    fn finalize(
+        terms: &Terms<f32>,
+        diagonal: &Option<Terms<Lanes>>,
+        ft: &FView<'_>,
+        i1: usize,
+        d1: usize,
+        blocks: &mut [f32],
+        scratch: &mut SplitLanes,
+    ) {
+        finalize_lanes(terms, diagonal.as_ref(), ft, i1, d1, blocks, scratch);
+    }
 }
 
-impl PhaseA for Lanes {
+impl Runs for Lanes {
+    type RunTerms = ();
+
+    fn run_terms(_terms: &Terms<Lanes>, _order: R0Order) {}
+
+    fn longest_run(_: &()) -> usize {
+        1
+    }
+
     fn accumulate(
         terms: &Terms<Lanes>,
         ft: &FView<'_, Lanes>,
@@ -756,6 +871,18 @@ impl PhaseA for Lanes {
         _scratch: &mut SplitLanes,
     ) {
         accumulate_r034_serial(terms, ft, i1, j1, acc, order);
+    }
+
+    fn finalize(
+        terms: &Terms<Lanes>,
+        _: &(),
+        ft: &FView<'_, Lanes>,
+        i1: usize,
+        d1: usize,
+        blocks: &mut [Lanes],
+        _scratch: &mut SplitLanes,
+    ) {
+        finalize_each(terms, ft, i1, d1, blocks);
     }
 }
 
@@ -847,6 +974,102 @@ pub fn finalize_triangle<E: MaxPlus>(
             mp_axpy(s2ik, frow_next, dst);
             // R2: F[i1, j1, i2, k2] + S2(k2+1, j2)
             mp_axpy(val, terms.s2_row(k2 + 1), dst);
+        }
+    }
+}
+
+/// The pair-1 source block `(i1+1, j1−1)`, when it exists.
+fn prev_block<'a, E: Copy>(ft: &'a FView<'_, E>, i1: usize, j1: usize) -> Option<&'a [E]> {
+    (j1 >= i1 + 2).then(|| ft.block(i1 + 1, j1 - 1))
+}
+
+/// Phase B of the run of triangles `(i1 + l, i1 + l + d1)` whose blocks
+/// `blocks` holds, one [`finalize_triangle`] after another.
+fn finalize_each<E: MaxPlus>(
+    terms: &Terms<E>,
+    ft: &FView<'_, E>,
+    i1: usize,
+    d1: usize,
+    blocks: &mut [E],
+) {
+    for (l, acc) in blocks.chunks_exact_mut(ft.block_len()).enumerate() {
+        let (i1, j1) = (i1 + l, i1 + l + d1);
+        finalize_triangle(terms, i1, j1, ft, prev_block(ft, i1, j1), acc);
+    }
+}
+
+/// Phase B of a run of up to [`LANES`] consecutive triangles
+/// `(i1 + l, j1 + l)` of outer diagonal `d1 = j1 − i1`, eight per vector:
+/// bit for bit what [`finalize_triangle`] computes for each in turn.
+///
+/// `blocks` holds the run's accumulators, their Phase A done, one block
+/// per triangle. Lane `l` of one block of [`Lanes`] cells takes triangle
+/// `l`'s accumulator, and lane `l` of a second its pair-1 block
+/// `(i1 + l + 1, j1 + l − 1)` (those blocks sit side by side in diagonal
+/// `d1 − 2`). The lane [`finalize_triangle`] runs all of them at
+/// `(i1, j1)` against `diagonal` ([`Terms::along_diagonal`]), and lane
+/// `l` goes back to triangle `l`'s block. A run of fewer than eight
+/// repeats its last triangle in the spare lanes, whose results are
+/// dropped; one of fewer than [`MIN_LANES`], or one without `diagonal`,
+/// runs the `f32` [`finalize_triangle`] per triangle. The packed blocks
+/// live in the worker's [`SplitLanes`], which the run's Phase A has
+/// finished with.
+///
+/// The lane instance computes the `NO_PAIR` terms the `f32` instance
+/// skips, which changes no bit, because no `val` is ever NaN
+/// ([`MaxPlus`]; DESIGN.md §11). The pair-1 pack and the write-back are
+/// certified by `bounds::finalize_lanes/{pair1,unpack}`.
+pub(crate) fn finalize_lanes(
+    terms: &Terms<f32>,
+    diagonal: Option<&Terms<Lanes>>,
+    ft: &FView<'_>,
+    i1: usize,
+    d1: usize,
+    blocks: &mut [f32],
+    scratch: &mut SplitLanes,
+) {
+    let block_len = ft.block_len();
+    let run = blocks.len() / block_len;
+    let Some(diagonal) = diagonal.filter(|_| run >= MIN_LANES) else {
+        finalize_each(terms, ft, i1, d1, blocks);
+        return;
+    };
+    assert!(
+        run <= LANES && blocks.len() == run * block_len,
+        "a lane run holds 1..={LANES} blocks of {block_len} cells, not {} cells",
+        blocks.len()
+    );
+    let j1 = i1 + d1;
+    let member = |l: usize| l.min(run - 1);
+    let SplitLanes {
+        a: pair1,
+        acc: lanes,
+        ..
+    } = scratch;
+    lanes.resize(block_len, Lanes::NEG_INF);
+    let accs: &[f32] = blocks;
+    pack(
+        lanes,
+        std::array::from_fn(|l| &accs[member(l) * block_len..]),
+    );
+    let prev = if d1 >= 2 {
+        pair1.resize(block_len, Lanes::NEG_INF);
+        let pair1_of = |l: usize| ft.block(i1 + member(l) + 1, j1 + member(l) - 1);
+        pack(pair1, std::array::from_fn(pair1_of));
+        Some(&pair1[..])
+    } else {
+        None
+    };
+    finalize_triangle(diagonal, i1, j1, &ft.shape_of::<Lanes>(), prev, lanes);
+    unpack(lanes, blocks);
+}
+
+/// Lane `l` of every cell of `lanes` into block `l` of `blocks`, for each
+/// of the (at most [`LANES`]) blocks `blocks` holds.
+fn unpack(lanes: &[Lanes], blocks: &mut [f32]) {
+    for (l, block) in blocks.chunks_exact_mut(lanes.len()).enumerate() {
+        for (v, cell) in block.iter_mut().zip(lanes) {
+            *v = cell[l];
         }
     }
 }
@@ -1012,6 +1235,63 @@ mod tests {
                             bits(&got) == bits(&want),
                             "{layout:?} n={n} ({i1},{j1}): {got:?} != {want:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_runs_finalize_bit_identically_to_one_triangle_at_a_time() {
+        // m = 12: outer diagonals 0 (the wi term), 1 (no pair-1 block) and
+        // 2..=4 all hold at least eight triangles, so each takes runs of
+        // every fill 1..=8, at its start and at its end (where the spare
+        // lanes' terms repeat the diagonal's last triangle)
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut scratch = SplitLanes::default();
+        for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
+            for n in [1usize, 2, 5, 9] {
+                let c = Ctx::new(
+                    RnaSeq::random(&mut rng, 12),
+                    RnaSeq::random(&mut rng, n),
+                    ScoringModel::bpmax_default(),
+                );
+                let diagonal = Terms::along_diagonal(c.terms());
+                let mut table = FTable::new(12, n, layout);
+                for (i1, j1, i2, j2) in table.iter_cells().collect::<Vec<_>>() {
+                    let v = match rng.gen_range(0..10) {
+                        0 => f32::NEG_INFINITY,
+                        _ => rng.gen_range(-8..8) as f32,
+                    };
+                    table.set(i1, j1, i2, j2, v);
+                }
+                for d1 in 0..12 {
+                    let (ft, blocks) = table.diagonal_mut(d1);
+                    let block_len = ft.block_len();
+                    let cells = 12 - d1;
+                    for fill in 1..=cells.min(LANES) {
+                        for i1 in [0, cells - fill] {
+                            let run = &blocks[i1 * block_len..(i1 + fill) * block_len];
+                            let mut want = run.to_vec();
+                            finalize_each(c.terms(), &ft, i1, d1, &mut want);
+                            let mut got = run.to_vec();
+                            finalize_lanes(
+                                c.terms(),
+                                Some(&diagonal),
+                                &ft,
+                                i1,
+                                d1,
+                                &mut got,
+                                &mut scratch,
+                            );
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert!(
+                                bits(&got) == bits(&want),
+                                "{layout:?} n={n} d1={d1} run of {fill} from i1={i1}: \
+                                 {got:?} != {want:?}"
+                            );
+                        }
                     }
                 }
             }

@@ -1,4 +1,4 @@
-//! The default solve's split-point lanes against the oracle.
+//! The default solve's split-point and triangle lanes against the oracle.
 //!
 //! `hybrid+reg` runs each triangle's Phase A eight split points per
 //! vector: it packs the blocks of up to eight consecutive `k1` into lane
@@ -10,6 +10,14 @@
 //! Strand-1 lengths 9–20 give outer diagonals of up to 19 split points:
 //! groups of every fill 1–8, alone and after one full group, and of
 //! fills 1–3 after two.
+//! Its Phase B then runs eight triangles of a diagonal per vector, in
+//! runs of eight consecutive triangles on one worker, which these solves
+//! stay on: the same lengths give diagonals of 1–20 triangles, so runs
+//! of every fill 1–8, alone and after one or two full runs, on the
+//! diagonal whose pair-1 term reads `S⁽²⁾` alone (`d1` = 1), on the one
+//! that adds the intermolecular weight (`d1` = 0), and on the rest. The
+//! lane instance computes the `NO_PAIR` terms the `f32` one skips, which
+//! is bit-identical only because no cell value is ever NaN.
 //! Each table is checked cell by cell, bit for bit, against `bpmax::spec`
 //! under models whose weights include the values that could break the
 //! domain argument: signed zeros, NaN, `+∞`, `±f32::MAX` and `NO_PAIR`.

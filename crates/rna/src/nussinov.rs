@@ -16,7 +16,7 @@ use crate::scoring::ScoringModel;
 use crate::seq::RnaSeq;
 use crate::structure::Structure;
 use std::sync::Arc;
-use tropical::triangular::{Layout, Triangular};
+use tropical::triangular::Triangular;
 
 /// The folding entry point.
 pub struct Nussinov;
@@ -34,7 +34,7 @@ impl Nussinov {
     /// Fold `seq` under `model`, producing the full table (packed layout).
     pub fn fold(seq: &RnaSeq, model: &ScoringModel) -> Fold {
         let n = seq.len();
-        let mut table = Triangular::filled(n, Layout::Packed, 0.0f32);
+        let mut table = Triangular::filled(n, 0.0f32);
         // Diagonal-by-diagonal: d = j - i increasing.
         for d in 1..n {
             for i in 0..n - d {

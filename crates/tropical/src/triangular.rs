@@ -16,9 +16,12 @@
 //! ("we only need one-fourth of that memory" for the 4-D table), trading
 //! address arithmetic for footprint.
 //!
-//! All three expose a uniform row API — `row(i)` covers columns `i..n` with
-//! element `(i, j)` at `row(i)[j - i]` — so the kernels are layout-generic
-//! and the memory-map ablation (`ablation_locality`) changes *only* the map.
+//! All three expose a uniform row API — row `i` covers columns `i..n` with
+//! element `(i, j)` at `row_start(n, i) + (j - i)` — so the kernels are
+//! layout-generic and the memory-map ablation (`ablation_locality`)
+//! changes *only* the map. The F-table's inner blocks take any of the
+//! three; a [`Triangular`] (the `S` tables and pair weights) is always
+//! packed.
 
 /// Memory map for an upper-triangular table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,51 +65,37 @@ impl Layout {
     }
 }
 
-/// An upper-triangular table over `0 ≤ i ≤ j < n` with a selectable
-/// [`Layout`].
+/// An upper-triangular table over `0 ≤ i ≤ j < n`, packed
+/// ([`Layout::Packed`]): rows run one after another, row `i` over columns
+/// `i..n`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Triangular<T = f32> {
     n: usize,
-    layout: Layout,
     data: Vec<T>,
 }
 
 impl<T: Copy> Triangular<T> {
     /// A table of side `n` filled with `fill`.
-    pub fn filled(n: usize, layout: Layout, fill: T) -> Self {
+    pub fn filled(n: usize, fill: T) -> Self {
         Triangular {
             n,
-            layout,
-            data: vec![fill; layout.storage_len(n)],
+            data: vec![fill; Layout::Packed.storage_len(n)],
         }
     }
 
-    /// Build from a function of `(i, j)` over the valid triangle; slack cells
-    /// of bounding-box layouts keep `fill`.
-    pub fn from_fn(
-        n: usize,
-        layout: Layout,
-        fill: T,
-        mut f: impl FnMut(usize, usize) -> T,
-    ) -> Self {
-        let mut t = Triangular::filled(n, layout, fill);
+    /// Build from a function of `(i, j)` over the triangle, row by row.
+    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+        let mut data = Vec::with_capacity(Layout::Packed.storage_len(n));
         for i in 0..n {
-            for j in i..n {
-                t.set(i, j, f(i, j));
-            }
+            data.extend((i..n).map(|j| f(i, j)));
         }
-        t
+        Triangular { n, data }
     }
 
     /// Side length.
     #[inline(always)]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// The memory map in use.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Bytes actually allocated.
@@ -117,21 +106,21 @@ impl<T: Copy> Triangular<T> {
     /// Element `(i, j)`, `i ≤ j < n`.
     #[inline(always)]
     pub fn get(&self, i: usize, j: usize) -> T {
-        self.data[self.layout.offset(self.n, i, j)]
+        self.data[Layout::Packed.offset(self.n, i, j)]
     }
 
     /// Set element `(i, j)`.
     #[inline(always)]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
-        let off = self.layout.offset(self.n, i, j);
+        let off = Layout::Packed.offset(self.n, i, j);
         self.data[off] = v;
     }
 
     /// Row `i` as a slice over columns `i..n`; element `(i, j)` sits at
-    /// `row(i)[j - i]` in every layout.
+    /// `row(i)[j - i]`.
     #[inline(always)]
     pub fn row(&self, i: usize) -> &[T] {
-        let s = self.layout.row_start(self.n, i);
+        let s = Layout::Packed.row_start(self.n, i);
         &self.data[s..s + (self.n - i)]
     }
 }
@@ -164,19 +153,46 @@ mod tests {
         }
     }
 
+    /// Cells `(i, j)` of an `n`-side triangle stored under `layout`, each
+    /// holding `f(i, j)`; slack cells hold `fill`.
+    fn laid_out<T: Copy>(
+        n: usize,
+        layout: Layout,
+        fill: T,
+        f: impl Fn(usize, usize) -> T,
+    ) -> Vec<T> {
+        let mut data = vec![fill; layout.storage_len(n)];
+        for i in 0..n {
+            for j in i..n {
+                data[layout.offset(n, i, j)] = f(i, j);
+            }
+        }
+        data
+    }
+
     #[test]
     fn get_set_round_trip_all_layouts() {
         for layout in [Layout::Identity, Layout::Shifted, Layout::Packed] {
-            let mut t = Triangular::filled(6, layout, -1i64);
+            let data = laid_out(6, layout, -1i64, |i, j| (i * 10 + j) as i64);
             for i in 0..6 {
                 for j in i..6 {
-                    t.set(i, j, (i * 10 + j) as i64);
+                    assert_eq!(
+                        data[layout.offset(6, i, j)],
+                        (i * 10 + j) as i64,
+                        "{layout:?}"
+                    );
                 }
             }
-            for i in 0..6 {
-                for j in i..6 {
-                    assert_eq!(t.get(i, j), (i * 10 + j) as i64, "{layout:?}");
-                }
+        }
+        let mut t = Triangular::filled(6, -1i64);
+        for i in 0..6 {
+            for j in i..6 {
+                t.set(i, j, (i * 10 + j) as i64);
+            }
+        }
+        for i in 0..6 {
+            for j in i..6 {
+                assert_eq!(t.get(i, j), (i * 10 + j) as i64);
             }
         }
     }
@@ -184,13 +200,21 @@ mod tests {
     #[test]
     fn row_slice_indexing_convention() {
         for layout in [Layout::Identity, Layout::Shifted, Layout::Packed] {
-            let t = Triangular::from_fn(5, layout, 0i32, |i, j| (i * 5 + j) as i32);
+            let data = laid_out(5, layout, 0i32, |i, j| (i * 5 + j) as i32);
             for i in 0..5 {
-                let row = t.row(i);
-                assert_eq!(row.len(), 5 - i);
+                let start = layout.row_start(5, i);
+                let row = &data[start..start + (5 - i)];
                 for j in i..5 {
                     assert_eq!(row[j - i], (i * 5 + j) as i32, "{layout:?}");
                 }
+            }
+        }
+        let t = Triangular::from_fn(5, |i, j| (i * 5 + j) as i32);
+        for i in 0..5 {
+            let row = t.row(i);
+            assert_eq!(row.len(), 5 - i);
+            for j in i..5 {
+                assert_eq!(row[j - i], (i * 5 + j) as i32);
             }
         }
     }
