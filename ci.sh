@@ -143,9 +143,11 @@ echo "== split-wave repeats (50 runs each) =="
 # warm_pool_allocates_nothing_on_the_second_wave still passed 161 of
 # 200 runs. Build once, then run the split tests
 # (batch::tests::split_* and engine::tests::split_*, forced past the
-# cutoff: each wavefront worker claims runs of triangles and packs their
-# split points and Phase B lanes into its own lane scratch, and a
-# scratch two workers shared would corrupt a table on only some runs),
+# cutoff: each wavefront worker claims runs of triangles and hands them,
+# with its own state, to its caller's closure; the one-problem path
+# packs their split points and Phase B lanes into that state, a lane
+# scratch, and a scratch two workers shared would corrupt a table on
+# only some runs),
 # the run tests (engine::tests::runs_*, how a diagonal is cut into runs,
 # and kernels::tests::lane_runs_*, Phase B in triangle lanes), the lane
 # group tests (batch::tests::lanes_* and the fault suite's

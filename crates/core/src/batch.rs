@@ -58,8 +58,8 @@ use crate::checkpoint::{
 };
 use crate::engine::{run_split, wavefront, Algorithm, BpMaxProblem, Solution, SolveOptions, Split};
 use crate::error::BpMaxError;
-use crate::ftable::{BlockPool, FTable, Layout, PoolStats};
-use crate::kernels::{Terms, MIN_LANES};
+use crate::ftable::{BlockPool, FTable, FView, Layout, PoolStats};
+use crate::kernels::{accumulate_r034_serial, finalize_triangle, prev_block, Terms, MIN_LANES};
 use crate::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
 use crate::supervise::{
     fault, CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, OutcomeCounts, Supervision,
@@ -700,7 +700,7 @@ impl BatchEngine {
         plan_units(pending, |i| {
             let problem = &problems[i];
             let (m, n) = (problem.ctx().m(), problem.ctx().n());
-            let admitted = FTable::estimate_bytes(m, n, problem.layout())
+            let admitted = FTable::estimate_bytes(m, n, Layout::Packed)
                 .is_ok_and(|bytes| sup.budget.is_none_or(|b| b.allows(bytes)));
             let resumes = snapshot.is_some_and(|s| s.index as usize == i);
             (wavefront && m > 0 && n > 0 && admitted && !resumes).then_some((m, n))
@@ -772,12 +772,18 @@ impl BatchEngine {
         let inject_panic = live.iter().any(|&pos| {
             fault::active(fault::SITE_COMPUTE, unit[pos].0) == Some(fault::Fault::Panic)
         });
+        // one triangle per run: both phases of the lane kernels
         let order = self.opts.solve.raw_algorithm().r0_order();
+        let triangle = |_: &mut (), done: &FView<'_, Lanes>, i1, d1, acc: &mut [Lanes]| {
+            let j1 = i1 + d1;
+            accumulate_r034_serial(&terms, done, i1, j1, acc, order);
+            finalize_triangle(&terms, i1, j1, done, prev_block(done, i1, j1), acc);
+        };
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("injected fault: compute panic in a lane group"); // lint: allow(panic): deliberate injected fault (fault-inject harness)
             }
-            wavefront(&terms, order, &mut table, 0, m, &watch, Split::SERIAL)
+            wavefront(&mut table, 0, m, &watch, Split::SERIAL, 1, triangle)
         }));
         let Ok(result) = run else {
             // a panic may leave any values in the table: the next group
@@ -799,7 +805,7 @@ impl BatchEngine {
                     let kept = self
                         .opts
                         .keep_tables
-                        .then(|| lane_copy(&table, lane, problem.layout(), &self.pool));
+                        .then(|| lane_copy(&table, lane, &self.pool));
                     kept.transpose().map(|kept| (Outcome::Ok, score, kept))
                 }
             };
@@ -823,7 +829,7 @@ impl BatchEngine {
         let longest = group
             .filter_map(|problem| {
                 let (m, n) = (problem.ctx().m(), problem.ctx().n());
-                FTable::estimate_bytes(m, n, problem.layout()).ok()
+                FTable::estimate_bytes(m, n, Layout::Packed).ok()
             })
             .filter(|&bytes| sup.budget.is_none_or(|b| b.allows(bytes)))
             .max()
@@ -874,7 +880,6 @@ impl BatchEngine {
         solve: &SolveOptions,
     ) -> Result<(Outcome, f32, Option<FTable>), BpMaxError> {
         let algorithm = solve.validated_algorithm()?;
-        let layout = problem.layout();
         let (m, n) = (problem.ctx().m(), problem.ctx().n());
         let mut watch = Watch::new(sup);
         if let Some(fault::Fault::Slow { millis }) = fault::active(fault::SITE_SLOW, index) {
@@ -885,7 +890,7 @@ impl BatchEngine {
         // allocation — even empty ones
         watch.check_now().map_err(Interrupt::into_error)?;
         if let Some(budget) = sup.budget {
-            let needed = FTable::estimate_bytes(m, n, layout)?;
+            let needed = FTable::estimate_bytes(m, n, Layout::Packed)?;
             if !budget.allows(needed) {
                 let over = BpMaxError::BudgetExceeded {
                     needed_bytes: needed,
@@ -907,7 +912,7 @@ impl BatchEngine {
         if fault::active(fault::SITE_ALLOC, index) == Some(fault::Fault::AllocFail) {
             return Err(BpMaxError::SizeOverflow { m, n });
         }
-        let mut f = FTable::try_new_in(m, n, layout, &self.pool)?;
+        let mut f = FTable::try_new_in(m, n, Layout::Packed, &self.pool)?;
         // seed the table from a checkpoint snapshot when one targets this
         // problem; a snapshot that no longer fits (layout/shape drift
         // beyond the fingerprint) is simply ignored — recomputing from
@@ -1107,15 +1112,9 @@ impl LaneTables {
     }
 }
 
-/// Lane `lane` of a solved lane table, copied into a pooled F-table in
-/// `layout`.
-fn lane_copy(
-    lanes: &FTable<Lanes>,
-    lane: usize,
-    layout: Layout,
-    pool: &BlockPool,
-) -> Result<FTable, BpMaxError> {
-    let mut f = FTable::try_new_in(lanes.m(), lanes.n(), layout, pool)?;
+/// Lane `lane` of a solved lane table, copied into a pooled F-table.
+fn lane_copy(lanes: &FTable<Lanes>, lane: usize, pool: &BlockPool) -> Result<FTable, BpMaxError> {
+    let mut f = FTable::try_new_in(lanes.m(), lanes.n(), Layout::Packed, pool)?;
     for (i1, j1, i2, j2) in lanes.iter_cells() {
         f.set(i1, j1, i2, j2, lanes.get(i1, j1, i2, j2)[lane]);
     }
@@ -1377,6 +1376,92 @@ mod tests {
             ),
             "{:?}",
             report.items[0].error
+        );
+    }
+
+    fn pair(a: &str, b: &str) -> BpMaxProblem {
+        BpMaxProblem::new(
+            a.parse().unwrap(),
+            b.parse().unwrap(),
+            ScoringModel::bpmax_default(),
+        )
+    }
+
+    #[test]
+    fn degraded_solve_reports_a_lower_bound() {
+        let p = pair("GGGAAACC", "GGUUUCCCGG");
+        let exact = p.solve_opts(&SolveOptions::new()).unwrap().score();
+        let full_bytes = FTable::estimate_bytes(8, 10, Layout::Packed).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new().keep_tables(true)).unwrap();
+        let within = |bytes| {
+            SolveOptions::new()
+                .mem_budget(MemoryBudget::bytes(bytes))
+                .degrade(true)
+        };
+        let got = engine.solve_pooled(&p, &within(full_bytes / 2));
+        assert_eq!(got.outcome, Outcome::Degraded);
+        assert_eq!(got.error, None);
+        let w = max_window_within(8, 10, full_bytes / 2).expect("half the table fits a window");
+        assert!((1..10).contains(&w), "w={w}");
+        let best = crate::windowed::solve_windowed(p.ctx(), w)
+            .window_scores()
+            .into_iter()
+            .fold(f32::NEG_INFINITY, f32::max);
+        assert_eq!(got.score, best, "the best window at width {w}");
+        assert!(got.score <= exact, "{} vs {exact}", got.score);
+        assert!(got.score > f32::NEG_INFINITY);
+        assert!(got.table.is_none());
+
+        // within budget: exact, Outcome::Ok, full table attached
+        let got = engine.solve_pooled(&p, &within(full_bytes));
+        assert_eq!(got.outcome, Outcome::Ok);
+        assert_eq!(got.score, exact);
+        assert!(got.table.is_some());
+    }
+
+    #[test]
+    fn expired_deadline_beats_the_budget() {
+        let p = pair("GGAUCGAC", "CCGAUG");
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let opts = SolveOptions::new()
+            .deadline(Deadline::within(Duration::ZERO))
+            .mem_budget(MemoryBudget::bytes(64))
+            .degrade(true);
+        let got = engine.solve_pooled(&p, &opts);
+        assert_eq!(got.outcome, Outcome::TimedOut);
+        assert!(
+            matches!(got.error, Some(BpMaxError::DeadlineExceeded { .. })),
+            "{:?}",
+            got.error
+        );
+    }
+
+    #[test]
+    fn strict_pooled_solve_rejects_oversized_problems() {
+        let p = pair("GGAUCGAC", "CCGAUG");
+        let engine = BatchEngine::new(BatchOptions::new().degrade(false)).unwrap();
+        let got = engine.solve_pooled(&p, &SolveOptions::new().mem_budget(MemoryBudget::bytes(8)));
+        assert_eq!(got.outcome, Outcome::Failed);
+        assert!(
+            matches!(got.error, Some(BpMaxError::BudgetExceeded { .. })),
+            "{:?}",
+            got.error
+        );
+    }
+
+    #[test]
+    fn hopeless_budget_fails_even_with_degradation() {
+        let p = pair("GGAUCGAC", "CCGAUG");
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let opts = SolveOptions::new()
+            .mem_budget(MemoryBudget::bytes(0))
+            .degrade(true);
+        let got = engine.solve_pooled(&p, &opts);
+        assert_eq!(got.outcome, Outcome::Failed);
+        assert!(
+            matches!(got.error, Some(BpMaxError::BudgetExceeded { .. })),
+            "{:?}",
+            got.error
         );
     }
 

@@ -825,7 +825,8 @@ impl CheckpointSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Algorithm, SolveOptions};
+    use crate::engine::Algorithm;
+    use crate::supervise::Watch;
     use rna::ScoringModel;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1098,10 +1099,11 @@ mod tests {
         for (m, n) in [(0, 3), (1, 4), (3, 0), (2, 1), (5, 3), (7, 6)] {
             let s1 = rna::RnaSeq::random(&mut rng, m);
             let s2 = rna::RnaSeq::random(&mut rng, n);
+            let p = BpMaxProblem::new(s1, s2, ScoringModel::bpmax_default());
             for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
-                let p = BpMaxProblem::new(s1.clone(), s2.clone(), ScoringModel::bpmax_default())
-                    .with_layout(layout);
-                let f = p.solve_opts(&SolveOptions::new()).unwrap().into_ftable();
+                let mut f = FTable::new(m, n, layout);
+                p.compute_watched_range(Algorithm::default(), &mut f, 0, m, &Watch::none())
+                    .unwrap();
                 for done in 0..=m {
                     let cells = f.export_diagonals(done);
                     h.write_u64(cells.len() as u64);

@@ -49,17 +49,18 @@
 
 use crate::baseline::solve_baseline_watched_range;
 use crate::error::BpMaxError;
-use crate::ftable::{FTable, Layout};
-use crate::kernels::{Ctx, R0Order, Runs, SplitLanes, Terms, Tile};
-use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
-use crate::supervise::{
-    CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, Supervision, Watch,
+use crate::ftable::{FTable, FView, Layout};
+use crate::kernels::{
+    accumulate_r034_lanes, accumulate_r034_serial, finalize_lanes, Ctx, R0Order, SplitLanes, Terms,
+    Tile, MIN_LANES,
 };
-use crate::windowed::{max_window_within, solve_windowed_watched};
+use crate::perfmodel::{triangle_r0_flops, triangle_r12_flops};
+use crate::supervise::{CancelToken, Deadline, Interrupt, MemoryBudget, Supervision, Watch};
 use rna::{JointStructure, RnaSeq, ScoringModel};
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::{Mutex, OnceLock, PoisonError};
+use tropical::scalar::{MaxPlus, LANES};
 
 /// The least max-plus work, in flops, that one worker of a split must
 /// get, whether it splits an outer diagonal's triangles or a batch wave's
@@ -259,18 +260,20 @@ impl SolveOptions {
 
     /// Cap the F-table bytes. [`BpMaxProblem::solve_opts`] rejects
     /// oversized problems with [`BpMaxError::BudgetExceeded`];
-    /// [`BpMaxProblem::solve_supervised`] can degrade them instead — see
-    /// [`SolveOptions::degrade`].
+    /// [`crate::batch::BatchEngine::solve_pooled`] can degrade them
+    /// instead — see [`SolveOptions::degrade`].
     #[must_use]
     pub fn mem_budget(mut self, budget: MemoryBudget) -> Self {
         self.supervision.budget = Some(budget);
         self
     }
 
-    /// Over-budget behaviour for [`BpMaxProblem::solve_supervised`]:
+    /// Over-budget behaviour for
+    /// [`crate::batch::BatchEngine::solve_pooled`] and the batch waves:
     /// `true` falls back to the windowed/banded algorithm at the widest
-    /// in-budget window and reports [`Outcome::Degraded`] (the score is a
-    /// valid lower bound); `false` (the default) rejects.
+    /// in-budget window and reports [`crate::supervise::Outcome::Degraded`]
+    /// (the score is a valid lower bound); `false` (the default) rejects.
+    /// [`BpMaxProblem::solve_opts`] always rejects.
     #[must_use]
     pub fn degrade(mut self, degrade: bool) -> Self {
         self.supervision.degrade = degrade;
@@ -299,7 +302,6 @@ impl SolveOptions {
 /// A `BPMax` problem instance: two strands and a scoring model.
 pub struct BpMaxProblem {
     ctx: Ctx,
-    layout: Layout,
 }
 
 impl BpMaxProblem {
@@ -308,19 +310,7 @@ impl BpMaxProblem {
     pub fn new(s1: RnaSeq, s2: RnaSeq, model: ScoringModel) -> Self {
         BpMaxProblem {
             ctx: Ctx::new(s1, s2, model),
-            layout: Layout::Packed,
         }
-    }
-
-    /// Select the inner-triangle memory map (Fig 10 ablation).
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// The inner-triangle memory map every solve of this problem uses.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Strand 1.
@@ -352,7 +342,7 @@ impl BpMaxProblem {
     /// overflow and bad tiles come back as [`BpMaxError`] instead of
     /// panics. Supervision is strict here: an
     /// over-budget problem is rejected, a cancelled/expired solve errs —
-    /// the degrading flavour is [`BpMaxProblem::solve_supervised`].
+    /// the degrading flavour is [`crate::batch::BatchEngine::solve_pooled`].
     pub fn solve_opts(&self, opts: &SolveOptions) -> Result<Solution<'_>, BpMaxError> {
         let algorithm = opts.validated_algorithm()?;
         let sup = opts.supervision();
@@ -361,7 +351,7 @@ impl BpMaxProblem {
         // allocation, deterministically even on empty problems
         watch.check_now().map_err(Interrupt::into_error)?;
         if let Some(budget) = sup.budget {
-            let needed = FTable::estimate_bytes(self.ctx.m(), self.ctx.n(), self.layout)?;
+            let needed = FTable::estimate_bytes(self.ctx.m(), self.ctx.n(), Layout::Packed)?;
             if !budget.allows(needed) {
                 return Err(BpMaxError::BudgetExceeded {
                     needed_bytes: needed,
@@ -369,75 +359,11 @@ impl BpMaxProblem {
                 });
             }
         }
-        let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), self.layout)?;
+        let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), Layout::Packed)?;
         let m = self.ctx.m();
         self.compute_watched_range(algorithm, &mut f, 0, m, &watch)
             .map_err(Interrupt::into_error)?;
         Ok(Solution { problem: self, f })
-    }
-
-    /// Solve under the full supervision contract, degrading instead of
-    /// rejecting when the memory budget is too small for the exact table
-    /// (and [`SolveOptions::degrade`] is on): the problem falls back to
-    /// the windowed/banded algorithm at the widest window that fits, and
-    /// the result is flagged [`Outcome::Degraded`] — never silently. The
-    /// degraded score is the best window score, a valid lower bound of the
-    /// exact score because `F` is monotone under strand-2 interval
-    /// inclusion (extending an interval can only add unpaired bases).
-    pub fn solve_supervised(&self, opts: &SolveOptions) -> Result<SupervisedSolve<'_>, BpMaxError> {
-        let sup = opts.supervision();
-        // a dead deadline or fired token beats any budget verdict
-        Watch::new(sup).check_now().map_err(Interrupt::into_error)?;
-        if let Some(budget) = sup.budget {
-            let needed = FTable::estimate_bytes(self.ctx.m(), self.ctx.n(), self.layout)?;
-            if !budget.allows(needed) {
-                if !sup.degrade {
-                    return Err(BpMaxError::BudgetExceeded {
-                        needed_bytes: needed,
-                        budget_bytes: budget.bytes,
-                    });
-                }
-                return self.solve_degraded(opts, needed, budget);
-            }
-        }
-        let solution = self.solve_opts(opts)?;
-        let score = solution.score();
-        Ok(SupervisedSolve {
-            outcome: Outcome::Ok,
-            score,
-            solution: Some(solution),
-            window: None,
-        })
-    }
-
-    /// The degraded arm of [`BpMaxProblem::solve_supervised`].
-    fn solve_degraded(
-        &self,
-        opts: &SolveOptions,
-        needed: u64,
-        budget: MemoryBudget,
-    ) -> Result<SupervisedSolve<'_>, BpMaxError> {
-        // surface config errors (bad tile) identically to the exact path
-        opts.validated_algorithm()?;
-        let w = max_window_within(self.ctx.m(), self.ctx.n(), budget.bytes).ok_or(
-            BpMaxError::BudgetExceeded {
-                needed_bytes: needed,
-                budget_bytes: budget.bytes,
-            },
-        )?;
-        let watch = Watch::new(opts.supervision());
-        watch.check_now().map_err(Interrupt::into_error)?;
-        let t = solve_windowed_watched(&self.ctx, w, &watch).map_err(Interrupt::into_error)?;
-        let score = t
-            .window_scores()
-            .into_iter()
-            .fold(f32::NEG_INFINITY, f32::max);
-        Ok(SupervisedSolve {
-            outcome: Outcome::Degraded,
-            score,
-            solution: None,
-            window: Some(w),
-        })
     }
 
     /// Compute outer diagonals `start..end` into a caller-provided table
@@ -457,7 +383,7 @@ impl BpMaxProblem {
         let terms = self.ctx.terms();
         match algorithm {
             Algorithm::Baseline => solve_baseline_watched_range(&self.ctx, f, start, end, watch),
-            Algorithm::Permuted => wavefront(
+            Algorithm::Permuted => solve_range(
                 terms,
                 R0Order::Permuted,
                 f,
@@ -466,7 +392,7 @@ impl BpMaxProblem {
                 watch,
                 Split::SERIAL,
             ),
-            other => wavefront(terms, other.r0_order(), f, start, end, watch, Split::host()),
+            other => solve_range(terms, other.r0_order(), f, start, end, watch, Split::host()),
         }
     }
 
@@ -476,7 +402,7 @@ impl BpMaxProblem {
     /// [`BpMaxProblem::resume_from`] expects.
     pub fn compute_prefix(&self, algorithm: Algorithm, upto: usize) -> Result<FTable, BpMaxError> {
         algorithm.validate()?;
-        let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), self.layout)?;
+        let mut f = FTable::try_new(self.ctx.m(), self.ctx.n(), Layout::Packed)?;
         self.compute_watched_range(algorithm, &mut f, 0, upto, &Watch::none())
             .map_err(Interrupt::into_error)?;
         Ok(f)
@@ -509,38 +435,71 @@ impl BpMaxProblem {
     }
 }
 
-/// The wavefront driver, over one problem's `f32` cells or a lane group's
-/// [`tropical::scalar::Lanes`]: ascending outer diagonals `start..end`,
-/// each cut into runs of consecutive triangles ([`run_lengths`]) that
-/// as many threads as `split` gives the diagonal claim one at a time
-/// ([`run_split`]). A worker runs each triangle's Phase A (`R0` in
-/// `order`, then `R3`/`R4`), then the run's Phase B; [`Runs`] picks the
-/// kernels and the longest run. Each worker has its own lane scratch,
-/// kept for the whole range: split helpers are spawned anew for every
-/// diagonal. The supervision checkpoint sits at the top of the `d1`
-/// loop, so an interrupt leaves, via [`Watch::note_progress`], a
-/// known-final diagonal prefix the checkpoint layer can snapshot.
-pub(crate) fn wavefront<E: Runs>(
-    terms: &Terms<E>,
+/// One problem's wavefront in `order` on `split`: the kernels its runs
+/// of triangles take. Under [`R0Order::SimdReg`] (`hybrid+reg`) a run
+/// holds up to [`LANES`] triangles of a diagonal: each one's Phase A in
+/// split-point lanes ([`accumulate_r034_lanes`]), then the run's Phase B
+/// in triangle lanes ([`finalize_lanes`]), against lane terms built once
+/// here ([`Terms::along_diagonal`]). Every other order takes runs of one
+/// triangle: [`accumulate_r034_serial`], then [`finalize_lanes`], which
+/// finalizes a run that short one triangle at a time.
+fn solve_range(
+    terms: &Terms<f32>,
     order: R0Order,
-    f: &mut FTable<E>,
+    f: &mut FTable,
     start: usize,
     end: usize,
     watch: &Watch,
     split: Split,
 ) -> Result<(), Interrupt> {
-    let m = terms.m();
-    let n = terms.n();
-    assert!(f.m() == m && f.n() == n, "table shape mismatch");
+    assert!(
+        f.m() == terms.m() && f.n() == terms.n(),
+        "table shape mismatch"
+    );
+    let lanes = order == R0Order::SimdReg;
+    let diagonal = (lanes && terms.m() >= MIN_LANES).then(|| Terms::along_diagonal(terms));
+    let longest = if diagonal.is_some() { LANES } else { 1 };
+    let run = |scratch: &mut SplitLanes, done: &FView<'_>, i1, d1, blocks: &mut [f32]| {
+        for (l, acc) in blocks.chunks_exact_mut(done.block_len()).enumerate() {
+            let (i1, j1) = (i1 + l, i1 + l + d1);
+            if lanes {
+                accumulate_r034_lanes(terms, done, i1, j1, acc, scratch);
+            } else {
+                accumulate_r034_serial(terms, done, i1, j1, acc, order);
+            }
+        }
+        finalize_lanes(terms, diagonal.as_ref(), done, i1, d1, blocks, scratch);
+    };
+    wavefront(f, start, end, watch, split, longest, run)
+}
+
+/// The coarse-grain schedule (the paper's Phase II) over any table:
+/// ascending outer diagonals `start..end`, each cut into runs of up to
+/// `longest` consecutive triangles ([`run_lengths`]) that as many
+/// threads as `split` gives the diagonal claim one at a time
+/// ([`run_split`]). A worker calls `run` with its own state, the
+/// finished diagonals, the run's first triangle `(i1, i1 + d1)` as `i1`
+/// and `d1`, and the run's blocks, which `run` computes in place. Each
+/// worker keeps its state for the whole range: split helpers are spawned
+/// anew for every diagonal. The supervision checkpoint sits at the top
+/// of the `d1` loop, so an interrupt leaves, via
+/// [`Watch::note_progress`], a known-final diagonal prefix the
+/// checkpoint layer can snapshot.
+pub(crate) fn wavefront<E: MaxPlus, S: Default + Send>(
+    f: &mut FTable<E>,
+    start: usize,
+    end: usize,
+    watch: &Watch,
+    split: Split,
+    longest: usize,
+    run: impl Fn(&mut S, &FView<'_, E>, usize, usize, &mut [E]) + Sync,
+) -> Result<(), Interrupt> {
+    let (m, n) = (f.m(), f.n());
     if m == 0 || n == 0 {
         return Ok(());
     }
     let end = end.min(m);
-    let run_terms = E::run_terms(terms, order);
-    let longest = E::longest_run(&run_terms);
-    let mut scratch: Vec<SplitLanes> = (0..split.cores.max(1))
-        .map(|_| SplitLanes::default())
-        .collect();
+    let mut states: Vec<S> = (0..split.cores.max(1)).map(|_| S::default()).collect();
     for d1 in start..end {
         watch.note_progress(d1);
         watch.check()?;
@@ -548,11 +507,8 @@ pub(crate) fn wavefront<E: Runs>(
         let (done, diagonal) = f.diagonal_mut(d1);
         let block_len = done.block_len();
         let runs = cut(diagonal, block_len, run_lengths(m - d1, workers, longest));
-        run_split(runs, &mut scratch[..workers], |scratch, (i1, blocks)| {
-            for (l, acc) in blocks.chunks_exact_mut(block_len).enumerate() {
-                E::accumulate(terms, &done, i1 + l, i1 + l + d1, acc, order, scratch);
-            }
-            E::finalize(terms, &run_terms, &done, i1, d1, blocks, scratch);
+        run_split(runs, &mut states[..workers], |state, (i1, blocks)| {
+            run(state, &done, i1, d1, blocks);
         });
     }
     watch.note_progress(end.max(start));
@@ -704,52 +660,6 @@ where
     });
 }
 
-/// The result of [`BpMaxProblem::solve_supervised`]: the per-problem
-/// verdict plus whatever score the outcome supports.
-pub struct SupervisedSolve<'p> {
-    outcome: Outcome,
-    score: f32,
-    solution: Option<Solution<'p>>,
-    window: Option<usize>,
-}
-
-impl std::fmt::Debug for SupervisedSolve<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SupervisedSolve")
-            .field("outcome", &self.outcome)
-            .field("score", &self.score)
-            .field("window", &self.window)
-            .field("has_solution", &self.solution.is_some())
-            .finish()
-    }
-}
-
-impl<'p> SupervisedSolve<'p> {
-    /// How the solve ended ([`Outcome::Ok`] or [`Outcome::Degraded`] here;
-    /// the other outcomes surface as errors from a single solve, or as
-    /// batch items).
-    pub fn outcome(&self) -> Outcome {
-        self.outcome
-    }
-
-    /// The exact score ([`Outcome::Ok`]) or the best-window lower bound
-    /// ([`Outcome::Degraded`]).
-    pub fn score(&self) -> f32 {
-        self.score
-    }
-
-    /// The full solution — `None` when degraded (the exact table was
-    /// never built; that is the point).
-    pub fn solution(&self) -> Option<&Solution<'p>> {
-        self.solution.as_ref()
-    }
-
-    /// The window width of a degraded solve.
-    pub fn window(&self) -> Option<usize> {
-        self.window
-    }
-}
-
 /// A solved `BPMax` instance.
 pub struct Solution<'p> {
     problem: &'p BpMaxProblem,
@@ -817,7 +727,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Duration;
-    use tropical::scalar::LANES;
 
     fn problem(a: &str, b: &str) -> BpMaxProblem {
         BpMaxProblem::new(
@@ -878,8 +787,8 @@ mod tests {
         let s1: RnaSeq = "GGAUCGA".parse().unwrap();
         let s2: RnaSeq = "CAUGG".parse().unwrap();
         let want = spec_score(&s1, &s2, &model);
+        let p = BpMaxProblem::new(s1.clone(), s2.clone(), model);
         for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
-            let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone()).with_layout(layout);
             for alg in [
                 Algorithm::Permuted,
                 Algorithm::CoarseGrain,
@@ -887,7 +796,10 @@ mod tests {
                     tile: Tile::cubic(2),
                 },
             ] {
-                assert_eq!(score(&p, alg), want, "{layout:?} {alg:?}");
+                let mut f = FTable::new(s1.len(), s2.len(), layout);
+                p.compute_watched_range(alg, &mut f, 0, s1.len(), &Watch::none())
+                    .unwrap();
+                assert_eq!(f.final_score(), Some(want), "{layout:?} {alg:?}");
             }
         }
     }
@@ -932,13 +844,9 @@ mod tests {
         for &alg in Algorithm::ALL {
             let sol = p.solve_opts(&SolveOptions::new().algorithm(alg)).unwrap();
             assert_eq!(sol.score(), want, "{alg:?}");
+            // every solve packs its inner triangles
+            assert_eq!(sol.ftable().layout(), Layout::Packed, "{alg:?}");
         }
-        let shifted = problem("GGAUCGAC", "CCGAUG").with_layout(Layout::Shifted);
-        let sol = shifted
-            .solve_opts(&SolveOptions::new().algorithm(Algorithm::CoarseGrain))
-            .unwrap();
-        assert_eq!(sol.score(), want);
-        assert_eq!(sol.ftable().layout(), Layout::Shifted);
     }
 
     #[test]
@@ -1065,7 +973,7 @@ mod tests {
         range: (usize, usize),
         split: Split,
     ) {
-        wavefront(
+        solve_range(
             p.ctx().terms(),
             order,
             f,
@@ -1148,9 +1056,8 @@ mod tests {
             let s1 = RnaSeq::random(&mut rng, m);
             let s2 = RnaSeq::random(&mut rng, 5);
             let want = spec_score(&s1, &s2, &model);
+            let p = BpMaxProblem::new(s1.clone(), s2.clone(), model.clone());
             for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
-                let p =
-                    BpMaxProblem::new(s1.clone(), s2.clone(), model.clone()).with_layout(layout);
                 for &alg in &Algorithm::ALL[1..] {
                     let order = alg.r0_order();
                     let mut one = FTable::new(m, 5, layout);
@@ -1175,7 +1082,7 @@ mod tests {
             let reference = bits(&table(&p, alg));
             for split in forced() {
                 for cut in [0, 1, m / 2, m - 1, m] {
-                    let mut f = FTable::new(m, n, p.layout());
+                    let mut f = FTable::new(m, n, Layout::Packed);
                     split_range(&p, alg.r0_order(), &mut f, (0, cut), split);
                     split_range(&p, alg.r0_order(), &mut f, (cut, m), split);
                     assert!(bits(&f) == reference, "{alg:?} {split:?} cut {cut}");
@@ -1347,16 +1254,6 @@ mod tests {
         let opts = SolveOptions::new().deadline(crate::supervise::Deadline::within(Duration::ZERO));
         let err = p.solve_opts(&opts).unwrap_err();
         assert!(matches!(err, BpMaxError::DeadlineExceeded { .. }), "{err}");
-        // … and on the degraded path too
-        let err = p
-            .solve_supervised(
-                &opts
-                    .clone()
-                    .mem_budget(crate::supervise::MemoryBudget::bytes(64))
-                    .degrade(true),
-            )
-            .unwrap_err();
-        assert!(matches!(err, BpMaxError::DeadlineExceeded { .. }), "{err}");
     }
 
     #[test]
@@ -1396,59 +1293,6 @@ mod tests {
             }
             other => panic!("expected BudgetExceeded, got {other}"),
         }
-        // solve_supervised without degrade: same rejection
-        let err = p
-            .solve_supervised(
-                &SolveOptions::new().mem_budget(crate::supervise::MemoryBudget::bytes(8)),
-            )
-            .unwrap_err();
-        assert!(matches!(err, BpMaxError::BudgetExceeded { .. }), "{err}");
-    }
-
-    #[test]
-    fn degraded_solve_reports_a_lower_bound() {
-        let p = problem("GGGAAACC", "GGUUUCCCGG");
-        let exact = p.solve_opts(&SolveOptions::new()).unwrap().score();
-        let full_bytes = FTable::estimate_bytes(8, 10, Layout::Packed).unwrap();
-        let got = p
-            .solve_supervised(
-                &SolveOptions::new()
-                    .mem_budget(crate::supervise::MemoryBudget::bytes(full_bytes / 2))
-                    .degrade(true),
-            )
-            .unwrap();
-        assert_eq!(got.outcome(), crate::supervise::Outcome::Degraded);
-        let w = got.window().expect("degraded solves report their window");
-        assert!((1..10).contains(&w), "w={w}");
-        assert!(got.score() <= exact, "{} vs {exact}", got.score());
-        assert!(got.score() > f32::NEG_INFINITY);
-        assert!(got.solution().is_none());
-
-        // within budget: exact, Outcome::Ok, full solution attached
-        let got = p
-            .solve_supervised(
-                &SolveOptions::new()
-                    .mem_budget(crate::supervise::MemoryBudget::bytes(full_bytes))
-                    .degrade(true),
-            )
-            .unwrap();
-        assert_eq!(got.outcome(), crate::supervise::Outcome::Ok);
-        assert_eq!(got.score(), exact);
-        assert!(got.solution().is_some());
-        assert_eq!(got.window(), None);
-    }
-
-    #[test]
-    fn hopeless_budget_fails_even_with_degradation() {
-        let p = problem("GGAUCGAC", "CCGAUG");
-        let err = p
-            .solve_supervised(
-                &SolveOptions::new()
-                    .mem_budget(crate::supervise::MemoryBudget::bytes(0))
-                    .degrade(true),
-            )
-            .unwrap_err();
-        assert!(matches!(err, BpMaxError::BudgetExceeded { .. }), "{err}");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! blocks of up to eight consecutive ones are packed into lane cells, and
 //! the same `finalize_triangle` runs on all eight at once, against terms
 //! whose lane `l` is triangle `l`'s (`Terms::along_diagonal`). The
-//! wavefront hands a worker such a run of triangles (`Runs`): their
+//! engine's wavefront hands a worker such a run of triangles: their
 //! Phase A one by one, then one lane Phase B.
 
 use crate::ftable::FView;
@@ -761,131 +761,6 @@ fn reduce(lanes: &[Lanes], acc: &mut [f32]) {
     }
 }
 
-/// A cell element the wavefront runs over, and how one worker computes a
-/// *run*: consecutive triangles `(i1 + l, i1 + l + d1)` of outer
-/// diagonal `d1`, each one's Phase A ([`Runs::accumulate`]), then the
-/// run's Phase B ([`Runs::finalize`]).
-///
-/// One problem's `f32` cells under [`R0Order::SimdReg`] take runs of up
-/// to [`LANES`] triangles: Phase A in split-point lanes
-/// ([`accumulate_r034_lanes`]), Phase B in triangle lanes
-/// ([`finalize_lanes`]). Every other order, and a lane group's cells,
-/// take one triangle per run: [`accumulate_r034_serial`], then
-/// [`finalize_triangle`].
-pub(crate) trait Runs: MaxPlus {
-    /// What Phase B reads besides the problem's terms, built once per
-    /// wavefront: the diagonal lane terms ([`Terms::along_diagonal`]) of
-    /// `f32` cells under `SimdReg`, and nothing otherwise.
-    type RunTerms: Sync;
-
-    /// Build [`Runs::RunTerms`] for `terms` under `order`.
-    fn run_terms(terms: &Terms<Self>, order: R0Order) -> Self::RunTerms;
-
-    /// The most triangles one run may hold.
-    fn longest_run(run_terms: &Self::RunTerms) -> usize;
-
-    /// Phase A of triangle `(i1, j1)` into `acc`, in `order`, on the
-    /// calling worker's `scratch`.
-    fn accumulate(
-        terms: &Terms<Self>,
-        ft: &FView<'_, Self>,
-        i1: usize,
-        j1: usize,
-        acc: &mut [Self],
-        order: R0Order,
-        scratch: &mut SplitLanes,
-    );
-
-    /// Phase B of the run whose first triangle is `(i1, i1 + d1)` and
-    /// whose blocks, their Phase A done, `blocks` holds.
-    fn finalize(
-        terms: &Terms<Self>,
-        run_terms: &Self::RunTerms,
-        ft: &FView<'_, Self>,
-        i1: usize,
-        d1: usize,
-        blocks: &mut [Self],
-        scratch: &mut SplitLanes,
-    );
-}
-
-impl Runs for f32 {
-    type RunTerms = Option<Terms<Lanes>>;
-
-    fn run_terms(terms: &Terms<f32>, order: R0Order) -> Option<Terms<Lanes>> {
-        (order == R0Order::SimdReg && terms.m() >= MIN_LANES).then(|| Terms::along_diagonal(terms))
-    }
-
-    fn longest_run(diagonal: &Option<Terms<Lanes>>) -> usize {
-        if diagonal.is_some() {
-            LANES
-        } else {
-            1
-        }
-    }
-
-    fn accumulate(
-        terms: &Terms<f32>,
-        ft: &FView<'_>,
-        i1: usize,
-        j1: usize,
-        acc: &mut [f32],
-        order: R0Order,
-        scratch: &mut SplitLanes,
-    ) {
-        match order {
-            R0Order::SimdReg => accumulate_r034_lanes(terms, ft, i1, j1, acc, scratch),
-            other => accumulate_r034_serial(terms, ft, i1, j1, acc, other),
-        }
-    }
-
-    fn finalize(
-        terms: &Terms<f32>,
-        diagonal: &Option<Terms<Lanes>>,
-        ft: &FView<'_>,
-        i1: usize,
-        d1: usize,
-        blocks: &mut [f32],
-        scratch: &mut SplitLanes,
-    ) {
-        finalize_lanes(terms, diagonal.as_ref(), ft, i1, d1, blocks, scratch);
-    }
-}
-
-impl Runs for Lanes {
-    type RunTerms = ();
-
-    fn run_terms(_terms: &Terms<Lanes>, _order: R0Order) {}
-
-    fn longest_run(_: &()) -> usize {
-        1
-    }
-
-    fn accumulate(
-        terms: &Terms<Lanes>,
-        ft: &FView<'_, Lanes>,
-        i1: usize,
-        j1: usize,
-        acc: &mut [Lanes],
-        order: R0Order,
-        _scratch: &mut SplitLanes,
-    ) {
-        accumulate_r034_serial(terms, ft, i1, j1, acc, order);
-    }
-
-    fn finalize(
-        terms: &Terms<Lanes>,
-        _: &(),
-        ft: &FView<'_, Lanes>,
-        i1: usize,
-        d1: usize,
-        blocks: &mut [Lanes],
-        _scratch: &mut SplitLanes,
-    ) {
-        finalize_each(terms, ft, i1, d1, blocks);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Phase B: finalization (F + R1 + R2)
 // ---------------------------------------------------------------------
@@ -979,7 +854,11 @@ pub fn finalize_triangle<E: MaxPlus>(
 }
 
 /// The pair-1 source block `(i1+1, j1−1)`, when it exists.
-fn prev_block<'a, E: Copy>(ft: &'a FView<'_, E>, i1: usize, j1: usize) -> Option<&'a [E]> {
+pub(crate) fn prev_block<'a, E: Copy>(
+    ft: &'a FView<'_, E>,
+    i1: usize,
+    j1: usize,
+) -> Option<&'a [E]> {
     (j1 >= i1 + 2).then(|| ft.block(i1 + 1, j1 - 1))
 }
 

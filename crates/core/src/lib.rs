@@ -28,10 +28,13 @@
 //!
 //! [`SolveOptions`] picks the champion algorithm by default and exposes
 //! the one score-affecting knob, the program version with its tile,
-//! behind one fallible entry point; the table's memory map is the
-//! problem's own ([`BpMaxProblem::with_layout`]). To solve *many* problems, use the pooled
-//! [`batch::BatchEngine`] instead of a loop — it recycles F-table
-//! buffers across solves.
+//! behind one fallible entry point; every solve packs its table's inner
+//! triangles ([`ftable::Layout::Packed`]). To solve *many* problems, use
+//! the pooled [`batch::BatchEngine`] instead of a loop — it recycles
+//! F-table buffers across solves, and its
+//! [`BatchEngine::solve_pooled`] solves one problem the same way,
+//! degrading an over-budget one to the windowed algorithm where
+//! [`BpMaxProblem::solve_opts`] rejects it.
 //!
 //! # Module map
 //!
@@ -88,7 +91,7 @@ pub mod windowed;
 pub use batch::{BatchEngine, BatchItem, BatchOptions, BatchReport};
 pub use checkpoint::{CheckpointSink, JournalRecord, RunManifest, TableSnapshot};
 pub use coordinator::{CoordinatorOptions, CoordinatorReport, WorkerCommand};
-pub use engine::{Algorithm, BpMaxProblem, Solution, SolveOptions, SupervisedSolve};
+pub use engine::{Algorithm, BpMaxProblem, Solution, SolveOptions};
 pub use error::BpMaxError;
 pub use ftable::{BlockPool, FTable, PoolStats};
 pub use serve::{

@@ -87,7 +87,7 @@ use crate::checkpoint::{
 };
 use crate::engine::{Algorithm, BpMaxProblem, SolveOptions};
 use crate::error::BpMaxError;
-use crate::ftable::{FTable, PoolStats};
+use crate::ftable::{FTable, Layout, PoolStats};
 use crate::kernels::Tile;
 use crate::supervise::{fault, CancelToken, Deadline, MemoryBudget, Outcome};
 use rna::base::BASES;
@@ -1506,8 +1506,7 @@ impl Server {
         let mut solve = SolveOptions::new()
             .algorithm(req.algorithm)
             .degrade(req.degrade);
-        let layout = problem.layout();
-        let needed = match FTable::estimate_bytes(req.seq1.len(), req.seq2.len(), layout) {
+        let needed = match FTable::estimate_bytes(req.seq1.len(), req.seq2.len(), Layout::Packed) {
             Ok(needed) => needed,
             Err(e) => {
                 return Response::Error {

@@ -6,6 +6,7 @@
 //! the bytes on disk is detected, never replayed.
 
 use bpmax::checkpoint::{self, CheckpointSink, RunManifest, TableSnapshot};
+use bpmax::ftable::Layout;
 use bpmax::{Algorithm, BpMaxError, BpMaxProblem, FTable, SolveOptions};
 use proptest::prelude::*;
 use rna::base::BASES;
@@ -79,7 +80,7 @@ proptest! {
         prop_assert_eq!(&loaded, &snap, "decode(encode(snap)) == snap");
 
         // restore and finish the solve
-        let mut resumed = FTable::new(p.seq1().len(), p.seq2().len(), p.layout());
+        let mut resumed = FTable::new(p.seq1().len(), p.seq2().len(), Layout::Packed);
         loaded.restore_into(&mut resumed).unwrap();
         p.resume_from(alg, &mut resumed, loaded.done).unwrap();
         assert_tables_equal(&resumed, &reference, &format!("{alg:?} split {split}"));

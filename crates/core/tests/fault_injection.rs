@@ -395,7 +395,7 @@ fn interrupted_large_problem_snapshots_and_resumes_bit_identically() {
 
 mod serve_faults {
     //! Injected faults inside the solve daemon: a panicking request
-    //! handler must be contained by the connection loop's catch_unwind
+    //! handler must be contained by the connection loop's `catch_unwind`
     //! (typed error reply, counter, daemon keeps serving), and a
     //! connection dropped at accept must be recovered by the client's
     //! retry loop. Same global registry, same [`Armed`] serialization.
@@ -405,14 +405,32 @@ mod serve_faults {
     use bpmax::supervise::fault::{self, Fault, FaultPlan};
     use bpmax::{BpMaxProblem, SolveOptions};
     use rna::ScoringModel;
+    use std::path::PathBuf;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    fn tmp_socket(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("bpmax-fault-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("bpmax.sock")
+    /// A daemon's socket directory under the temp dir, removed with all
+    /// it holds when the guard drops: when its test ends, pass or fail.
+    struct SocketDir(PathBuf);
+
+    impl SocketDir {
+        fn new(tag: &str) -> SocketDir {
+            let dir =
+                std::env::temp_dir().join(format!("bpmax-fault-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            SocketDir(dir)
+        }
+
+        fn socket(&self) -> PathBuf {
+            self.0.join("bpmax.sock")
+        }
+    }
+
+    impl Drop for SocketDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     /// Start a daemon and wait for the socket. The readiness probe is
@@ -455,8 +473,9 @@ mod serve_faults {
         // request ordinal 0 is the first solve (the readiness probe
         // sends no request)
         let _armed = Armed::new(FaultPlan::new().fail(fault::SITE_SERVE_HANDLER, 0, Fault::Panic));
+        let dir = SocketDir::new("handler-panic");
         let (server, handle) = start(ServerConfig {
-            socket: tmp_socket("handler-panic"),
+            socket: dir.socket(),
             ..ServerConfig::default()
         });
         let socket = server.cfg().socket.clone();
@@ -494,8 +513,9 @@ mod serve_faults {
                 .fail(fault::SITE_SERVE_ACCEPT, 1, Fault::Panic)
                 .fail(fault::SITE_SERVE_ACCEPT, 2, Fault::Panic),
         );
+        let dir = SocketDir::new("accept-drop");
         let (server, handle) = start(ServerConfig {
-            socket: tmp_socket("accept-drop"),
+            socket: dir.socket(),
             ..ServerConfig::default()
         });
         let socket = server.cfg().socket.clone();

@@ -227,11 +227,6 @@ impl CacheSim {
     pub fn dram_lines(&self) -> u64 {
         self.dram_lines
     }
-
-    /// Bytes moved from DRAM.
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram_lines * self.line_bytes
-    }
 }
 
 /// Narrow re-export shim so this crate's public API names the trace types

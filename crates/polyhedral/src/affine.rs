@@ -64,11 +64,6 @@ impl AffineExpr {
             .map(|(k, _)| k.as_str())
     }
 
-    /// True if no variable has a non-zero coefficient.
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.values().all(|&c| c == 0)
-    }
-
     /// Evaluate under `env`. Panics if a needed variable is unbound —
     /// an unbound name in a schedule or domain is a programming error we
     /// want loudly, not silently-as-zero.

@@ -98,12 +98,6 @@ impl LinExpr {
             .map(|(v, _)| v.as_str())
     }
 
-    /// True when no variable has a non-zero coefficient.
-    #[must_use]
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.values().all(|&c| c == 0)
-    }
-
     /// `self + other`.
     #[must_use]
     pub fn add(&self, other: &LinExpr) -> LinExpr {

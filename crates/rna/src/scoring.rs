@@ -133,11 +133,6 @@ impl ScoringModel {
         self.intra(a, b) != Self::NO_PAIR
     }
 
-    /// True if `a`–`b` is a scoring intermolecular pair.
-    pub fn can_pair_inter(&self, a: Base, b: Base) -> bool {
-        self.inter(a, b) != Self::NO_PAIR
-    }
-
     /// Largest finite weight in either table — used for upper-bound
     /// invariants in tests.
     pub fn max_weight(&self) -> f32 {

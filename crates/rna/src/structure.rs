@@ -13,7 +13,6 @@
 //!
 //! These checks validate traceback output from both Nussinov and `BPMax`.
 
-use crate::base::Base;
 use crate::scoring::ScoringModel;
 use crate::seq::RnaSeq;
 use std::collections::HashSet;
@@ -255,12 +254,6 @@ impl fmt::Display for StructureError {
 }
 
 impl std::error::Error for StructureError {}
-
-/// Convenience: weight of the base pair `(a, b)` if legal intramolecularly.
-pub fn pair_weight(model: &ScoringModel, a: Base, b: Base) -> Option<f32> {
-    let w = model.intra(a, b);
-    (w != ScoringModel::NO_PAIR).then_some(w)
-}
 
 #[cfg(test)]
 mod tests {
