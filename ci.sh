@@ -10,7 +10,8 @@
 #
 # Stage order (fail-fastest first):
 #   1. cargo fmt --check            cheapest, catches unformatted diffs
-#   2. cargo clippy -D warnings     compiler-adjacent static analysis
+#   2. cargo clippy -D warnings     compiler-adjacent static analysis,
+#                                   once more with fault-inject on
 #   3. bpmax-lint                   repo-specific rules (panic-free library
 #                                   code, justified atomic orderings,
 #                                   no timing in solver hot loops)
@@ -31,22 +32,18 @@
 #                                   and each wavefront worker owns a
 #                                   lane scratch)
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
-#   7. coordinator recovery suite   real spawned worker processes:
-#                                   SIGKILL-a-worker merge bit-identity,
-#                                   poison quarantine at the retry cap
-#                                   with the exact backoff schedule
-#   8. serve smoke                  daemon round-trip against the real
+#   7. serve smoke                  daemon round-trip against the real
 #                                   binary: cold solve, warm cache hit,
 #                                   over-budget typed reject (exit 2),
 #                                   clean shutdown
-#   9. cargo doc -D warnings        rustdoc integrity
-#  10. sanitizer (SAN_GATE)         ThreadSanitizer over the concurrency
+#   8. cargo doc -D warnings        rustdoc integrity
+#   9. sanitizer (SAN_GATE)         ThreadSanitizer over the concurrency
 #                                   models, the batch suite and the
 #                                   split-wavefront engine tests —
 #                                   nightly-only; auto-skipped with a
 #                                   notice when the toolchain lacks it
 #                                   (offline containers)
-#  11. smoke-bench perf gate        noise-aware wall-clock regression gate
+#  10. smoke-bench perf gate        noise-aware wall-clock regression gate
 #
 # SAN_GATE mirrors BENCH_GATE:
 #   auto       run ThreadSanitizer iff the nightly toolchain supports it
@@ -82,6 +79,11 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# The fault registry, the fault-inject branches of main.rs and the
+# fault_injection.rs suite only compile with the feature, so the run
+# above never sees them.
+cargo clippy -p bpmax -p bpmax-cli --all-targets --offline \
+    --features bpmax/fault-inject,bpmax-cli/fault-inject -- -D warnings
 
 echo "== bpmax-lint (repo lint engine) =="
 cargo run -q -p bpmax-lint --offline -- .
@@ -179,15 +181,6 @@ echo "== crash-recovery suite (cli, --features fault-inject) =="
 # of journaled windows, and corrupted/truncated checkpoints must be
 # refused with exit 2 — see crates/cli/tests/crash_recovery.rs.
 cargo test -p bpmax-cli --features fault-inject --offline -q
-
-echo "== coordinator recovery suite (real spawned worker processes) =="
-# Spawns real bpmax-cli worker processes under the shard coordinator:
-# SIGKILL-9 one mid-wave and the merged ranked report must be
-# bit-identical to the single-process run with zero recomputation of
-# journaled windows; a deterministically-aborting window must quarantine
-# at the retry cap with the exact capped-backoff schedule — see
-# crates/cli/tests/coordinator_recovery.rs.
-cargo test -p bpmax-cli --features fault-inject --offline -q --test coordinator_recovery
 
 # wait_ready BIN SOCK PID: wait until the daemon PID answers on SOCK. The
 # socket file exists before the daemon accepts, so its presence proves
@@ -378,7 +371,6 @@ run_smoke() {
     ./target/release/bench_simd_kernel     --smoke --sizes 12,16 --reps 5 --json-dir "$out" > /dev/null
     ./target/release/bench_serve           --smoke --sizes 16,20 --reps 5 --json-dir "$out" > /dev/null
     ./target/release/bench_serve_load      --smoke --sizes 12,16 --reps 3 --json-dir "$out" > /dev/null
-    ./target/release/bench_coordinator     --smoke --sizes 12,16 --reps 3 --json-dir "$out" > /dev/null
 }
 
 case "$BENCH_GATE" in

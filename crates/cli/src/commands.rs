@@ -7,7 +7,6 @@
 //! report — that's a *finding*, not a misuse.
 
 use bpmax::batch::{BatchEngine, BatchOptions};
-use bpmax::coordinator;
 use bpmax::kernels::Ctx;
 use bpmax::serve::{Client, Response, RetryPolicy, Server, ServerConfig, SolveRequest};
 use bpmax::windowed::scan_ranked;
@@ -23,7 +22,7 @@ pub(crate) const USAGE: &str = "usage:
   bpmax-cli interact <seq1> <seq2> [--min-loop K]
                      [--alg base|permuted|coarse|hybrid-tiled|hybrid-reg]
   bpmax-cli scan <query> <target> [--window W] [--top K] [--batch]
-                 [--deadline SECS] [--mem-budget BYTES] [--workers N]
+                 [--deadline SECS] [--mem-budget BYTES]
                  [--checkpoint-dir DIR] [--resume]
   bpmax-cli serve --socket PATH [--mem-budget BYTES]
                   [--max-seconds S] [--cache-dir DIR] [--cache-mem BYTES]
@@ -62,17 +61,6 @@ completed windows are never recomputed and the ranked output is
 bit-identical to an uninterrupted run — and refuses checkpoints written
 under different scoring options or for a different window set. A corrupt
 or truncated checkpoint is a typed error (exit 2), never garbage.
-
---workers N shards the batch across N supervised worker processes (this
-same binary, re-invoked), each journaling into its own checkpoint
-directory under a shared work ledger (--checkpoint-dir names the ledger
-root; default: a temporary directory, removed afterwards). A killed or
-wedged worker is respawned with capped exponential backoff and its
-unfinished windows are taken over by survivors; a window that keeps
-killing workers is quarantined after the retry cap and reported like any
-failed window (exit 3). The merged ranking is bit-identical to a
-single-process run. --workers conflicts with --resume: the ledger is
-recreated fresh each run.
 
 serve runs a resident solve daemon on a Unix socket: one warm batch
 engine (hot block-pool arenas) answers every client request, results are
@@ -255,6 +243,16 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// Refuse a flag that no earlier `take_*` call consumed, by name, so
+/// that the arity check after it does not blame the positional
+/// arguments instead.
+fn reject_unknown_flags(args: &[String]) -> Result<(), CliError> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(usage(format!("unknown flag {flag:?}"))),
+        None => Ok(()),
+    }
+}
+
 /// Entry point: dispatch on the first argument.
 pub(crate) fn dispatch(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
@@ -285,6 +283,7 @@ fn model_with_min_loop(args: &mut Vec<String>) -> Result<ScoringModel, CliError>
 
 fn cmd_fold(mut args: Vec<String>) -> Result<String, CliError> {
     let model = model_with_min_loop(&mut args)?;
+    reject_unknown_flags(&args)?;
     let [seq_arg] = args.as_slice() else {
         return Err(usage("fold takes exactly one sequence"));
     };
@@ -304,6 +303,7 @@ fn cmd_interact(mut args: Vec<String>) -> Result<String, CliError> {
         Some(name) => name.parse::<Algorithm>()?,
         None => Algorithm::HybridReg,
     };
+    reject_unknown_flags(&args)?;
     let [a1, a2] = args.as_slice() else {
         return Err(usage("interact takes exactly two sequences"));
     };
@@ -355,7 +355,6 @@ struct BatchArgs {
     mem_budget: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
-    workers: Option<usize>,
 }
 
 impl BatchArgs {
@@ -367,14 +366,6 @@ impl BatchArgs {
             .transpose()?;
         let checkpoint_dir = take_opt(args, "--checkpoint-dir")?.map(PathBuf::from);
         let resume = take_flag(args, "--resume");
-        let workers = take_opt(args, "--workers")?
-            .map(|v| match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(bad_arg(format!(
-                    "bad --workers {v:?} (need an integer >= 1)"
-                ))),
-            })
-            .transpose()?;
         let gated = [
             (
                 deadline.is_some() || mem_budget.is_some(),
@@ -384,7 +375,6 @@ impl BatchArgs {
                 checkpoint_dir.is_some() || resume,
                 "--checkpoint-dir/--resume",
             ),
-            (workers.is_some(), "--workers"),
         ];
         if !batch {
             for (present, flag) in gated {
@@ -396,27 +386,17 @@ impl BatchArgs {
         if resume && checkpoint_dir.is_none() {
             return Err(usage("--resume requires --checkpoint-dir"));
         }
-        if workers.is_some() && resume {
-            return Err(usage(
-                "--workers cannot be combined with --resume (the coordinator \
-                 ledger is recreated fresh each run)",
-            ));
-        }
         Ok(BatchArgs {
             batch,
             deadline,
             mem_budget,
             checkpoint_dir,
             resume,
-            workers,
         })
     }
 }
 
 fn cmd_scan(mut args: Vec<String>) -> Result<String, CliError> {
-    // the coordinator re-invokes this binary with the same scan argv
-    // (minus coordinator-only flags) so workers rebuild the problem list
-    let raw: Vec<String> = args.clone();
     let model = model_with_min_loop(&mut args)?;
     let window = take_opt(&mut args, "--window")?
         .map(|v| v.parse::<usize>().map_err(|_| bad_arg("bad --window")))
@@ -426,6 +406,7 @@ fn cmd_scan(mut args: Vec<String>) -> Result<String, CliError> {
         .transpose()?
         .unwrap_or(5);
     let batch_args = BatchArgs::parse(&mut args)?;
+    reject_unknown_flags(&args)?;
     let [qa, ta] = args.as_slice() else {
         return Err(usage("scan takes a query and a target"));
     };
@@ -446,7 +427,7 @@ fn cmd_scan(mut args: Vec<String>) -> Result<String, CliError> {
         target.len()
     );
     let (ranked, failures) = if batch_args.batch {
-        let (ranked, note, failures) = scan_batched(&query, &target, &model, w, &batch_args, &raw)?;
+        let (ranked, note, failures) = scan_batched(&query, &target, &model, w, &batch_args)?;
         let _ = writeln!(out, "{note}");
         (ranked, failures)
     } else {
@@ -497,7 +478,6 @@ fn scan_batched(
     model: &ScoringModel,
     w: usize,
     sup: &BatchArgs,
-    raw: &[String],
 ) -> Result<BatchedScan, CliError> {
     let mut opts = BatchOptions::new();
     if let Some(d) = sup.deadline {
@@ -512,29 +492,11 @@ fn scan_batched(
             BpMaxProblem::new(query.clone(), target.slice(s, e), model.clone())
         })
         .collect();
-    if let Some(env) = coordinator::worker_env() {
-        // spawned coordinator worker: claim problems off the shared
-        // ledger, journal into this incarnation's own directory, print
-        // nothing (the coordinator nulls worker stdout anyway)
-        coordinator::run_worker(&problems, opts, &env)?;
-        return Ok((
-            Vec::new(),
-            format!("coordinator worker slot {}: ledger settled", env.slot),
-            Vec::new(),
-        ));
-    }
-    let mut coord_note = None;
-    let report = if let Some(n) = sup.workers {
-        let (report, note) = scan_coordinated(&problems, opts, sup, n, raw)?;
-        coord_note = Some(note);
-        report
-    } else {
-        let engine = BatchEngine::new(opts)?;
-        match (&sup.checkpoint_dir, sup.resume) {
-            (Some(dir), true) => engine.resume(&problems, dir)?,
-            (Some(dir), false) => engine.solve_all_checkpointed(&problems, dir)?,
-            (None, _) => engine.solve_all(&problems)?,
-        }
+    let engine = BatchEngine::new(opts)?;
+    let report = match (&sup.checkpoint_dir, sup.resume) {
+        (Some(dir), true) => engine.resume(&problems, dir)?,
+        (Some(dir), false) => engine.solve_all_checkpointed(&problems, dir)?,
+        (None, _) => engine.solve_all(&problems)?,
     };
     let counts = report.outcomes();
     let mut ranked: Vec<(usize, f32)> = report
@@ -571,9 +533,7 @@ fn scan_batched(
         report.lane_problems,
         report.lane_tables,
     );
-    if let Some(coord) = coord_note {
-        let _ = write!(note, "\n{coord}");
-    } else if let Some(dir) = &sup.checkpoint_dir {
+    if let Some(dir) = &sup.checkpoint_dir {
         let _ = write!(
             note,
             "\ncheckpoint: {} of {} windows replayed from {}",
@@ -583,97 +543,6 @@ fn scan_batched(
         );
     }
     Ok((ranked, note, failures))
-}
-
-/// Read a `BPMAX_COORD_*` millisecond tuning knob (tests shrink the
-/// backoff and heartbeat windows through these; defaults are production).
-fn env_millis(name: &str) -> Option<std::time::Duration> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(std::time::Duration::from_millis)
-}
-
-/// Shard the batch across `n` supervised worker processes (this same
-/// binary, re-invoked with the coordinator environment contract) and
-/// merge their journals. Returns the merged report plus the coordinator
-/// note line with the recovery telemetry.
-fn scan_coordinated(
-    problems: &[BpMaxProblem],
-    opts: BatchOptions,
-    sup: &BatchArgs,
-    n: usize,
-    raw: &[String],
-) -> Result<(bpmax::BatchReport, String), CliError> {
-    let mut copts = bpmax::CoordinatorOptions::new().workers(n);
-    if let Some(r) = std::env::var(coordinator::ENV_RETRIES)
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-    {
-        copts = copts.max_retries(r.max(1));
-    }
-    let base = env_millis("BPMAX_COORD_BACKOFF_MS").unwrap_or(copts.backoff);
-    let cap = env_millis("BPMAX_COORD_BACKOFF_CAP_MS").unwrap_or(copts.backoff_cap);
-    copts = copts.backoff(base, cap.max(base));
-    if let Some(hb) = env_millis("BPMAX_COORD_HEARTBEAT_MS") {
-        copts = copts.heartbeat_timeout(hb);
-    }
-    if let Some(d) = env_millis("BPMAX_COORD_DEADLINE_MS") {
-        copts = copts.worker_deadline(d);
-    }
-
-    let mut wargs = vec!["scan".to_string()];
-    let mut skip_value = false;
-    for a in raw {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        match a.as_str() {
-            "--workers" | "--checkpoint-dir" => skip_value = true,
-            "--resume" => {}
-            _ => wargs.push(a.clone()),
-        }
-    }
-    let program = std::env::current_exe().map_err(|e| {
-        CliError::BpMax(BpMaxError::Coordinator {
-            detail: format!("resolving the worker binary path: {e}"),
-        })
-    })?;
-    let cmd = bpmax::WorkerCommand {
-        program,
-        args: wargs,
-    };
-
-    let (dir, ephemeral) = match &sup.checkpoint_dir {
-        Some(dir) => (dir.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("bpmax-coord-{}", std::process::id())),
-            true,
-        ),
-    };
-    let result = coordinator::run(problems, &opts, &copts, &cmd, &dir);
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let creport = result?;
-
-    let mut note = format!(
-        "coordinator: {} workers, {} respawns, {} stolen, {} poisoned",
-        creport.workers,
-        creport.respawns.len(),
-        creport.stolen,
-        creport.poisoned
-    );
-    if !creport.respawns.is_empty() {
-        let delays: Vec<String> = creport
-            .respawns
-            .iter()
-            .map(|r| format!("{}ms", r.delay.as_millis()))
-            .collect();
-        let _ = write!(note, ", backoff [{}]", delays.join(", "));
-    }
-    Ok((creport.report, note))
 }
 
 /// `serve`: run the resident solve daemon until a client sends
@@ -784,6 +653,7 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
                         .map_err(|_| bad_arg(format!("bad --retries {v:?} (count)")))
                 })
                 .transpose()?;
+            reject_unknown_flags(&args)?;
             let [a1, a2] = args.as_slice() else {
                 return Err(usage("client solve takes exactly two sequences"));
             };
@@ -1427,6 +1297,9 @@ mod tests {
             assert_eq!(err.exit_code(), 2, "{argv:?}: {err:?}");
             assert!(err.show_usage(), "{argv:?}");
         }
+        // a flag no command takes is refused by name, not by arity
+        let err = run(&["scan", "GGG", "CCC", "--batch", "--workers", "2"]).unwrap_err();
+        assert!(err.to_string().contains("--workers"), "{err}");
     }
 
     #[test]
@@ -1535,11 +1408,21 @@ mod tests {
         assert!(out.contains("--batch"));
     }
 
+    /// A per-process temp directory, removed when the test ends.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn fasta_files_accepted() {
-        let dir = std::env::temp_dir().join("bpmax_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p1 = dir.join("a.fa");
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("bpmax_cli_test_{}", std::process::id())));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let p1 = dir.0.join("a.fa");
         std::fs::write(&p1, ">x\nGGGAAACCC\n").unwrap();
         let out = run(&["fold", p1.to_str().unwrap()]).unwrap();
         assert!(out.contains("score: 9"));

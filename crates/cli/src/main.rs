@@ -31,13 +31,6 @@ use std::process::ExitCode;
 ///   supervision checkpoint of every batch problem, so the
 ///   crash-recovery integration tests can SIGKILL this process reliably
 ///   mid-wave.
-/// * `BPMAX_FAULT_SPAWN_FAIL=i,j,…` fails the coordinator's i-th/j-th
-///   worker spawn attempts (`coordinator.spawn` site), exercising the
-///   backoff + slot-retirement path without a real exec failure.
-/// * `BPMAX_FAULT_HEARTBEAT_DROP=i,j,…` makes the coordinator's
-///   i-th/j-th heartbeat checks see a stale worker
-///   (`coordinator.heartbeat` site), forcing deterministic
-///   kill-and-respawn of a healthy process.
 /// * `BPMAX_FAULT_SERVE_HOLD_MS=N` makes every admitted serve request
 ///   hold its in-flight slot an extra N ms (`serve.queue` site), so the
 ///   overload and drain scripts can saturate a `--max-inflight 1`
@@ -65,14 +58,6 @@ fn arm_faults_from_env() {
         for index in 0..512 {
             plan = plan.fail(fault::SITE_SLOW, index, Fault::Slow { millis });
         }
-        armed = true;
-    }
-    for index in indices("BPMAX_FAULT_SPAWN_FAIL") {
-        plan = plan.fail(fault::SITE_SPAWN, index, Fault::Panic);
-        armed = true;
-    }
-    for index in indices("BPMAX_FAULT_HEARTBEAT_DROP") {
-        plan = plan.fail(fault::SITE_HEARTBEAT, index, Fault::Panic);
         armed = true;
     }
     if let Some(millis) = std::env::var("BPMAX_FAULT_SERVE_HOLD_MS")

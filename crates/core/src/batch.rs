@@ -16,7 +16,7 @@
 //!    no interleaving of its workers allocates.
 //! 2. **Two levels of threads, resumable large problems.**
 //!    [`BatchEngine::classify_coarse`] prices each problem with the
-//!    calibratable [`perfmodel`](crate::perfmodel) cost model. The small
+//!    nominal [`perfmodel`](crate::perfmodel) cost model. The small
 //!    (*coarse*) problems run first, under the paper's coarse-grain
 //!    schedule one level up: up to one thread per core claims whole
 //!    problems one at a time in index order, by the same split rule the
@@ -233,13 +233,10 @@ pub struct BatchReport {
     /// instead of recomputed (0 for fresh runs). Replayed items carry
     /// their original score, outcome and latency, but never a table.
     pub replayed: usize,
-    /// Threads the coarse group ran on: 1 for a serial wave, and for a
-    /// coordinator's merged report (each worker process solves one
-    /// problem at a time).
+    /// Threads the coarse group ran on: 1 for a serial wave.
     pub workers: usize,
     /// Problems this wave solved in lane groups, eight same-shape
-    /// problems per vector of cells (0 for a coordinator's merged
-    /// report).
+    /// problems per vector of cells.
     pub lane_problems: usize,
     /// Lane tables this wave allocated: at most one per worker, dropped
     /// when the wave ends.

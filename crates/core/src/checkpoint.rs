@@ -55,9 +55,7 @@ pub const VERSION: u32 = 1;
 const KIND_MANIFEST: u8 = 1;
 const KIND_JOURNAL: u8 = 2;
 const KIND_SNAPSHOT: u8 = 3;
-/// Coordinator work-ledger records (claim leases, poison markers) — see
-/// [`crate::coordinator`].
-pub(crate) const KIND_CLAIM: u8 = 4;
+// Kind 4 stays unused: the retired multi-process coordinator tagged its claim files with it.
 
 /// `manifest.bin` under a checkpoint directory.
 pub fn manifest_path(dir: &Path) -> PathBuf {
@@ -629,32 +627,6 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, BpMaxError> {
     })
 }
 
-/// Write `manifest` alone into `dir` (creating the directory), without
-/// opening a journal — the coordinator's ledger root holds the
-/// authoritative manifest but never journals itself.
-pub(crate) fn write_manifest(dir: &Path, manifest: &RunManifest) -> Result<(), BpMaxError> {
-    fs::create_dir_all(dir).map_err(|e| BpMaxError::CheckpointIo {
-        path: dir.display().to_string(),
-        detail: format!("creating checkpoint directory: {e}"),
-    })?;
-    let mut mbytes = header(KIND_MANIFEST);
-    put_frame(&mut mbytes, &manifest.encode());
-    write_atomic(&manifest_path(dir), &mbytes)
-}
-
-/// Read and verify the manifest of `dir` without touching the journal.
-pub(crate) fn read_manifest(dir: &Path) -> Result<RunManifest, BpMaxError> {
-    let mpath = manifest_path(dir);
-    let mbytes = read_file(&mpath)?;
-    let mut cur = Cursor::new(&mbytes, &mpath);
-    check_header(&mut cur, KIND_MANIFEST)?;
-    let payload = take_frame(&mut cur, "manifest")?;
-    if !cur.done() {
-        return Err(cur.corrupt("trailing bytes after manifest frame".to_string()));
-    }
-    RunManifest::decode(&mut Cursor::new(payload, &mpath))
-}
-
 fn encode_journal(records: impl IntoIterator<Item = JournalRecord>) -> Vec<u8> {
     let mut buf = header(KIND_JOURNAL);
     for rec in records {
@@ -691,7 +663,15 @@ pub type LoadedCheckpoint = (RunManifest, Vec<JournalRecord>, Option<TableSnapsh
 /// with [`BpMaxError::CorruptCheckpoint`] on any integrity violation and
 /// [`BpMaxError::CheckpointIo`] when files cannot be read at all.
 pub fn load(dir: &Path) -> Result<LoadedCheckpoint, BpMaxError> {
-    let manifest = read_manifest(dir)?;
+    let mpath = manifest_path(dir);
+    let mbytes = read_file(&mpath)?;
+    let mut cur = Cursor::new(&mbytes, &mpath);
+    check_header(&mut cur, KIND_MANIFEST)?;
+    let payload = take_frame(&mut cur, "manifest")?;
+    if !cur.done() {
+        return Err(cur.corrupt("trailing bytes after manifest frame".to_string()));
+    }
+    let manifest = RunManifest::decode(&mut Cursor::new(payload, &mpath))?;
 
     let jpath = journal_path(dir);
     let jbytes = read_file(&jpath)?;
@@ -732,7 +712,13 @@ impl CheckpointSink {
     /// Start a fresh checkpoint: create `dir`, write the manifest and an
     /// empty journal, drop any stale snapshot.
     pub fn create(dir: &Path, manifest: &RunManifest) -> Result<CheckpointSink, BpMaxError> {
-        write_manifest(dir, manifest)?;
+        fs::create_dir_all(dir).map_err(|e| BpMaxError::CheckpointIo {
+            path: dir.display().to_string(),
+            detail: format!("creating checkpoint directory: {e}"),
+        })?;
+        let mut mbytes = header(KIND_MANIFEST);
+        put_frame(&mut mbytes, &manifest.encode());
+        write_atomic(&manifest_path(dir), &mbytes)?;
         let jbytes = encode_journal([]);
         write_atomic(&journal_path(dir), &jbytes)?;
         let spath = snapshot_path(dir);

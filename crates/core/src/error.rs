@@ -108,16 +108,6 @@ pub enum BpMaxError {
         /// The underlying I/O error text.
         detail: String,
     },
-    /// A multi-process coordinator run could not make progress: every
-    /// worker slot was retired after repeated spawn failures, the ledger
-    /// ended with unresolved problems, or a worker directory's manifest
-    /// disagrees with the ledger root's. Per-problem failures never take
-    /// this path — they become [`crate::supervise::Outcome`]s in the
-    /// merged report.
-    Coordinator {
-        /// What stopped the run.
-        detail: String,
-    },
     /// A malformed message on the solve-service wire: bad magic, wrong
     /// protocol version, a torn or oversized frame, a CRC32 mismatch, or
     /// a payload that does not decode. The connection is poisoned — the
@@ -196,9 +186,6 @@ impl std::fmt::Display for BpMaxError {
             }
             BpMaxError::CheckpointIo { path, detail } => {
                 write!(f, "checkpoint i/o error at {path}: {detail}")
-            }
-            BpMaxError::Coordinator { detail } => {
-                write!(f, "coordinator error: {detail}")
             }
             BpMaxError::Protocol { detail } => {
                 write!(f, "protocol error: {detail}")
@@ -307,12 +294,6 @@ mod tests {
                     detail: "permission denied".to_string(),
                 },
                 "checkpoint i/o error at ckpt/manifest.bin",
-            ),
-            (
-                BpMaxError::Coordinator {
-                    detail: "all 4 worker slots retired".to_string(),
-                },
-                "coordinator error: all 4 worker slots retired",
             ),
             (
                 BpMaxError::Protocol {

@@ -48,12 +48,11 @@
 //! | [`traceback`] | recovering an optimal [`rna::JointStructure`] from `F` |
 //! | [`schedules`] | Tables I–V encoded as `polyhedral` schedules + dependence system, machine-verified |
 //! | [`nests`] | generated loop nests per version (Table VI LOC metric) |
-//! | [`perfmodel`] | calibrated cost model + `simsched` composition for the multi-thread figures |
+//! | [`perfmodel`] | nominal cost model + `simsched` composition for the multi-thread figures |
 //! | [`windowed`] | banded/windowed `BPMax` (the Glidemaster-style restriction) |
 //! | [`batch`] | the pooled batch engine: arena-recycled tables, supervision, checkpoints |
 //! | [`supervise`] | cancellation, deadlines, memory budgets, outcomes, fault injection |
 //! | [`checkpoint`] | crash-safe batch journaling + integrity-verified table snapshots |
-//! | [`coordinator`] | multi-process shard coordinator: work ledger, worker supervision, crash-tolerant merge |
 //! | [`serve`] | the resident solve daemon: wire protocol, admission control, content-addressed result cache |
 //! | [`error`] | [`BpMaxError`], the error type of every fallible entry point |
 //!
@@ -74,7 +73,6 @@ pub mod baseline;
 pub mod batch;
 pub mod bounds;
 pub mod checkpoint;
-pub mod coordinator;
 pub mod engine;
 pub mod error;
 pub mod ftable;
@@ -90,7 +88,6 @@ pub mod windowed;
 
 pub use batch::{BatchEngine, BatchItem, BatchOptions, BatchReport};
 pub use checkpoint::{CheckpointSink, JournalRecord, RunManifest, TableSnapshot};
-pub use coordinator::{CoordinatorOptions, CoordinatorReport, WorkerCommand};
 pub use engine::{Algorithm, BpMaxProblem, Solution, SolveOptions};
 pub use error::BpMaxError;
 pub use ftable::{BlockPool, FTable, PoolStats};

@@ -1,14 +1,15 @@
-//! Calibrated performance model — how the multi-thread figures are
+//! Performance model — how the multi-thread figures are
 //! regenerated on single-core CI hardware.
 //!
 //! The substitution (DESIGN.md §3): the paper's parallel results are
 //! properties of (a) per-kernel serial throughput, (b) the wavefront task
 //! structure, (c) the scheduling policy, and (d) memory-system ceilings.
-//! We measure (a) on the machine we have, build (b) exactly as the real
-//! variants do, use `simsched` for (c), and take (d) from the roofline
-//! model. The composition predicts seconds per variant/size/thread-count;
-//! figures 12–17 plot those predictions next to the measured
-//! single-thread numbers.
+//! We take (a) from per-core rates in the paper's range
+//! ([`CostModel::nominal`]), build (b) exactly as the real variants do,
+//! use `simsched` for (c), and take (d) from the roofline model. The
+//! composition predicts seconds per variant/size/thread-count; figures
+//! 12–17 plot those predictions next to the measured single-thread
+//! numbers.
 //!
 //! Memory ceilings applied (all from the paper's own analysis):
 //!
@@ -22,14 +23,11 @@
 //!   ratio, which is what caps the full `BPMax` at ~60% below the pure
 //!   kernel (§V.C) and what hyper-threading amplifies.
 
-use crate::engine::{Algorithm, BpMaxProblem, SolveOptions};
-use crate::kernels::Tile;
+use crate::engine::Algorithm;
 use machine::spec::MachineSpec;
 use machine::traffic;
-use rna::{RnaSeq, ScoringModel};
 use simsched::sched::{simulate_parallel_for, OmpPolicy};
 use simsched::speedup::HtModel;
-use std::time::Instant;
 
 /// Bytes touched per max-plus FLOP by the streaming kernels (AI = 1/6).
 const BYTES_PER_FLOP: f64 = 6.0;
@@ -52,8 +50,8 @@ pub struct CostModel {
 impl CostModel {
     /// Nominal constants for a ~3.5 GHz AVX2 core: ~1 GFLOP/s scalar
     /// strided, ~20 GFLOP/s streaming vectorized (the paper's measured
-    /// per-core rates are in this range). Used when calibration is not
-    /// wanted (tests, deterministic output).
+    /// per-core rates are in this range). Every caller prices work with
+    /// these constants; none is measured on the host.
     pub fn nominal() -> Self {
         CostModel {
             spf_r0_naive: 1.0 / 0.9e9,
@@ -62,64 +60,6 @@ impl CostModel {
             spf_r12: 1.0 / 8e9,
             spf_cell: 1.0 / 0.2e9,
         }
-    }
-
-    /// Calibrate by timing the real kernels on a small instance.
-    /// `size` ≈ 24–48 gives stable numbers in well under a second.
-    ///
-    /// The `HybridTiled` timing is a one-thread rate only below the split
-    /// cutoff (0.7 MFLOP per worker, DESIGN.md §3): above it the
-    /// version runs each outer diagonal on the host's cores. Every
-    /// diagonal of a square solve up to 24 stays below the cutoff, and the
-    /// one caller, a unit test, uses size 20.
-    pub fn calibrate(size: usize) -> Self {
-        let seqs = || -> (RnaSeq, RnaSeq) {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-            let mut rng = StdRng::seed_from_u64(0xB9);
-            (
-                RnaSeq::random(&mut rng, size),
-                RnaSeq::random(&mut rng, size),
-            )
-        };
-        let (s1, s2) = seqs();
-        let model = ScoringModel::bpmax_default();
-        let p = BpMaxProblem::new(s1, s2, model);
-        let flops = traffic::r0_flops(size, size) as f64;
-        let solve = |alg: Algorithm| {
-            p.solve_opts(&SolveOptions::new().algorithm(alg))
-                .map(super::engine::Solution::into_ftable)
-                .ok()
-        };
-        let time = |alg: Algorithm| -> f64 {
-            let t = Instant::now();
-            std::hint::black_box(solve(alg));
-            t.elapsed().as_secs_f64()
-        };
-        // Warm-up.
-        let _ = solve(Algorithm::Permuted);
-        let t_base = time(Algorithm::Baseline);
-        let t_perm = time(Algorithm::Permuted);
-        let t_tiled = time(Algorithm::HybridTiled {
-            tile: Tile::small(),
-        });
-        let all = traffic::bpmax_flops(size, size) as f64;
-        // Attribute whole-program time to R0 FLOPs (R0 dominates at this
-        // aspect ratio); R1/R2 throughput taken as half the permuted rate.
-        let nominal = CostModel::nominal();
-        CostModel {
-            spf_r0_naive: (t_base / all).max(1e-12),
-            spf_r0_permuted: (t_perm / all).max(1e-12),
-            spf_r0_tiled: (t_tiled / all).max(1e-12).min(t_perm / all),
-            spf_r12: 2.0 * (t_perm / all).max(1e-12),
-            spf_cell: nominal.spf_cell,
-        }
-        .validated(flops)
-    }
-
-    fn validated(self, _flops: f64) -> Self {
-        assert!(self.spf_r0_naive > 0.0 && self.spf_r0_permuted > 0.0);
-        self
     }
 }
 
@@ -423,6 +363,7 @@ pub fn predict_bpmax_gflops(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::Tile;
 
     fn setup() -> (CostModel, MachineSpec, HtModel) {
         (
@@ -523,12 +464,5 @@ mod tests {
             assert!(s <= prev + 1e-12, "t={t}: {s} > {prev}");
             prev = s;
         }
-    }
-
-    #[test]
-    fn calibration_produces_sane_model() {
-        let cm = CostModel::calibrate(20);
-        assert!(cm.spf_r0_naive > cm.spf_r0_permuted * 0.5);
-        assert!(cm.spf_r0_permuted > 0.0 && cm.spf_r0_permuted < 1e-6);
     }
 }

@@ -477,14 +477,6 @@ pub mod fault {
     pub const SITE_COMPUTE: &str = "batch.compute";
     /// Site: per-checkpoint artificial slowness inside the solve.
     pub const SITE_SLOW: &str = "batch.slow";
-    /// Site: spawning one coordinator worker process (index = spawn
-    /// attempt ordinal). Any fault fails the spawn, exercising the
-    /// backoff + slot-retirement path without a real exec failure.
-    pub const SITE_SPAWN: &str = "coordinator.spawn";
-    /// Site: one coordinator heartbeat check (index = check ordinal).
-    /// Any fault makes the checked worker look stale, forcing a
-    /// deterministic kill-and-respawn.
-    pub const SITE_HEARTBEAT: &str = "coordinator.heartbeat";
     /// Site: one accepted serve-daemon connection (index = accept
     /// ordinal). Any fault drops the connection before a handler thread
     /// exists — the deterministic stand-in for an accept-time failure

@@ -224,11 +224,21 @@ mod tests {
         assert_eq!(lines[3].len(), 10);
     }
 
+    /// A per-process temp directory, removed when the test ends.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("bpmax_fasta_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.fa");
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("bpmax_fasta_test_{}", std::process::id())));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("t.fa");
         let recs = parse(">x\nGGAUC\n").unwrap();
         write_file(&path, &recs).unwrap();
         assert_eq!(read_file(&path).unwrap(), recs);
