@@ -154,13 +154,19 @@ echo "== split-wave repeats (50 runs each) =="
 # and kernels::tests::lane_runs_*, Phase B in triangle lanes), the lane
 # group tests (batch::tests::lanes_* and the fault suite's
 # lane_group_*: the same split workers claim whole lane groups and
-# share the wave's lane tables) and the three pool tests 50 times each;
+# share the wave's lane tables), the three pool tests and the 16-bit
+# lane tests (lanes16_tests::split_* and ::lanes_*: lone solves on
+# forced splits and lane groups of 1-8 members in [i16; 8] cells, each
+# cell checked against the oracle, whose debug build takes ~13 s a run,
+# so these run from stage 4b's release build) 50 times each;
 # any failure stops the gate. On a disk with slow fsync
 # most of the time is the journaling split test's writes.
 split_bins="$(cargo test -p bpmax --features fault-inject --offline --no-run \
     --lib --test fault_injection 2>&1)"
 SPLIT_LIB="$(sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))$/\1/p' <<< "$split_bins")"
 SPLIT_FAULT="$(sed -n 's/.*Executable tests\/fault_injection.rs (\(.*\))$/\1/p' <<< "$split_bins")"
+lanes16_bins="$(cargo test --release -p bpmax --offline --no-run --lib 2>&1)"
+LANES16_LIB="$(sed -n 's/.*Executable unittests src\/lib.rs (\(.*\))$/\1/p' <<< "$lanes16_bins")"
 for run in $(seq 1 50); do
     out="$("$SPLIT_LIB" -q batch::tests::split_ batch::tests::lanes_ engine::tests::split_ \
         engine::tests::runs_ kernels::tests::lane_runs_ \
@@ -172,8 +178,10 @@ for run in $(seq 1 50); do
         lane_group_alloc_fault_drops_only_its_member \
         lane_group_slow_member_times_the_group_out_as_a_unit 2>&1)" ||
         { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
+    out="$("$LANES16_LIB" -q lanes16_tests::split_ lanes16_tests::lanes_ 2>&1)" ||
+        { echo "$out" >&2; echo "ci.sh: split-wave repeat $run failed" >&2; exit 1; }
 done
-echo "-- split waves: 50 runs of the split, wavefront split, run, lane group and pool tests passed"
+echo "-- split waves: 50 runs of the split, wavefront split, run, lane group, pool and 16-bit lane tests passed"
 
 echo "== crash-recovery suite (cli, --features fault-inject) =="
 # SIGKILLs a checkpointed scan mid-wave and resumes it: the ranked output

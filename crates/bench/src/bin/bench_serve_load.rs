@@ -31,12 +31,20 @@
 //!    all answers arrive, all bit-identical. Shedding plus retry must
 //!    degrade latency, never correctness.
 //!
-//! Both the floor and the overload phase's "must shed" need solves long
-//! enough for requests to overlap, so the problem sizes are keyed on a
-//! measured solve time: the requested `--sizes` grow in steps of 2 until
-//! a direct solve takes at least [`MIN_SOLVE_S`] (up to
-//! [`MAX_CALIBRATED`]). Below that, the per-request socket and codec
-//! work dominates and the ratio measures wake-up latency, not solves.
+//! The floor needs solves long enough for requests to overlap, so the
+//! problem sizes are keyed on a measured solve time: the requested
+//! `--sizes` grow in steps of 2 until a direct solve takes at least
+//! [`MIN_SOLVE_S`] (up to [`MAX_CALIBRATED`]). Below that, the
+//! per-request socket and codec work dominates and the ratio measures
+//! wake-up latency, not solves.
+//!
+//! The overload phase collides by construction: its sizes grow until a
+//! direct solve takes at least [`OVERLOAD_SOLVE_S`], and its clients send
+//! their first requests together, from a barrier. The first one admitted
+//! holds the only slot that long, so the others arrive while it is held
+//! and are shed at once (the queue holds none). Each client sends
+//! [`OVERLOAD_PER_CLIENT`] requests, so the longest any client waits for
+//! the slot stays well inside its retry budget.
 //!
 //! Cold timing note: the daemon memoizes every solve, so each timed
 //! repetition consumes a fresh slice of a pregenerated problem pool
@@ -57,10 +65,27 @@ const CLIENTS: usize = 4;
 /// Median direct solve time the calibrated problem sizes must reach.
 const MIN_SOLVE_S: f64 = 2e-3;
 
-/// Calibration stops growing the sizes here: the overload phase's retry
-/// budget (16 attempts, at most 50 ms apart) assumes solves of a few
-/// milliseconds.
+/// Calibration of the serial and concurrent phases stops growing the
+/// sizes here. Larger solves split their own diagonals across the cores
+/// (`engine::MIN_FLOPS_PER_WORKER`), which leaves the concurrent phase
+/// less to gain over the serial one.
 const MAX_CALIBRATED: usize = 24;
+
+/// The overload daemon's queue wait. Its queue holds no request, so a
+/// request that finds the slot taken is shed without waiting.
+const OVERLOAD_QUEUE_WAIT: Duration = Duration::from_millis(5);
+
+/// Median direct solve time the overload phase's sizes must reach: many
+/// times the spread of the clients' first requests after the barrier, so
+/// that at least three of those four requests find the slot taken.
+const OVERLOAD_SOLVE_S: f64 = 4.0 * 5e-3;
+
+/// Requests each overload client sends. With the calibrated solves, the
+/// slot is busy about `CLIENTS × OVERLOAD_PER_CLIENT × OVERLOAD_SOLVE_S`
+/// (160 ms) in all, which a client's retry budget (16 attempts, the later
+/// ones 32–50 ms apart, about 0.5 s) outlasts even when the other clients
+/// take the slot first every time.
+const OVERLOAD_PER_CLIENT: usize = 2;
 
 fn solved(resp: Response) -> f32 {
     match resp {
@@ -107,18 +132,22 @@ fn direct_solve_s(reqs: &[SolveRequest]) -> f64 {
     median(&mut times)
 }
 
-/// The requested sizes, all grown in steps of 2 until a direct solve of
-/// the pool they cycle through takes at least [`MIN_SOLVE_S`] (median),
-/// or the largest reaches [`MAX_CALIBRATED`]. Returns the sizes and that
-/// median.
-fn calibrated_sizes(opts: &Opts) -> (Vec<usize>, f64) {
-    let mut sizes = opts.sizes.clone();
+/// `sizes`, all grown in steps of 2 until a direct solve of the pool
+/// they cycle through takes at least `min_solve_s` (median), or the
+/// largest reaches `max_size`. Returns the sizes and that median.
+fn calibrated_sizes(
+    sizes: &[usize],
+    seed: u64,
+    min_solve_s: f64,
+    max_size: usize,
+) -> (Vec<usize>, f64) {
+    let mut sizes = sizes.to_vec();
     loop {
-        let probe = pool(&sizes, opts.seed, 0xCA11B, 2 * CLIENTS);
+        let probe = pool(&sizes, seed, 0xCA11B, 2 * CLIENTS);
         direct_solve_s(&probe[..1]); // warm-up
         let solve_s = direct_solve_s(&probe);
         let largest = sizes.iter().copied().max().unwrap_or(0);
-        if solve_s >= MIN_SOLVE_S || largest >= MAX_CALIBRATED {
+        if solve_s >= min_solve_s || largest >= max_size {
             return (sizes, solve_s);
         }
         for s in &mut sizes {
@@ -194,15 +223,18 @@ fn main() {
         "concurrent aggregate throughput beats one-at-a-time serving",
     );
 
+    // A smoke pass of 8 requests lasted ~15 ms, short enough for one
+    // stall of the shared second vCPU to sink a repetition's ratio below
+    // the floor (3 of 30 smoke runs); 16 requests passed 30 of 30.
     let per_pass = if opts.smoke {
-        8
+        16
     } else if opts.full {
         48
     } else {
         24
     };
     let reps = opts.reps(5);
-    let (sizes, solve_s) = calibrated_sizes(&opts);
+    let (sizes, solve_s) = calibrated_sizes(&opts.sizes, opts.seed, MIN_SOLVE_S, MAX_CALIBRATED);
     println!(
         "\n{per_pass} requests per pass, {CLIENTS} clients in the concurrent phase, \
          {cores} core(s), sizes cycled from {sizes:?} (requested {:?}; direct solve \
@@ -329,22 +361,32 @@ fn main() {
     );
 
     // ---- phase 3: overload — shed, retry, recover ---------------------
-    let over_pool = pool(&sizes, opts.seed, 0x0BAD, CLIENTS * per_pass.min(8));
-    let each = over_pool.len() / CLIENTS;
+    // sizes no larger than a solve a few times the queue wait needs
+    let (over_sizes, over_solve_s) = calibrated_sizes(&sizes, opts.seed, OVERLOAD_SOLVE_S, 64);
+    let over_pool = pool(
+        &over_sizes,
+        opts.seed,
+        0x0BAD,
+        CLIENTS * OVERLOAD_PER_CLIENT,
+    );
+    let each = OVERLOAD_PER_CLIENT;
     let (server, daemon) = start(ServerConfig {
         socket: dir.join("overload.sock"),
         max_inflight: Some(1),
         queue_depth: Some(0),
-        queue_wait: Some(Duration::from_millis(5)),
+        queue_wait: Some(OVERLOAD_QUEUE_WAIT),
         ..ServerConfig::default()
     });
     let socket: Arc<PathBuf> = Arc::new(server.cfg().socket.clone());
     let over_pool = Arc::new(over_pool);
+    let start_line = std::sync::Barrier::new(CLIENTS);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
-            let (pool, socket) = (&over_pool, &socket);
+            let (pool, socket, start_line) = (&over_pool, &socket, &start_line);
             scope.spawn(move || {
+                // every client's first request leaves at once
+                start_line.wait();
                 let policy = RetryPolicy {
                     attempts: 16,
                     base: Duration::from_millis(2),
@@ -378,6 +420,7 @@ fn main() {
         ("overload_requests", over_pool.len() as f64),
         ("overload_wall_s", over_wall),
         ("overload_shed", over_server_stats.shed as f64),
+        ("overload_solve_us", 1e6 * over_solve_s),
     ]);
     if cores >= 2 {
         assert!(
@@ -402,8 +445,10 @@ fn main() {
     println!(
         "\nconcurrent aggregate throughput: {speedup:.2}x the serial baseline \
          on {cores} core(s) delivering {capacity:.2} cores' worth; p50 {p50_us:.0} us, \
-         p99 {p99_us:.0} us per request; overload phase shed {} request(s), every \
-         one recovered by retry with bit-identical answers",
+         p99 {p99_us:.0} us per request; overload phase ({over_sizes:?}, direct solve \
+         median {:.0} us) shed {} request(s), every one recovered by retry with \
+         bit-identical answers",
+        1e6 * over_solve_s,
         over_server_stats.shed
     );
     // The floor scales with what the machine can actually deliver: real

@@ -28,9 +28,14 @@
 //!    snapshot file has one writer at a time.
 //! 3. **Lanes.** Within the coarse group, same-shape problems (a scan's
 //!    windows) run in lane groups of up to eight: one lane table holds
-//!    their F-tables cell by cell (`[f32; 8]`, lane `l` = member `l`), and
-//!    one wavefront of the element-generic kernels over it solves them
-//!    all, lane `l` running exactly member `l`'s scalar update sequence.
+//!    their F-tables cell by cell (lane `l` = member `l`), and one
+//!    wavefront of the element-generic kernels over it solves them all,
+//!    lane `l` running exactly member `l`'s scalar update sequence. A
+//!    group's cells are `[i16; 8]` ([`tropical::scalar::Lanes16`]) when
+//!    16 bits are exact for its members' model and shape
+//!    (`kernels::exact_in_lanes16`), and `[f32; 8]` otherwise;
+//!    problems are grouped by shape and element, so one `f32` member
+//!    never demotes a group.
 //!    Each member keeps its own entry check, budget admission, fault
 //!    sites, journal record and [`BatchItem`]; the group shares one watch,
 //!    so a deadline or cancellation stops it as a unit, and a panic
@@ -69,11 +74,12 @@ use crate::windowed::{max_window_within, solve_windowed_watched};
 use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use tropical::scalar::{Lanes, LANES};
+use tropical::scalar::{LaneCell, Lanes, Lanes16, LANES};
 
 /// Predicted serial seconds below which [`BatchEngine::classify_coarse`]
 /// marks a problem coarse: it runs in the batch's first group, and an
@@ -583,8 +589,10 @@ impl BatchEngine {
     /// The coarse group's same-shape problems run in lane groups of up
     /// to [`LANES`] ([`plan_units`]): one lane table holds the group's
     /// F-tables cell by cell, and one wavefront over it solves them all,
-    /// lane `l` bit-identical to problem `l`'s own solve.
-    fn run_batch(
+    /// lane `l` bit-identical to problem `l`'s own solve. A group whose
+    /// members are exact in 16 bits runs on a [`Lanes16`] table, any
+    /// other on a [`Lanes`] one.
+    pub(crate) fn run_batch(
         &self,
         problems: &[BpMaxProblem],
         ckpt: Option<&CheckpointSink>,
@@ -617,13 +625,19 @@ impl BatchEngine {
         let flops = pending.iter().map(|&i| problems[i].flops() as f64).sum();
         let plan = self.plan(problems, &pending, &sup, snapshot);
         let workers = split.workers(plan.len(), flops);
-        let mut lanes = LaneTables::default();
+        // a lane group's element, from its first member (a group shares it)
+        let exact16 = |i: usize| problems[i].ctx().terms().exact16();
+        let mut lanes = LaneTables::<Lanes>::default();
+        let mut lanes16 = LaneTables::<Lanes16>::default();
         // a wave that is over before it starts allocates nothing
         if Watch::new(&sup).check_now().is_ok() {
             if workers > 1 {
                 self.top_up(pending.iter().map(|&i| &problems[i]), workers, &sup);
             }
-            lanes = LaneTables::for_wave(problems, &plan, workers);
+            let groups = plan.iter().filter(|unit| unit.len() >= MIN_LANES);
+            lanes =
+                LaneTables::for_wave(problems, groups.clone().filter(|u| !exact16(u[0])), workers);
+            lanes16 = LaneTables::for_wave(problems, groups.filter(|u| exact16(u[0])), workers);
         }
         let mut open: Vec<Option<&mut Option<BatchItem>>> = slots.iter_mut().map(Some).collect();
         let units: Vec<Vec<(usize, &mut Option<BatchItem>)>> = plan
@@ -643,7 +657,11 @@ impl BatchEngine {
                 return;
             }
             // a group that could not run leaves its members' slots empty
-            self.solve_lanes(problems, &mut unit, &sup, ckpt, &lanes);
+            if exact16(unit[0].0) {
+                self.solve_lanes(problems, &mut unit, &sup, ckpt, &lanes16);
+            } else {
+                self.solve_lanes(problems, &mut unit, &sup, ckpt, &lanes);
+            }
             for (i, slot) in unit {
                 if slot.is_none() {
                     *slot = Some(solve(i));
@@ -676,8 +694,8 @@ impl BatchEngine {
             pool: self.pool.stats(),
             replayed,
             workers,
-            lane_problems: lanes.solved.into_inner(),
-            lane_tables: lanes.allocated.into_inner(),
+            lane_problems: lanes.solved.into_inner() + lanes16.solved.into_inner(),
+            lane_tables: lanes.allocated.into_inner() + lanes16.allocated.into_inner(),
         })
     }
 
@@ -685,7 +703,8 @@ impl BatchEngine {
     /// pending problem may join a lane group when this engine's version
     /// runs the wavefront (every version but `Baseline`), both strands
     /// are non-empty, the memory budget admits its own table, and no
-    /// snapshot resumes it.
+    /// snapshot resumes it. It joins the groups of its shape and lane
+    /// element (`Terms::exact16`).
     fn plan(
         &self,
         problems: &[BpMaxProblem],
@@ -700,25 +719,26 @@ impl BatchEngine {
             let admitted = FTable::estimate_bytes(m, n, Layout::Packed)
                 .is_ok_and(|bytes| sup.budget.is_none_or(|b| b.allows(bytes)));
             let resumes = snapshot.is_some_and(|s| s.index as usize == i);
-            (wavefront && m > 0 && n > 0 && admitted && !resumes).then_some((m, n))
+            let exact16 = problem.ctx().terms().exact16();
+            (wavefront && m > 0 && n > 0 && admitted && !resumes).then_some((m, n, exact16))
         })
     }
 
     /// Solve the lane group `unit` (same-shape coarse problems) in one
-    /// wavefront over a lane table from `lanes`, filling each member's
-    /// slot. Each member keeps its own entry check and fault sites, and
+    /// wavefront over a lane table of cells `L` from `lanes`, filling
+    /// each member's slot. Each member keeps its own entry check and fault sites, and
     /// gets its own journal record and item; the group runs under one
     /// watch, so a deadline or cancellation stops it as a unit. When the
     /// group cannot run as one — its compute panicked, or its lane table
     /// could not be shaped — its live members' slots stay empty, for the
     /// caller to solve one at a time, where only a faulty member fails.
-    fn solve_lanes(
+    fn solve_lanes<L: LaneCell>(
         &self,
         problems: &[BpMaxProblem],
         unit: &mut [(usize, &mut Option<BatchItem>)],
         sup: &Supervision,
         ckpt: Option<&CheckpointSink>,
-        lanes: &LaneTables,
+        lanes: &LaneTables<L>,
     ) {
         let t = Instant::now();
         // positions in `unit` of the members that passed admission
@@ -755,7 +775,7 @@ impl BatchEngine {
             .iter()
             .map(|&pos| problems[unit[pos].0].ctx().terms())
             .collect();
-        let terms = Terms::interleave(&members);
+        let terms = Terms::<L>::interleave(&members);
         let (m, n) = (terms.m(), terms.n());
         let mut table = lanes.take(m, n);
         if table.reset(m, n, Layout::Packed).is_err() {
@@ -771,7 +791,7 @@ impl BatchEngine {
         });
         // one triangle per run: both phases of the lane kernels
         let order = self.opts.solve.raw_algorithm().r0_order();
-        let triangle = |_: &mut (), done: &FView<'_, Lanes>, i1, d1, acc: &mut [Lanes]| {
+        let triangle = |_: &mut (), done: &FView<'_, L>, i1, d1, acc: &mut [L]| {
             let j1 = i1 + d1;
             accumulate_r034_serial(&terms, done, i1, j1, acc, order);
             finalize_triangle(&terms, i1, j1, done, prev_block(done, i1, j1), acc);
@@ -798,7 +818,7 @@ impl BatchEngine {
                 Err(err) => Err(err.clone()),
                 Ok(()) => {
                     solved += 1;
-                    let score = table.get(0, m - 1, 0, n - 1)[lane];
+                    let score = table.get(0, m - 1, 0, n - 1).lane(lane);
                     let kept = self
                         .opts
                         .keep_tables
@@ -1022,22 +1042,22 @@ fn batch_item(
 
 /// Split the coarse group's pending problems (input order) into the
 /// units its workers claim, ordered by their first problem. Problems
-/// that `lane_shape` gives the same shape form lane groups of up to
-/// [`LANES`], in input order; a group of fewer than [`MIN_LANES`], and
-/// every problem without a lane shape, is a unit of one.
-fn plan_units(
+/// that `lane_key` gives the same key (a shape and a lane element) form
+/// lane groups of up to [`LANES`], in input order; a group of fewer than
+/// [`MIN_LANES`], and every problem without a key, is a unit of one.
+fn plan_units<K: Eq + Hash>(
     pending: &[usize],
-    lane_shape: impl Fn(usize) -> Option<(usize, usize)>,
+    lane_key: impl Fn(usize) -> Option<K>,
 ) -> Vec<Vec<usize>> {
     let mut units = Vec::new();
-    let mut shapes: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+    let mut keyed: HashMap<K, Vec<usize>> = HashMap::new();
     for &i in pending {
-        match lane_shape(i) {
-            Some(shape) => shapes.entry(shape).or_default().push(i),
+        match lane_key(i) {
+            Some(key) => keyed.entry(key).or_default().push(i),
             None => units.push(vec![i]),
         }
     }
-    for members in shapes.into_values() {
+    for members in keyed.into_values() {
         for group in members.chunks(LANES) {
             if group.len() >= MIN_LANES {
                 units.push(group.to_vec());
@@ -1050,23 +1070,36 @@ fn plan_units(
     units
 }
 
-/// The lane tables of one wave: allocated before its split, one per
-/// worker, and handed to whichever worker claims a lane group. They are
-/// dropped with the wave, so an idle engine holds none.
-#[derive(Default)]
-struct LaneTables {
-    spare: Mutex<Vec<FTable<Lanes>>>,
+/// The lane tables of cells `L` of one wave: allocated before its split,
+/// one per worker, and handed to whichever worker claims a lane group of
+/// that element. They are dropped with the wave, so an idle engine holds
+/// none. A [`Lanes16`] table is half the size of a [`Lanes`] one.
+struct LaneTables<L> {
+    spare: Mutex<Vec<FTable<L>>>,
     /// Tables allocated.
     allocated: AtomicUsize,
     /// Problems solved in lanes.
     solved: AtomicUsize,
 }
 
-impl LaneTables {
-    /// One table per worker that can hold a lane group at once (at most
-    /// one per group), each shaped for the plan's largest group.
-    fn for_wave(problems: &[BpMaxProblem], plan: &[Vec<usize>], workers: usize) -> LaneTables {
-        let groups = plan.iter().filter(|unit| unit.len() >= MIN_LANES);
+impl<L> Default for LaneTables<L> {
+    fn default() -> Self {
+        LaneTables {
+            spare: Mutex::new(Vec::new()),
+            allocated: AtomicUsize::new(0),
+            solved: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<L: LaneCell> LaneTables<L> {
+    /// One table per worker that can hold one of `groups` at once (at
+    /// most one per group), each shaped for the largest group.
+    fn for_wave<'p>(
+        problems: &[BpMaxProblem],
+        groups: impl Iterator<Item = &'p Vec<usize>> + Clone,
+        workers: usize,
+    ) -> Self {
         let largest = groups
             .clone()
             .map(|unit| (problems[unit[0]].ctx().m(), problems[unit[0]].ctx().n()))
@@ -1081,7 +1114,7 @@ impl LaneTables {
     }
 
     /// A new table with room for `m × n`, counted in `allocated`.
-    fn fresh(&self, m: usize, n: usize) -> FTable<Lanes> {
+    fn fresh(&self, m: usize, n: usize) -> FTable<L> {
         self.allocated.fetch_add(1, Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
         let mut table = FTable::empty();
         // a shape the arithmetic refuses leaves the table empty, and the
@@ -1091,7 +1124,7 @@ impl LaneTables {
     }
 
     /// A spare table, or a fresh one when none is left.
-    fn take(&self, m: usize, n: usize) -> FTable<Lanes> {
+    fn take(&self, m: usize, n: usize) -> FTable<L> {
         let spare = self
             .spare
             .lock()
@@ -1101,7 +1134,7 @@ impl LaneTables {
     }
 
     /// Hand a table back for the next group.
-    fn put(&self, table: FTable<Lanes>) {
+    fn put(&self, table: FTable<L>) {
         self.spare
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1110,16 +1143,20 @@ impl LaneTables {
 }
 
 /// Lane `lane` of a solved lane table, copied into a pooled F-table.
-fn lane_copy(lanes: &FTable<Lanes>, lane: usize, pool: &BlockPool) -> Result<FTable, BpMaxError> {
+fn lane_copy<L: LaneCell>(
+    lanes: &FTable<L>,
+    lane: usize,
+    pool: &BlockPool,
+) -> Result<FTable, BpMaxError> {
     let mut f = FTable::try_new_in(lanes.m(), lanes.n(), Layout::Packed, pool)?;
     for (i1, j1, i2, j2) in lanes.iter_cells() {
-        f.set(i1, j1, i2, j2, lanes.get(i1, j1, i2, j2)[lane]);
+        f.set(i1, j1, i2, j2, lanes.get(i1, j1, i2, j2).lane(lane));
     }
     Ok(f)
 }
 
 /// One empty result slot per problem.
-fn empty_slots(problems: &[BpMaxProblem]) -> Vec<Option<BatchItem>> {
+pub(crate) fn empty_slots(problems: &[BpMaxProblem]) -> Vec<Option<BatchItem>> {
     problems.iter().map(|_| None).collect()
 }
 

@@ -30,9 +30,12 @@
 //! (`kernels::accumulate_r034_lanes`), and its workers claim runs of up
 //! to eight consecutive triangles of a diagonal, whose Phase B they run
 //! in the lanes of one vector (`kernels::finalize_lanes`), both on a
-//! scratch each worker keeps for the whole solve. One worker cuts a
-//! diagonal into runs of eight; a split cuts it into a multiple of its
-//! workers of runs as even as whole triangles allow (`run_lengths`).
+//! scratch each worker keeps for the whole solve. Both lane kinds run in
+//! exact 16-bit cells when the problem's model and shape allow
+//! (`kernels::exact_in_lanes16`), in `f32` cells otherwise.
+//! One worker cuts a diagonal into runs of eight; a split cuts it into a
+//! multiple of its workers of runs as even as whole triangles allow
+//! (`run_lengths`).
 //! The paper's Phase II fine-grain and
 //! Phase III hybrid schedules share one triangle's rows across threads;
 //! that would only help diagonals with fewer triangles than cores. They
@@ -60,7 +63,7 @@ use rna::{JointStructure, RnaSeq, ScoringModel};
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::{Mutex, OnceLock, PoisonError};
-use tropical::scalar::{MaxPlus, LANES};
+use tropical::scalar::{LaneCell, Lanes, Lanes16, MaxPlus, LANES};
 
 /// The least max-plus work, in flops, that one worker of a split must
 /// get, whether it splits an outer diagonal's triangles or a batch wave's
@@ -440,10 +443,12 @@ impl BpMaxProblem {
 /// holds up to [`LANES`] triangles of a diagonal: each one's Phase A in
 /// split-point lanes ([`accumulate_r034_lanes`]), then the run's Phase B
 /// in triangle lanes ([`finalize_lanes`]), against lane terms built once
-/// here ([`Terms::along_diagonal`]). Every other order takes runs of one
+/// here ([`Terms::along_diagonal`]). The lanes are [`Lanes16`] cells when
+/// the problem's terms say 16 bits are exact (`Terms::exact16`), and
+/// [`Lanes`] cells otherwise. Every other order takes runs of one
 /// triangle: [`accumulate_r034_serial`], then [`finalize_lanes`], which
 /// finalizes a run that short one triangle at a time.
-fn solve_range(
+pub(crate) fn solve_range(
     terms: &Terms<f32>,
     order: R0Order,
     f: &mut FTable,
@@ -456,10 +461,27 @@ fn solve_range(
         f.m() == terms.m() && f.n() == terms.n(),
         "table shape mismatch"
     );
+    if order == R0Order::SimdReg && terms.exact16() {
+        solve_range_in::<Lanes16>(terms, order, f, start, end, watch, split)
+    } else {
+        solve_range_in::<Lanes>(terms, order, f, start, end, watch, split)
+    }
+}
+
+/// [`solve_range`] with its lanes, if any, in cells `L`.
+fn solve_range_in<L: LaneCell>(
+    terms: &Terms<f32>,
+    order: R0Order,
+    f: &mut FTable,
+    start: usize,
+    end: usize,
+    watch: &Watch,
+    split: Split,
+) -> Result<(), Interrupt> {
     let lanes = order == R0Order::SimdReg;
-    let diagonal = (lanes && terms.m() >= MIN_LANES).then(|| Terms::along_diagonal(terms));
+    let diagonal = (lanes && terms.m() >= MIN_LANES).then(|| Terms::<L>::along_diagonal(terms));
     let longest = if diagonal.is_some() { LANES } else { 1 };
-    let run = |scratch: &mut SplitLanes, done: &FView<'_>, i1, d1, blocks: &mut [f32]| {
+    let run = |scratch: &mut SplitLanes<L>, done: &FView<'_>, i1, d1, blocks: &mut [f32]| {
         for (l, acc) in blocks.chunks_exact_mut(done.block_len()).enumerate() {
             let (i1, j1) = (i1 + l, i1 + l + d1);
             if lanes {

@@ -1,8 +1,9 @@
 //! The 4-D `BPMax` table: a triangle of triangles.
 //!
 //! A cell is one [`MaxPlus`] element: an `f32` score, or the same cell of
-//! eight same-shape problems ([`tropical::scalar::Lanes`]) when the batch
-//! engine solves a lane group. Addressing is the same for both.
+//! eight same-shape problems ([`tropical::scalar::Lanes`], or
+//! [`tropical::scalar::Lanes16`] under an integer-weight model) when the
+//! batch engine solves a lane group. Addressing is the same for all.
 //!
 //! `F[i1][j1][i2][j2]` is defined for `0 ≤ i1 ≤ j1 < M`, `0 ≤ i2 ≤ j2 < N`.
 //! Storage is one buffer of *inner-triangle blocks*, one block per outer

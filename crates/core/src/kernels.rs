@@ -20,9 +20,8 @@
 //!
 //! The default version runs a lone problem's Phase A eight split points
 //! per vector (`accumulate_r034_lanes`): the `A` and `B` blocks of up to
-//! eight consecutive `k1` are packed into one block of [`Lanes`] cells
-//! each, and the same `R0`, `R3` and `R4` kernels run on all eight at
-//! once.
+//! eight consecutive `k1` are packed into one block of lane cells each,
+//! and the same `R0`, `R3` and `R4` kernels run on all eight at once.
 //!
 //! **Phase B — finalize** (`finalize_triangle`): walk rows `i2` from the
 //! bottom up (descending index, the `-i2` schedule dimension) and, within a
@@ -41,12 +40,24 @@
 //! whose lane `l` is triangle `l`'s (`Terms::along_diagonal`). The
 //! engine's wavefront hands a worker such a run of triangles: their
 //! Phase A one by one, then one lane Phase B.
+//!
+//! Both lane drivers are generic over the lane cell
+//! ([`tropical::scalar::LaneCell`]), and so are the lane terms. A problem
+//! whose model and shape keep every value a small integer
+//! (`exact_in_lanes16`, decided once when its [`Terms`] are built) runs
+//! them on [`Lanes16`] cells, eight 16-bit lanes in one SSE register;
+//! every other problem on [`Lanes`] cells, eight `f32` lanes in two. The
+//! F-table stays `f32` either way: values are converted where the lanes
+//! are packed, reduced and unpacked.
+//!
+//! [`Lanes16`]: tropical::scalar::Lanes16
 
 use crate::ftable::FView;
+use rna::base::BASES;
 use rna::nussinov::{Fold, Nussinov};
 use rna::{RnaSeq, ScoringModel};
 use std::sync::Arc;
-use tropical::scalar::{mp_axpy, Lanes, MaxPlus, LANES};
+use tropical::scalar::{mp_axpy, LaneCell, Lanes, MaxPlus, LANES};
 use tropical::simd::mp_axpy4;
 use tropical::triangular::Triangular;
 
@@ -102,10 +113,37 @@ impl Ctx {
     }
 }
 
+/// Whether every value a solve of an `m × n` problem under `model` forms
+/// is exact in `Lanes16` cells, with `−∞` held as `i16::MIN`: the gate
+/// of the 16-bit lane kernels. It holds iff every intra- and
+/// intermolecular weight is `NO_PAIR` or an integer in `[0, 127]` with its
+/// sign bit clear (so `−0.0` is refused), and `w_max × (M + N) < 16,384`.
+/// A score is then an integer of at most `w_max × (M + N) / 2 < 8,192`
+/// (each pair takes two bases), and the sum of two of them fits an `i16`;
+/// DESIGN.md §11 has the whole argument.
+pub(crate) fn exact_in_lanes16(model: &ScoringModel, m: usize, n: usize) -> bool {
+    let mut w_max = 0.0f32;
+    for a in BASES {
+        for b in BASES {
+            for w in [model.intra(a, b), model.inter(a, b)] {
+                if w == ScoringModel::NO_PAIR {
+                    continue;
+                }
+                if w.is_sign_negative() || w > 127.0 || w.fract() != 0.0 {
+                    return false;
+                }
+                w_max = w_max.max(w);
+            }
+        }
+    }
+    (m as u64 + n as u64).saturating_mul(w_max as u64) < 16_384
+}
+
 /// The score tables Phase A and Phase B read, over the cell element `E`:
 /// `S⁽¹⁾`, `S⁽²⁾` and the pre-evaluated pair weights of one problem
-/// (`f32`), or of a lane group's problems interleaved lane by lane
-/// (`[f32; 8]`, built by the batch engine).
+/// (`f32`), or lane terms (a [`LaneCell`]): a lane group's problems
+/// interleaved lane by lane, built by the batch engine, or one problem's
+/// terms along its outer diagonals.
 #[derive(Clone, Debug)]
 pub struct Terms<E> {
     /// `S⁽¹⁾` over strand 1, packed (one problem's is its fold's table).
@@ -120,6 +158,9 @@ pub struct Terms<E> {
     w2: Triangular<E>,
     /// `wi[i1·N + i2]`: intermolecular weight.
     wi: Vec<E>,
+    /// `exact_in_lanes16` of the problem (of every member, for lane
+    /// terms): whether its lane kernels run on `Lanes16` cells.
+    exact16: bool,
 }
 
 impl Terms<f32> {
@@ -147,11 +188,12 @@ impl Terms<f32> {
             w1: intra(s1),
             w2: intra(s2),
             wi,
+            exact16: exact_in_lanes16(model, s1.len(), n),
         }
     }
 }
 
-impl Terms<Lanes> {
+impl<L: LaneCell> Terms<L> {
     /// The terms of up to [`LANES`] same-shape problems, lane `l` holding
     /// `members[l]`'s; lanes past the last member copy the first one, so
     /// a padded lane computes a real problem again. Panics on an empty or
@@ -170,7 +212,9 @@ impl Terms<Lanes> {
         );
         let lane = |l: usize| members.get(l).copied().unwrap_or(lead);
         let triangle = |side: usize, get: &dyn Fn(&Terms<f32>, usize, usize) -> f32| {
-            Triangular::from_fn(side, |i, j| std::array::from_fn(|l| get(lane(l), i, j)))
+            Triangular::from_fn(side, |i, j| {
+                L::from_f32s(std::array::from_fn(|l| get(lane(l), i, j)))
+            })
         };
         Terms {
             s1: Arc::new(triangle(m, &|t, i, j| t.s1.get(i, j))),
@@ -178,8 +222,9 @@ impl Terms<Lanes> {
             w1: triangle(m, &|t, i, j| t.w1.get(i, j)),
             w2: triangle(n, &|t, i, j| t.w2.get(i, j)),
             wi: (0..lead.wi.len())
-                .map(|k| std::array::from_fn(|l| lane(l).wi[k]))
+                .map(|k| L::from_f32s(std::array::from_fn(|l| lane(l).wi[k])))
                 .collect(),
+            exact16: members.iter().all(|t| t.exact16),
         }
     }
 
@@ -202,16 +247,19 @@ impl Terms<Lanes> {
                     cells
                 })
                 .collect();
-            Triangular::from_fn(m, |i, j| std::array::from_fn(|l| diagonals[j - i][i + l]))
+            Triangular::from_fn(m, |i, j| {
+                L::from_f32s(std::array::from_fn(|l| diagonals[j - i][i + l]))
+            })
         };
-        let splat = |t: &Triangular<f32>| Triangular::from_fn(n, |i, j| [t.get(i, j); LANES]);
+        let splat =
+            |t: &Triangular<f32>| Triangular::from_fn(n, |i, j| L::from_f32s([t.get(i, j); LANES]));
         let mut wi = Vec::with_capacity(m * n);
         for i1 in 0..m {
             let rows: [&[f32]; LANES] = std::array::from_fn(|l| {
                 let row = (i1 + l).min(m - 1);
                 &terms.wi[row * n..(row + 1) * n]
             });
-            wi.extend((0..n).map(|i2| std::array::from_fn(|l| rows[l][i2])));
+            wi.extend((0..n).map(|i2| L::from_f32s(std::array::from_fn(|l| rows[l][i2]))));
         }
         Terms {
             s1: Arc::new(along(&terms.s1)),
@@ -219,6 +267,7 @@ impl Terms<Lanes> {
             w1: along(&terms.w1),
             w2: splat(&terms.w2),
             wi,
+            exact16: terms.exact16,
         }
     }
 }
@@ -286,6 +335,13 @@ impl<E: MaxPlus> Terms<E> {
     #[inline(always)]
     pub fn wi(&self, i1: usize, i2: usize) -> E {
         self.wi[i1 * self.n() + i2]
+    }
+
+    /// Whether this problem's lane kernels run on exact `Lanes16` cells
+    /// (`exact_in_lanes16` of its model and shape).
+    #[inline(always)]
+    pub(crate) fn exact16(&self) -> bool {
+        self.exact16
     }
 }
 
@@ -668,19 +724,33 @@ pub fn accumulate_r034_serial<E: MaxPlus>(
 ///   three interleaved runs of the same shapes, floors 1, 2 and 3 were
 ///   within 3% of each other in the 16×16 and 12×16 Phase B, and 4 and 5
 ///   were 7–35% slower.
+///
+/// In 16-bit lanes, 3 was the fastest floor of the whole serial solve in
+/// 8 of 9 runs and shapes, and a 16-bit batch group of three beat three
+/// lone solves in every run, where two lost (DESIGN.md §11).
 pub(crate) const MIN_LANES: usize = 3;
 
-/// One worker's lane scratch, three blocks of [`Lanes`] cells: a split
+/// One worker's lane scratch, three blocks of lane cells `L`: a split
 /// point group's packed `A` and `B` blocks and the triangle's lane
 /// accumulator in [`accumulate_r034_lanes`], then a run's packed pair-1
 /// blocks (in `a`) and accumulators (in `acc`) in [`finalize_lanes`].
 /// Empty until the worker's first lane group sizes it; the wavefront
 /// keeps one per worker for a whole solve.
-#[derive(Debug, Default)]
-pub(crate) struct SplitLanes {
-    a: Vec<Lanes>,
-    b: Vec<Lanes>,
-    acc: Vec<Lanes>,
+#[derive(Debug)]
+pub(crate) struct SplitLanes<L = Lanes> {
+    a: Vec<L>,
+    b: Vec<L>,
+    acc: Vec<L>,
+}
+
+impl<L> Default for SplitLanes<L> {
+    fn default() -> Self {
+        SplitLanes {
+            a: Vec::new(),
+            b: Vec::new(),
+            acc: Vec::new(),
+        }
+    }
 }
 
 /// Serial Phase A for triangle `(i1, j1)` with the register-tiled `R0`,
@@ -700,15 +770,17 @@ pub(crate) struct SplitLanes {
 /// repeat adds a candidate twice. Neither changes a bit: the max of a
 /// candidate set is order-free unless a NaN or a `+0`/`−0` tie enters,
 /// and no accumulator is ever NaN or `−0` (the domain argument of
-/// [`tropical::scalar::MaxPlus`] and DESIGN.md §11). The pack and reduce
+/// [`tropical::scalar::MaxPlus`] and DESIGN.md §11). In `Lanes16` cells,
+/// which a caller takes only for a problem `exact_in_lanes16` admits,
+/// every value is the same integer as in `f32`. The pack and reduce
 /// loops are certified by `bounds::accumulate_r034_lanes/{pack,reduce}`.
-pub(crate) fn accumulate_r034_lanes(
+pub(crate) fn accumulate_r034_lanes<L: LaneCell>(
     terms: &Terms<f32>,
     ft: &FView<'_>,
     i1: usize,
     j1: usize,
     acc: &mut [f32],
-    scratch: &mut SplitLanes,
+    scratch: &mut SplitLanes<L>,
 ) {
     assert!(
         i1 <= j1 && j1 < terms.m(),
@@ -719,20 +791,20 @@ pub(crate) fn accumulate_r034_lanes(
     let mut k1 = i1;
     if j1 - k1 >= MIN_LANES {
         let len = ft.layout().storage_len(ft.n());
-        let lane_ft = ft.shape_of::<Lanes>();
+        let lane_ft = ft.shape_of::<L>();
         let SplitLanes { a, b, acc: lanes } = scratch;
-        a.resize(len, Lanes::NEG_INF);
-        b.resize(len, Lanes::NEG_INF);
+        a.resize(len, L::NEG_INF);
+        b.resize(len, L::NEG_INF);
         lanes.clear();
-        lanes.resize(len, Lanes::NEG_INF);
+        lanes.resize(len, L::NEG_INF);
         while j1 - k1 >= MIN_LANES {
             let real = (j1 - k1).min(LANES);
             let split: [usize; LANES] = std::array::from_fn(|l| k1 + l.min(real - 1));
             pack(a, split.map(|k| ft.block(i1, k)));
             pack(b, split.map(|k| ft.block(k + 1, j1)));
             r0_instance_simd(&lane_ft, a, b, lanes);
-            r3_block(split.map(|k| terms.s1v(i1, k)), b, lanes);
-            r4_block(split.map(|k| terms.s1v(k + 1, j1)), a, lanes);
+            r3_block(L::from_f32s(split.map(|k| terms.s1v(i1, k))), b, lanes);
+            r4_block(L::from_f32s(split.map(|k| terms.s1v(k + 1, j1))), a, lanes);
             k1 += real;
         }
         reduce(lanes, acc);
@@ -746,18 +818,19 @@ pub(crate) fn accumulate_r034_lanes(
     }
 }
 
-/// Lane `l` of every cell of `dst` from `blocks[l]`, cell by cell.
-fn pack(dst: &mut [Lanes], blocks: [&[f32]; LANES]) {
+/// Lane `l` of every cell of `dst` from `blocks[l]`, cell by cell,
+/// converted as it is gathered.
+fn pack<L: LaneCell>(dst: &mut [L], blocks: [&[f32]; LANES]) {
     let blocks = blocks.map(|block| &block[..dst.len()]);
     for (c, cell) in dst.iter_mut().enumerate() {
-        *cell = std::array::from_fn(|l| blocks[l][c]);
+        *cell = L::from_f32s(std::array::from_fn(|l| blocks[l][c]));
     }
 }
 
 /// Join the lanes of every cell of `lanes` into the same cell of `acc`.
-fn reduce(lanes: &[Lanes], acc: &mut [f32]) {
+fn reduce<L: LaneCell>(lanes: &[L], acc: &mut [f32]) {
     for (a, cell) in acc.iter_mut().zip(lanes) {
-        *a = cell.iter().fold(*a, |best, &v| f32::join(v, best));
+        *a = cell.join_into(*a);
     }
 }
 
@@ -882,7 +955,7 @@ fn finalize_each<E: MaxPlus>(
 /// bit for bit what [`finalize_triangle`] computes for each in turn.
 ///
 /// `blocks` holds the run's accumulators, their Phase A done, one block
-/// per triangle. Lane `l` of one block of [`Lanes`] cells takes triangle
+/// per triangle. Lane `l` of one block of lane cells takes triangle
 /// `l`'s accumulator, and lane `l` of a second its pair-1 block
 /// `(i1 + l + 1, j1 + l − 1)` (those blocks sit side by side in diagonal
 /// `d1 − 2`). The lane [`finalize_triangle`] runs all of them at
@@ -896,16 +969,17 @@ fn finalize_each<E: MaxPlus>(
 ///
 /// The lane instance computes the `NO_PAIR` terms the `f32` instance
 /// skips, which changes no bit, because no `val` is ever NaN
-/// ([`MaxPlus`]; DESIGN.md §11). The pair-1 pack and the write-back are
+/// ([`MaxPlus`]; DESIGN.md §11), and in `Lanes16` cells every value is
+/// the same integer as in `f32`. The pair-1 pack and the write-back are
 /// certified by `bounds::finalize_lanes/{pair1,unpack}`.
-pub(crate) fn finalize_lanes(
+pub(crate) fn finalize_lanes<L: LaneCell>(
     terms: &Terms<f32>,
-    diagonal: Option<&Terms<Lanes>>,
+    diagonal: Option<&Terms<L>>,
     ft: &FView<'_>,
     i1: usize,
     d1: usize,
     blocks: &mut [f32],
-    scratch: &mut SplitLanes,
+    scratch: &mut SplitLanes<L>,
 ) {
     let block_len = ft.block_len();
     let run = blocks.len() / block_len;
@@ -925,30 +999,30 @@ pub(crate) fn finalize_lanes(
         acc: lanes,
         ..
     } = scratch;
-    lanes.resize(block_len, Lanes::NEG_INF);
+    lanes.resize(block_len, L::NEG_INF);
     let accs: &[f32] = blocks;
     pack(
         lanes,
         std::array::from_fn(|l| &accs[member(l) * block_len..]),
     );
     let prev = if d1 >= 2 {
-        pair1.resize(block_len, Lanes::NEG_INF);
+        pair1.resize(block_len, L::NEG_INF);
         let pair1_of = |l: usize| ft.block(i1 + member(l) + 1, j1 + member(l) - 1);
         pack(pair1, std::array::from_fn(pair1_of));
         Some(&pair1[..])
     } else {
         None
     };
-    finalize_triangle(diagonal, i1, j1, &ft.shape_of::<Lanes>(), prev, lanes);
+    finalize_triangle(diagonal, i1, j1, &ft.shape_of::<L>(), prev, lanes);
     unpack(lanes, blocks);
 }
 
 /// Lane `l` of every cell of `lanes` into block `l` of `blocks`, for each
-/// of the (at most [`LANES`]) blocks `blocks` holds.
-fn unpack(lanes: &[Lanes], blocks: &mut [f32]) {
+/// of the (at most [`LANES`]) blocks `blocks` holds, converted to `f32`.
+fn unpack<L: LaneCell>(lanes: &[L], blocks: &mut [f32]) {
     for (l, block) in blocks.chunks_exact_mut(lanes.len()).enumerate() {
         for (v, cell) in block.iter_mut().zip(lanes) {
-            *v = cell[l];
+            *v = cell.lane(l);
         }
     }
 }
@@ -1083,10 +1157,18 @@ mod tests {
 
     #[test]
     fn lane_driver_is_bit_identical_to_the_serial_register_tiled_phase_a() {
+        split_point_lanes_match_the_serial_phase_a::<Lanes>();
+        split_point_lanes_match_the_serial_phase_a::<tropical::scalar::Lanes16>();
+    }
+
+    /// The split-point lane driver in cells `L` against the `f32` Phase A.
+    /// Table values are integers in [-8, 8) or -inf, which 16 bits hold
+    /// exactly.
+    fn split_point_lanes_match_the_serial_phase_a<L: LaneCell>() {
         // m = 20: outer diagonals 0..19 give groups of every fill 1..=8,
         // alone and after a full group, and of fills 1..=3 after two
         let mut rng = StdRng::seed_from_u64(23);
-        let mut scratch = SplitLanes::default();
+        let mut scratch = SplitLanes::<L>::default();
         for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
             for n in [1usize, 2, 5, 9] {
                 let c = Ctx::new(
@@ -1122,12 +1204,19 @@ mod tests {
 
     #[test]
     fn lane_runs_finalize_bit_identically_to_one_triangle_at_a_time() {
+        triangle_lanes_match_one_triangle_at_a_time::<Lanes>();
+        triangle_lanes_match_one_triangle_at_a_time::<tropical::scalar::Lanes16>();
+    }
+
+    /// The triangle lane driver in cells `L` against `f32` Phase B, one
+    /// triangle at a time, on integer table values as above.
+    fn triangle_lanes_match_one_triangle_at_a_time<L: LaneCell>() {
         // m = 12: outer diagonals 0 (the wi term), 1 (no pair-1 block) and
         // 2..=4 all hold at least eight triangles, so each takes runs of
         // every fill 1..=8, at its start and at its end (where the spare
         // lanes' terms repeat the diagonal's last triangle)
         let mut rng = StdRng::seed_from_u64(24);
-        let mut scratch = SplitLanes::default();
+        let mut scratch = SplitLanes::<L>::default();
         for layout in [Layout::Packed, Layout::Identity, Layout::Shifted] {
             for n in [1usize, 2, 5, 9] {
                 let c = Ctx::new(
@@ -1135,7 +1224,7 @@ mod tests {
                     RnaSeq::random(&mut rng, n),
                     ScoringModel::bpmax_default(),
                 );
-                let diagonal = Terms::along_diagonal(c.terms());
+                let diagonal = Terms::<L>::along_diagonal(c.terms());
                 let mut table = FTable::new(12, n, layout);
                 for (i1, j1, i2, j2) in table.iter_cells().collect::<Vec<_>>() {
                     let v = match rng.gen_range(0..10) {

@@ -112,3 +112,7 @@ pub mod prelude {
     pub use crate::supervise::{CancelToken, Deadline, MemoryBudget, Outcome, Supervision};
     pub use rna::{Base, JointStructure, RnaSeq, ScoringModel, Structure};
 }
+
+#[cfg(test)]
+#[path = "tests/lanes16.rs"]
+mod lanes16_tests;

@@ -13,8 +13,10 @@
 //! * [`scalar`] — the max-plus join, the streaming axpy
 //!   `y[i] = max(a + x[i], y[i])`, and [`scalar::MaxPlus`], the cell
 //!   element both kernels are generic over: one `f32` (the paper uses
-//!   single-precision storage to halve the memory footprint) or
-//!   [`scalar::Lanes`], the same cell of eight same-shape problems.
+//!   single-precision storage to halve the memory footprint) or a
+//!   [`scalar::LaneCell`], the same cell of eight same-shape problems in
+//!   `f32` ([`scalar::Lanes`]) or in exact 16-bit integers
+//!   ([`scalar::Lanes16`]).
 //! * [`simd`] — the 4-way fused [`simd::mp_axpy4`] register-blocked inner
 //!   kernel, a plain loop on stable Rust that LLVM vectorizes to packed
 //!   `addps`/`maxps`.

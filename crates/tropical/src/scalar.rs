@@ -5,9 +5,10 @@
 //! to reduce the memory footprint of `BPMax`" — §IV.A). These helpers define
 //! the handful of scalar idioms the kernels are written in, so the hot loops
 //! stay uniform and auto-vectorizable. [`MaxPlus`] lifts them to a cell
-//! element: one `f32` score, or [`Lanes`] — the same cell of [`LANES`]
-//! independent problems, lane `l` computing exactly problem `l`'s scalar
-//! update sequence.
+//! element: one `f32` score, or a [`LaneCell`] — the same cell of
+//! [`LANES`] independent problems, lane `l` computing exactly problem
+//! `l`'s scalar update sequence: [`Lanes`] in `f32`, or [`Lanes16`] in
+//! exact 16-bit integers for models whose scores are small integers.
 
 /// The max-plus join of the axpy family: `if s > c { s } else { c }`,
 /// with the candidate `s` first and the accumulator `c` second.
@@ -39,21 +40,66 @@ pub const LANES: usize = 8;
 /// `l`'s value. Two SSE registers on the baseline `x86-64` target.
 pub type Lanes = [f32; LANES];
 
+/// [`Lanes`] in 16-bit integers: one SSE register on the baseline
+/// `x86-64` target, updated by saturating `paddsw` and `pmaxsw`. Exact
+/// for a problem whose every real value is an integer below 8,192, with
+/// `−∞` held as `i16::MIN` ([`f32_to_i16`], [`i16_to_f32`]); the solver
+/// checks that from the model and the shape before it takes them.
+pub type Lanes16 = [i16; LANES];
+
+/// Offset of the rounding constant `1.5 × 2²³`: adding it to an `f32` puts
+/// every integer in `[−2²², 2²²]` into the binade whose unit is 1, where
+/// its bit pattern is `0x4B40_0000` plus the integer.
+const MAGIC: f32 = 12_582_912.0;
+
+/// `x` as a 16-bit lane value: exact on `−∞` (to `i16::MIN`) and on every
+/// integer an `i16` holds; the other integers in `[−2²², 2²²]` clamp to
+/// the nearer end. Other values, which the solver never converts, map to
+/// an arbitrary `i16`.
+///
+/// The magic-constant form vectorizes: a pack loop over it compiles to
+/// `addps`, an integer add and a saturating pack. `x as i16`, which
+/// also saturates, compiles to one scalar `cvttss2si` plus two clamps per
+/// value, and made a pack cost 4.7× the `f32` pack.
+#[inline(always)]
+pub fn f32_to_i16(x: f32) -> i16 {
+    ((x + MAGIC).to_bits() as i32)
+        .wrapping_sub(0x4B40_0000)
+        .clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
+}
+
+/// A 16-bit lane value as an `f32`: `−∞` below −16,384, where only values
+/// derived from `−∞` lie (a real value is at least 0), and the integer
+/// itself elsewhere.
+#[inline(always)]
+pub fn i16_to_f32(v: i16) -> f32 {
+    if v < -16_384 {
+        f32::NEG_INFINITY
+    } else {
+        f32::from(v)
+    }
+}
+
 use std::sync::atomic::{compiler_fence, Ordering};
 
 /// A max-plus cell element: the one trait the kernels are generic over.
 ///
-/// Every operation is the `f32` operation applied lane by lane, so a
-/// kernel instantiated at [`Lanes`] runs, in lane `l`, the exact scalar
-/// expressions it runs at `f32` for problem `l`. The one place the two
-/// differ is [`MaxPlus::skips`]: the `f32` kernels skip a term whose
-/// coefficient is `−∞` (also `ScoringModel::NO_PAIR`), where the lane
-/// kernels compute it, since one lane's `−∞` says nothing of the others.
-/// Computing it is bit-identical to skipping it: the candidate is `−∞`
-/// or NaN (`−∞ + +∞`), and [`mp_join`] keeps the accumulator for both,
-/// as does [`f32::max`] unless the accumulator is NaN — which a solver
-/// accumulator never is (it starts at `−∞` and only ever takes a
-/// candidate that compared greater, or the non-NaN side of `f32::max`).
+/// Every operation is applied element by element: for [`Lanes`] it is the
+/// `f32` operation in each lane, so a kernel instantiated at [`Lanes`]
+/// runs, in lane `l`, the exact scalar expressions it runs at `f32` for
+/// problem `l`. The one place the two differ is [`MaxPlus::skips`]: the
+/// `f32` kernels skip a term whose coefficient is `−∞` (also
+/// `ScoringModel::NO_PAIR`), where the lane kernels compute it, since one
+/// lane's `−∞` says nothing of the others. Computing it is bit-identical
+/// to skipping it: the candidate is `−∞` or NaN (`−∞ + +∞`), and
+/// [`mp_join`] keeps the accumulator for both, as does [`f32::max`]
+/// unless the accumulator is NaN — which a solver accumulator never is
+/// (it starts at `−∞` and only ever takes a candidate that compared
+/// greater, or the non-NaN side of `f32::max`).
+///
+/// For [`Lanes16`] each operation is its 16-bit integer counterpart
+/// (`+` saturates, both joins are `max`), which equals the `f32`
+/// operation on the values it is exact for (DESIGN.md §11).
 pub trait MaxPlus: Copy + Send + Sync + std::fmt::Debug + 'static {
     /// `−∞` in every lane: the max-plus zero.
     const NEG_INF: Self;
@@ -66,16 +112,29 @@ pub trait MaxPlus: Copy + Send + Sync + std::fmt::Debug + 'static {
     /// Lane-wise [`f32::max`].
     fn max_num(self, other: Self) -> Self;
     /// Whether a max-plus term with this coefficient may be skipped: a
-    /// scalar `−∞`. Always `false` for [`Lanes`] (see the trait doc).
+    /// scalar `−∞`. Always `false` for a [`LaneCell`] (see the trait doc).
     fn skips(self) -> bool;
     /// Marks the top of one element of a streaming loop. Nothing for
-    /// `f32`, whose element loops LLVM vectorizes across elements. For
-    /// [`Lanes`] a compiler-only fence, which emits no instruction but
+    /// `f32`, whose element loops LLVM vectorizes across elements. For a
+    /// [`LaneCell`] a compiler-only fence, which emits no instruction but
     /// keeps LLVM's loop vectorizer off the element loop: left alone, it
     /// vectorizes across four cells and transposes their lanes with
-    /// shuffles, where each cell alone is already two full vectors (the
-    /// SLP vectorizer's `addps`/`maxps` pairs).
+    /// shuffles, where each cell alone is already one or two full vectors
+    /// (the SLP vectorizer's `addps`/`maxps` or `paddsw`/`pmaxsw`).
     fn cell_fence();
+}
+
+/// A cell of [`LANES`] problems, converted from and to `f32` where a lane
+/// kernel meets the `f32` F-table: the pack, reduce and unpack edges of
+/// the lane drivers, and the lane terms built from a problem's `f32`
+/// terms.
+pub trait LaneCell: MaxPlus {
+    /// The cell whose lane `l` holds `values[l]`.
+    fn from_f32s(values: [f32; LANES]) -> Self;
+    /// Lane `l` as an `f32`.
+    fn lane(self, l: usize) -> f32;
+    /// `acc` joined with every lane, candidates first ([`mp_join`]).
+    fn join_into(self, acc: f32) -> f32;
 }
 
 impl MaxPlus for f32 {
@@ -104,6 +163,74 @@ impl MaxPlus for f32 {
 
     #[inline(always)]
     fn cell_fence() {}
+}
+
+impl LaneCell for Lanes {
+    #[inline(always)]
+    fn from_f32s(values: [f32; LANES]) -> Lanes {
+        values
+    }
+
+    #[inline(always)]
+    fn lane(self, l: usize) -> f32 {
+        self[l]
+    }
+
+    #[inline(always)]
+    fn join_into(self, acc: f32) -> f32 {
+        self.iter().fold(acc, |best, &v| mp_join(v, best))
+    }
+}
+
+impl MaxPlus for Lanes16 {
+    const NEG_INF: Lanes16 = [i16::MIN; LANES];
+    const ZERO: Lanes16 = [0; LANES];
+
+    #[inline(always)]
+    fn plus(self, rhs: Lanes16) -> Lanes16 {
+        std::array::from_fn(|l| self[l].saturating_add(rhs[l]))
+    }
+
+    #[inline(always)]
+    fn join(s: Lanes16, c: Lanes16) -> Lanes16 {
+        std::array::from_fn(|l| s[l].max(c[l]))
+    }
+
+    #[inline(always)]
+    fn max_num(self, other: Lanes16) -> Lanes16 {
+        std::array::from_fn(|l| self[l].max(other[l]))
+    }
+
+    #[inline(always)]
+    fn skips(self) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn cell_fence() {
+        // ordering: a compiler-only fence that orders nothing between
+        // threads; it only stops the loop vectorizer (see the trait doc)
+        compiler_fence(Ordering::SeqCst);
+    }
+}
+
+impl LaneCell for Lanes16 {
+    #[inline(always)]
+    fn from_f32s(values: [f32; LANES]) -> Lanes16 {
+        values.map(f32_to_i16)
+    }
+
+    #[inline(always)]
+    fn lane(self, l: usize) -> f32 {
+        i16_to_f32(self[l])
+    }
+
+    /// The lanes' 16-bit maximum, converted once.
+    #[inline(always)]
+    fn join_into(self, acc: f32) -> f32 {
+        let best = self.into_iter().fold(i16::MIN, i16::max);
+        mp_join(i16_to_f32(best), acc)
+    }
 }
 
 impl MaxPlus for Lanes {
@@ -146,7 +273,8 @@ impl MaxPlus for Lanes {
 ///
 /// Each element is `y[i] = join(a + x[i], y[i])`; the plain loop
 /// LLVM vectorizes to one `addps` + `maxps` per vector (per `f32` vector,
-/// or per half of a [`Lanes`] cell). It is also the reference the fused
+/// or per half of a [`Lanes`] cell), or one `paddsw` + `pmaxsw` per
+/// [`Lanes16`] cell. It is also the reference the fused
 /// [`crate::simd::mp_axpy4`] is tested bit-identical against.
 #[inline]
 pub fn mp_axpy<E: MaxPlus>(a: E, x: &[E], y: &mut [E]) {

@@ -54,7 +54,8 @@ use crate::scalar::MaxPlus;
 /// it measured about 15% more 40 × 40 solves per second (perfbench
 /// `solve-large` on a 2-vCPU Xeon, baseline `x86-64` target). Over
 /// [`crate::scalar::Lanes`] each element is one cell of eight problems,
-/// so every step is two full SSE vectors and no row is ragged.
+/// so every step is two full SSE vectors and no row is ragged; over
+/// [`crate::scalar::Lanes16`] it is one (`paddsw` + `pmaxsw`).
 #[inline]
 pub fn mp_axpy4<E: MaxPlus>(a: [E; 4], x: [&[E]; 4], y: &mut [E]) {
     let [x0, x1, x2, x3] = x;
