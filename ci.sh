@@ -36,6 +36,10 @@
 #                                   binary: cold solve, warm cache hit,
 #                                   over-budget typed reject (exit 2),
 #                                   clean shutdown
+#   7b. serve overload + drain      the same against a fault-inject build
+#                                   held at one slot: typed shed (exit 2),
+#                                   retry recovery, drain refusal
+#                                   (exit 1), clean exit
 #   8. cargo doc -D warnings        rustdoc integrity
 #   9. sanitizer (SAN_GATE)         ThreadSanitizer over the concurrency
 #                                   models, the batch suite and the

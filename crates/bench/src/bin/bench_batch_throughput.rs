@@ -22,7 +22,7 @@
 use bench::report::Reporter;
 use bench::{banner, f2, gflops, model, time_stats, workload, Opts, Table};
 use bpmax::batch::{BatchEngine, BatchOptions};
-use bpmax::{BpMaxProblem, SolveOptions};
+use bpmax::{BpMaxProblem, Deadline, MemoryBudget, SolveOptions};
 use std::time::Duration;
 
 fn main() {
@@ -111,10 +111,14 @@ fn main() {
     // Supervised warm wave: a generous deadline and budget must leave
     // every outcome Ok with bit-identical scores — supervision overhead
     // is a couple of relaxed atomic loads per diagonal, nothing more.
+    // The deadline is one instant for every wave below, which finish in
+    // seconds.
     let supervised = BatchEngine::new(
-        BatchOptions::new()
-            .deadline(Duration::from_secs(600))
-            .mem_budget(4 << 30),
+        BatchOptions::new().solve(
+            SolveOptions::new()
+                .deadline(Deadline::within(Duration::from_secs(600)))
+                .mem_budget(MemoryBudget::bytes(4 << 30)),
+        ),
     )
     .expect("supervised engine");
     supervised.solve_all(&problems).expect("supervised cold");

@@ -7,10 +7,8 @@
 //! report — that's a *finding*, not a misuse.
 
 use bpmax::batch::{BatchEngine, BatchOptions};
-use bpmax::kernels::Ctx;
 use bpmax::serve::{Client, Response, RetryPolicy, Server, ServerConfig, SolveRequest};
-use bpmax::windowed::scan_ranked;
-use bpmax::{Algorithm, BpMaxError, BpMaxProblem};
+use bpmax::{Algorithm, BpMaxError, BpMaxProblem, Deadline, MemoryBudget, SolveOptions};
 use rna::nussinov::Nussinov;
 use rna::{RnaSeq, ScoringModel};
 use std::fmt::Write as _;
@@ -21,7 +19,7 @@ pub(crate) const USAGE: &str = "usage:
   bpmax-cli fold <seq> [--min-loop K]
   bpmax-cli interact <seq1> <seq2> [--min-loop K]
                      [--alg base|permuted|coarse|hybrid-tiled|hybrid-reg]
-  bpmax-cli scan <query> <target> [--window W] [--top K] [--batch]
+  bpmax-cli scan <query> <target> [--window W] [--top K]
                  [--deadline SECS] [--mem-budget BYTES]
                  [--checkpoint-dir DIR] [--resume]
   bpmax-cli serve --socket PATH [--mem-budget BYTES]
@@ -45,14 +43,14 @@ register-tiled R0 kernel, and hybrid-tiled runs the paper's Phase III
 tiled order. Every version computes the same scores — the flag changes
 speed, never results.
 
-scan --batch solves every window as an independent problem on the pooled
-batch engine (same scores, arena-recycled tables). --deadline bounds the
-wall clock of the whole batch (seconds, fractional, must be > 0) and
---mem-budget caps each problem's F-table (bytes; K/M/G suffixes).
-Budget-starved windows degrade to the banded algorithm and rank with
-lower-bound scores; timed-out, cancelled, or failed windows are dropped
-from the ranking and the run exits 3 with the partial results plus a
-failure summary.
+scan solves every window as an independent problem on the pooled batch
+engine (arena-recycled tables; the same scores as a banded scan).
+--deadline bounds the wall clock of the whole scan (seconds, fractional,
+must be > 0) and --mem-budget caps each problem's F-table (bytes; K/M/G
+suffixes). Budget-starved windows degrade to the banded algorithm and
+rank with lower-bound scores; timed-out, cancelled, or failed windows
+are dropped from the ranking and the run exits 3 with the partial
+results plus a failure summary.
 
 --checkpoint-dir DIR journals every completed window to a crash-safe
 checkpoint under DIR (write-to-temp + fsync + atomic rename; a kill at
@@ -119,8 +117,8 @@ pub(crate) enum CliError {
     /// `verify` found genuine schedule violations: print the report as
     /// is, exit 1. Not a usage problem.
     Check(String),
-    /// A supervised batch run completed only partially (deadline, budget,
-    /// or per-problem failures). The payload is the full report — partial
+    /// A supervised scan completed only partially (deadline, budget, or
+    /// per-problem failures). The payload is the full report — partial
     /// ranked results plus a failure summary — printed to *stdout* as is;
     /// exit 3, no usage text.
     Partial(String),
@@ -217,8 +215,8 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, CliErr
     }
 }
 
-/// Parse a byte count with an optional binary K/M/G suffix ("64M").
-fn parse_bytes(v: &str) -> Result<u64, CliError> {
+/// Parse `flag`'s byte count with an optional binary K/M/G suffix ("64M").
+fn parse_bytes(v: &str, flag: &str) -> Result<u64, CliError> {
     let v = v.trim();
     let (digits, shift) = match v.as_bytes().last() {
         Some(b'K' | b'k') => (&v[..v.len() - 1], 10u32),
@@ -230,7 +228,7 @@ fn parse_bytes(v: &str) -> Result<u64, CliError> {
         .parse::<u64>()
         .ok()
         .and_then(|n| n.checked_shl(shift).filter(|s| s >> shift == n))
-        .ok_or_else(|| bad_arg(format!("bad --mem-budget {v:?} (bytes, K/M/G suffixes ok)")))
+        .ok_or_else(|| bad_arg(format!("bad {flag} {v:?} (bytes, K/M/G suffixes ok)")))
 }
 
 /// Pull a boolean `--flag` out of an argument list.
@@ -342,16 +340,9 @@ fn take_seconds(args: &mut Vec<String>, flag: &str) -> Result<Option<f64>, CliEr
         .transpose()
 }
 
-/// The `scan --batch` flag set, parsed and cross-validated in one place.
-///
-/// Every flag that is only meaningful on the batch engine is declared in
-/// the single `gated` table inside [`BatchArgs::parse`] — adding a flag
-/// means adding a row there, not scattering another ad-hoc `if` through
-/// the command body. Pair-wise constraints (`--resume` needs
-/// `--checkpoint-dir`) live here too.
+/// The `scan` engine flag set, parsed and cross-validated in one place.
 struct BatchArgs {
-    batch: bool,
-    deadline: Option<std::time::Duration>,
+    deadline: Option<Deadline>,
     mem_budget: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
@@ -359,35 +350,21 @@ struct BatchArgs {
 
 impl BatchArgs {
     fn parse(args: &mut Vec<String>) -> Result<BatchArgs, CliError> {
-        let batch = take_flag(args, "--batch");
-        let deadline = take_seconds(args, "--deadline")?.map(std::time::Duration::from_secs_f64);
+        // the clock starts here: the deadline bounds the whole scan
+        let deadline = take_seconds(args, "--deadline")?
+            .map(std::time::Duration::try_from_secs_f64)
+            .transpose()
+            .map_err(|e| usage(format!("--deadline: {e}")))?
+            .map(Deadline::within);
         let mem_budget = take_opt(args, "--mem-budget")?
-            .map(|v| parse_bytes(&v))
+            .map(|v| parse_bytes(&v, "--mem-budget"))
             .transpose()?;
         let checkpoint_dir = take_opt(args, "--checkpoint-dir")?.map(PathBuf::from);
         let resume = take_flag(args, "--resume");
-        let gated = [
-            (
-                deadline.is_some() || mem_budget.is_some(),
-                "--deadline/--mem-budget",
-            ),
-            (
-                checkpoint_dir.is_some() || resume,
-                "--checkpoint-dir/--resume",
-            ),
-        ];
-        if !batch {
-            for (present, flag) in gated {
-                if present {
-                    return Err(usage(format!("{flag} only applies with --batch")));
-                }
-            }
-        }
         if resume && checkpoint_dir.is_none() {
             return Err(usage("--resume requires --checkpoint-dir"));
         }
         Ok(BatchArgs {
-            batch,
             deadline,
             mem_budget,
             checkpoint_dir,
@@ -426,23 +403,9 @@ fn cmd_scan(mut args: Vec<String>) -> Result<String, CliError> {
         query.len(),
         target.len()
     );
-    let (ranked, failures) = if batch_args.batch {
-        let (ranked, note, failures) = scan_batched(&query, &target, &model, w, &batch_args)?;
-        let _ = writeln!(out, "{note}");
-        (ranked, failures)
-    } else {
-        let ctx = Ctx::new(query.clone(), target.clone(), model);
-        (scan_ranked(&ctx, w), Vec::new())
-    };
-    let _ = writeln!(out, "top {} windows:", top.min(ranked.len()));
-    for (start, score) in ranked.iter().take(top) {
-        let end = (start + w).min(target.len());
-        let _ = writeln!(
-            out,
-            "  [{start:>5}..{end:<5}) score {score:>8.1}  {}",
-            target.slice(*start, end)
-        );
-    }
+    let (ranked, note, failures) = scan_batched(&query, &target, &model, w, &batch_args)?;
+    let _ = writeln!(out, "{note}");
+    write_ranked(&mut out, &ranked, &target, w, top);
     if failures.is_empty() {
         return Ok(out.trim_end().to_string());
     }
@@ -458,16 +421,31 @@ fn cmd_scan(mut args: Vec<String>) -> Result<String, CliError> {
     Err(CliError::Partial(out.trim_end().to_string()))
 }
 
+/// The ranking section of `scan`'s output: its header and the `top`
+/// best of `ranked` `(start, score)` windows, one line each.
+fn write_ranked(out: &mut String, ranked: &[(usize, f32)], target: &RnaSeq, w: usize, top: usize) {
+    let _ = writeln!(out, "top {} windows:", top.min(ranked.len()));
+    for (start, score) in ranked.iter().take(top) {
+        let end = (start + w).min(target.len());
+        let _ = writeln!(
+            out,
+            "  [{start:>5}..{end:<5}) score {score:>8.1}  {}",
+            target.slice(*start, end)
+        );
+    }
+}
+
 /// Ranked `(start, score)` windows, the engine note, and the failure
 /// summary lines from a batched scan.
 type BatchedScan = (Vec<(usize, f32)>, String, Vec<String>);
 
-/// The `scan --batch` fast path: every window becomes an independent
+/// How `scan` solves: every window becomes an independent
 /// `query × target[s..s+w]` problem on the pooled [`BatchEngine`].
 ///
 /// The scoring model is shift-invariant (positions enter only as
 /// `j − i`), so per-window solves produce exactly the banded
-/// [`scan_ranked`] scores — the windowed tests pin that equivalence.
+/// [`bpmax::windowed::scan_ranked`] scores — the windowed tests pin that
+/// equivalence.
 /// Windows that timed out, were cancelled, or failed carry no score:
 /// they are dropped from the ranking and itemized in the returned
 /// failure summary (non-empty summary ⇒ the caller exits 3 with partial
@@ -479,12 +457,12 @@ fn scan_batched(
     w: usize,
     sup: &BatchArgs,
 ) -> Result<BatchedScan, CliError> {
-    let mut opts = BatchOptions::new();
+    let mut solve = SolveOptions::new();
     if let Some(d) = sup.deadline {
-        opts = opts.deadline(d);
+        solve = solve.deadline(d);
     }
     if let Some(b) = sup.mem_budget {
-        opts = opts.mem_budget(b);
+        solve = solve.mem_budget(MemoryBudget::bytes(b));
     }
     let problems: Vec<BpMaxProblem> = (0..target.len())
         .map(|s| {
@@ -492,7 +470,7 @@ fn scan_batched(
             BpMaxProblem::new(query.clone(), target.slice(s, e), model.clone())
         })
         .collect();
-    let engine = BatchEngine::new(opts)?;
+    let engine = BatchEngine::new(BatchOptions::new().solve(solve))?;
     let report = match (&sup.checkpoint_dir, sup.resume) {
         (Some(dir), true) => engine.resume(&problems, dir)?,
         (Some(dir), false) => engine.solve_all_checkpointed(&problems, dir)?,
@@ -554,12 +532,12 @@ fn cmd_serve(mut args: Vec<String>) -> Result<String, CliError> {
         .map(PathBuf::from)
         .ok_or_else(|| usage("serve requires --socket PATH"))?;
     let mem_budget = take_opt(&mut args, "--mem-budget")?
-        .map(|v| parse_bytes(&v))
+        .map(|v| parse_bytes(&v, "--mem-budget"))
         .transpose()?;
     let max_predicted_s = take_seconds(&mut args, "--max-seconds")?;
     let cache_dir = take_opt(&mut args, "--cache-dir")?.map(PathBuf::from);
     let cache_mem_budget = take_opt(&mut args, "--cache-mem")?
-        .map(|v| parse_bytes(&v))
+        .map(|v| parse_bytes(&v, "--cache-mem"))
         .transpose()?;
     let read_timeout = take_seconds(&mut args, "--read-timeout")?
         .map(std::time::Duration::try_from_secs_f64)
@@ -640,7 +618,7 @@ fn cmd_client(mut args: Vec<String>) -> Result<String, CliError> {
                 .map(|name| name.parse::<Algorithm>())
                 .transpose()?;
             let mem_budget = take_opt(&mut args, "--mem-budget")?
-                .map(|v| parse_bytes(&v))
+                .map(|v| parse_bytes(&v, "--mem-budget"))
                 .transpose()?;
             let degrade = take_flag(&mut args, "--degrade");
             let deadline = take_seconds(&mut args, "--deadline")?
@@ -957,6 +935,7 @@ fn cmd_verify(args: Vec<String>) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpmax::windowed::scan_ranked;
 
     fn run(argv: &[&str]) -> Result<String, CliError> {
         dispatch(&argv.iter().map(ToString::to_string).collect::<Vec<_>>())
@@ -1021,19 +1000,16 @@ mod tests {
 
     #[test]
     fn scan_batch_matches_banded_scan() {
-        let base = &[
-            "scan",
-            "GGCAU",
-            "AUGCCAAAAUGGCAUAAACCGGU",
-            "--window",
-            "6",
-            "--top",
-            "4",
-        ];
-        let banded = run(base).unwrap();
-        let mut argv = base.to_vec();
-        argv.push("--batch");
-        let batched = run(&argv).unwrap();
+        let (query, target) = ("GGCAU", "AUGCCAAAAUGGCAUAAACCGGU");
+        let batched = run(&["scan", query, target, "--window", "6", "--top", "4"]).unwrap();
+        let target: RnaSeq = target.parse().unwrap();
+        let ctx = bpmax::kernels::Ctx::new(
+            query.parse().unwrap(),
+            target.clone(),
+            ScoringModel::bpmax_default().with_min_loop(0),
+        );
+        let mut banded = String::new();
+        write_ranked(&mut banded, &scan_ranked(&ctx, 6), &target, 6, 4);
         assert!(batched.contains("batch engine:"), "{batched}");
         // Same ranked windows line-for-line below the header.
         let tail = |s: &str| {
@@ -1046,29 +1022,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_supervision_flags_require_batch() {
-        for argv in [
-            ["scan", "GGG", "CCC", "--deadline", "1"],
-            ["scan", "GGG", "CCC", "--mem-budget", "1M"],
-        ] {
-            let err = run(&argv).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{argv:?}: {err:?}");
-        }
-    }
-
-    #[test]
     fn scan_bad_supervision_values_are_misuse() {
         for argv in [
-            ["scan", "GGG", "CCC", "--batch", "--deadline", "-1"],
-            ["scan", "GGG", "CCC", "--batch", "--deadline", "0"],
-            ["scan", "GGG", "CCC", "--batch", "--deadline", "soon"],
-            ["scan", "GGG", "CCC", "--batch", "--mem-budget", "lots"],
-            ["scan", "GGG", "CCC", "--batch", "--mem-budget", "-1"],
+            ["scan", "GGG", "CCC", "--deadline", "-1"],
+            ["scan", "GGG", "CCC", "--deadline", "0"],
+            ["scan", "GGG", "CCC", "--deadline", "soon"],
+            ["scan", "GGG", "CCC", "--mem-budget", "lots"],
+            ["scan", "GGG", "CCC", "--mem-budget", "-1"],
             [
                 "scan",
                 "GGG",
                 "CCC",
-                "--batch",
                 "--mem-budget",
                 "99999999999999999999G",
             ],
@@ -1087,7 +1051,6 @@ mod tests {
             "AAAAAAAAAACCCCCAAAAAAAAAA",
             "--window",
             "5",
-            "--batch",
             "--deadline",
             "60",
             "--mem-budget",
@@ -1106,7 +1069,6 @@ mod tests {
             "CCCAAACCC",
             "--window",
             "3",
-            "--batch",
             "--deadline",
             "0.000000001",
         ])
@@ -1121,7 +1083,7 @@ mod tests {
 
     #[test]
     fn scan_hopeless_budget_is_partial() {
-        let err = run(&["scan", "GGGGG", "CCCCCCCC", "--batch", "--mem-budget", "1"]).unwrap_err();
+        let err = run(&["scan", "GGGGG", "CCCCCCCC", "--mem-budget", "1"]).unwrap_err();
         assert_eq!(err.exit_code(), 3, "{err:?}");
         let report = err.partial_report().expect("partial report");
         assert!(report.contains("failed"), "{report}");
@@ -1139,7 +1101,6 @@ mod tests {
             "CCCCCCCCCCCCCCC",
             "--window",
             "10",
-            "--batch",
             "--mem-budget",
             "3K",
         ])
@@ -1150,15 +1111,9 @@ mod tests {
 
     #[test]
     fn scan_checkpoint_flags_require_batch_and_each_other() {
-        for argv in [
-            vec!["scan", "GGG", "CCC", "--checkpoint-dir", "/tmp/x"],
-            vec!["scan", "GGG", "CCC", "--resume"],
-            vec!["scan", "GGG", "CCC", "--batch", "--resume"],
-        ] {
-            let err = run(&argv).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{argv:?}: {err:?}");
-            assert_eq!(err.exit_code(), 2, "{argv:?}");
-        }
+        let err = run(&["scan", "GGG", "CCC", "--resume"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert_eq!(err.exit_code(), 2);
     }
 
     #[test]
@@ -1171,7 +1126,6 @@ mod tests {
             "AUGCCAAAAUGGCAUAAACCGGU",
             "--window",
             "6",
-            "--batch",
             "--checkpoint-dir",
         ];
         let mut argv: Vec<&str> = base.to_vec();
@@ -1200,43 +1154,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One table of misuse invocations across `scan --batch`, `serve`,
-    /// and `client`: every row must exit 2 with the usage text. New
-    /// batch-gated or serve/client flags get a row here, not a bespoke
-    /// test.
+    /// One table of misuse invocations across `scan`, `serve`, and
+    /// `client`: every row must exit 2 with the usage text. New scan or
+    /// serve/client flags get a row here, not a bespoke test.
     #[test]
     fn flag_misuse_table_exits_2() {
         let cases: &[&[&str]] = &[
-            // batch-gated scan flags without --batch
-            &["scan", "GGG", "CCC", "--deadline", "1"],
-            &["scan", "GGG", "CCC", "--mem-budget", "1M"],
-            &["scan", "GGG", "CCC", "--checkpoint-dir", "/tmp/x"],
-            &["scan", "GGG", "CCC", "--resume"],
+            // retired scan flags, refused by name
+            &["scan", "GGG", "CCC", "--batch"],
+            &["scan", "GGG", "CCC", "--batch", "--deadline", "1"],
             &["scan", "GGG", "CCC", "--workers", "2"],
             // pair-wise constraints
-            &["scan", "GGG", "CCC", "--batch", "--resume"],
+            &["scan", "GGG", "CCC", "--resume"],
             &[
                 "scan",
                 "GGG",
                 "CCC",
-                "--batch",
                 "--workers",
                 "2",
                 "--checkpoint-dir",
                 "/tmp/x",
                 "--resume",
             ],
-            // bad values (batch table parses them centrally)
-            &["scan", "GGG", "CCC", "--batch", "--deadline", "0"],
-            &["scan", "GGG", "CCC", "--batch", "--mem-budget", "lots"],
-            &["scan", "GGG", "CCC", "--batch", "--workers", "0"],
-            &["scan", "GGG", "CCC", "--batch", "--workers", "many"],
+            // bad values (the scan flag set parses them centrally)
+            &["scan", "GGG", "CCC", "--deadline", "0"],
+            &["scan", "GGG", "CCC", "--deadline", "1e20"],
+            &["scan", "GGG", "CCC", "--mem-budget", "lots"],
+            &["scan", "GGG", "CCC", "--workers", "0"],
+            &["scan", "GGG", "CCC", "--workers", "many"],
             // serve misuse (validated before binding anything)
             &["serve"],
             &["serve", "--socket"],
             &["serve", "--socket", "/tmp/s.sock", "--max-seconds", "0"],
             &["serve", "--socket", "/tmp/s.sock", "--max-seconds", "soon"],
             &["serve", "--socket", "/tmp/s.sock", "--mem-budget", "lots"],
+            &["serve", "--socket", "/tmp/s.sock", "--cache-mem", "lots"],
             &["serve", "--socket", "/tmp/s.sock", "--max-inflight", "0"],
             &["serve", "--socket", "/tmp/s.sock", "--max-inflight", "lots"],
             &["serve", "--socket", "/tmp/s.sock", "--queue-depth", "-1"],
@@ -1297,9 +1249,20 @@ mod tests {
             assert_eq!(err.exit_code(), 2, "{argv:?}: {err:?}");
             assert!(err.show_usage(), "{argv:?}");
         }
-        // a flag no command takes is refused by name, not by arity
-        let err = run(&["scan", "GGG", "CCC", "--batch", "--workers", "2"]).unwrap_err();
-        assert!(err.to_string().contains("--workers"), "{err}");
+        // a flag no command takes is refused by name, not by arity, and
+        // a bad value names its own flag
+        for (argv, flag) in [
+            (&["scan", "GGG", "CCC", "--workers", "2"][..], "--workers"),
+            (&["scan", "GGG", "CCC", "--batch"], "--batch"),
+            (&["scan", "GGG", "CCC", "--deadline", "1e20"], "--deadline"),
+            (
+                &["serve", "--socket", "/tmp/s.sock", "--cache-mem", "lots"],
+                "--cache-mem",
+            ),
+        ] {
+            let err = run(argv).unwrap_err();
+            assert!(err.to_string().contains(flag), "{argv:?}: {err}");
+        }
     }
 
     #[test]
@@ -1405,7 +1368,7 @@ mod tests {
     fn help_shows_usage() {
         let out = run(&["help"]).unwrap();
         assert!(out.contains("bpmax-cli interact"));
-        assert!(out.contains("--batch"));
+        assert!(out.contains("--checkpoint-dir"));
     }
 
     /// A per-process temp directory, removed when the test ends.

@@ -5,7 +5,7 @@
 //! bpmax-cli interact GGGAAACCC UUUGG
 //! bpmax-cli interact seq1.fa seq2.fa --alg hybrid-tiled --min-loop 3
 //! bpmax-cli scan GGCAUUCC target.fa --window 16 --top 5
-//! bpmax-cli scan GGCAUUCC target.fa --window 16 --batch
+//! bpmax-cli scan GGCAUUCC target.fa --window 16 --deadline 60
 //! bpmax-cli info 16 2048
 //! ```
 //!
@@ -15,9 +15,8 @@
 //! Exit status: 0 on success; 2 on misuse (bad flags, unknown algorithm,
 //! unreadable sequences — the usage text follows the error); 1 when
 //! `verify` finds genuine schedule violations; 3 when a supervised
-//! `scan --batch` run (`--deadline`, `--mem-budget`) completes only
-//! partially — the partial ranked results and a failure summary still
-//! print to stdout.
+//! `scan` (`--deadline`, `--mem-budget`) completes only partially — the
+//! partial ranked results and a failure summary still print to stdout.
 #![forbid(unsafe_code)]
 
 mod commands;

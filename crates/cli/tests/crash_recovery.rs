@@ -1,4 +1,4 @@
-//! Crash-recovery contract of `bpmax-cli scan --batch --checkpoint-dir`.
+//! Crash-recovery contract of `bpmax-cli scan --checkpoint-dir`.
 //!
 //! The durable-checkpoint promise, pinned end-to-end against the real
 //! binary: a SIGKILL at an arbitrary instant mid-wave loses at most the
@@ -32,7 +32,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn scan_args(dir: Option<&Path>, resume: bool) -> Vec<String> {
-    let mut args: Vec<String> = ["scan", QUERY, TARGET, "--window", "6", "--batch"]
+    let mut args: Vec<String> = ["scan", QUERY, TARGET, "--window", "6"]
         .iter()
         .map(ToString::to_string)
         .collect();

@@ -1,7 +1,7 @@
 //! End-to-end exit-status contract of `bpmax-cli`.
 //!
 //! 0 = success, 2 = misuse (usage text on stderr), 1 = `verify` found
-//! real violations, 3 = a supervised batch run completed partially
+//! real violations, 3 = a supervised scan completed partially
 //! (partial results on stdout). The in-process unit tests cover the
 //! error *types*; this spawns the real binary to pin the process-level
 //! mapping.
@@ -36,17 +36,18 @@ fn misuse_exits_two_with_usage() {
         vec!["fold", "XYZ"],
         vec!["interact", "GG", "CC", "--alg", "warp"],
         vec!["scan", "GGG", "CCC", "--window", "oops"],
-        vec!["scan", "GGG", "CCC", "--batch", "--deadline", "0"],
-        vec!["scan", "GGG", "CCC", "--batch", "--mem-budget", "-1"],
+        vec!["scan", "GGG", "CCC", "--deadline", "0"],
+        vec!["scan", "GGG", "CCC", "--deadline", "1e20"],
+        vec!["scan", "GGG", "CCC", "--mem-budget", "-1"],
         vec![
             "scan",
             "GGG",
             "CCC",
-            "--batch",
             "--mem-budget",
             "99999999999999999999G",
         ],
-        vec!["scan", "GGG", "CCC", "--batch", "--resume"],
+        vec!["scan", "GGG", "CCC", "--resume"],
+        vec!["scan", "GGG", "CCC", "--batch"],
     ] {
         let (code, _, stderr) = run(&argv);
         assert_eq!(code, 2, "{argv:?}: {stderr}");
@@ -79,7 +80,6 @@ fn partial_batch_exits_three_with_results_on_stdout() {
         "CCCAAACCC",
         "--window",
         "3",
-        "--batch",
         "--deadline",
         "0.000000001",
     ]);
@@ -100,7 +100,6 @@ fn supervised_batch_scan_with_headroom_exits_zero() {
         "AAAAAAAAAACCCCCAAAAAAAAAA",
         "--window",
         "5",
-        "--batch",
         "--deadline",
         "60",
         "--mem-budget",
@@ -118,9 +117,23 @@ fn batch_scan_succeeds_end_to_end() {
         "AAAAAAAAAACCCCCAAAAAAAAAA",
         "--window",
         "5",
-        "--batch",
     ]);
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("batch engine:"), "{stdout}");
     assert!(stdout.contains("CCCCC"), "{stdout}");
+}
+
+#[test]
+fn a_deadline_past_what_the_clock_holds_never_expires() {
+    let (code, stdout, stderr) = run(&[
+        "scan",
+        "GGGAAACCC",
+        "UUUGGCCAUUU",
+        "--window",
+        "5",
+        "--deadline",
+        "9.3e18",
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("outcomes: ok 11 "), "{stdout}");
 }

@@ -51,9 +51,12 @@
 //! wavefront invariant.
 //!
 //! **Bounded failure.** One bad problem never poisons the wave: each
-//! solve runs under the [`supervise`](crate::supervise) layer (batch-wide
-//! [`Deadline`]/[`CancelToken`]/[`MemoryBudget`] merged with any per-solve
-//! supervision), panics are isolated with `catch_unwind`, and every
+//! solve runs under the [`supervise`](crate::supervise) layer of its
+//! [`SolveOptions`] (a wave under [`BatchOptions::solve`]'s
+//! [`Deadline`](crate::supervise::Deadline),
+//! [`CancelToken`](crate::supervise::CancelToken) and
+//! [`MemoryBudget`](crate::supervise::MemoryBudget), a pooled solve under
+//! the options it is given), panics are isolated with `catch_unwind`, and every
 //! [`BatchItem`] records an [`Outcome`] instead of aborting
 //! [`BatchEngine::solve_all`]. The buffer of a panicked solve is
 //! quarantined, never recycled ([`PoolStats::quarantined`] counts it).
@@ -66,10 +69,7 @@ use crate::error::BpMaxError;
 use crate::ftable::{BlockPool, FTable, FView, Layout, PoolStats};
 use crate::kernels::{accumulate_r034_serial, finalize_triangle, prev_block, Terms, MIN_LANES};
 use crate::perfmodel::{predict_bpmax_seconds, BpMaxVariant, CostModel};
-use crate::supervise::{
-    fault, CancelToken, Deadline, Interrupt, MemoryBudget, Outcome, OutcomeCounts, Supervision,
-    Watch,
-};
+use crate::supervise::{fault, Interrupt, Outcome, OutcomeCounts, Supervision, Watch};
 use crate::windowed::{max_window_within, solve_windowed_watched};
 use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
@@ -87,41 +87,18 @@ use tropical::scalar::{LaneCell, Lanes, Lanes16, LANES};
 const COARSE_CUTOFF_S: f64 = 0.01;
 
 /// Configuration of a [`BatchEngine`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BatchOptions {
-    /// Per-problem solve configuration: the program version plus
-    /// per-solve supervision.
+    /// Per-problem solve configuration: the program version plus the
+    /// supervision every problem of a wave runs under. Its deadline is
+    /// an instant, so it bounds every wave the engine runs, and its
+    /// over-budget problems degrade unless
+    /// [`SolveOptions::degrade`] turned that off.
     pub solve: SolveOptions,
     /// Keep each problem's full F-table in its [`BatchItem`] (disables
     /// buffer recycling for those tables; a lane group copies each lane
     /// into its member's own pooled table; default `false`).
     pub keep_tables: bool,
-    /// Wall-clock budget for the whole wave, anchored when
-    /// [`BatchEngine::solve_all`] starts. Problems running (or queued)
-    /// past it finish as [`Outcome::TimedOut`].
-    pub deadline: Option<Duration>,
-    /// Per-problem F-table byte cap. Oversized problems degrade to the
-    /// windowed algorithm ([`Outcome::Degraded`]) when
-    /// [`BatchOptions::degrade`] is on, else fail with
-    /// [`BpMaxError::BudgetExceeded`].
-    pub mem_budget: Option<u64>,
-    /// Over-budget behaviour (default `true`: degrade, never silently).
-    pub degrade: bool,
-    /// Cancellation token observed by every solve of the wave.
-    pub cancel: Option<CancelToken>,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            solve: SolveOptions::new(),
-            keep_tables: false,
-            deadline: None,
-            mem_budget: None,
-            degrade: true,
-            cancel: None,
-        }
-    }
 }
 
 impl BatchOptions {
@@ -145,34 +122,6 @@ impl BatchOptions {
         self
     }
 
-    /// Set the wave's wall-clock budget.
-    #[must_use]
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Set the per-problem F-table byte cap.
-    #[must_use]
-    pub fn mem_budget(mut self, bytes: u64) -> Self {
-        self.mem_budget = Some(bytes);
-        self
-    }
-
-    /// Set the over-budget behaviour (degrade vs fail).
-    #[must_use]
-    pub fn degrade(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// Watch a cancellation token for the whole wave.
-    #[must_use]
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// FNV-1a fingerprint of every *score-affecting* option — the
     /// checkpoint manifest's compatibility rule. Two configurations with
     /// the same fingerprint produce bit-identical scores, so their
@@ -185,11 +134,13 @@ impl BatchOptions {
         // bytes the serve result-cache key hashes
         self.solve.raw_algorithm().fingerprint_into(&mut h);
         // memory budgets and degradation decide exact-vs-windowed scores
-        h.write_u64(self.mem_budget.unwrap_or(u64::MAX));
-        h.write(&[u8::from(self.degrade)]);
         let sup = self.solve.supervision();
         h.write_u64(sup.budget.map_or(u64::MAX, |b| b.bytes));
         h.write(&[u8::from(sup.degrade)]);
+        // a retired second supervision layer, hashed as "none" so every
+        // fingerprint, and so every checkpoint on disk, keeps its value
+        h.write_u64(u64::MAX);
+        h.write(&[0]);
         h.finish()
     }
 }
@@ -213,7 +164,8 @@ pub struct BatchItem {
     pub flops: u64,
     /// `true` when [`BatchEngine::classify_coarse`] found the problem
     /// small: it ran in the first group, and an interrupt would not
-    /// snapshot its table.
+    /// snapshot its table. An item of [`BatchEngine::solve_pooled`] is
+    /// never priced, and reports `false`.
     pub coarse: bool,
     /// How this problem ended.
     pub outcome: Outcome,
@@ -349,13 +301,7 @@ impl BatchEngine {
     /// cutoff: it runs in the batch's first group, and an interrupt does
     /// not snapshot its table (only large problems are worth the bytes).
     pub fn classify_coarse(&self, problem: &BpMaxProblem) -> bool {
-        self.classify_coarse_with(problem, &self.opts.solve)
-    }
-
-    /// [`BatchEngine::classify_coarse`] against explicit solve options
-    /// (the daemon classifies per request, not per engine).
-    fn classify_coarse_with(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> bool {
-        self.predict_seconds(problem, solve) < COARSE_CUTOFF_S
+        self.predict_seconds(problem, &self.opts.solve) < COARSE_CUTOFF_S
     }
 
     /// Predicted single-thread solve seconds for `problem` under `solve` —
@@ -368,22 +314,13 @@ impl BatchEngine {
     }
 
     /// Solve one problem on the engine's warm table arena with
-    /// *per-request* solve options — the serve daemon's entry point. The
-    /// request is classified like a batch problem
-    /// ([`BatchEngine::classify_coarse`]); supervision merges the
-    /// engine-wide layer with the request's own. Infallible like the
-    /// batch waves: every failure mode folds into the returned item's
-    /// [`Outcome`] + error.
+    /// *per-request* solve options — the serve daemon's entry point. It
+    /// runs under `solve`'s supervision alone, never the engine's, and
+    /// writes no checkpoint, so it is not priced: its item reports
+    /// `coarse = false`. Infallible like the batch waves: every failure
+    /// mode folds into the returned item's [`Outcome`] + error.
     pub fn solve_pooled(&self, problem: &BpMaxProblem, solve: &SolveOptions) -> BatchItem {
-        let batch_sup = Supervision {
-            cancel: self.opts.cancel.clone(),
-            deadline: self.opts.deadline.map(Deadline::within),
-            budget: self.opts.mem_budget.map(MemoryBudget::bytes),
-            degrade: self.opts.degrade,
-        };
-        let sup = Supervision::merged(&batch_sup, solve.supervision());
-        let coarse = self.classify_coarse_with(problem, solve);
-        self.solve_one(problem, 0, coarse, &sup, None, None, solve)
+        self.solve_one(problem, 0, false, None, None, solve)
     }
 
     /// Solve every problem; results come back in input order,
@@ -401,7 +338,8 @@ impl BatchEngine {
     /// cancelled, times out, blows its memory budget, or panics becomes a
     /// [`BatchItem`] with the matching [`Outcome`] (and its buffer is
     /// recycled or quarantined), while every other problem completes
-    /// normally. The wave-wide deadline clock starts here.
+    /// normally. The deadline is [`BatchOptions::solve`]'s instant, not a
+    /// clock this call starts.
     pub fn solve_all(&self, problems: &[BpMaxProblem]) -> Result<BatchReport, BpMaxError> {
         self.run_batch(
             problems,
@@ -602,18 +540,12 @@ impl BatchEngine {
         split: Split,
     ) -> Result<BatchReport, BpMaxError> {
         let start = Instant::now();
-        let batch_sup = Supervision {
-            cancel: self.opts.cancel.clone(),
-            deadline: self.opts.deadline.map(Deadline::within),
-            budget: self.opts.mem_budget.map(MemoryBudget::bytes),
-            degrade: self.opts.degrade,
-        };
-        let sup = Supervision::merged(&batch_sup, self.opts.solve.supervision());
+        let sup = self.opts.solve.supervision();
         let coarse_class: Vec<bool> = problems.iter().map(|p| self.classify_coarse(p)).collect();
         let solve = |i: usize| {
             let snap = snapshot.filter(|s| s.index as usize == i);
             let coarse = coarse_class[i];
-            self.solve_one(&problems[i], i, coarse, &sup, ckpt, snap, &self.opts.solve)
+            self.solve_one(&problems[i], i, coarse, ckpt, snap, &self.opts.solve)
         };
 
         // The coarse group first: `workers` threads claim its units, a
@@ -623,16 +555,16 @@ impl BatchEngine {
             .filter(|&i| coarse_class[i] && slots[i].is_none())
             .collect();
         let flops = pending.iter().map(|&i| problems[i].flops() as f64).sum();
-        let plan = self.plan(problems, &pending, &sup, snapshot);
+        let plan = self.plan(problems, &pending, sup, snapshot);
         let workers = split.workers(plan.len(), flops);
         // a lane group's element, from its first member (a group shares it)
         let exact16 = |i: usize| problems[i].ctx().terms().exact16();
         let mut lanes = LaneTables::<Lanes>::default();
         let mut lanes16 = LaneTables::<Lanes16>::default();
         // a wave that is over before it starts allocates nothing
-        if Watch::new(&sup).check_now().is_ok() {
+        if Watch::new(sup).check_now().is_ok() {
             if workers > 1 {
-                self.top_up(pending.iter().map(|&i| &problems[i]), workers, &sup);
+                self.top_up(pending.iter().map(|&i| &problems[i]), workers, sup);
             }
             let groups = plan.iter().filter(|unit| unit.len() >= MIN_LANES);
             lanes =
@@ -658,9 +590,9 @@ impl BatchEngine {
             }
             // a group that could not run leaves its members' slots empty
             if exact16(unit[0].0) {
-                self.solve_lanes(problems, &mut unit, &sup, ckpt, &lanes16);
+                self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes16);
             } else {
-                self.solve_lanes(problems, &mut unit, &sup, ckpt, &lanes);
+                self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes);
             }
             for (i, slot) in unit {
                 if slot.is_none() {
@@ -859,19 +791,17 @@ impl BatchEngine {
     /// failure mode folds into the item's [`Outcome`] + error. Completed
     /// results (any outcome with a score) are journaled before the item
     /// is returned, so a crash after this point loses nothing.
-    #[allow(clippy::too_many_arguments)]
     fn solve_one(
         &self,
         problem: &BpMaxProblem,
         index: usize,
         coarse: bool,
-        sup: &Supervision,
         ckpt: Option<&CheckpointSink>,
         snap: Option<&TableSnapshot>,
         solve: &SolveOptions,
     ) -> BatchItem {
         let t = Instant::now();
-        let result = self.solve_inner(problem, index, coarse, sup, ckpt, snap, solve);
+        let result = self.solve_inner(problem, index, coarse, ckpt, snap, solve);
         batch_item(
             problem,
             index,
@@ -882,21 +812,21 @@ impl BatchEngine {
         )
     }
 
-    /// The supervised solve pipeline of one problem: entry check → budget
-    /// admission (degrading if allowed) → pooled allocation → panic-
-    /// isolated compute → recycle-or-quarantine.
-    #[allow(clippy::too_many_arguments)]
+    /// The supervised solve pipeline of one problem, under `solve`'s
+    /// supervision: entry check → budget admission (degrading if allowed)
+    /// → pooled allocation → panic-isolated compute →
+    /// recycle-or-quarantine.
     fn solve_inner(
         &self,
         problem: &BpMaxProblem,
         index: usize,
         coarse: bool,
-        sup: &Supervision,
         ckpt: Option<&CheckpointSink>,
         snap: Option<&TableSnapshot>,
         solve: &SolveOptions,
     ) -> Result<(Outcome, f32, Option<FTable>), BpMaxError> {
         let algorithm = solve.validated_algorithm()?;
+        let sup = solve.supervision();
         let (m, n) = (problem.ctx().m(), problem.ctx().n());
         let mut watch = Watch::new(sup);
         if let Some(fault::Fault::Slow { millis }) = fault::active(fault::SITE_SLOW, index) {
@@ -1175,6 +1105,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::engine::Algorithm;
+    use crate::supervise::{CancelToken, Deadline, MemoryBudget};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rna::{RnaSeq, ScoringModel};
@@ -1330,7 +1261,9 @@ mod tests {
         let problems = mixed_problems(5, 47);
         let token = CancelToken::new();
         token.cancel();
-        let engine = BatchEngine::new(BatchOptions::new().cancel(token.clone())).unwrap();
+        let engine =
+            BatchEngine::new(BatchOptions::new().solve(SolveOptions::new().cancel(token.clone())))
+                .unwrap();
         let report = engine.solve_all(&problems).unwrap();
         let counts = report.outcomes();
         assert_eq!(counts.cancelled, 5, "{counts}");
@@ -1347,7 +1280,11 @@ mod tests {
     #[test]
     fn zero_deadline_marks_every_item_timed_out() {
         let problems = mixed_problems(4, 48);
-        let engine = BatchEngine::new(BatchOptions::new().deadline(Duration::ZERO)).unwrap();
+        let engine = BatchEngine::new(
+            BatchOptions::new()
+                .solve(SolveOptions::new().deadline(Deadline::within(Duration::ZERO))),
+        )
+        .unwrap();
         let report = engine.solve_all(&problems).unwrap();
         assert_eq!(report.outcomes().timed_out, 4);
         for item in &report.items {
@@ -1378,7 +1315,8 @@ mod tests {
         // budget chosen between the two table sizes: small fits, large not
         let budget = FTable::estimate_bytes(12, 14, crate::ftable::Layout::Packed).unwrap() / 2;
         assert!(budget > FTable::estimate_bytes(3, 3, crate::ftable::Layout::Packed).unwrap());
-        let engine = BatchEngine::new(BatchOptions::new().mem_budget(budget)).unwrap();
+        let within = || SolveOptions::new().mem_budget(MemoryBudget::bytes(budget));
+        let engine = BatchEngine::new(BatchOptions::new().solve(within())).unwrap();
         let report = engine.solve_all(&[small, large]).unwrap();
         let counts = report.outcomes();
         assert_eq!((counts.ok, counts.degraded), (1, 1), "{counts}");
@@ -1399,8 +1337,7 @@ mod tests {
             RnaSeq::random(&mut rng, 14),
             ScoringModel::bpmax_default(),
         );
-        let engine =
-            BatchEngine::new(BatchOptions::new().mem_budget(budget).degrade(false)).unwrap();
+        let engine = BatchEngine::new(BatchOptions::new().solve(within().degrade(false))).unwrap();
         let report = engine.solve_all(std::slice::from_ref(&large)).unwrap();
         assert_eq!(report.outcomes().failed, 1);
         assert!(
@@ -1473,8 +1410,11 @@ mod tests {
     #[test]
     fn strict_pooled_solve_rejects_oversized_problems() {
         let p = pair("GGAUCGAC", "CCGAUG");
-        let engine = BatchEngine::new(BatchOptions::new().degrade(false)).unwrap();
-        let got = engine.solve_pooled(&p, &SolveOptions::new().mem_budget(MemoryBudget::bytes(8)));
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let strict = SolveOptions::new()
+            .mem_budget(MemoryBudget::bytes(8))
+            .degrade(false);
+        let got = engine.solve_pooled(&p, &strict);
         assert_eq!(got.outcome, Outcome::Failed);
         assert!(
             matches!(got.error, Some(BpMaxError::BudgetExceeded { .. })),
@@ -1514,20 +1454,19 @@ mod tests {
         let base = BatchOptions::new();
         let fp = base.fingerprint();
         assert_eq!(fp, BatchOptions::new().fingerprint(), "deterministic");
+        let with = |solve: SolveOptions| base.clone().solve(solve).fingerprint();
         // wall-clock knobs do not move the fingerprint
         assert_eq!(
             fp,
-            base.clone().deadline(Duration::from_secs(1)).fingerprint()
+            with(SolveOptions::new().deadline(Deadline::within(Duration::from_secs(1))))
         );
         // score-affecting knobs do
+        assert_ne!(fp, with(SolveOptions::new().algorithm(Algorithm::Permuted)));
         assert_ne!(
             fp,
-            base.clone()
-                .solve(SolveOptions::new().algorithm(Algorithm::Permuted))
-                .fingerprint()
+            with(SolveOptions::new().mem_budget(MemoryBudget::bytes(1 << 20)))
         );
-        assert_ne!(fp, base.clone().mem_budget(1 << 20).fingerprint());
-        assert_ne!(fp, base.clone().degrade(false).fingerprint());
+        assert_ne!(fp, with(SolveOptions::new().degrade(false)));
     }
 
     #[test]
@@ -1546,7 +1485,8 @@ mod tests {
                 0x21d8_5677_909d_4bee,
             ),
             (
-                BatchOptions::new().mem_budget(1 << 20),
+                BatchOptions::new()
+                    .solve(SolveOptions::new().mem_budget(MemoryBudget::bytes(1 << 20))),
                 0x8be1_26a2_0afe_0e3e,
             ),
         ];
@@ -1789,7 +1729,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for split in forced() {
-            let engine = BatchEngine::new(BatchOptions::new().cancel(token.clone())).unwrap();
+            let engine = BatchEngine::new(
+                BatchOptions::new().solve(SolveOptions::new().cancel(token.clone())),
+            )
+            .unwrap();
             let report = split_wave(&engine, &problems, split);
             assert_eq!(report.outcomes().cancelled, 5, "{split:?}");
             assert_eq!(report.pool.allocated, 0, "{split:?}");
@@ -1806,7 +1749,7 @@ mod tests {
         let flops = |ps: &[BpMaxProblem]| ps.iter().map(|p| p.flops() as f64).sum::<f64>();
         let small = mixed_problems(10, 44);
         assert_eq!(two.workers(small.len(), flops(&small)), 1);
-        // the `scan --batch` shape: a 12-nt query against each 16-nt
+        // the `scan` shape: a 12-nt query against each 16-nt
         // window start of a 200-nt target, every window coarse
         let mut rng = StdRng::seed_from_u64(62);
         let query = RnaSeq::random(&mut rng, 12);
@@ -1957,7 +1900,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for split in forced() {
-            let engine = BatchEngine::new(BatchOptions::new().cancel(token.clone())).unwrap();
+            let engine = BatchEngine::new(
+                BatchOptions::new().solve(SolveOptions::new().cancel(token.clone())),
+            )
+            .unwrap();
             let report = split_wave(&engine, &problems, split);
             assert_eq!(report.outcomes().cancelled, 8, "{split:?}");
             assert_eq!(

@@ -1,6 +1,6 @@
 //! Durable checkpoint/resume for batch solving.
 //!
-//! A `scan --batch` over thousands of RNA pairs that dies at 95% should
+//! A `scan` over thousands of RNA pairs that dies at 95% should
 //! not restart from zero. This module gives [`crate::batch::BatchEngine`]
 //! a crash-safe on-disk representation of batch progress:
 //!

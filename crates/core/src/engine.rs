@@ -206,10 +206,12 @@ impl FromStr for Algorithm {
 }
 
 /// Options for [`BpMaxProblem::solve_opts`] — the one fallible solve
-/// entry point.
+/// entry point — and for every solve of the batch engine.
 ///
 /// An [`Algorithm`] (everything score-affecting, shared with the batch
-/// engine and the serve wire API) plus a per-run [`Supervision`] layer.
+/// engine and the serve wire API) plus the one [`Supervision`] layer: a
+/// batch wave runs under its engine's options, a pooled solve under the
+/// options it is given.
 ///
 /// ```
 /// use bpmax::{Algorithm, BpMaxProblem, SolveOptions};
@@ -232,7 +234,8 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Default options: the default [`Algorithm`], no supervision.
+    /// Default options: the default [`Algorithm`], no supervision, and
+    /// over-budget problems degrade on the batch engine.
     pub fn new() -> Self {
         Self::default()
     }
@@ -262,9 +265,9 @@ impl SolveOptions {
     }
 
     /// Cap the F-table bytes. [`BpMaxProblem::solve_opts`] rejects
-    /// oversized problems with [`BpMaxError::BudgetExceeded`];
-    /// [`crate::batch::BatchEngine::solve_pooled`] can degrade them
-    /// instead — see [`SolveOptions::degrade`].
+    /// oversized problems with [`BpMaxError::BudgetExceeded`]; the batch
+    /// engine degrades them instead unless told not to — see
+    /// [`SolveOptions::degrade`].
     #[must_use]
     pub fn mem_budget(mut self, budget: MemoryBudget) -> Self {
         self.supervision.budget = Some(budget);
@@ -273,10 +276,11 @@ impl SolveOptions {
 
     /// Over-budget behaviour for
     /// [`crate::batch::BatchEngine::solve_pooled`] and the batch waves:
-    /// `true` falls back to the windowed/banded algorithm at the widest
-    /// in-budget window and reports [`crate::supervise::Outcome::Degraded`]
-    /// (the score is a valid lower bound); `false` (the default) rejects.
-    /// [`BpMaxProblem::solve_opts`] always rejects.
+    /// `true` (the default) falls back to the windowed/banded algorithm
+    /// at the widest in-budget window and reports
+    /// [`crate::supervise::Outcome::Degraded`] (the score is a valid lower
+    /// bound); `false` rejects. [`BpMaxProblem::solve_opts`] always
+    /// rejects.
     #[must_use]
     pub fn degrade(mut self, degrade: bool) -> Self {
         self.supervision.degrade = degrade;

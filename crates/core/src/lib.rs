@@ -29,12 +29,14 @@
 //! [`SolveOptions`] picks the champion algorithm by default and exposes
 //! the one score-affecting knob, the program version with its tile,
 //! behind one fallible entry point; every solve packs its table's inner
-//! triangles ([`ftable::Layout::Packed`]). To solve *many* problems, use
-//! the pooled [`batch::BatchEngine`] instead of a loop — it recycles
-//! F-table buffers across solves, and its
-//! [`BatchEngine::solve_pooled`] solves one problem the same way,
-//! degrading an over-budget one to the windowed algorithm where
-//! [`BpMaxProblem::solve_opts`] rejects it.
+//! triangles ([`ftable::Layout::Packed`]). It also holds the one
+//! supervision layer (cancel, deadline, memory budget, degrade). To
+//! solve *many* problems, use the pooled [`batch::BatchEngine`] instead
+//! of a loop — it recycles F-table buffers across solves, runs each wave
+//! under its options' supervision, and its
+//! [`BatchEngine::solve_pooled`] solves one problem under the options it
+//! is given, degrading an over-budget one to the windowed algorithm
+//! (unless told not to) where [`BpMaxProblem::solve_opts`] rejects it.
 //!
 //! # Module map
 //!

@@ -855,13 +855,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// effective budget, and degrade flag. Deadlines are excluded on
 /// purpose — they cannot change a score.
 fn cache_fingerprint(algorithm: Algorithm, effective_budget: Option<u64>, degrade: bool) -> u64 {
-    let mut opts = BatchOptions::new()
-        .solve(SolveOptions::new().algorithm(algorithm))
-        .degrade(degrade);
+    let mut solve = SolveOptions::new().algorithm(algorithm).degrade(degrade);
     if let Some(bytes) = effective_budget {
-        opts = opts.mem_budget(bytes);
+        solve = solve.mem_budget(MemoryBudget::bytes(bytes));
     }
-    opts.fingerprint()
+    BatchOptions::new().solve(solve).fingerprint()
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -2101,6 +2099,24 @@ mod tests {
         assert_ne!(base, cache_fingerprint(alg, None, true));
         // a different algorithm is a different key
         assert_ne!(base, cache_fingerprint(Algorithm::Baseline, None, false));
+    }
+
+    #[test]
+    fn cache_fingerprint_values_are_pinned() {
+        // Every disk-tier entry is filed under this value: a new value
+        // for an old request would leave the disk cache cold after an
+        // upgrade. The degrade-on keys are the batch fingerprint pins.
+        let alg = Algorithm::default();
+        let pins = [
+            ((None, false), 0xd096_1793_4280_66af_u64),
+            ((Some(1 << 20), false), 0x502c_e567_99a3_1e87),
+            ((None, true), 0xef7d_c2a0_d95a_ae66),
+            ((Some(1 << 20), true), 0x8be1_26a2_0afe_0e3e),
+        ];
+        for ((budget, degrade), want) in pins {
+            let got = cache_fingerprint(alg, budget, degrade);
+            assert_eq!(got, want, "{budget:?}, degrade {degrade}: {got:#018x}");
+        }
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! * [`Outcome`] — the per-problem verdict the batch engine aggregates
 //!   (`Ok | Degraded | Failed | Cancelled | TimedOut`).
 //!
+//! A solve's token, deadline, budget and degrade flag live in one
+//! [`Supervision`], the one its [`SolveOptions`](crate::SolveOptions)
+//! carries: a batch wave runs under its engine's options, a pooled solve
+//! under the options it is given.
+//!
 //! The [`fault`] submodule (compiled under the `fault-inject` feature) is
 //! the proof harness: a deterministic plan injects panics, allocation
 //! failures, and artificial slowness at named sites, and the
@@ -78,7 +83,9 @@ impl PartialEq for CancelToken {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Deadline {
     started: Instant,
-    at: Instant,
+    /// `None` when the budget reaches past what an [`Instant`] can hold:
+    /// such a deadline never expires.
+    at: Option<Instant>,
 }
 
 impl Deadline {
@@ -87,13 +94,13 @@ impl Deadline {
         let started = Instant::now();
         Deadline {
             started,
-            at: started.checked_add(budget).unwrap_or(started),
+            at: started.checked_add(budget),
         }
     }
 
     /// Has the deadline passed?
     pub fn expired(&self) -> bool {
-        Instant::now() >= self.at
+        self.at.is_some_and(|at| Instant::now() >= at)
     }
 
     /// Seconds since the deadline was created.
@@ -105,15 +112,9 @@ impl Deadline {
     /// serve daemon caps a request's queue wait by this, so queue time
     /// counts against the same clock as solve time.
     pub fn remaining(&self) -> Duration {
-        self.at.saturating_duration_since(Instant::now())
-    }
-
-    /// The earlier of two optional deadlines.
-    pub(crate) fn earlier(a: Option<Deadline>, b: Option<Deadline>) -> Option<Deadline> {
-        match (a, b) {
-            (Some(a), Some(b)) => Some(if a.at <= b.at { a } else { b }),
-            (one, other) => one.or(other),
-        }
+        self.at.map_or(Duration::MAX, |at| {
+            at.saturating_duration_since(Instant::now())
+        })
     }
 }
 
@@ -133,19 +134,6 @@ impl MemoryBudget {
     /// Does a table of `needed` bytes fit?
     pub fn allows(&self, needed: u64) -> bool {
         needed <= self.bytes
-    }
-
-    /// The smaller of two optional budgets.
-    pub(crate) fn tighter(
-        a: Option<MemoryBudget>,
-        b: Option<MemoryBudget>,
-    ) -> Option<MemoryBudget> {
-        match (a, b) {
-            (Some(a), Some(b)) => Some(MemoryBudget {
-                bytes: a.bytes.min(b.bytes),
-            }),
-            (one, other) => one.or(other),
-        }
     }
 }
 
@@ -280,10 +268,12 @@ impl std::fmt::Display for OutcomeCounts {
     }
 }
 
-/// The supervision configuration carried by solve/batch options: which
-/// token, deadline and budget apply, and whether oversized problems
-/// degrade or fail.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The supervision configuration a [`SolveOptions`](crate::SolveOptions)
+/// carries, the only one: which token, deadline and budget apply, and
+/// whether oversized problems degrade or fail. A batch wave runs under
+/// its engine's options' supervision, a pooled solve under the options
+/// it is given.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Supervision {
     /// Cooperative cancellation flag, if any.
     pub cancel: Option<CancelToken>,
@@ -291,34 +281,27 @@ pub struct Supervision {
     pub deadline: Option<Deadline>,
     /// Per-problem F-table byte cap, if any.
     pub budget: Option<MemoryBudget>,
-    /// Over-budget behaviour: `true` degrades to the windowed algorithm
-    /// ([`Outcome::Degraded`]), `false` rejects with
-    /// [`BpMaxError::BudgetExceeded`].
+    /// Over-budget behaviour of the batch engine: `true` (the default)
+    /// degrades to the windowed algorithm ([`Outcome::Degraded`]),
+    /// `false` rejects with [`BpMaxError::BudgetExceeded`].
     pub degrade: bool,
+}
+
+impl Default for Supervision {
+    fn default() -> Self {
+        Supervision {
+            cancel: None,
+            deadline: None,
+            budget: None,
+            degrade: true,
+        }
+    }
 }
 
 impl Supervision {
     /// No supervision at all (the unsupervised fast path).
     pub fn none() -> Self {
         Supervision::default()
-    }
-
-    /// `true` when nothing is supervised (checkpoints become no-ops).
-    pub fn is_none(&self) -> bool {
-        self.cancel.is_none() && self.deadline.is_none() && self.budget.is_none()
-    }
-
-    /// Combine two layers (e.g. per-solve options under a batch wave):
-    /// earliest deadline and tightest budget win; the outer cancel token
-    /// takes precedence when both are set; degradation is enabled if
-    /// either layer enables it.
-    pub fn merged(outer: &Supervision, inner: &Supervision) -> Supervision {
-        Supervision {
-            cancel: outer.cancel.clone().or_else(|| inner.cancel.clone()),
-            deadline: Deadline::earlier(outer.deadline, inner.deadline),
-            budget: MemoryBudget::tighter(outer.budget, inner.budget),
-            degrade: outer.degrade || inner.degrade,
-        }
     }
 }
 
@@ -649,10 +632,18 @@ mod tests {
         let zero = Deadline::within(Duration::ZERO);
         assert!(zero.expired());
         assert!(zero.elapsed_s() >= 0.0);
-        let earlier = Deadline::earlier(Some(zero), Some(d)).unwrap();
-        assert!(earlier.expired());
-        assert_eq!(Deadline::earlier(None, Some(d)), Some(d));
-        assert_eq!(Deadline::earlier(None, None), None);
+    }
+
+    #[test]
+    fn deadline_past_what_an_instant_holds_never_expires() {
+        let d = Deadline::within(Duration::MAX);
+        assert!(!d.expired());
+        assert_eq!(d.remaining(), Duration::MAX);
+        let watch = Watch::new(&Supervision {
+            deadline: Some(d),
+            ..Supervision::none()
+        });
+        assert_eq!(watch.check_now(), Ok(()));
     }
 
     #[test]
@@ -660,9 +651,6 @@ mod tests {
         let b = MemoryBudget::bytes(1000);
         assert!(b.allows(1000));
         assert!(!b.allows(1001));
-        let tight = MemoryBudget::tighter(Some(b), Some(MemoryBudget::bytes(10))).unwrap();
-        assert_eq!(tight.bytes, 10);
-        assert_eq!(MemoryBudget::tighter(None, Some(b)), Some(b));
     }
 
     #[test]
@@ -694,30 +682,6 @@ mod tests {
         let mut clean = OutcomeCounts::default();
         clean.record(Outcome::Ok);
         assert!(clean.all_ok());
-    }
-
-    #[test]
-    fn supervision_merge_takes_tightest() {
-        let token = CancelToken::new();
-        let outer = Supervision {
-            cancel: Some(token.clone()),
-            deadline: Some(Deadline::within(Duration::ZERO)),
-            budget: Some(MemoryBudget::bytes(100)),
-            degrade: false,
-        };
-        let inner = Supervision {
-            cancel: Some(CancelToken::new()),
-            deadline: Some(Deadline::within(Duration::from_secs(3600))),
-            budget: Some(MemoryBudget::bytes(50)),
-            degrade: true,
-        };
-        let merged = Supervision::merged(&outer, &inner);
-        assert_eq!(merged.cancel, Some(token));
-        assert!(merged.deadline.unwrap().expired());
-        assert_eq!(merged.budget.unwrap().bytes, 50);
-        assert!(merged.degrade);
-        assert!(Supervision::none().is_none());
-        assert!(!merged.is_none());
     }
 
     #[test]

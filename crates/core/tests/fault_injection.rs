@@ -18,7 +18,7 @@
 use bpmax::checkpoint;
 use bpmax::supervise::fault::{self, Fault, FaultPlan};
 use bpmax::{
-    Algorithm, BatchEngine, BatchOptions, BpMaxError, BpMaxProblem, Outcome, SolveOptions,
+    Algorithm, BatchEngine, BatchOptions, BpMaxError, BpMaxProblem, Deadline, Outcome, SolveOptions,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,6 +74,12 @@ fn exact_scores(problems: &[BpMaxProblem]) -> Vec<f32> {
 
 fn engine() -> BatchEngine {
     BatchEngine::new(BatchOptions::new()).unwrap()
+}
+
+/// Engine options whose waves must finish within `millis` of now.
+fn wave_deadline(millis: u64) -> BatchOptions {
+    BatchOptions::new()
+        .solve(SolveOptions::new().deadline(Deadline::within(Duration::from_millis(millis))))
 }
 
 #[test]
@@ -141,7 +147,7 @@ fn injected_slowness_trips_the_deadline_mid_solve() {
     // after one sleep — finds the deadline blown.
     let _armed =
         Armed::new(FaultPlan::new().fail(fault::SITE_SLOW, 3, Fault::Slow { millis: 200 }));
-    let report = BatchEngine::new(BatchOptions::new().deadline(Duration::from_millis(150)))
+    let report = BatchEngine::new(wave_deadline(150))
         .unwrap()
         .solve_all(&problems)
         .unwrap();
@@ -288,7 +294,7 @@ fn lane_group_slow_member_times_the_group_out_as_a_unit() {
     // the group shares one watch, so every member times out
     let _armed =
         Armed::new(FaultPlan::new().fail(fault::SITE_SLOW, 12, Fault::Slow { millis: 200 }));
-    let report = BatchEngine::new(BatchOptions::new().deadline(Duration::from_millis(150)))
+    let report = BatchEngine::new(wave_deadline(150))
         .unwrap()
         .solve_all(&problems)
         .unwrap();
@@ -360,8 +366,7 @@ fn interrupted_large_problem_snapshots_and_resumes_bit_identically() {
     let interrupted = {
         let _armed =
             Armed::new(FaultPlan::new().fail(fault::SITE_SLOW, 0, Fault::Slow { millis: 100 }));
-        let engine =
-            BatchEngine::new(BatchOptions::new().deadline(Duration::from_millis(400))).unwrap();
+        let engine = BatchEngine::new(wave_deadline(400)).unwrap();
         assert!(!engine.classify_coarse(&p), "36x36 must not be coarse");
         engine.solve_all_checkpointed(problems, &dir).unwrap()
     };
