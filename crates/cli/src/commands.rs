@@ -53,12 +53,13 @@ are dropped from the ranking and the run exits 3 with the partial
 results plus a failure summary.
 
 --checkpoint-dir DIR journals every completed window to a crash-safe
-checkpoint under DIR (write-to-temp + fsync + atomic rename; a kill at
-any instant leaves a valid journal). --resume replays that journal —
-completed windows are never recomputed and the ranked output is
-bit-identical to an uninterrupted run — and refuses checkpoints written
-under different scoring options or for a different window set. A corrupt
-or truncated checkpoint is a typed error (exit 2), never garbage.
+checkpoint under DIR (one append + fsync per window or lane group; a
+kill at any instant leaves a valid journal, at worst with a torn final
+record that resume drops). --resume replays that journal — completed
+windows are never recomputed and the ranked output is bit-identical to
+an uninterrupted run — and refuses checkpoints written under different
+scoring options or for a different window set. Any other damage (a
+flipped byte, a cut header) is a typed error (exit 2), never garbage.
 
 serve runs a resident solve daemon on a Unix socket: one warm batch
 engine (hot block-pool arenas) answers every client request, results are

@@ -6,7 +6,9 @@
 //! same-shape windows solved together, whose members are journaled only
 //! when the group finishes; `--resume` replays every journaled window without
 //! recomputing it and produces ranked output **bit-identical** to an
-//! uninterrupted run; and any corruption of the bytes on disk is
+//! uninterrupted run. A journal cut past its header is what a kill
+//! mid-append leaves — a torn final frame — and resumes from the whole
+//! frames before the cut; any other corruption of the bytes on disk is
 //! refused with exit 2 and a typed `corrupt checkpoint` diagnostic,
 //! never replayed as garbage.
 //!
@@ -63,7 +65,6 @@ fn run(args: &[String]) -> (i32, String, String) {
 /// "top N windows:" header down) — the part that must be bit-identical
 /// across resumed and uninterrupted runs; the engine note above it
 /// carries wall-clock timings.
-#[cfg(feature = "fault-inject")]
 fn ranked_tail(stdout: &str) -> Vec<String> {
     let tail: Vec<String> = stdout
         .lines()
@@ -112,8 +113,8 @@ fn sigkill_mid_wave_then_resume_is_bit_identical() {
     child.kill().expect("kill child");
     let _ = child.wait();
 
-    // whatever the kill left behind is a valid checkpoint: atomic
-    // renames mean there is no torn state to observe
+    // whatever the kill left behind is a valid checkpoint: the manifest
+    // is written whole, and a torn final journal frame is dropped
     let (_, before, _) = checkpoint::load(&dir).expect("journal valid after SIGKILL");
     assert!(
         !before.is_empty() && before.len() < WINDOWS,
@@ -176,24 +177,42 @@ fn flipped_journal_byte_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A truncated journal — a partial write that atomic renames make
-/// impossible in normal operation, so it can only be real damage — is
-/// likewise refused with exit 2.
+/// A journal cut inside its 13-byte header is damage and is refused with
+/// exit 2. A cut anywhere past it is what a kill mid-append leaves, a
+/// torn final frame: the resume keeps the whole frames before the cut,
+/// solves the rest, and prints the uninterrupted ranking.
 #[test]
-fn truncated_journal_is_refused() {
+fn torn_journal_resumes_and_a_cut_header_is_refused() {
+    let (code, reference, stderr) = run(&scan_args(None, false));
+    assert_eq!(code, 0, "{stderr}");
     let dir = tmpdir("trunc");
     let (code, _, stderr) = run(&scan_args(Some(&dir), false));
     assert_eq!(code, 0, "{stderr}");
 
     let jpath = dir.join("journal.bin");
     let pristine = std::fs::read(&jpath).expect("journal written");
-    for len in [0, 7, pristine.len() / 2, pristine.len() - 1] {
+    for len in [0, 7] {
         std::fs::write(&jpath, &pristine[..len]).unwrap();
         let (code, _, stderr) = run(&scan_args(Some(&dir), true));
         assert_eq!(code, 2, "truncate to {len}: {stderr}");
         assert!(
             stderr.contains("corrupt checkpoint"),
             "truncate to {len}: {stderr}"
+        );
+    }
+    for len in [pristine.len() / 2, pristine.len() - 1] {
+        std::fs::write(&jpath, &pristine[..len]).unwrap();
+        let (code, resumed, stderr) = run(&scan_args(Some(&dir), true));
+        assert_eq!(code, 0, "truncate to {len}: {stderr}");
+        let whole = (len - 13) / 30;
+        assert!(
+            resumed.contains(&format!("checkpoint: {whole} of ")),
+            "truncate to {len}: want {whole} replayed:\n{resumed}"
+        );
+        assert_eq!(
+            ranked_tail(&reference),
+            ranked_tail(&resumed),
+            "truncate to {len}: resumed ranking differs from uninterrupted run"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -541,7 +541,17 @@ impl BatchEngine {
     ) -> Result<BatchReport, BpMaxError> {
         let start = Instant::now();
         let sup = self.opts.solve.supervision();
-        let coarse_class: Vec<bool> = problems.iter().map(|p| self.classify_coarse(p)).collect();
+        // a price depends on the shape alone, and a scan wave has few
+        let mut priced = HashMap::new();
+        let coarse_class: Vec<bool> = problems
+            .iter()
+            .map(|p| {
+                let shape = (p.ctx().m(), p.ctx().n());
+                *priced
+                    .entry(shape)
+                    .or_insert_with(|| self.classify_coarse(p))
+            })
+            .collect();
         let solve = |i: usize| {
             let snap = snapshot.filter(|s| s.index as usize == i);
             let coarse = coarse_class[i];
@@ -658,8 +668,9 @@ impl BatchEngine {
 
     /// Solve the lane group `unit` (same-shape coarse problems) in one
     /// wavefront over a lane table of cells `L` from `lanes`, filling
-    /// each member's slot. Each member keeps its own entry check and fault sites, and
-    /// gets its own journal record and item; the group runs under one
+    /// each member's slot. Each member keeps its own entry check and fault
+    /// sites, and gets its own journal record and item; the group's
+    /// records take one journal append, and the group runs under one
     /// watch, so a deadline or cancellation stops it as a unit. When the
     /// group cannot run as one — its compute panicked, or its lane table
     /// could not be shaped — its live members' slots stay empty, for the
@@ -696,7 +707,7 @@ impl BatchEngine {
                 }
                 Err(err) => {
                     let seconds = t.elapsed().as_secs_f64();
-                    **slot = Some(batch_item(problem, *i, true, seconds, Err(err), ckpt));
+                    **slot = Some(batch_item(problem, *i, true, seconds, Err(err)));
                 }
             }
         }
@@ -742,26 +753,33 @@ impl BatchEngine {
         };
         let result = result.map_err(Interrupt::into_error);
         let seconds = t.elapsed().as_secs_f64() / live.len() as f64;
-        let mut solved = 0;
-        for (lane, &pos) in live.iter().enumerate() {
-            let (i, slot) = &mut unit[pos];
-            let problem = &problems[*i];
-            let result = match &result {
-                Err(err) => Err(err.clone()),
-                Ok(()) => {
-                    solved += 1;
-                    let score = table.get(0, m - 1, 0, n - 1).lane(lane);
-                    let kept = self
-                        .opts
-                        .keep_tables
-                        .then(|| lane_copy(&table, lane, &self.pool));
-                    kept.transpose().map(|kept| (Outcome::Ok, score, kept))
-                }
-            };
-            **slot = Some(batch_item(problem, *i, true, seconds, result, ckpt));
+        let items: Vec<BatchItem> = live
+            .iter()
+            .enumerate()
+            .map(|(lane, &pos)| {
+                let i = unit[pos].0;
+                let result = match &result {
+                    Err(err) => Err(err.clone()),
+                    Ok(()) => {
+                        let score = table.get(0, m - 1, 0, n - 1).lane(lane);
+                        let kept = self
+                            .opts
+                            .keep_tables
+                            .then(|| lane_copy(&table, lane, &self.pool));
+                        kept.transpose().map(|kept| (Outcome::Ok, score, kept))
+                    }
+                };
+                batch_item(&problems[i], i, true, seconds, result)
+            })
+            .collect();
+        if result.is_ok() {
+            lanes.solved.fetch_add(items.len(), Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
         }
-        lanes.solved.fetch_add(solved, Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
         lanes.put(table);
+        journal(ckpt, &items);
+        for (&pos, item) in live.iter().zip(items) {
+            *unit[pos].1 = Some(item);
+        }
     }
 
     /// Top the arena up before `workers` threads share it on `group`:
@@ -802,14 +820,9 @@ impl BatchEngine {
     ) -> BatchItem {
         let t = Instant::now();
         let result = self.solve_inner(problem, index, coarse, ckpt, snap, solve);
-        batch_item(
-            problem,
-            index,
-            coarse,
-            t.elapsed().as_secs_f64(),
-            result,
-            ckpt,
-        )
+        let item = batch_item(problem, index, coarse, t.elapsed().as_secs_f64(), result);
+        journal(ckpt, std::slice::from_ref(&item));
+        item
     }
 
     /// The supervised solve pipeline of one problem, under `solve`'s
@@ -920,15 +933,13 @@ impl BatchEngine {
 }
 
 /// The item of problem `index`, whose solve took `seconds` and ended
-/// with `result`. A result with a score is journaled first, so a crash
-/// after this point loses nothing.
+/// with `result`.
 fn batch_item(
     problem: &BpMaxProblem,
     index: usize,
     coarse: bool,
     seconds: f64,
     result: Result<(Outcome, f32, Option<FTable>), BpMaxError>,
-    ckpt: Option<&CheckpointSink>,
 ) -> BatchItem {
     let (outcome, score, table, error) = match result {
         Ok((outcome, score, table)) => (outcome, score, table, None),
@@ -941,21 +952,6 @@ fn batch_item(
             (outcome, f32::NEG_INFINITY, None, Some(err))
         }
     };
-    if let Some(sink) = ckpt {
-        if outcome.has_score() {
-            sink.record(&JournalRecord {
-                index: index as u64,
-                outcome,
-                score,
-                seconds,
-                coarse,
-            });
-            sink.complete(index as u64);
-        }
-        // unscored outcomes are NOT journaled: failures are
-        // deterministic and cheap to reproduce, and resume should
-        // retry cancelled/timed-out problems, not trust stale errors
-    }
     BatchItem {
         index,
         m: problem.ctx().m(),
@@ -967,6 +963,33 @@ fn batch_item(
         outcome,
         error,
         table,
+    }
+}
+
+/// Journal the scored items of one solved unit, a problem or a lane
+/// group, in one append, then retire any snapshot they owned: once this
+/// returns, a crash loses none of them. Unscored outcomes are not
+/// journaled: failures are deterministic and cheap to reproduce, and
+/// resume should retry cancelled/timed-out problems, not trust stale
+/// errors.
+fn journal(ckpt: Option<&CheckpointSink>, items: &[BatchItem]) {
+    let Some(sink) = ckpt else {
+        return;
+    };
+    let records: Vec<JournalRecord> = items
+        .iter()
+        .filter(|item| item.outcome.has_score())
+        .map(|item| JournalRecord {
+            index: item.index as u64,
+            outcome: item.outcome,
+            score: item.score,
+            seconds: item.seconds,
+            coarse: item.coarse,
+        })
+        .collect();
+    sink.record(&records);
+    for rec in &records {
+        sink.complete(rec.index);
     }
 }
 
@@ -1222,6 +1245,67 @@ mod tests {
         };
         assert!(engine.classify_coarse(&square(35)));
         assert!(!engine.classify_coarse(&square(36)));
+    }
+
+    /// A wave prices each shape once: every item's `coarse` flag must
+    /// still be its own problem's [`BatchEngine::classify_coarse`].
+    #[test]
+    fn each_items_coarse_flag_is_its_own_problems_price() {
+        let mut rng = StdRng::seed_from_u64(62);
+        let model = ScoringModel::bpmax_default();
+        let mut of_shapes = |shapes: &[(usize, usize)]| -> Vec<BpMaxProblem> {
+            shapes
+                .iter()
+                .map(|&(m, n)| {
+                    let s1 = RnaSeq::random(&mut rng, m);
+                    BpMaxProblem::new(s1, RnaSeq::random(&mut rng, n), model.clone())
+                })
+                .collect()
+        };
+        let check = |engine: &BatchEngine, problems: &[BpMaxProblem]| {
+            let report = engine.solve_all(problems).unwrap();
+            for (item, p) in report.items.iter().zip(problems) {
+                assert_eq!(
+                    item.coarse,
+                    engine.classify_coarse(p),
+                    "{}x{}",
+                    item.m,
+                    item.n
+                );
+            }
+            report.coarse_fraction()
+        };
+        // shapes either side of the 10 ms cutoff, repeated and transposed,
+        // under a cancelled token, so that none is solved
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled =
+            BatchEngine::new(BatchOptions::new().solve(SolveOptions::new().cancel(token))).unwrap();
+        let around = of_shapes(&[
+            (35, 36),
+            (36, 36),
+            (4, 9),
+            (36, 35),
+            (35, 35),
+            (36, 36),
+            (9, 4),
+            (35, 36),
+        ]);
+        let fraction = check(&cancelled, &around);
+        assert!(0.0 < fraction && fraction < 1.0, "both classes: {fraction}");
+        // and a solved wave of small mixed shapes, some in lane groups
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let small = of_shapes(&[
+            (5, 7),
+            (7, 5),
+            (5, 7),
+            (3, 3),
+            (5, 7),
+            (7, 5),
+            (3, 4),
+            (5, 7),
+        ]);
+        assert_eq!(check(&engine, &small), 1.0);
     }
 
     #[test]
@@ -1510,9 +1594,7 @@ mod tests {
         // simulate a crash after the first 4 completions: rebuild the
         // journal with only that prefix
         let sink = CheckpointSink::create(&dir, &manifest).unwrap();
-        for rec in &records[..4] {
-            sink.record(rec);
-        }
+        sink.record(&records[..4]);
         drop(sink);
 
         let resumed = engine.resume(&problems, &dir).unwrap();

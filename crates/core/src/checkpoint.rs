@@ -10,8 +10,9 @@
 //!   configuration ([`BpMaxError::CheckpointMismatch`]) — mixing scores
 //!   computed under different options would be silent corruption.
 //! * **`journal.bin`** — one record per *completed* problem (an
-//!   [`Outcome`] that produced a score: `Ok` or `Degraded`). Replayed on
-//!   resume so finished work is never recomputed.
+//!   [`Outcome`] that produced a score: `Ok` or `Degraded`), appended as
+//!   each problem or lane group finishes. Replayed on resume so finished
+//!   work is never recomputed.
 //! * **`snapshot.bin`** — optionally, the partial F-table of the one
 //!   in-flight large problem, at outer-diagonal granularity: by the
 //!   wavefront invariant, diagonals `0..done` are final the moment
@@ -28,14 +29,22 @@
 //!
 //! ## Atomicity
 //!
-//! Nothing is ever appended to a live file. Every update — including each
-//! journal "append" — rewrites the whole file via write-to-temp +
-//! `fsync` + atomic `rename` (the journal is small: one ~30-byte frame
-//! per problem, buffered in memory). A `SIGKILL` at any byte therefore
-//! leaves every checkpoint file either complete-and-valid or absent; an
-//! observed integrity failure is genuine damage (disk fault, manual
-//! edit) and is refused with [`BpMaxError::CorruptCheckpoint`] — never a
-//! panic, a garbage score, or a silent restart-from-zero.
+//! The manifest, the snapshot and the journal's header are written whole,
+//! via write-to-temp + `fsync` + atomic `rename`, so a `SIGKILL` leaves
+//! each of them complete or absent. The journal is the one file that
+//! grows: each solved unit (one problem, or one lane group) appends its
+//! frames with one `write_all` and one `sync_data` before its items are
+//! returned. A kill mid-append can therefore leave one thing behind: a
+//! *torn final frame*, shorter than a whole one. Every journal frame has
+//! the same size (30 bytes: a length field that reads 22, a CRC32 and a
+//! 22-byte record), so [`load`] tells a tear from damage without
+//! guessing: a tail after the header that is shorter than one frame (and
+//! whose length field, where it is complete, reads 22) is dropped, and
+//! [`CheckpointSink::open`] truncates it before appending.
+//! Every other integrity failure — a cut inside a header, a wrong frame
+//! length, a CRC mismatch anywhere — is genuine damage (disk fault,
+//! manual edit) and is refused with [`BpMaxError::CorruptCheckpoint`] —
+//! never a panic, a garbage score, or a silent restart-from-zero.
 
 use crate::engine::BpMaxProblem;
 use crate::error::BpMaxError;
@@ -51,6 +60,13 @@ use std::sync::Mutex;
 pub const MAGIC: &[u8; 8] = b"BPMXCKPT";
 /// Current (and only) format version.
 pub const VERSION: u32 = 1;
+
+/// Bytes of every checkpoint file's header: magic, version, kind.
+const HEADER_LEN: usize = MAGIC.len() + 5;
+/// Bytes of a journal record's payload ([`JournalRecord`]).
+const RECORD_LEN: usize = 22;
+/// Bytes of one journal frame: length, CRC32 and a record's payload.
+const FRAME_LEN: usize = 8 + RECORD_LEN;
 
 const KIND_MANIFEST: u8 = 1;
 const KIND_JOURNAL: u8 = 2;
@@ -273,7 +289,7 @@ impl<'a> Cursor<'a> {
 }
 
 pub(crate) fn header(kind: u8) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(MAGIC.len() + 5);
+    let mut buf = Vec::with_capacity(HEADER_LEN);
     buf.extend_from_slice(MAGIC);
     put_u32(&mut buf, VERSION);
     put_u8(&mut buf, kind);
@@ -428,7 +444,7 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(22);
+        let mut p = Vec::with_capacity(RECORD_LEN);
         put_u64(&mut p, self.index);
         put_u8(&mut p, outcome_code(self.outcome));
         put_u8(&mut p, u8::from(self.coarse));
@@ -627,29 +643,33 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, BpMaxError> {
     })
 }
 
-fn encode_journal(records: impl IntoIterator<Item = JournalRecord>) -> Vec<u8> {
-    let mut buf = header(KIND_JOURNAL);
-    for rec in records {
-        put_frame(&mut buf, &rec.encode());
-    }
-    buf
-}
-
+/// The records of a journal file. A tail after the header that is
+/// shorter than one frame is a torn final frame — an append a crash cut
+/// short — and is dropped; every other flaw is
+/// [`BpMaxError::CorruptCheckpoint`]. Every frame holds one fixed-size
+/// record, so a length field that reads anything but the record size is
+/// damage wherever it sits, the torn tail's included.
 fn decode_journal(bytes: &[u8], path: &Path) -> Result<Vec<JournalRecord>, BpMaxError> {
     let mut cur = Cursor::new(bytes, path);
     check_header(&mut cur, KIND_JOURNAL)?;
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(cur.buf.len() / FRAME_LEN);
     while !cur.done() {
-        let payload = take_frame(&mut cur, &format!("journal record {}", records.len()))?;
-        let mut inner = Cursor::new(payload, path);
-        let rec = JournalRecord::decode(&mut inner)?;
-        if !inner.done() {
-            return Err(cur.corrupt(format!(
-                "journal record {}: trailing bytes in frame",
-                records.len()
-            )));
+        let rest = &cur.buf[cur.pos..];
+        if let Some(field) = rest.get(..4) {
+            let len = u32::from_le_bytes(field.try_into().unwrap()); // lint: allow(unwrap): get(..4) returned exactly 4 bytes
+            if len as usize != RECORD_LEN {
+                return Err(cur.corrupt(format!(
+                    "journal record {}: frame length {len} at byte {} (a record is {RECORD_LEN} bytes)",
+                    records.len(),
+                    cur.pos
+                )));
+            }
         }
-        records.push(rec);
+        if rest.len() < FRAME_LEN {
+            break;
+        }
+        let payload = take_frame(&mut cur, &format!("journal record {}", records.len()))?;
+        records.push(JournalRecord::decode(&mut Cursor::new(payload, path))?);
     }
     Ok(records)
 }
@@ -658,9 +678,11 @@ fn decode_journal(bytes: &[u8], path: &Path) -> Result<Vec<JournalRecord>, BpMax
 /// journaled records, and the in-flight table snapshot if one exists.
 pub type LoadedCheckpoint = (RunManifest, Vec<JournalRecord>, Option<TableSnapshot>);
 
-/// Read-only view of a checkpoint directory: the manifest, every journal
-/// record, and the in-flight table snapshot if one was flushed. Fails
-/// with [`BpMaxError::CorruptCheckpoint`] on any integrity violation and
+/// Read-only view of a checkpoint directory: the manifest, every whole
+/// journal record, and the in-flight table snapshot if one was flushed.
+/// A torn final journal frame (a crash mid-append) is left out, not
+/// refused; it changes nothing on disk. Fails with
+/// [`BpMaxError::CorruptCheckpoint`] on any other integrity violation and
 /// [`BpMaxError::CheckpointIo`] when files cannot be read at all.
 pub fn load(dir: &Path) -> Result<LoadedCheckpoint, BpMaxError> {
     let mpath = manifest_path(dir);
@@ -693,16 +715,18 @@ pub fn load(dir: &Path) -> Result<LoadedCheckpoint, BpMaxError> {
     Ok((manifest, records, snapshot))
 }
 
-/// The batch engine's live handle on a checkpoint directory: journals
-/// completed problems and flushes/retires the in-flight snapshot. Writes
-/// happen from worker threads; I/O failures are latched (first wins) and
-/// surfaced by [`CheckpointSink::take_error`] when the wave ends — a
-/// full disk must fail the run loudly, not drop records silently.
+/// The batch engine's live handle on a checkpoint directory: appends
+/// completed problems to the journal and flushes/retires the in-flight
+/// snapshot. Writes happen from worker threads; I/O failures are latched
+/// (first wins) and surfaced by [`CheckpointSink::take_error`] when the
+/// wave ends — a full disk must fail the run loudly, not drop records
+/// silently.
 pub struct CheckpointSink {
     dir: PathBuf,
-    /// The journal's full byte image; each record append rewrites the
-    /// file atomically from this buffer.
-    journal: Mutex<Vec<u8>>,
+    /// `journal.bin`, open for appending. `None` once an append failed:
+    /// it may have left a torn frame, which stays recoverable only while
+    /// it is the last one.
+    journal: Mutex<Option<fs::File>>,
     /// Batch index the on-disk `snapshot.bin` belongs to, if any.
     snapshot_for: Mutex<Option<u64>>,
     error: Mutex<Option<BpMaxError>>,
@@ -719,8 +743,7 @@ impl CheckpointSink {
         let mut mbytes = header(KIND_MANIFEST);
         put_frame(&mut mbytes, &manifest.encode());
         write_atomic(&manifest_path(dir), &mbytes)?;
-        let jbytes = encode_journal([]);
-        write_atomic(&journal_path(dir), &jbytes)?;
+        write_atomic(&journal_path(dir), &header(KIND_JOURNAL))?;
         let spath = snapshot_path(dir);
         if spath.exists() {
             fs::remove_file(&spath).map_err(|e| BpMaxError::CheckpointIo {
@@ -728,26 +751,30 @@ impl CheckpointSink {
                 detail: format!("removing stale snapshot: {e}"),
             })?;
         }
-        Ok(CheckpointSink {
-            dir: dir.to_path_buf(),
-            journal: Mutex::new(jbytes),
-            snapshot_for: Mutex::new(None),
-            error: Mutex::new(None),
-        })
+        Ok(CheckpointSink::over(
+            dir,
+            open_journal(dir, HEADER_LEN)?,
+            None,
+        ))
     }
 
     /// Re-open an existing checkpoint for resuming: verify and return its
-    /// contents, keeping the journal image so new records append after
-    /// the replayed ones.
+    /// contents, and truncate a torn final journal frame, so that new
+    /// records append right after the replayed ones.
     pub fn open(dir: &Path) -> Result<(CheckpointSink, LoadedCheckpoint), BpMaxError> {
         let (manifest, records, snapshot) = load(dir)?;
-        let sink = CheckpointSink {
-            dir: dir.to_path_buf(),
-            journal: Mutex::new(encode_journal(records.iter().copied())),
-            snapshot_for: Mutex::new(snapshot.as_ref().map(|s| s.index)),
-            error: Mutex::new(None),
-        };
+        let journal = open_journal(dir, HEADER_LEN + FRAME_LEN * records.len())?;
+        let sink = CheckpointSink::over(dir, journal, snapshot.as_ref().map(|s| s.index));
         Ok((sink, (manifest, records, snapshot)))
+    }
+
+    fn over(dir: &Path, journal: fs::File, snapshot_for: Option<u64>) -> CheckpointSink {
+        CheckpointSink {
+            dir: dir.to_path_buf(),
+            journal: Mutex::new(Some(journal)),
+            snapshot_for: Mutex::new(snapshot_for),
+            error: Mutex::new(None),
+        }
     }
 
     /// The directory this sink writes into.
@@ -755,15 +782,29 @@ impl CheckpointSink {
         &self.dir
     }
 
-    /// Journal one completed problem (atomic whole-file rewrite). Called
-    /// from worker threads; failures are latched, not returned.
-    pub fn record(&self, rec: &JournalRecord) {
+    /// Journal the records of one solved unit — a problem, or a lane
+    /// group's members — with one append and one `sync_data`, so each is
+    /// on disk before the call returns. Called from worker threads;
+    /// failures are latched, not returned, and stop later appends.
+    pub fn record(&self, records: &[JournalRecord]) {
+        if records.is_empty() {
+            return;
+        }
+        let mut frames = Vec::with_capacity(FRAME_LEN * records.len());
+        for rec in records {
+            put_frame(&mut frames, &rec.encode());
+        }
         let mut journal = self.journal.lock().unwrap(); // lint: allow(unwrap): holders never panic with the journal lock held
-        put_frame(&mut journal, &rec.encode());
-        let result = write_atomic(&journal_path(&self.dir), &journal);
-        drop(journal);
-        if let Err(e) = result {
-            self.latch(e);
+        let Some(file) = journal.as_mut() else {
+            return; // an earlier append failed, and its error is latched
+        };
+        if let Err(e) = file.write_all(&frames).and_then(|()| file.sync_data()) {
+            *journal = None;
+            drop(journal);
+            self.latch(BpMaxError::CheckpointIo {
+                path: journal_path(&self.dir).display().to_string(),
+                detail: format!("appending {} record(s): {e}", records.len()),
+            });
         }
     }
 
@@ -806,6 +847,30 @@ impl CheckpointSink {
             *slot = Some(e);
         }
     }
+}
+
+/// `journal.bin` under `dir`, open for appending after its first `whole`
+/// bytes, the header and the verified frames. A longer file ends in a
+/// torn final frame: it is cut back and synced before anything is
+/// appended, since a frame written after the tear would turn it into
+/// damage.
+fn open_journal(dir: &Path, whole: usize) -> Result<fs::File, BpMaxError> {
+    let path = journal_path(dir);
+    let io = |what: &str, e: std::io::Error| BpMaxError::CheckpointIo {
+        path: path.display().to_string(),
+        detail: format!("{what}: {e}"),
+    };
+    let file = fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .map_err(|e| io("opening for append", e))?;
+    let len = file.metadata().map_err(|e| io("reading length", e))?.len();
+    if len > whole as u64 {
+        file.set_len(whole as u64)
+            .and_then(|()| file.sync_data())
+            .map_err(|e| io("truncating a torn final frame", e))?;
+    }
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -923,8 +988,8 @@ mod tests {
             seconds: 1.0,
             coarse: false,
         };
-        sink.record(&rec0);
-        sink.record(&rec2);
+        sink.record(&[rec0]);
+        sink.record(&[rec2]);
         let p = problem("GGAUCGAC", "CCGAUG");
         let f = p.compute_prefix(Algorithm::CoarseGrain, 5).unwrap();
         let snap = TableSnapshot::capture(1, problem_id(&p), &f, 5);
@@ -972,7 +1037,7 @@ mod tests {
             seconds: 0.1,
             coarse: true,
         };
-        sink.record(&rec0);
+        sink.record(&[rec0]);
         drop(sink);
 
         let (sink, (got_manifest, records, snapshot)) = CheckpointSink::open(&dir).unwrap();
@@ -986,11 +1051,104 @@ mod tests {
             seconds: 0.2,
             coarse: true,
         };
-        sink.record(&rec1);
+        sink.record(&[rec1]);
         assert_eq!(sink.take_error(), None);
         let (_, records, _) = load(&dir).unwrap();
         assert_eq!(records, vec![rec0, rec1]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn record(index: u64) -> JournalRecord {
+        JournalRecord {
+            index,
+            outcome: Outcome::Ok,
+            score: index as f32,
+            seconds: 0.1,
+            coarse: false,
+        }
+    }
+
+    /// The journal's bytes, pinned by hash: a checkpoint written by an
+    /// earlier build must resume in this one, and this build's journals
+    /// must load in an earlier one.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let dir = tmpdir("pinned");
+        let manifest = RunManifest {
+            options_hash: 4,
+            seed: 0,
+            problem_ids: vec![30, 31, 32, 33, 34, 35, 36, 37],
+        };
+        let sink = CheckpointSink::create(&dir, &manifest).unwrap();
+        sink.record(&[JournalRecord {
+            coarse: true,
+            score: 6.0,
+            seconds: 0.25,
+            ..record(0)
+        }]);
+        sink.record(&[
+            JournalRecord {
+                outcome: Outcome::Degraded,
+                score: -1.5,
+                seconds: 1.0,
+                ..record(2)
+            },
+            JournalRecord {
+                score: 13.0,
+                seconds: 0.125,
+                ..record(7)
+            },
+        ]);
+        assert_eq!(sink.take_error(), None);
+        let bytes = fs::read(journal_path(&dir)).unwrap();
+        assert_eq!(bytes.len(), 13 + 3 * 30);
+        let mut h = Fnv64::new();
+        h.write(&bytes);
+        assert_eq!(h.finish(), 0xd190_fc75_c938_6238, "{:#018x}", h.finish());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopen_after_a_torn_tail_truncates_then_appends() {
+        let dir = tmpdir("torn");
+        let manifest = RunManifest {
+            options_hash: 3,
+            seed: 0,
+            problem_ids: vec![20, 21, 22, 23],
+        };
+        let sink = CheckpointSink::create(&dir, &manifest).unwrap();
+        let written = [record(0), record(1), record(2)];
+        sink.record(&written);
+        drop(sink);
+        // a kill mid-append: the third frame is cut 11 bytes in
+        let jpath = journal_path(&dir);
+        let whole = fs::read(&jpath).unwrap();
+        assert_eq!(whole.len(), HEADER_LEN + 3 * FRAME_LEN);
+        fs::write(&jpath, &whole[..HEADER_LEN + 2 * FRAME_LEN + 11]).unwrap();
+
+        let (sink, (_, records, _)) = CheckpointSink::open(&dir).unwrap();
+        assert_eq!(records, written[..2]);
+        assert_eq!(
+            fs::metadata(&jpath).unwrap().len(),
+            (HEADER_LEN + 2 * FRAME_LEN) as u64,
+            "the torn frame is cut off before anything is appended"
+        );
+        sink.record(&[record(3)]);
+        assert_eq!(sink.take_error(), None);
+        let (_, records, _) = load(&dir).unwrap();
+        assert_eq!(records, vec![record(0), record(1), record(3)]);
+        // the file is what a run that never tore would have written
+        let clean = tmpdir("untorn");
+        let sink = CheckpointSink::create(&clean, &manifest).unwrap();
+        sink.record(&[record(0), record(1)]);
+        sink.record(&[record(3)]);
+        drop(sink);
+        assert_eq!(
+            fs::read(&jpath).unwrap(),
+            fs::read(journal_path(&clean)).unwrap()
+        );
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&clean);
     }
 
     #[test]
@@ -1002,14 +1160,9 @@ mod tests {
             problem_ids: vec![5, 6, 7],
         };
         let sink = CheckpointSink::create(&dir, &manifest).unwrap();
-        for i in 0..3u64 {
-            sink.record(&JournalRecord {
-                index: i,
-                outcome: Outcome::Ok,
-                score: i as f32,
-                seconds: 0.1,
-                coarse: false,
-            });
+        let records: Vec<JournalRecord> = (0..3).map(record).collect();
+        for rec in &records {
+            sink.record(std::slice::from_ref(rec));
         }
         let jpath = journal_path(&dir);
         let pristine = fs::read(&jpath).unwrap();
@@ -1027,15 +1180,16 @@ mod tests {
                 Err(other) => panic!("flip at byte {at}: unexpected {other}"),
             }
         }
-        // truncate at every length: valid prefix of frames or detected tear
+        // truncate at every length: a cut inside the header is refused,
+        // any other loads exactly the whole frames before the cut
         for len in 0..pristine.len() {
             fs::write(&jpath, &pristine[..len]).unwrap();
             match load(&dir) {
-                Ok((_, records, _)) => {
-                    // a clean frame boundary: strictly fewer records
-                    assert!(records.len() < 3, "truncation to {len} kept all records");
+                Err(BpMaxError::CorruptCheckpoint { .. }) if len < 13 => {}
+                Ok((_, got, _)) if len >= 13 => {
+                    assert_eq!(got, records[..(len - 13) / 30], "truncate to {len}");
                 }
-                Err(BpMaxError::CorruptCheckpoint { .. }) => {}
+                Ok(_) => panic!("truncate to {len}: a cut header loaded"),
                 Err(other) => panic!("truncate to {len}: unexpected {other}"),
             }
         }

@@ -267,8 +267,9 @@ pub enum RejectReason {
         inflight: u64,
         /// The queue bound that was full (slots).
         depth: u64,
-        /// Server's estimate of when capacity frees up, in milliseconds
-        /// — seed the retry backoff with it.
+        /// Server's hint of when to retry, in milliseconds: the shed
+        /// request's own predicted solve time, clamped — seed the retry
+        /// backoff with it.
         retry_after_ms: u64,
     },
 }
@@ -1133,8 +1134,8 @@ const DEFAULT_DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// Floor and ceiling on the `retry_after_ms` hint attached to
-/// [`RejectReason::Overloaded`]: the predicted solve time of the work
-/// ahead, clamped to something a client can reasonably sleep.
+/// [`RejectReason::Overloaded`]: the shed request's own predicted solve
+/// time, clamped to something a client can reasonably sleep.
 const RETRY_HINT_MS: (u64, u64) = (50, 5000);
 
 /// The daemon's lifecycle. Transitions are monotonic:
@@ -1356,12 +1357,13 @@ impl Server {
     /// Reserve an in-flight slot (and `planned_bytes` of the aggregate
     /// byte cap), waiting in the bounded queue when the ledger is full.
     /// Every refusal is typed: queue overflow and wait timeout shed with
-    /// [`RejectReason::Overloaded`], a drain refuses outright, and an
-    /// expired request deadline reports how long it waited.
+    /// [`RejectReason::Overloaded`] (only then is `retry_after_ms` called,
+    /// for its hint), a drain refuses outright, and an expired request
+    /// deadline reports how long it waited.
     fn admit(
         &self,
         planned_bytes: u64,
-        retry_after_ms: u64,
+        retry_after_ms: impl Fn() -> u64,
         deadline: Option<&Deadline>,
     ) -> Result<AdmitGuard<'_>, Response> {
         let max_wait = self.cfg.queue_wait.unwrap_or(DEFAULT_QUEUE_WAIT);
@@ -1397,7 +1399,9 @@ impl Server {
                     .queue_depth
                     .is_some_and(|depth| led.queued >= depth)
                 {
-                    return Err(self.overloaded(*led, retry_after_ms));
+                    let seen = *led;
+                    drop(led); // the hint is priced outside the lock
+                    return Err(self.overloaded(seen, retry_after_ms()));
                 }
                 led.queued += 1;
                 queued_here = true;
@@ -1418,7 +1422,9 @@ impl Server {
                         .to_string(),
                     });
                 }
-                return Err(self.overloaded(*led, retry_after_ms));
+                let seen = *led;
+                drop(led);
+                return Err(self.overloaded(seen, retry_after_ms()));
             }
             led = self
                 .ledger
@@ -1525,8 +1531,11 @@ impl Server {
             // degrade=true falls through: the engine runs the windowed
             // lower-bound solve at the widest in-budget window.
         }
-        let predicted_s = self.engine.predict_seconds(&problem, &solve);
+        // The predicted runtime is read only by the `--max-seconds` cap
+        // and by a shed request's retry hint, so it is priced only there.
+        let predict = || self.engine.predict_seconds(&problem, &solve);
         if let Some(cap_s) = self.cfg.max_predicted_s {
+            let predicted_s = predict();
             if predicted_s > cap_s {
                 // ordering: monotonic counter
                 self.rejects.fetch_add(1, Ordering::Relaxed);
@@ -1535,11 +1544,10 @@ impl Server {
         }
 
         // Reserve what this solve will actually hold: the exact table,
-        // or at most the effective budget when degrading. The retry hint
-        // handed to shed requests is the predicted runtime of the work
-        // occupying the slot they wanted.
+        // or at most the effective budget when degrading. A shed request's
+        // retry hint is its own predicted runtime.
         let planned = effective_budget.map_or(needed, |bytes| needed.min(bytes));
-        let retry_hint = ((predicted_s * 1000.0) as u64).clamp(RETRY_HINT_MS.0, RETRY_HINT_MS.1);
+        let retry_hint = || ((predict() * 1000.0) as u64).clamp(RETRY_HINT_MS.0, RETRY_HINT_MS.1);
         let slot = match self.admit(planned, retry_hint, deadline.as_ref()) {
             Ok(slot) => slot,
             Err(refusal) => return refusal,
@@ -2360,7 +2368,7 @@ mod tests {
         })
         .unwrap();
         // Occupy the single slot by hand, as a running solve would.
-        let slot = server.admit(0, 123, None).unwrap();
+        let slot = server.admit(0, || 123, None).unwrap();
         match server.handle(&Request::Solve(request())) {
             Response::Rejected(RejectReason::Overloaded {
                 inflight: 1,
@@ -2383,6 +2391,34 @@ mod tests {
         }
     }
 
+    /// The hint a shed request gets is its own predicted runtime,
+    /// clamped, whatever holds the slot it wanted.
+    #[test]
+    fn a_shed_requests_hint_is_its_own_price() {
+        let server = Server::new(ServerConfig {
+            max_inflight: Some(1),
+            queue_depth: Some(0),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let slot = server.admit(0, || 0, None).unwrap();
+        let strand: RnaSeq = "GCAU".repeat(15).parse().unwrap();
+        let big = SolveRequest::new(strand.clone(), strand, ScoringModel::bpmax_default());
+        let problem = BpMaxProblem::new(big.seq1.clone(), big.seq2.clone(), big.model.clone());
+        let price = server
+            .engine
+            .predict_seconds(&problem, &SolveOptions::new().algorithm(big.algorithm));
+        let want = ((price * 1000.0) as u64).clamp(RETRY_HINT_MS.0, RETRY_HINT_MS.1);
+        assert!(want > RETRY_HINT_MS.0, "a price above the floor: {price} s");
+        match server.handle(&Request::Solve(big)) {
+            Response::Rejected(RejectReason::Overloaded { retry_after_ms, .. }) => {
+                assert_eq!(retry_after_ms, want);
+            }
+            other => panic!("{other:?}"),
+        }
+        drop(slot);
+    }
+
     #[test]
     fn queue_wait_timeout_sheds_instead_of_waiting_forever() {
         let server = Server::new(ServerConfig {
@@ -2391,7 +2427,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let _slot = server.admit(0, 99, None).unwrap();
+        let _slot = server.admit(0, || 99, None).unwrap();
         let t0 = Instant::now();
         // Unbounded queue depth: the request queues, waits out the
         // 30 ms budget, and is shed — never an unbounded wait.
@@ -2412,7 +2448,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let slot = server.admit(0, 99, None).unwrap();
+        let slot = server.admit(0, || 99, None).unwrap();
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| server.handle(&Request::Solve(request())));
             std::thread::sleep(Duration::from_millis(30));
@@ -2437,7 +2473,7 @@ mod tests {
         })
         .unwrap();
         // Occupy the entire aggregate byte budget.
-        let slot = server.admit(64 << 10, 77, None).unwrap();
+        let slot = server.admit(64 << 10, || 77, None).unwrap();
         // This request fits the per-request budget easily, but the
         // ledger has no aggregate room: shed, not Memory-rejected.
         match server.handle(&Request::Solve(request())) {
@@ -2459,7 +2495,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let _slot = server.admit(0, 50, None).unwrap();
+        let _slot = server.admit(0, || 50, None).unwrap();
         let req = request().deadline(Duration::from_millis(40));
         let t0 = Instant::now();
         match server.handle(&Request::Solve(req)) {
@@ -2502,7 +2538,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        let _slot = server.admit(0, 50, None).unwrap();
+        let _slot = server.admit(0, || 50, None).unwrap();
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| server.handle(&Request::Solve(request())));
             std::thread::sleep(Duration::from_millis(30));

@@ -3,11 +3,13 @@
 //! format, restored, and solved to completion is **bit-identical** —
 //! scores *and* tables — to a from-scratch solve, for every algorithm,
 //! mixed problem sizes, and every split point. And every corruption of
-//! the bytes on disk is detected, never replayed.
+//! the bytes on disk is detected, never replayed — except a journal cut
+//! past its header, which is what a kill mid-append leaves and which
+//! loads exactly the whole frames before the cut.
 
-use bpmax::checkpoint::{self, CheckpointSink, RunManifest, TableSnapshot};
+use bpmax::checkpoint::{self, CheckpointSink, JournalRecord, RunManifest, TableSnapshot};
 use bpmax::ftable::Layout;
-use bpmax::{Algorithm, BpMaxError, BpMaxProblem, FTable, SolveOptions};
+use bpmax::{Algorithm, BpMaxError, BpMaxProblem, FTable, Outcome, SolveOptions};
 use proptest::prelude::*;
 use rna::base::BASES;
 use rna::{RnaSeq, ScoringModel};
@@ -30,6 +32,29 @@ fn seq(min_len: usize, max_len: usize) -> impl Strategy<Value = RnaSeq> {
 
 fn algorithm() -> impl Strategy<Value = Algorithm> {
     (0..Algorithm::ALL.len()).prop_map(|i| Algorithm::ALL[i])
+}
+
+fn journal_record() -> impl Strategy<Value = JournalRecord> {
+    (
+        any::<u64>(),
+        any::<bool>(),
+        -4000i32..4000,
+        0.0f64..10.0,
+        any::<bool>(),
+    )
+        .prop_map(
+            |(index, degraded, quarters, seconds, coarse)| JournalRecord {
+                index,
+                outcome: if degraded {
+                    Outcome::Degraded
+                } else {
+                    Outcome::Ok
+                },
+                score: quarters as f32 / 4.0,
+                seconds,
+                coarse,
+            },
+        )
 }
 
 fn assert_tables_equal(got: &FTable, want: &FTable, what: &str) {
@@ -89,6 +114,55 @@ proptest! {
             reference.final_score().map(f32::to_bits),
             "scores bit-identical"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal written in appends of 1–8 records (a lone problem, or a
+    /// lane group): a cut at or past its 13-byte header loads exactly the
+    /// whole 30-byte frames before the cut, a cut inside the header is
+    /// refused, and so is every single-byte flip.
+    #[test]
+    fn journal_cuts_recover_whole_frames_and_flips_are_refused(
+        units in proptest::collection::vec(proptest::collection::vec(journal_record(), 1..=8), 0..5),
+    ) {
+        let dir = tmpdir("journal");
+        let manifest = RunManifest {
+            options_hash: 2,
+            seed: 0,
+            problem_ids: vec![1],
+        };
+        let sink = CheckpointSink::create(&dir, &manifest).unwrap();
+        for unit in &units {
+            sink.record(unit);
+        }
+        prop_assert!(sink.take_error().is_none());
+        drop(sink);
+        let records: Vec<JournalRecord> = units.concat();
+        let jpath = checkpoint::journal_path(&dir);
+        let pristine = std::fs::read(&jpath).unwrap();
+        prop_assert_eq!(pristine.len(), 13 + 30 * records.len());
+
+        for len in 0..=pristine.len() {
+            std::fs::write(&jpath, &pristine[..len]).unwrap();
+            match checkpoint::load(&dir) {
+                Ok((_, got, _)) if len >= 13 => {
+                    prop_assert_eq!(&got[..], &records[..(len - 13) / 30], "cut to {}", len);
+                }
+                Err(BpMaxError::CorruptCheckpoint { .. }) if len < 13 => {}
+                other => panic!("cut to {len}: {other:?}"),
+            }
+        }
+        for at in 0..pristine.len() {
+            let mut bad = pristine.clone();
+            bad[at] ^= 1 << (at % 8);
+            std::fs::write(&jpath, &bad).unwrap();
+            match checkpoint::load(&dir) {
+                Err(BpMaxError::CorruptCheckpoint { path, .. }) => {
+                    prop_assert!(path.ends_with("journal.bin"), "{}", path);
+                }
+                other => panic!("flip at byte {at}: {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
