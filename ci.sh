@@ -165,12 +165,14 @@ echo "== split-wave repeats (50 runs each) =="
 # only some runs),
 # the run tests (engine::tests::runs_*, how a diagonal is cut into runs,
 # and kernels::tests::lane_runs_*, Phase B in triangle lanes), the lane
-# group tests (batch::tests::lanes_* and the fault suite's
-# lane_group_*: the same split workers claim whole lane groups and
-# share the wave's lane tables), the three pool tests and the 16-bit
-# lane tests (lanes16_tests::split_* and ::lanes_*: lone solves on
-# forced splits and lane groups of 1-8 members in [i16; 8] cells, each
-# cell checked against the oracle, whose debug build takes ~13 s a run,
+# group tests (batch::tests::lanes_*, which include the planner's
+# group-size cases and the four-member f32 floor, and the fault suite's
+# lane_group_*, on groups of 8 and 12: the same split workers claim
+# whole lane groups and share the wave's lane tables, one set per
+# cell), the three pool tests and the 16-bit lane tests
+# (lanes16_tests::split_* and ::lanes_*: lone solves on forced splits
+# and lane groups of 1-16 members in [i16; 8] and [i16; 16] cells, each
+# cell checked against the oracle, whose debug build takes ~26 s a run,
 # so these run from stage 4b's release build) 50 times each;
 # any failure stops the gate. On a disk with slow fsync
 # most of the time is the journaling split test's writes.

@@ -2,7 +2,7 @@
 //!
 //! The durable-checkpoint promise, pinned end-to-end against the real
 //! binary: a SIGKILL at an arbitrary instant mid-wave loses at most the
-//! work in flight — one problem, or the lane group of up to eight
+//! work in flight — one problem, or the lane group of up to sixteen
 //! same-shape windows solved together, whose members are journaled only
 //! when the group finishes; `--resume` replays every journaled window without
 //! recomputing it and produces ranked output **bit-identical** to an

@@ -27,20 +27,23 @@
 //!    [`BatchEngine::resume`]; a coarse problem never does, so the single
 //!    snapshot file has one writer at a time.
 //! 3. **Lanes.** Within the coarse group, same-shape problems (a scan's
-//!    windows) run in lane groups of up to eight: one lane table holds
-//!    their F-tables cell by cell (lane `l` = member `l`), and one
-//!    wavefront of the element-generic kernels over it solves them all,
-//!    lane `l` running exactly member `l`'s scalar update sequence. A
-//!    group's cells are `[i16; 8]` ([`tropical::scalar::Lanes16`]) when
-//!    16 bits are exact for its members' model and shape
-//!    (`kernels::exact_in_lanes16`), and `[f32; 8]` otherwise;
-//!    problems are grouped by shape and element, so one `f32` member
-//!    never demotes a group.
+//!    windows) run in lane groups: one lane table holds their F-tables
+//!    cell by cell (lane `l` = member `l`), and one wavefront of the
+//!    element-generic kernels over it solves them all, lane `l` running
+//!    exactly member `l`'s scalar update sequence. When 16 bits are
+//!    exact for the members' model and shape
+//!    (`kernels::exact_in_lanes16`), a group holds up to sixteen
+//!    problems, on `[i16; 8]` cells ([`tropical::scalar::Lanes16`]) up
+//!    to eight and on `[i16; 16]` ([`tropical::scalar::Wide16`]) from
+//!    nine; otherwise it holds four to eight, on `[f32; 8]`. Problems
+//!    are grouped by shape and element, so one `f32` member never
+//!    demotes a group.
 //!    Each member keeps its own entry check, budget admission, fault
 //!    sites, journal record and [`BatchItem`]; the group shares one watch,
 //!    so a deadline or cancellation stops it as a unit, and a panic
 //!    re-runs its members one at a time. Lane tables live for one wave,
-//!    one per worker ([`BatchReport::lane_tables`]).
+//!    one per worker for each cell its groups use
+//!    ([`BatchReport::lane_tables`]).
 //! 4. **Telemetry.** A service needs per-problem latency and aggregate
 //!    throughput, not a bare score: [`BatchReport`] carries both and
 //!    feeds the `bench::report` JSON schema.
@@ -74,12 +77,11 @@ use crate::windowed::{max_window_within, solve_windowed_watched};
 use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use tropical::scalar::{LaneCell, Lanes, Lanes16, LANES};
+use tropical::scalar::{LaneCell, Lanes, Lanes16, Wide16};
 
 /// Predicted serial seconds below which [`BatchEngine::classify_coarse`]
 /// marks a problem coarse: it runs in the batch's first group, and an
@@ -193,11 +195,11 @@ pub struct BatchReport {
     pub replayed: usize,
     /// Threads the coarse group ran on: 1 for a serial wave.
     pub workers: usize,
-    /// Problems this wave solved in lane groups, eight same-shape
-    /// problems per vector of cells.
+    /// Problems this wave solved in lane groups, up to sixteen
+    /// same-shape problems per cell.
     pub lane_problems: usize,
-    /// Lane tables this wave allocated: at most one per worker, dropped
-    /// when the wave ends.
+    /// Lane tables this wave allocated: at most one per worker for each
+    /// lane cell its groups use, dropped when the wave ends.
     pub lane_tables: usize,
 }
 
@@ -328,7 +330,8 @@ impl BatchEngine {
     ///
     /// The coarse-classified problems run first, on up to one thread per
     /// core ([`BatchReport::workers`]) that claim them one at a time in
-    /// input order — same-shape ones eight at a time, as lane groups;
+    /// input order — same-shape ones up to sixteen at a time, as lane
+    /// groups;
     /// then the rest run one at a time in input order. Each item's
     /// `seconds` is its own latency (a lane group's wall time divided by
     /// its members), so with two threads the items overlap and their sum
@@ -524,12 +527,11 @@ impl BatchEngine {
     /// `split` decides how many threads the coarse group runs on
     /// ([`Split::host`] outside tests).
     ///
-    /// The coarse group's same-shape problems run in lane groups of up
-    /// to [`LANES`] ([`plan_units`]): one lane table holds the group's
-    /// F-tables cell by cell, and one wavefront over it solves them all,
-    /// lane `l` bit-identical to problem `l`'s own solve. A group whose
-    /// members are exact in 16 bits runs on a [`Lanes16`] table, any
-    /// other on a [`Lanes`] one.
+    /// The coarse group's same-shape problems run in lane groups
+    /// ([`plan_units`]): one lane table holds the group's F-tables cell
+    /// by cell, and one wavefront over it solves them all, lane `l`
+    /// bit-identical to problem `l`'s own solve. A group runs on the
+    /// narrowest cell of its element that holds it ([`UnitCell`]).
     pub(crate) fn run_batch(
         &self,
         problems: &[BpMaxProblem],
@@ -567,19 +569,17 @@ impl BatchEngine {
         let flops = pending.iter().map(|&i| problems[i].flops() as f64).sum();
         let plan = self.plan(problems, &pending, sup, snapshot);
         let workers = split.workers(plan.len(), flops);
-        // a lane group's element, from its first member (a group shares it)
-        let exact16 = |i: usize| problems[i].ctx().terms().exact16();
-        let mut lanes = LaneTables::<Lanes>::default();
-        let mut lanes16 = LaneTables::<Lanes16>::default();
+        // a unit's element is its first member's (a group shares it)
+        let cell = |first: usize, members: usize| {
+            UnitCell::of(problems[first].ctx().terms().exact16(), members)
+        };
+        let mut lanes = WaveLanes::default();
         // a wave that is over before it starts allocates nothing
         if Watch::new(sup).check_now().is_ok() {
             if workers > 1 {
                 self.top_up(pending.iter().map(|&i| &problems[i]), workers, sup);
             }
-            let groups = plan.iter().filter(|unit| unit.len() >= MIN_LANES);
-            lanes =
-                LaneTables::for_wave(problems, groups.clone().filter(|u| !exact16(u[0])), workers);
-            lanes16 = LaneTables::for_wave(problems, groups.filter(|u| exact16(u[0])), workers);
+            lanes = WaveLanes::for_wave(problems, &plan, |unit| cell(unit[0], unit.len()), workers);
         }
         let mut open: Vec<Option<&mut Option<BatchItem>>> = slots.iter_mut().map(Some).collect();
         let units: Vec<Vec<(usize, &mut Option<BatchItem>)>> = plan
@@ -592,17 +592,12 @@ impl BatchEngine {
             .collect();
         drop(open);
         run_split(units.into_iter(), &mut vec![(); workers], |_, mut unit| {
-            if unit.len() < MIN_LANES {
-                for (i, slot) in unit {
-                    *slot = Some(solve(i));
-                }
-                return;
-            }
             // a group that could not run leaves its members' slots empty
-            if exact16(unit[0].0) {
-                self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes16);
-            } else {
-                self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes);
+            match cell(unit[0].0, unit.len()) {
+                UnitCell::Alone => {}
+                UnitCell::F32 => self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes.f32),
+                UnitCell::I16 => self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes.i16),
+                UnitCell::Wide16 => self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes.wide16),
             }
             for (i, slot) in unit {
                 if slot.is_none() {
@@ -627,6 +622,7 @@ impl BatchEngine {
             }
         }
 
+        let (lane_problems, lane_tables) = lanes.counts();
         Ok(BatchReport {
             items: slots
                 .into_iter()
@@ -636,8 +632,8 @@ impl BatchEngine {
             pool: self.pool.stats(),
             replayed,
             workers,
-            lane_problems: lanes.solved.into_inner() + lanes16.solved.into_inner(),
-            lane_tables: lanes.allocated.into_inner() + lanes16.allocated.into_inner(),
+            lane_problems,
+            lane_tables,
         })
     }
 
@@ -685,7 +681,7 @@ impl BatchEngine {
     ) {
         let t = Instant::now();
         // positions in `unit` of the members that passed admission
-        let mut live = Vec::with_capacity(LANES);
+        let mut live = Vec::with_capacity(L::WIDTH);
         let mut slow = None;
         for (pos, (i, slot)) in unit.iter_mut().enumerate() {
             let problem = &problems[*i];
@@ -993,26 +989,76 @@ fn journal(ckpt: Option<&CheckpointSink>, items: &[BatchItem]) {
     }
 }
 
+/// Fewest members an `[f32; 8]` lane group runs with; fewer run one at
+/// a time. A lone solve runs its own split-point and triangle lanes, so
+/// an `f32` group of three took 1.15–1.30× the time of three lone
+/// solves, and one of four 0.87–0.97× that of four (12×16 and 16×16;
+/// DESIGN.md §7). Its 16-bit counterpart is [`MIN_LANES`].
+const MIN_F32_LANES: usize = 4;
+
+/// The cell a unit of the coarse group runs on: none for a problem
+/// alone, else the narrowest lane cell of its members' element that
+/// holds them all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum UnitCell {
+    /// One problem, on its own `f32` table.
+    Alone,
+    /// An `[f32; 8]` group of four to eight.
+    F32,
+    /// A 16-bit group of three to eight, on `[i16; 8]`.
+    I16,
+    /// A 16-bit group of nine to sixteen, on `[i16; 16]`.
+    Wide16,
+}
+
+impl UnitCell {
+    /// The fewest and the most members of a lane group whose members are
+    /// exact in 16 bits (`exact16`) or not.
+    fn group_sizes(exact16: bool) -> (usize, usize) {
+        if exact16 {
+            (MIN_LANES, Wide16::WIDTH)
+        } else {
+            (MIN_F32_LANES, Lanes::WIDTH)
+        }
+    }
+
+    /// The cell of a [`plan_units`] unit of `members` problems, exact in
+    /// 16 bits or not.
+    fn of(exact16: bool, members: usize) -> UnitCell {
+        if members < Self::group_sizes(exact16).0 {
+            UnitCell::Alone
+        } else if !exact16 {
+            UnitCell::F32
+        } else if members <= Lanes16::WIDTH {
+            UnitCell::I16
+        } else {
+            UnitCell::Wide16
+        }
+    }
+}
+
 /// Split the coarse group's pending problems (input order) into the
 /// units its workers claim, ordered by their first problem. Problems
-/// that `lane_key` gives the same key (a shape and a lane element) form
-/// lane groups of up to [`LANES`], in input order; a group of fewer than
-/// [`MIN_LANES`], and every problem without a key, is a unit of one.
-fn plan_units<K: Eq + Hash>(
+/// that `lane_key` gives the same `(m, n, exact16)` key are cut, in input
+/// order, into lane groups of at most [`UnitCell::group_sizes`]' most;
+/// a group below its fewest, and every problem without a key, is a unit
+/// of one.
+fn plan_units(
     pending: &[usize],
-    lane_key: impl Fn(usize) -> Option<K>,
+    lane_key: impl Fn(usize) -> Option<(usize, usize, bool)>,
 ) -> Vec<Vec<usize>> {
     let mut units = Vec::new();
-    let mut keyed: HashMap<K, Vec<usize>> = HashMap::new();
+    let mut keyed: HashMap<_, Vec<usize>> = HashMap::new();
     for &i in pending {
         match lane_key(i) {
             Some(key) => keyed.entry(key).or_default().push(i),
             None => units.push(vec![i]),
         }
     }
-    for members in keyed.into_values() {
-        for group in members.chunks(LANES) {
-            if group.len() >= MIN_LANES {
+    for ((_, _, exact16), members) in keyed {
+        let (fewest, most) = UnitCell::group_sizes(exact16);
+        for group in members.chunks(most) {
+            if group.len() >= fewest {
                 units.push(group.to_vec());
             } else {
                 units.extend(group.iter().map(|&i| vec![i]));
@@ -1023,10 +1069,44 @@ fn plan_units<K: Eq + Hash>(
     units
 }
 
+/// One wave's lane tables, a set for each lane cell its groups use.
+#[derive(Default)]
+struct WaveLanes {
+    f32: LaneTables<Lanes>,
+    i16: LaneTables<Lanes16>,
+    wide16: LaneTables<Wide16>,
+}
+
+impl WaveLanes {
+    /// The tables for the groups of `plan`, each on its `cell`.
+    fn for_wave(
+        problems: &[BpMaxProblem],
+        plan: &[Vec<usize>],
+        cell: impl Fn(&[usize]) -> UnitCell,
+        workers: usize,
+    ) -> Self {
+        let cell = &cell;
+        let on = |want: UnitCell| plan.iter().filter(move |unit| cell(unit) == want);
+        WaveLanes {
+            f32: LaneTables::for_wave(problems, on(UnitCell::F32), workers),
+            i16: LaneTables::for_wave(problems, on(UnitCell::I16), workers),
+            wide16: LaneTables::for_wave(problems, on(UnitCell::Wide16), workers),
+        }
+    }
+
+    /// Problems solved in lanes, and lane tables allocated.
+    fn counts(self) -> (usize, usize) {
+        [self.f32.counts(), self.i16.counts(), self.wide16.counts()]
+            .into_iter()
+            .fold((0, 0), |(p, t), (dp, dt)| (p + dp, t + dt))
+    }
+}
+
 /// The lane tables of cells `L` of one wave: allocated before its split,
 /// one per worker, and handed to whichever worker claims a lane group of
-/// that element. They are dropped with the wave, so an idle engine holds
-/// none. A [`Lanes16`] table is half the size of a [`Lanes`] one.
+/// that cell. They are dropped with the wave, so an idle engine holds
+/// none. A [`Lanes16`] table is half the size of a [`Lanes`] one, and a
+/// [`Wide16`] table the same size.
 struct LaneTables<L> {
     spare: Mutex<Vec<FTable<L>>>,
     /// Tables allocated.
@@ -1092,6 +1172,11 @@ impl<L: LaneCell> LaneTables<L> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(table);
+    }
+
+    /// Problems solved in lanes, and tables allocated.
+    fn counts(self) -> (usize, usize) {
+        (self.solved.into_inner(), self.allocated.into_inner())
     }
 }
 
@@ -1867,8 +1952,36 @@ mod tests {
             .collect()
     }
 
+    /// Each unit of `engine`'s plan for `problems`: its members and the
+    /// cell it runs on.
+    fn planned(engine: &BatchEngine, problems: &[BpMaxProblem]) -> Vec<(usize, UnitCell)> {
+        let every: Vec<usize> = (0..problems.len()).collect();
+        let plan = engine.plan(problems, &every, &Supervision::none(), None);
+        let mut claimed: Vec<usize> = plan.concat();
+        claimed.sort_unstable();
+        assert_eq!(claimed, every, "each problem in exactly one unit");
+        assert!(plan.windows(2).all(|w| w[0][0] < w[1][0]), "input order");
+        plan.iter()
+            .map(|unit| {
+                let exact16 = problems[unit[0]].ctx().terms().exact16();
+                (unit.len(), UnitCell::of(exact16, unit.len()))
+            })
+            .collect()
+    }
+
+    /// `problems` again under the default model with GU at 1.5, which
+    /// the 16-bit gate refuses, so their lane groups run in `f32`.
+    fn refused_by_the_gate(problems: Vec<BpMaxProblem>) -> Vec<BpMaxProblem> {
+        let model = ScoringModel::from_weights(3.0, 2.0, 1.5, 0);
+        problems
+            .iter()
+            .map(|p| BpMaxProblem::new(p.seq1().clone(), p.seq2().clone(), model.clone()))
+            .collect()
+    }
+
     #[test]
-    fn lanes_plan_a_scan_wave_into_23_groups_of_8_and_a_mixed_batch_into_none() {
+    fn lanes_plan_a_scan_wave_into_12_groups_of_up_to_16_and_k_problems_on_the_narrowest_cell() {
+        use UnitCell::{Alone, Wide16, F32, I16};
         let mut rng = StdRng::seed_from_u64(62);
         let query = RnaSeq::random(&mut rng, 12);
         let target = RnaSeq::random(&mut rng, 200);
@@ -1879,44 +1992,63 @@ mod tests {
             })
             .collect();
         let engine = BatchEngine::new(BatchOptions::new()).unwrap();
-        let every: Vec<usize> = (0..200).collect();
-        let plan = engine.plan(&windows, &every, &Supervision::none(), None);
-        let groups: Vec<&Vec<usize>> = plan.iter().filter(|u| u.len() >= MIN_LANES).collect();
-        assert_eq!(groups.len(), 23);
-        assert!(groups.iter().all(|g| g.len() == LANES));
-        let in_lanes: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(in_lanes, 184, "92% of the wave");
-        // the 185th 12x16 window and the 15 shorter tail windows run alone
-        assert_eq!(plan.len(), 23 + 16);
-        let mut claimed: Vec<usize> = plan.concat();
-        claimed.sort_unstable();
-        assert_eq!(claimed, every, "each problem in exactly one unit");
-        assert!(plan.windows(2).all(|w| w[0][0] < w[1][0]), "input order");
+        let plan = planned(&engine, &windows);
+        let groups: Vec<&(usize, UnitCell)> =
+            plan.iter().filter(|(_, cell)| *cell != Alone).collect();
+        // the 185 12x16 windows: 11 groups of 16, then one of 9, every
+        // one on [i16; 16] cells
+        assert_eq!(groups.len(), 12);
+        assert!(groups[..11].iter().all(|&&g| g == (16, Wide16)));
+        assert_eq!(*groups[11], (9, Wide16));
+        let in_lanes: usize = groups.iter().map(|(members, _)| members).sum();
+        assert_eq!(in_lanes, 185, "every full-width window");
+        // the 15 shorter tail windows run alone
+        assert_eq!(plan.len(), 12 + 15, "units, each journaled in one append");
+
+        // k same-shape problems, cut in input order
+        let alone = |count: usize| vec![(1, Alone); count];
+        let cases: [(usize, Vec<(usize, UnitCell)>); 7] = [
+            (2, alone(2)),
+            (3, vec![(3, I16)]),
+            (8, vec![(8, I16)]),
+            (9, vec![(9, Wide16)]),
+            (16, vec![(16, Wide16)]),
+            (17, [vec![(16, Wide16)], alone(1)].concat()),
+            (25, vec![(16, Wide16), (9, Wide16)]),
+        ];
+        for (k, want) in cases {
+            let problems = same_shape(k, 4, 5, 90 + k as u64);
+            assert_eq!(planned(&engine, &problems), want, "{k} 16-bit problems");
+        }
+        // under a model the gate refuses: [f32; 8] groups of four to eight
+        let f32_cases: [(usize, Vec<(usize, UnitCell)>); 5] = [
+            (3, alone(3)),
+            (4, vec![(4, F32)]),
+            (8, vec![(8, F32)]),
+            (11, [vec![(8, F32)], alone(3)].concat()),
+            (12, vec![(8, F32), (4, F32)]),
+        ];
+        for (k, want) in f32_cases {
+            let problems = refused_by_the_gate(same_shape(k, 4, 5, 110 + k as u64));
+            assert_eq!(planned(&engine, &problems), want, "{k} f32 problems");
+        }
 
         let mixed = mixed_problems(12, 41);
-        let every: Vec<usize> = (0..12).collect();
-        let plan = engine.plan(&mixed, &every, &Supervision::none(), None);
-        assert!(plan.iter().all(|u| u.len() == 1), "{plan:?}");
+        assert!(planned(&engine, &mixed).iter().all(|&u| u == (1, Alone)));
         // the baseline program has no wavefront to run in lanes
         let baseline = BatchEngine::new(
             BatchOptions::new().solve(SolveOptions::new().algorithm(Algorithm::Baseline)),
         )
         .unwrap();
-        let plan = baseline.plan(
-            &windows,
-            &(0..200).collect::<Vec<_>>(),
-            &Supervision::none(),
-            None,
-        );
-        assert_eq!(plan.len(), 200);
+        assert_eq!(planned(&baseline, &windows).len(), 200);
     }
 
     #[test]
     fn lanes_waves_are_bit_identical_to_solve_opts_on_every_split() {
-        // Same-shape groups of 1, 2, 3, 4, 5, 7 and 8 members (below
-        // MIN_LANES they run alone), each wave at most 12 problems long
-        // (see the fault-registry note below), with the problems lane
-        // groups count.
+        // Same-shape groups of 1, 2, 3, 4, 5, 7, 8 and 12 members (below
+        // MIN_LANES they run alone; from nine they run on [i16; 16]
+        // cells), and f32 groups of 3 (run alone) and 4, each wave at
+        // most 12 problems long, with the problems lane groups count.
         let shapes = |groups: &[(usize, usize, usize)]| -> Vec<BpMaxProblem> {
             (groups.iter().zip(70..))
                 .flat_map(|(&(count, m, n), seed)| same_shape(count, m, n, seed))
@@ -1926,6 +2058,8 @@ mod tests {
             (shapes(&[(8, 4, 5), (2, 3, 3), (1, 1, 1), (1, 5, 2)]), 8),
             (shapes(&[(3, 2, 6), (4, 6, 3), (5, 3, 4)]), 12),
             (shapes(&[(7, 4, 4), (2, 2, 2), (3, 3, 6)]), 10),
+            (shapes(&[(12, 3, 5)]), 12),
+            (refused_by_the_gate(shapes(&[(3, 5, 6), (4, 4, 6)])), 4),
         ];
         for &alg in &Algorithm::ALL[1..] {
             let solve = SolveOptions::new().algorithm(alg);
@@ -1960,7 +2094,7 @@ mod tests {
 
     #[test]
     fn lanes_tables_live_for_one_wave_and_the_pool_stays_allocation_free() {
-        // two groups, of 8 and 4
+        // one group of 12, on [i16; 16] cells
         let problems = same_shape(12, 6, 7, 82);
         for split in forced() {
             let engine = BatchEngine::new(BatchOptions::new()).unwrap();
@@ -2021,8 +2155,9 @@ mod tests {
     }
 
     /// The fault registry is process-global and other unit tests' waves
-    /// consult it, so the fault sits at index 13: past the end of every
-    /// other wave in this crate's unit tests (12 problems at most).
+    /// consult it, so the fault sits at index 20: past the end of every
+    /// other wave in this crate's unit tests (20 problems at most, in
+    /// `lanes16_tests`).
     #[cfg(feature = "fault-inject")]
     #[test]
     fn split_group_isolates_an_injected_panic() {
@@ -2033,8 +2168,8 @@ mod tests {
                 fault::disarm();
             }
         }
-        const AT: usize = 13;
-        let problems = mixed_problems(16, 63);
+        const AT: usize = 20;
+        let problems = mixed_problems(23, 63);
         let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let want = score_bits(&split_wave(&engine, &problems, Split::SERIAL));
         let _disarm = Disarm;

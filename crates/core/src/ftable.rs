@@ -1,9 +1,11 @@
 //! The 4-D `BPMax` table: a triangle of triangles.
 //!
 //! A cell is one [`MaxPlus`] element: an `f32` score, or the same cell of
-//! eight same-shape problems ([`tropical::scalar::Lanes`], or
-//! [`tropical::scalar::Lanes16`] under an integer-weight model) when the
-//! batch engine solves a lane group. Addressing is the same for all.
+//! a batch lane group's same-shape problems: eight in `f32`
+//! ([`tropical::scalar::Lanes`]), or, under an integer-weight model, up
+//! to eight ([`tropical::scalar::Lanes16`]) or sixteen
+//! ([`tropical::scalar::Wide16`]) in 16 bits. Addressing is the same for
+//! all.
 //!
 //! `F[i1][j1][i2][j2]` is defined for `0 ≤ i1 ≤ j1 < M`, `0 ≤ i2 ≤ j2 < N`.
 //! Storage is one buffer of *inner-triangle blocks*, one block per outer

@@ -194,14 +194,17 @@ impl Terms<f32> {
 }
 
 impl<L: LaneCell> Terms<L> {
-    /// The terms of up to [`LANES`] same-shape problems, lane `l` holding
-    /// `members[l]`'s; lanes past the last member copy the first one, so
-    /// a padded lane computes a real problem again. Panics on an empty or
-    /// oversized group, or on members of different shapes.
+    /// The terms of up to [`LaneCell::WIDTH`] same-shape problems, lane
+    /// `l` holding `members[l]`'s; lanes past the last member copy the
+    /// first one, so a padded lane computes a real problem again. Each
+    /// table is gathered whole, cell `c` of every lane's table into cell
+    /// `c` of the lane table. Panics on an empty or oversized group, or
+    /// on members of different shapes.
     pub(crate) fn interleave(members: &[&Terms<f32>]) -> Self {
         assert!(
-            (1..=LANES).contains(&members.len()),
-            "a lane group holds 1..={LANES} problems, not {}",
+            (1..=L::WIDTH).contains(&members.len()),
+            "a lane group holds 1..={} problems, not {}",
+            L::WIDTH,
             members.len()
         );
         let lead = members[0];
@@ -210,20 +213,25 @@ impl<L: LaneCell> Terms<L> {
             members.iter().all(|t| t.m() == m && t.n() == n),
             "lane group members must share the {m}x{n} shape"
         );
-        let lane = |l: usize| members.get(l).copied().unwrap_or(lead);
-        let triangle = |side: usize, get: &dyn Fn(&Terms<f32>, usize, usize) -> f32| {
-            Triangular::from_fn(side, |i, j| {
-                L::from_f32s(std::array::from_fn(|l| get(lane(l), i, j)))
-            })
+        let lanes: Vec<&Terms<f32>> = (0..L::WIDTH)
+            .map(|l| members.get(l).copied().unwrap_or(lead))
+            .collect();
+        // cell `c` of the result holds cell `c` of `cells[l]` in lane `l`
+        let gather = |cells: Vec<&[f32]>| -> Vec<L> {
+            (0..cells[0].len())
+                .map(|c| L::from_fn(|l| cells[l][c]))
+                .collect()
+        };
+        let triangle = |of: fn(&Terms<f32>) -> &Triangular<f32>| {
+            let cells = lanes.iter().map(|&t| of(t).as_slice()).collect();
+            Triangular::from_packed(of(lead).n(), gather(cells))
         };
         Terms {
-            s1: Arc::new(triangle(m, &|t, i, j| t.s1.get(i, j))),
-            s2: Arc::new(triangle(n, &|t, i, j| t.s2.get(i, j))),
-            w1: triangle(m, &|t, i, j| t.w1.get(i, j)),
-            w2: triangle(n, &|t, i, j| t.w2.get(i, j)),
-            wi: (0..lead.wi.len())
-                .map(|k| L::from_f32s(std::array::from_fn(|l| lane(l).wi[k])))
-                .collect(),
+            s1: Arc::new(triangle(|t| &t.s1)),
+            s2: Arc::new(triangle(|t| &t.s2)),
+            w1: triangle(|t| &t.w1),
+            w2: triangle(|t| &t.w2),
+            wi: gather(lanes.iter().map(|t| &t.wi[..]).collect()),
             exact16: members.iter().all(|t| t.exact16),
         }
     }
@@ -235,6 +243,7 @@ impl<L: LaneCell> Terms<L> {
     /// are the same in every lane. A lane past the end of the diagonal
     /// holds its last triangle's.
     pub(crate) fn along_diagonal(terms: &Terms<f32>) -> Self {
+        const { assert!(L::WIDTH == LANES, "a lone solve's lanes are eight wide") };
         let (m, n) = (terms.m(), terms.n());
         let along = |t: &Triangular<f32>| {
             // diagonal `d` of `t`, cell `(k, k + d)` at `k`, its last cell
@@ -247,19 +256,17 @@ impl<L: LaneCell> Terms<L> {
                     cells
                 })
                 .collect();
-            Triangular::from_fn(m, |i, j| {
-                L::from_f32s(std::array::from_fn(|l| diagonals[j - i][i + l]))
-            })
+            Triangular::from_fn(m, |i, j| L::from_fn(|l| diagonals[j - i][i + l]))
         };
         let splat =
-            |t: &Triangular<f32>| Triangular::from_fn(n, |i, j| L::from_f32s([t.get(i, j); LANES]));
+            |t: &Triangular<f32>| Triangular::from_fn(n, |i, j| L::from_fn(|_| t.get(i, j)));
         let mut wi = Vec::with_capacity(m * n);
         for i1 in 0..m {
             let rows: [&[f32]; LANES] = std::array::from_fn(|l| {
                 let row = (i1 + l).min(m - 1);
                 &terms.wi[row * n..(row + 1) * n]
             });
-            wi.extend((0..n).map(|i2| L::from_f32s(std::array::from_fn(|l| rows[l][i2]))));
+            wi.extend((0..n).map(|i2| L::from_fn(|l| rows[l][i2])));
         }
         Terms {
             s1: Arc::new(along(&terms.s1)),
@@ -711,11 +718,12 @@ pub fn accumulate_r034_serial<E: MaxPlus>(
 }
 
 /// Fewest real members a lane group runs with; fewer run one at a time
-/// in `f32`. A group computes all [`LANES`] lanes whatever its fill, so
-/// it pays off only from about three members, in each of its uses:
-/// - a batch wave's same-shape problems ([`crate::batch`]): a group
-///   costs what 1.8 solves of 12×16, or 2.6 of 32×32, cost one at a
-///   time (DESIGN.md §7);
+/// in `f32`. A group computes all of its cell's lanes whatever its fill,
+/// so it pays off only from about three members, in each of its uses:
+/// - a batch wave's same-shape problems exact in 16 bits
+///   ([`crate::batch`]): a group of three beat three lone solves, and
+///   one of two lost (DESIGN.md §7 and §11). A batch `[f32; 8]` group
+///   starts at four, since lone solves run lanes of their own;
 /// - a triangle's split points ([`accumulate_r034_lanes`]): in three
 ///   interleaved runs of serial 40×40, 16×16 and 12×16 solves, a floor
 ///   of 3 was the fastest or within 6% of it at every shape, and 1 or 2
@@ -726,8 +734,7 @@ pub fn accumulate_r034_serial<E: MaxPlus>(
 ///   were 7–35% slower.
 ///
 /// In 16-bit lanes, 3 was the fastest floor of the whole serial solve in
-/// 8 of 9 runs and shapes, and a 16-bit batch group of three beat three
-/// lone solves in every run, where two lost (DESIGN.md §11).
+/// 8 of 9 runs and shapes (DESIGN.md §11).
 pub(crate) const MIN_LANES: usize = 3;
 
 /// One worker's lane scratch, three blocks of lane cells `L`: a split
@@ -803,8 +810,8 @@ pub(crate) fn accumulate_r034_lanes<L: LaneCell>(
             pack(a, split.map(|k| ft.block(i1, k)));
             pack(b, split.map(|k| ft.block(k + 1, j1)));
             r0_instance_simd(&lane_ft, a, b, lanes);
-            r3_block(L::from_f32s(split.map(|k| terms.s1v(i1, k))), b, lanes);
-            r4_block(L::from_f32s(split.map(|k| terms.s1v(k + 1, j1))), a, lanes);
+            r3_block(cell_of(split.map(|k| terms.s1v(i1, k))), b, lanes);
+            r4_block(cell_of(split.map(|k| terms.s1v(k + 1, j1))), a, lanes);
             k1 += real;
         }
         reduce(lanes, acc);
@@ -818,12 +825,19 @@ pub(crate) fn accumulate_r034_lanes<L: LaneCell>(
     }
 }
 
+/// The eight-lane cell whose lane `l` holds `values[l]`.
+#[inline(always)]
+fn cell_of<L: LaneCell>(values: [f32; LANES]) -> L {
+    L::from_fn(|l| values[l])
+}
+
 /// Lane `l` of every cell of `dst` from `blocks[l]`, cell by cell,
 /// converted as it is gathered.
 fn pack<L: LaneCell>(dst: &mut [L], blocks: [&[f32]; LANES]) {
+    const { assert!(L::WIDTH == LANES, "a lone solve's lanes are eight wide") };
     let blocks = blocks.map(|block| &block[..dst.len()]);
     for (c, cell) in dst.iter_mut().enumerate() {
-        *cell = L::from_f32s(std::array::from_fn(|l| blocks[l][c]));
+        *cell = L::from_fn(|l| blocks[l][c]);
     }
 }
 

@@ -3,8 +3,9 @@
 //!
 //! Under an integer-weight model every value a solve forms is a small
 //! integer, and a lone `hybrid+reg` solve runs its split-point and
-//! triangle lanes, and a batch runs its lane groups, in `[i16; 8]` cells
-//! (`kernels::exact_in_lanes16`, DESIGN.md §11). These tests check every
+//! triangle lanes, in `[i16; 8]` cells, and a batch runs its lane groups
+//! in `[i16; 8]` or `[i16; 16]` cells (`kernels::exact_in_lanes16`,
+//! DESIGN.md §11). These tests check every
 //! F-table cell of such solves bit for bit against `bpmax::spec`, under
 //! the default model, `unit`, all weights 127 with a hairpin constraint,
 //! and an asymmetric integer model with zero weights:
@@ -12,9 +13,9 @@
 //!   forced 1- and 2-worker splits: every split-point group fill and
 //!   every triangle run fill occurs, on one worker's runs of eight and on
 //!   a split's balanced runs;
-//! - batch waves whose lane groups hold 1–8 same-shape members, on the
+//! - batch waves whose lane groups hold 1–16 same-shape members, on the
 //!   same forced splits, with `f32` members of the same shape in the
-//!   same wave.
+//!   same wave: every group fill of both 16-bit cells.
 //!
 //! The gate itself is checked on its own, with no solve.
 
@@ -102,17 +103,18 @@ fn split_lanes16_lone_solves_match_the_oracle() {
 }
 
 #[test]
-fn lanes_in_16_bits_match_the_oracle_in_groups_of_one_to_eight() {
+fn lanes_in_16_bits_match_the_oracle_in_groups_of_one_to_sixteen() {
     let mut rng = StdRng::seed_from_u64(0x016b_17e6);
     // a model 16 bits refuse, for same-shape f32 members in the same wave
     let half = ScoringModel::from_weights(2.5, 1.5, 0.5, 0);
     for (name, model) in integer_models() {
         for (m, n) in [(9, 5), (12, 3)] {
-            for members in 1..=8 {
-                // the 16-bit members with three f32 members interleaved
+            for members in 1..=16 {
+                // the 16-bit members with four f32 members interleaved,
+                // 20 problems at most (see batch's fault-registry note)
                 let mut problems = Vec::new();
-                for k in 0..members.max(3) {
-                    for (model, count) in [(&model, members), (&half, 3)] {
+                for k in 0..members.max(4) {
+                    for (model, count) in [(&model, members), (&half, 4)] {
                         if k < count {
                             problems.push(BpMaxProblem::new(
                                 RnaSeq::random(&mut rng, m),
@@ -124,7 +126,8 @@ fn lanes_in_16_bits_match_the_oracle_in_groups_of_one_to_eight() {
                 }
                 let exact = problems.iter().filter(|p| p.ctx().terms().exact16());
                 assert_eq!(exact.count(), members, "{name}");
-                let grouped = if members >= 3 { members } else { 0 } + 3;
+                // the four f32 members form an [f32; 8] group
+                let grouped = if members >= 3 { members } else { 0 } + 4;
                 for split in forced() {
                     let engine = BatchEngine::new(BatchOptions::new().keep_tables(true)).unwrap();
                     let report = engine

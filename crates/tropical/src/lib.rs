@@ -1,4 +1,4 @@
-//! Tropical (max-plus) kernels on `f32` and on eight-problem lanes.
+//! Tropical (max-plus) kernels on `f32` and on lanes of problems.
 //!
 //! The dominant kernel of `BPMax` (the "double max-plus" reduction `R0`)
 //! is, per instance, a *max-plus matrix product* — "matrix multiplication
@@ -14,9 +14,9 @@
 //!   `y[i] = max(a + x[i], y[i])`, and [`scalar::MaxPlus`], the cell
 //!   element both kernels are generic over: one `f32` (the paper uses
 //!   single-precision storage to halve the memory footprint) or a
-//!   [`scalar::LaneCell`], the same cell of eight same-shape problems in
-//!   `f32` ([`scalar::Lanes`]) or in exact 16-bit integers
-//!   ([`scalar::Lanes16`]).
+//!   [`scalar::LaneCell`], the same cell of several same-shape problems:
+//!   eight in `f32` ([`scalar::Lanes`]), or eight or sixteen in exact
+//!   16-bit integers ([`scalar::Lanes16`], [`scalar::Wide16`]).
 //! * [`simd`] — the 4-way fused [`simd::mp_axpy4`] register-blocked inner
 //!   kernel, a plain loop on stable Rust that LLVM vectorizes to packed
 //!   `addps`/`maxps`.

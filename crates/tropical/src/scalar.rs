@@ -6,9 +6,10 @@
 //! the handful of scalar idioms the kernels are written in, so the hot loops
 //! stay uniform and auto-vectorizable. [`MaxPlus`] lifts them to a cell
 //! element: one `f32` score, or a [`LaneCell`] — the same cell of
-//! [`LANES`] independent problems, lane `l` computing exactly problem
-//! `l`'s scalar update sequence: [`Lanes`] in `f32`, or [`Lanes16`] in
-//! exact 16-bit integers for models whose scores are small integers.
+//! independent problems, lane `l` computing exactly problem `l`'s scalar
+//! update sequence: [`LANES`] of them in `f32` ([`Lanes`]), or, for
+//! models whose scores are small integers, in exact 16-bit integers,
+//! [`LANES`] ([`Lanes16`]) or sixteen ([`Wide16`]) per cell.
 
 /// The max-plus join of the axpy family: `if s > c { s } else { c }`,
 /// with the candidate `s` first and the accumulator `c` second.
@@ -46,6 +47,12 @@ pub type Lanes = [f32; LANES];
 /// `−∞` held as `i16::MIN` ([`f32_to_i16`], [`i16_to_f32`]); the solver
 /// checks that from the model and the shape before it takes them.
 pub type Lanes16 = [i16; LANES];
+
+/// [`Lanes16`] twice as wide: sixteen problems in two SSE registers on
+/// the baseline `x86-64` target, with the same operations and the same
+/// exactness. A batch wave's 16-bit lane groups of nine to sixteen
+/// members run on it.
+pub type Wide16 = [i16; 16];
 
 /// Offset of the rounding constant `1.5 × 2²³`: adding it to an `f32` puts
 /// every integer in `[−2²², 2²²]` into the binade whose unit is 1, where
@@ -97,9 +104,10 @@ use std::sync::atomic::{compiler_fence, Ordering};
 /// (it starts at `−∞` and only ever takes a candidate that compared
 /// greater, or the non-NaN side of `f32::max`).
 ///
-/// For [`Lanes16`] each operation is its 16-bit integer counterpart
-/// (`+` saturates, both joins are `max`), which equals the `f32`
-/// operation on the values it is exact for (DESIGN.md §11).
+/// For a 16-bit cell ([`Lanes16`], [`Wide16`]) each operation is its
+/// integer counterpart (`+` saturates, both joins are `max`), which
+/// equals the `f32` operation on the values it is exact for (DESIGN.md
+/// §11).
 pub trait MaxPlus: Copy + Send + Sync + std::fmt::Debug + 'static {
     /// `−∞` in every lane: the max-plus zero.
     const NEG_INF: Self;
@@ -124,13 +132,16 @@ pub trait MaxPlus: Copy + Send + Sync + std::fmt::Debug + 'static {
     fn cell_fence();
 }
 
-/// A cell of [`LANES`] problems, converted from and to `f32` where a lane
-/// kernel meets the `f32` F-table: the pack, reduce and unpack edges of
-/// the lane drivers, and the lane terms built from a problem's `f32`
-/// terms.
+/// A cell of [`LaneCell::WIDTH`] problems, converted from and to `f32`
+/// where a lane kernel meets the `f32` F-table: the pack, reduce and
+/// unpack edges of the lane drivers, and the lane terms built from a
+/// problem's `f32` terms.
 pub trait LaneCell: MaxPlus {
-    /// The cell whose lane `l` holds `values[l]`.
-    fn from_f32s(values: [f32; LANES]) -> Self;
+    /// Problems one cell carries.
+    const WIDTH: usize;
+    /// The cell whose lane `l` holds `value(l)`, for `l` in
+    /// `0..WIDTH`.
+    fn from_fn(value: impl FnMut(usize) -> f32) -> Self;
     /// Lane `l` as an `f32`.
     fn lane(self, l: usize) -> f32;
     /// `acc` joined with every lane, candidates first ([`mp_join`]).
@@ -166,9 +177,11 @@ impl MaxPlus for f32 {
 }
 
 impl LaneCell for Lanes {
+    const WIDTH: usize = LANES;
+
     #[inline(always)]
-    fn from_f32s(values: [f32; LANES]) -> Lanes {
-        values
+    fn from_fn(value: impl FnMut(usize) -> f32) -> Lanes {
+        std::array::from_fn(value)
     }
 
     #[inline(always)]
@@ -182,22 +195,23 @@ impl LaneCell for Lanes {
     }
 }
 
-impl MaxPlus for Lanes16 {
-    const NEG_INF: Lanes16 = [i16::MIN; LANES];
-    const ZERO: Lanes16 = [0; LANES];
+/// Every 16-bit cell, [`Lanes16`] and [`Wide16`] alike.
+impl<const W: usize> MaxPlus for [i16; W] {
+    const NEG_INF: [i16; W] = [i16::MIN; W];
+    const ZERO: [i16; W] = [0; W];
 
     #[inline(always)]
-    fn plus(self, rhs: Lanes16) -> Lanes16 {
+    fn plus(self, rhs: [i16; W]) -> [i16; W] {
         std::array::from_fn(|l| self[l].saturating_add(rhs[l]))
     }
 
     #[inline(always)]
-    fn join(s: Lanes16, c: Lanes16) -> Lanes16 {
+    fn join(s: [i16; W], c: [i16; W]) -> [i16; W] {
         std::array::from_fn(|l| s[l].max(c[l]))
     }
 
     #[inline(always)]
-    fn max_num(self, other: Lanes16) -> Lanes16 {
+    fn max_num(self, other: [i16; W]) -> [i16; W] {
         std::array::from_fn(|l| self[l].max(other[l]))
     }
 
@@ -214,10 +228,14 @@ impl MaxPlus for Lanes16 {
     }
 }
 
-impl LaneCell for Lanes16 {
+impl<const W: usize> LaneCell for [i16; W] {
+    const WIDTH: usize = W;
+
+    /// Gathers the `f32` values, then converts them all: converting each
+    /// as it was gathered made the lone-solve `pack` a fifth larger.
     #[inline(always)]
-    fn from_f32s(values: [f32; LANES]) -> Lanes16 {
-        values.map(f32_to_i16)
+    fn from_fn(value: impl FnMut(usize) -> f32) -> [i16; W] {
+        std::array::from_fn::<f32, W, _>(value).map(f32_to_i16)
     }
 
     #[inline(always)]
@@ -274,8 +292,8 @@ impl MaxPlus for Lanes {
 /// Each element is `y[i] = join(a + x[i], y[i])`; the plain loop
 /// LLVM vectorizes to one `addps` + `maxps` per vector (per `f32` vector,
 /// or per half of a [`Lanes`] cell), or one `paddsw` + `pmaxsw` per
-/// [`Lanes16`] cell. It is also the reference the fused
-/// [`crate::simd::mp_axpy4`] is tested bit-identical against.
+/// [`Lanes16`] cell (two per [`Wide16`] cell). It is also the reference
+/// the fused [`crate::simd::mp_axpy4`] is tested bit-identical against.
 #[inline]
 pub fn mp_axpy<E: MaxPlus>(a: E, x: &[E], y: &mut [E]) {
     assert_eq!(x.len(), y.len(), "mp_axpy: slice lengths differ");

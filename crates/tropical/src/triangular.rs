@@ -92,6 +92,24 @@ impl<T: Copy> Triangular<T> {
         Triangular { n, data }
     }
 
+    /// A table of side `n` over `cells`, row after row, as
+    /// [`Triangular::as_slice`] gives them. Panics unless `cells` holds
+    /// the `n(n+1)/2` cells of the triangle.
+    pub fn from_packed(n: usize, cells: Vec<T>) -> Self {
+        assert_eq!(
+            cells.len(),
+            Layout::Packed.storage_len(n),
+            "a side-{n} triangle holds n(n+1)/2 cells"
+        );
+        Triangular { n, data: cells }
+    }
+
+    /// Every cell, row after row: row `i` over columns `i..n`.
+    #[inline(always)]
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
     /// Side length.
     #[inline(always)]
     pub fn n(&self) -> usize {
@@ -217,5 +235,15 @@ mod tests {
                 assert_eq!(row[j - i], (i * 5 + j) as i32);
             }
         }
+        // the packed cells are the rows back to back, and build the same table
+        let rows: Vec<i32> = (0..5).flat_map(|i| t.row(i).to_vec()).collect();
+        assert_eq!(t.as_slice(), &rows[..]);
+        assert_eq!(Triangular::from_packed(5, rows), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "n(n+1)/2 cells")]
+    fn from_packed_refuses_a_wrong_cell_count() {
+        let _ = Triangular::from_packed(4, vec![0i32; 9]);
     }
 }
