@@ -9,6 +9,7 @@
 #   SAN_GATE=off ./ci.sh           # skip the sanitizer stage
 #
 # Stage order (fail-fastest first):
+#   0. non-test line count          printed for information, never fails
 #   1. cargo fmt --check            cheapest, catches unformatted diffs
 #   2. cargo clippy -D warnings     compiler-adjacent static analysis,
 #                                   once more with fault-inject on
@@ -28,7 +29,7 @@
 #                                   50 runs each (thread
 #                                   interleavings differ run to run; the
 #                                   threads share one pool of table
-#                                   buffers and one wave's lane tables,
+#                                   buffers and one wave's lane pools,
 #                                   and each wavefront worker owns a
 #                                   lane scratch)
 #   6. crash-recovery suite         SIGKILL + resume bit-identity
@@ -77,6 +78,17 @@ BENCH_GATE="${BENCH_GATE:-baseline}"
 SAN_GATE="${SAN_GATE:-auto}"
 BENCH_REL_FLOOR="${BENCH_REL_FLOOR:-0.5}"
 BASELINE_DIR=results/baseline
+
+# For information only, never a gate: the non-test line count, by one
+# rule (the lines before each file's first `#[cfg(test)]`, over
+# crates/*/src/**/*.rs without src/tests/), so that changes which
+# simplify the code report their size the same way.
+echo "== non-test lines (information only) =="
+find crates/*/src -name '*.rs' -not -path '*/src/tests/*' -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { lines++ }
+    END { print lines + 0 }' {} + | awk '{ sum += $1 } END { print sum " non-test lines in crates/*/src" }'
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -168,8 +180,8 @@ echo "== split-wave repeats (50 runs each) =="
 # group tests (batch::tests::lanes_*, which include the planner's
 # group-size cases and the four-member f32 floor, and the fault suite's
 # lane_group_*, on groups of 8 and 12: the same split workers claim
-# whole lane groups and share the wave's lane tables, one set per
-# cell), the three pool tests and the 16-bit lane tests
+# whole lane groups and share the wave's lane pools, one per cell),
+# the three pool tests and the 16-bit lane tests
 # (lanes16_tests::split_* and ::lanes_*: lone solves on forced splits
 # and lane groups of 1-16 members in [i16; 8] and [i16; 16] cells, each
 # cell checked against the oracle, whose debug build takes ~26 s a run,

@@ -13,7 +13,9 @@
 //!    see `bench_batch_throughput`). That holds when threads share the
 //!    arena too: before a split group starts, the pool is topped up to
 //!    one spare per worker, each as long as the group's longest table, so
-//!    no interleaving of its workers allocates.
+//!    no interleaving of its workers allocates. A wave's lane tables
+//!    (item 3) come from pools of the same type, topped up by the same
+//!    rule.
 //! 2. **Two levels of threads, resumable large problems.**
 //!    [`BatchEngine::classify_coarse`] prices each problem with the
 //!    nominal [`perfmodel`](crate::perfmodel) cost model. The small
@@ -41,9 +43,10 @@
 //!    Each member keeps its own entry check, budget admission, fault
 //!    sites, journal record and [`BatchItem`]; the group shares one watch,
 //!    so a deadline or cancellation stops it as a unit, and a panic
-//!    re-runs its members one at a time. Lane tables live for one wave,
-//!    one per worker for each cell its groups use
-//!    ([`BatchReport::lane_tables`]).
+//!    re-runs its members one at a time. Lane tables live for one wave:
+//!    the wave keeps a [`BlockPool`] per lane cell, topped up before the split
+//!    to one table per worker that can hold one of that cell's groups at
+//!    once ([`BatchReport::lane_tables`]).
 //! 4. **Telemetry.** A service needs per-problem latency and aggregate
 //!    throughput, not a bare score: [`BatchReport`] carries both and
 //!    feeds the `bench::report` JSON schema.
@@ -61,8 +64,10 @@
 //! [`MemoryBudget`](crate::supervise::MemoryBudget), a pooled solve under
 //! the options it is given), panics are isolated with `catch_unwind`, and every
 //! [`BatchItem`] records an [`Outcome`] instead of aborting
-//! [`BatchEngine::solve_all`]. The buffer of a panicked solve is
-//! quarantined, never recycled ([`PoolStats::quarantined`] counts it).
+//! [`BatchEngine::solve_all`]. The `f32` buffer of a panicked solve is
+//! quarantined, never recycled ([`PoolStats::quarantined`] counts it). A
+//! panicked lane group's table is recycled: the next group's acquire
+//! refills every cell, and the members re-run alone on `f32` tables.
 
 use crate::checkpoint::{
     self, problem_id, CheckpointSink, Fnv64, JournalRecord, RunManifest, TableSnapshot,
@@ -78,10 +83,8 @@ use machine::spec::MachineSpec;
 use simsched::speedup::HtModel;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use tropical::scalar::{LaneCell, Lanes, Lanes16, Wide16};
+use tropical::scalar::{LaneCell, Lanes, Lanes16, MaxPlus, Wide16};
 
 /// Predicted serial seconds below which [`BatchEngine::classify_coarse`]
 /// marks a problem coarse: it runs in the batch's first group, and an
@@ -573,13 +576,26 @@ impl BatchEngine {
         let cell = |first: usize, members: usize| {
             UnitCell::of(problems[first].ctx().terms().exact16(), members)
         };
-        let mut lanes = WaveLanes::default();
+        let lanes = WaveLanes::default();
         // a wave that is over before it starts allocates nothing
         if Watch::new(sup).check_now().is_ok() {
+            let shape = |i: usize| (problems[i].ctx().m(), problems[i].ctx().n());
+            // the tables of the units on `want`: one per unit, of its shape
+            let tables = |want: UnitCell| -> Vec<(usize, usize)> {
+                plan.iter()
+                    .filter(|unit| cell(unit[0], unit.len()) == want)
+                    .map(|unit| shape(unit[0]))
+                    .collect()
+            };
+            // one thread alone keeps the engine's warm pool allocation-free
+            // by best-fit; the lane pools start empty every wave
             if workers > 1 {
-                self.top_up(pending.iter().map(|&i| &problems[i]), workers, sup);
+                let shapes: Vec<_> = pending.iter().map(|&i| shape(i)).collect();
+                top_up(&self.pool, workers, &shapes, sup);
             }
-            lanes = WaveLanes::for_wave(problems, &plan, |unit| cell(unit[0], unit.len()), workers);
+            top_up(&lanes.f32, workers, &tables(UnitCell::F32), sup);
+            top_up(&lanes.i16, workers, &tables(UnitCell::I16), sup);
+            top_up(&lanes.wide16, workers, &tables(UnitCell::Wide16), sup);
         }
         let mut open: Vec<Option<&mut Option<BatchItem>>> = slots.iter_mut().map(Some).collect();
         let units: Vec<Vec<(usize, &mut Option<BatchItem>)>> = plan
@@ -591,14 +607,16 @@ impl BatchEngine {
             })
             .collect();
         drop(open);
-        run_split(units.into_iter(), &mut vec![(); workers], |_, mut unit| {
+        // each worker counts the problems it solved in lanes
+        let mut in_lanes = vec![0; workers];
+        run_split(units.into_iter(), &mut in_lanes, |in_lanes, mut unit| {
             // a group that could not run leaves its members' slots empty
-            match cell(unit[0].0, unit.len()) {
-                UnitCell::Alone => {}
+            *in_lanes += match cell(unit[0].0, unit.len()) {
+                UnitCell::Alone => 0,
                 UnitCell::F32 => self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes.f32),
                 UnitCell::I16 => self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes.i16),
                 UnitCell::Wide16 => self.solve_lanes(problems, &mut unit, sup, ckpt, &lanes.wide16),
-            }
+            };
             for (i, slot) in unit {
                 if slot.is_none() {
                     *slot = Some(solve(i));
@@ -622,7 +640,6 @@ impl BatchEngine {
             }
         }
 
-        let (lane_problems, lane_tables) = lanes.counts();
         Ok(BatchReport {
             items: slots
                 .into_iter()
@@ -632,8 +649,8 @@ impl BatchEngine {
             pool: self.pool.stats(),
             replayed,
             workers,
-            lane_problems,
-            lane_tables,
+            lane_problems: in_lanes.iter().sum(),
+            lane_tables: lanes.allocated(),
         })
     }
 
@@ -664,21 +681,22 @@ impl BatchEngine {
 
     /// Solve the lane group `unit` (same-shape coarse problems) in one
     /// wavefront over a lane table of cells `L` from `lanes`, filling
-    /// each member's slot. Each member keeps its own entry check and fault
-    /// sites, and gets its own journal record and item; the group's
-    /// records take one journal append, and the group runs under one
-    /// watch, so a deadline or cancellation stops it as a unit. When the
-    /// group cannot run as one — its compute panicked, or its lane table
-    /// could not be shaped — its live members' slots stay empty, for the
-    /// caller to solve one at a time, where only a faulty member fails.
+    /// each member's slot, and return the members it solved. Each member
+    /// keeps its own entry check and fault sites, and gets its own
+    /// journal record and item; the group's records take one journal
+    /// append, and the group runs under one watch, so a deadline or
+    /// cancellation stops it as a unit. When the group cannot run as one
+    /// — its compute panicked, or its lane table could not be shaped —
+    /// its live members' slots stay empty, for the caller to solve one at
+    /// a time, where only a faulty member fails.
     fn solve_lanes<L: LaneCell>(
         &self,
         problems: &[BpMaxProblem],
         unit: &mut [(usize, &mut Option<BatchItem>)],
         sup: &Supervision,
         ckpt: Option<&CheckpointSink>,
-        lanes: &LaneTables<L>,
-    ) {
+        lanes: &BlockPool<L>,
+    ) -> usize {
         let t = Instant::now();
         // positions in `unit` of the members that passed admission
         let mut live = Vec::with_capacity(L::WIDTH);
@@ -708,7 +726,7 @@ impl BatchEngine {
             }
         }
         if live.is_empty() {
-            return;
+            return 0;
         }
         let members: Vec<&Terms<f32>> = live
             .iter()
@@ -716,11 +734,9 @@ impl BatchEngine {
             .collect();
         let terms = Terms::<L>::interleave(&members);
         let (m, n) = (terms.m(), terms.n());
-        let mut table = lanes.take(m, n);
-        if table.reset(m, n, Layout::Packed).is_err() {
-            lanes.put(table);
-            return;
-        }
+        let Ok(mut table) = FTable::try_new_in(m, n, Layout::Packed, lanes) else {
+            return 0;
+        };
         let mut watch = Watch::new(sup);
         if let Some(millis) = slow {
             watch = watch.with_slow(Duration::from_millis(millis));
@@ -743,9 +759,9 @@ impl BatchEngine {
         }));
         let Ok(result) = run else {
             // a panic may leave any values in the table: the next group
-            // resets it before reading a cell
-            lanes.put(table);
-            return;
+            // to acquire the buffer gets every cell refilled with -inf
+            table.recycle(lanes);
+            return 0;
         };
         let result = result.map_err(Interrupt::into_error);
         let seconds = t.elapsed().as_secs_f64() / live.len() as f64;
@@ -768,37 +784,16 @@ impl BatchEngine {
                 batch_item(&problems[i], i, true, seconds, result)
             })
             .collect();
-        if result.is_ok() {
-            lanes.solved.fetch_add(items.len(), Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
-        }
-        lanes.put(table);
+        table.recycle(lanes);
         journal(ckpt, &items);
         for (&pos, item) in live.iter().zip(items) {
             *unit[pos].1 = Some(item);
         }
-    }
-
-    /// Top the arena up before `workers` threads share it on `group`:
-    /// with at most `workers` tables in flight, `workers` spares, each as
-    /// long as the longest table, mean that best-fit never allocates,
-    /// however the threads interleave. Problems the memory budget refuses
-    /// never take a table.
-    fn top_up<'p>(
-        &self,
-        group: impl Iterator<Item = &'p BpMaxProblem>,
-        workers: usize,
-        sup: &Supervision,
-    ) {
-        let longest = group
-            .filter_map(|problem| {
-                let (m, n) = (problem.ctx().m(), problem.ctx().n());
-                FTable::estimate_bytes(m, n, Layout::Packed).ok()
-            })
-            .filter(|&bytes| sup.budget.is_none_or(|b| b.allows(bytes)))
-            .max()
-            .unwrap_or(0);
-        let cells = longest / std::mem::size_of::<f32>() as u64;
-        self.pool.top_up(workers, cells as usize);
+        if result.is_ok() {
+            live.len()
+        } else {
+            0
+        }
     }
 
     /// Solve one problem on a pooled table. Infallible by design: every
@@ -1069,114 +1064,46 @@ fn plan_units(
     units
 }
 
-/// One wave's lane tables, a set for each lane cell its groups use.
+/// Top `pool` up before `workers` threads share it on `tables` (each
+/// an `m × n` shape): with at most one table per worker in flight, one
+/// spare per worker that can hold a table at once, each as long as the
+/// longest table, means best-fit never allocates, however the threads
+/// interleave. Tables the memory budget refuses never take a buffer.
+fn top_up<E: MaxPlus>(
+    pool: &BlockPool<E>,
+    workers: usize,
+    tables: &[(usize, usize)],
+    sup: &Supervision,
+) {
+    let longest = tables
+        .iter()
+        .filter_map(|&(m, n)| FTable::estimate_bytes(m, n, Layout::Packed).ok())
+        .filter(|&bytes| sup.budget.is_none_or(|b| b.allows(bytes)))
+        .max()
+        .unwrap_or(0);
+    // a table holds as many cells of any element as its f32 twin
+    let cells = longest / std::mem::size_of::<f32>() as u64;
+    pool.top_up(workers.min(tables.len()), cells as usize);
+}
+
+/// One wave's lane tables: a pool for each lane cell, topped up before
+/// the split and dropped with the wave, so an idle engine holds none. A
+/// [`Lanes16`] table is half the size of a [`Lanes`] one, and a
+/// [`Wide16`] table the same size.
 #[derive(Default)]
 struct WaveLanes {
-    f32: LaneTables<Lanes>,
-    i16: LaneTables<Lanes16>,
-    wide16: LaneTables<Wide16>,
+    f32: BlockPool<Lanes>,
+    i16: BlockPool<Lanes16>,
+    wide16: BlockPool<Wide16>,
 }
 
 impl WaveLanes {
-    /// The tables for the groups of `plan`, each on its `cell`.
-    fn for_wave(
-        problems: &[BpMaxProblem],
-        plan: &[Vec<usize>],
-        cell: impl Fn(&[usize]) -> UnitCell,
-        workers: usize,
-    ) -> Self {
-        let cell = &cell;
-        let on = |want: UnitCell| plan.iter().filter(move |unit| cell(unit) == want);
-        WaveLanes {
-            f32: LaneTables::for_wave(problems, on(UnitCell::F32), workers),
-            i16: LaneTables::for_wave(problems, on(UnitCell::I16), workers),
-            wide16: LaneTables::for_wave(problems, on(UnitCell::Wide16), workers),
-        }
-    }
-
-    /// Problems solved in lanes, and lane tables allocated.
-    fn counts(self) -> (usize, usize) {
-        [self.f32.counts(), self.i16.counts(), self.wide16.counts()]
-            .into_iter()
-            .fold((0, 0), |(p, t), (dp, dt)| (p + dp, t + dt))
-    }
-}
-
-/// The lane tables of cells `L` of one wave: allocated before its split,
-/// one per worker, and handed to whichever worker claims a lane group of
-/// that cell. They are dropped with the wave, so an idle engine holds
-/// none. A [`Lanes16`] table is half the size of a [`Lanes`] one, and a
-/// [`Wide16`] table the same size.
-struct LaneTables<L> {
-    spare: Mutex<Vec<FTable<L>>>,
-    /// Tables allocated.
-    allocated: AtomicUsize,
-    /// Problems solved in lanes.
-    solved: AtomicUsize,
-}
-
-impl<L> Default for LaneTables<L> {
-    fn default() -> Self {
-        LaneTables {
-            spare: Mutex::new(Vec::new()),
-            allocated: AtomicUsize::new(0),
-            solved: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<L: LaneCell> LaneTables<L> {
-    /// One table per worker that can hold one of `groups` at once (at
-    /// most one per group), each shaped for the largest group.
-    fn for_wave<'p>(
-        problems: &[BpMaxProblem],
-        groups: impl Iterator<Item = &'p Vec<usize>> + Clone,
-        workers: usize,
-    ) -> Self {
-        let largest = groups
-            .clone()
-            .map(|unit| (problems[unit[0]].ctx().m(), problems[unit[0]].ctx().n()))
-            .max_by_key(|&(m, n)| FTable::estimate_bytes(m, n, Layout::Packed).unwrap_or(0));
-        let lanes = LaneTables::default();
-        if let Some((m, n)) = largest {
-            for _ in 0..workers.min(groups.count()) {
-                lanes.put(lanes.fresh(m, n));
-            }
-        }
-        lanes
-    }
-
-    /// A new table with room for `m × n`, counted in `allocated`.
-    fn fresh(&self, m: usize, n: usize) -> FTable<L> {
-        self.allocated.fetch_add(1, Ordering::Relaxed); // ordering: a count read after the wave's threads have joined
-        let mut table = FTable::empty();
-        // a shape the arithmetic refuses leaves the table empty, and the
-        // group's own reset refuses it again
-        let _ = table.reset(m, n, Layout::Packed);
-        table
-    }
-
-    /// A spare table, or a fresh one when none is left.
-    fn take(&self, m: usize, n: usize) -> FTable<L> {
-        let spare = self
-            .spare
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        spare.unwrap_or_else(|| self.fresh(m, n))
-    }
-
-    /// Hand a table back for the next group.
-    fn put(&self, table: FTable<L>) {
-        self.spare
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(table);
-    }
-
-    /// Problems solved in lanes, and tables allocated.
-    fn counts(self) -> (usize, usize) {
-        (self.solved.into_inner(), self.allocated.into_inner())
+    /// Lane tables allocated.
+    fn allocated(&self) -> usize {
+        [self.f32.stats(), self.i16.stats(), self.wide16.stats()]
+            .iter()
+            .map(|stats| stats.allocated as usize)
+            .sum()
     }
 }
 
@@ -2111,6 +2038,51 @@ mod tests {
     }
 
     #[test]
+    fn lanes_one_wave_on_all_three_cells_takes_one_pool_per_cell() {
+        // 12 problems on [i16; 16] cells, 5 of another shape on [i16; 8],
+        // and 5 under a model the 16-bit gate refuses on [f32; 8]
+        let problems: Vec<BpMaxProblem> = same_shape(12, 4, 5, 85)
+            .into_iter()
+            .chain(same_shape(5, 3, 6, 86))
+            .chain(refused_by_the_gate(same_shape(5, 5, 4, 87)))
+            .collect();
+        let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+        let plan = planned(&engine, &problems);
+        let cells = [UnitCell::Wide16, UnitCell::I16, UnitCell::F32];
+        assert_eq!(plan, [12, 5, 5].into_iter().zip(cells).collect::<Vec<_>>());
+        let want: Vec<u32> = problems
+            .iter()
+            .map(|p| {
+                p.solve_opts(&SolveOptions::new())
+                    .unwrap()
+                    .score()
+                    .to_bits()
+            })
+            .collect();
+        for split in forced() {
+            let engine = BatchEngine::new(BatchOptions::new()).unwrap();
+            let first = split_wave(&engine, &problems, split);
+            // each cell's pool: one table per worker that can hold one of
+            // its groups at once
+            let tables: usize = cells
+                .iter()
+                .map(|&cell| {
+                    let groups = plan.iter().filter(|&&(_, c)| c == cell).count();
+                    first.workers.min(groups)
+                })
+                .sum();
+            assert_eq!(first.lane_tables, tables, "{split:?}");
+            assert_eq!(first.lane_problems, 22, "{split:?}");
+            assert_eq!(score_bits(&first), want, "{split:?}");
+            let second = split_wave(&engine, &problems, split);
+            assert_eq!(second.lane_tables, first.lane_tables, "{split:?}");
+            assert_eq!(second.lane_problems, 22, "{split:?}");
+            assert_eq!(second.pool.allocated_since(&first.pool), 0, "{split:?}");
+            assert_eq!(score_bits(&second), want, "{split:?}");
+        }
+    }
+
+    #[test]
     fn lanes_pre_cancelled_wave_allocates_no_lane_table() {
         let problems = same_shape(8, 4, 4, 83);
         let token = CancelToken::new();
@@ -2154,22 +2126,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The fault registry is process-global and other unit tests' waves
-    /// consult it, so the fault sits at index 20: past the end of every
-    /// other wave in this crate's unit tests (20 problems at most, in
-    /// `lanes16_tests`).
+    /// The fault registry is process-global and every wave consults it,
+    /// so the plan is armed only where this is the one test running: a
+    /// harness that runs one test at a time, else a run of this test
+    /// binary on this test alone.
     #[cfg(feature = "fault-inject")]
     #[test]
     fn split_group_isolates_an_injected_panic() {
         use crate::supervise::fault::{self, Fault, FaultPlan};
+        const ONE_AT_A_TIME: &str = "--test-threads=1";
+        if !std::env::args().any(|arg| arg == ONE_AT_A_TIME) {
+            let name = "batch::tests::split_group_isolates_an_injected_panic";
+            let run = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", name, ONE_AT_A_TIME])
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&run.stdout);
+            assert!(
+                run.status.success() && stdout.contains("1 passed"),
+                "{stdout}{}",
+                String::from_utf8_lossy(&run.stderr)
+            );
+            return;
+        }
         struct Disarm;
         impl Drop for Disarm {
             fn drop(&mut self) {
                 fault::disarm();
             }
         }
-        const AT: usize = 20;
-        let problems = mixed_problems(23, 63);
+        const AT: usize = 13;
+        let problems = mixed_problems(16, 63);
         let engine = BatchEngine::new(BatchOptions::new()).unwrap();
         let want = score_bits(&split_wave(&engine, &problems, Split::SERIAL));
         let _disarm = Disarm;

@@ -5,7 +5,8 @@
 //! ([`tropical::scalar::Lanes`]), or, under an integer-weight model, up
 //! to eight ([`tropical::scalar::Lanes16`]) or sixteen
 //! ([`tropical::scalar::Wide16`]) in 16 bits. Addressing is the same for
-//! all.
+//! all, and so is recycling: a table's buffer comes from, and goes back
+//! to, a [`BlockPool`] of its element.
 //!
 //! `F[i1][j1][i2][j2]` is defined for `0 ≤ i1 ≤ j1 < M`, `0 ≤ i2 ≤ j2 < N`.
 //! Storage is one buffer of *inner-triangle blocks*, one block per outer
@@ -43,9 +44,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use tropical::scalar::MaxPlus;
 
-/// Empty-cell initialiser: max-plus additive identity.
-const NEG_INF: f32 = f32::NEG_INFINITY;
-
 /// Strand lengths above this bound always refuse with
 /// [`BpMaxError::SizeOverflow`] — the `Θ(M²N²)` table could not be
 /// addressed anyway, and keeping the bound well under `2³²` lets the
@@ -78,7 +76,8 @@ impl PoolStats {
     }
 }
 
-/// A recycling arena for F-table buffers.
+/// A recycling arena for F-table buffers of cell element `E`: `f32` for
+/// one problem's table, or a lane cell for a batch lane group's.
 ///
 /// Solving a `BPMax` instance allocates one `Θ(M²N²)` buffer. In a batch
 /// workload that repeats per problem; the pool keeps released buffers
@@ -87,27 +86,41 @@ impl PoolStats {
 /// ([`PoolStats`] proves it). Thread-safe: the spare list is behind a
 /// mutex, which a table takes once to acquire its buffer and once to
 /// return it, and the counters are atomics.
-#[derive(Debug, Default)]
-pub struct BlockPool {
+#[derive(Debug)]
+pub struct BlockPool<E = f32> {
     /// Spare buffers, sorted by ascending capacity.
-    spares: Mutex<Vec<Vec<f32>>>,
+    spares: Mutex<Vec<Vec<E>>>,
     allocated: AtomicU64,
     reused: AtomicU64,
     recycled: AtomicU64,
     quarantined: AtomicU64,
 }
 
+impl<E> Default for BlockPool<E> {
+    fn default() -> Self {
+        BlockPool {
+            spares: Mutex::default(),
+            allocated: AtomicU64::default(),
+            reused: AtomicU64::default(),
+            recycled: AtomicU64::default(),
+            quarantined: AtomicU64::default(),
+        }
+    }
+}
+
 impl BlockPool {
-    /// An empty pool.
+    /// An empty pool of `f32` buffers.
     pub fn new() -> Self {
         BlockPool::default()
     }
+}
 
+impl<E: MaxPlus> BlockPool<E> {
     /// Acquire a buffer of exactly `len` cells, all `-∞`. Best-fit: the
     /// smallest spare with sufficient capacity; otherwise the largest
     /// spare is grown (counted as an allocation), or a fresh buffer is
     /// allocated.
-    pub fn acquire(&self, len: usize) -> Vec<f32> {
+    pub fn acquire(&self, len: usize) -> Vec<E> {
         let mut buf = {
             let mut spares = self.lock_spares();
             let pos = spares.partition_point(|s| s.capacity() < len);
@@ -124,12 +137,12 @@ impl BlockPool {
         };
         counter.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
         buf.clear();
-        buf.resize(len, NEG_INF);
+        buf.resize(len, E::NEG_INF);
         buf
     }
 
     /// Return a buffer to the pool for later reuse.
-    pub fn release(&self, buf: Vec<f32>) {
+    pub fn release(&self, buf: Vec<E>) {
         self.recycled.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
         add_spare(&mut self.lock_spares(), buf);
     }
@@ -150,7 +163,7 @@ impl BlockPool {
     /// Pool `count` fresh spares of capacity `len`, counted in
     /// [`PoolStats::allocated`]. An empty buffer never touches the
     /// allocator, so `len` 0 adds nothing.
-    fn add_fresh(&self, spares: &mut Vec<Vec<f32>>, count: usize, len: usize) {
+    fn add_fresh(&self, spares: &mut Vec<Vec<E>>, count: usize, len: usize) {
         if len == 0 {
             return;
         }
@@ -166,7 +179,7 @@ impl BlockPool {
     /// reach the next problem. Safe over-approximation: quarantining
     /// costs one fresh allocation, recycling a bad buffer costs
     /// correctness.
-    pub fn quarantine(&self, buf: Vec<f32>) {
+    pub fn quarantine(&self, buf: Vec<E>) {
         self.quarantined.fetch_add(1, Ordering::Relaxed); // ordering: monotone stats counter
         drop(buf);
     }
@@ -186,18 +199,18 @@ impl BlockPool {
         self.lock_spares().len()
     }
 
-    /// The spare list, poison-tolerant: spares are bare `Vec<f32>`s that
+    /// The spare list, poison-tolerant: spares are bare `Vec`s that
     /// [`BlockPool::acquire`] fully resets, so a panic while the lock was
     /// held cannot leave an observable inconsistency worth propagating —
     /// and the batch engine must keep pooling after isolating a panicked
     /// problem.
-    fn lock_spares(&self) -> std::sync::MutexGuard<'_, Vec<Vec<f32>>> {
+    fn lock_spares(&self) -> std::sync::MutexGuard<'_, Vec<Vec<E>>> {
         self.spares.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// Insert `buf` into a spare list kept sorted by ascending capacity.
-fn add_spare(spares: &mut Vec<Vec<f32>>, buf: Vec<f32>) {
+fn add_spare<E>(spares: &mut Vec<Vec<E>>, buf: Vec<E>) {
     let pos = spares.partition_point(|s| s.capacity() < buf.capacity());
     spares.insert(pos, buf);
 }
@@ -327,32 +340,39 @@ impl<E: Copy, C: Deref<Target = [E]>> Table<C> {
 }
 
 impl<E: MaxPlus> FTable<E> {
-    /// A `0 × 0` table holding no buffer, to [`Table::reset`] to a shape.
-    pub(crate) fn empty() -> Self {
-        Table {
-            m: 0,
-            n: 0,
-            layout: Layout::Packed,
-            block_len: 0,
-            cells: Vec::new(),
-        }
-    }
-
-    /// Re-shape in place to `m × n`, all cells `-∞`, reusing the buffer:
-    /// a lane table serves one group after another without touching the
-    /// allocator while their shapes fit its capacity.
-    pub(crate) fn reset(&mut self, m: usize, n: usize, layout: Layout) -> Result<(), BpMaxError> {
+    /// Like [`FTable::try_new`], but the buffer is acquired from `pool` —
+    /// the batch engine's zero-steady-state-allocation path. Pair with
+    /// [`FTable::recycle`], or [`FTable::quarantine`] after a panic.
+    pub fn try_new_in(
+        m: usize,
+        n: usize,
+        layout: Layout,
+        pool: &BlockPool<E>,
+    ) -> Result<Self, BpMaxError> {
         let (len, block_len) = checked_shape::<E>(m, n, layout)?;
-        *self = Table {
+        Ok(Table {
             m,
             n,
             layout,
             block_len,
-            cells: std::mem::take(&mut self.cells),
-        };
-        self.cells.clear();
-        self.cells.resize(len, E::NEG_INF);
-        Ok(())
+            cells: pool.acquire(len),
+        })
+    }
+
+    /// Return the buffer to `pool` and drop the table shell.
+    pub fn recycle(self, pool: &BlockPool<E>) {
+        pool.release(self.cells);
+    }
+
+    /// Give up the buffer of a table whose solve panicked: `pool`
+    /// [quarantines](BlockPool::quarantine) it and pools a fresh spare
+    /// of the same capacity in its place (counted in
+    /// [`PoolStats::allocated`]), so the spares a split wave was topped
+    /// up with still cover the tables in flight.
+    pub fn quarantine(self, pool: &BlockPool<E>) {
+        let capacity = self.cells.capacity();
+        pool.quarantine(self.cells);
+        pool.add_fresh(&mut pool.lock_spares(), 1, capacity);
     }
 
     /// Total bytes allocated for cell storage.
@@ -449,43 +469,8 @@ impl FTable {
             n,
             layout,
             block_len,
-            cells: vec![NEG_INF; len],
+            cells: vec![f32::NEG_INFINITY; len],
         })
-    }
-
-    /// Like [`FTable::try_new`], but the buffer is acquired from `pool` —
-    /// the batch engine's zero-steady-state-allocation path. Pair with
-    /// [`FTable::recycle`], or [`FTable::quarantine`] after a panic.
-    pub fn try_new_in(
-        m: usize,
-        n: usize,
-        layout: Layout,
-        pool: &BlockPool,
-    ) -> Result<Self, BpMaxError> {
-        let (len, block_len) = checked_shape::<f32>(m, n, layout)?;
-        Ok(Table {
-            m,
-            n,
-            layout,
-            block_len,
-            cells: pool.acquire(len),
-        })
-    }
-
-    /// Return the buffer to `pool` and drop the table shell.
-    pub fn recycle(self, pool: &BlockPool) {
-        pool.release(self.cells);
-    }
-
-    /// Give up the buffer of a table whose solve panicked: `pool`
-    /// [quarantines](BlockPool::quarantine) it and pools a fresh spare
-    /// of the same capacity in its place (counted in
-    /// [`PoolStats::allocated`]), so the spares a split wave was topped
-    /// up with still cover the tables in flight.
-    pub fn quarantine(self, pool: &BlockPool) {
-        let capacity = self.cells.capacity();
-        pool.quarantine(self.cells);
-        pool.add_fresh(&mut pool.lock_spares(), 1, capacity);
     }
 
     /// Bytes of cell storage a table of shape `m × n` would allocate,
@@ -541,6 +526,7 @@ impl FTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tropical::scalar::{Lanes16, Wide16};
 
     #[test]
     fn outer_indexing_is_dense_and_unique() {
@@ -658,7 +644,12 @@ mod tests {
 
     #[test]
     fn top_up_allocates_only_the_shortfall() {
-        let pool = BlockPool::new();
+        top_up_allocates_only_the_shortfall_on::<f32>();
+        top_up_allocates_only_the_shortfall_on::<Lanes16>();
+    }
+
+    fn top_up_allocates_only_the_shortfall_on<E: MaxPlus>() {
+        let pool = BlockPool::<E>::default();
         pool.release(Vec::with_capacity(4));
         pool.release(Vec::with_capacity(16));
         // one spare already holds 10 cells: two more are allocated
@@ -704,20 +695,32 @@ mod tests {
 
     #[test]
     fn pooled_table_round_trips_and_stays_allocation_flat() {
-        let pool = BlockPool::new();
+        pooled_table_round_trips_and_stays_allocation_flat_on(5.0f32);
+        // a lane table, a different value in every lane
+        let lanes: Wide16 = std::array::from_fn(|lane| lane as i16 - 8);
+        pooled_table_round_trips_and_stays_allocation_flat_on(lanes);
+    }
+
+    fn pooled_table_round_trips_and_stays_allocation_flat_on<E: MaxPlus + PartialEq>(value: E) {
+        let pool = BlockPool::<E>::default();
         let mut t = FTable::try_new_in(4, 3, Layout::Packed, &pool).unwrap();
-        t.set(0, 3, 1, 2, 5.0);
-        assert_eq!(t.get(0, 3, 1, 2), 5.0);
-        assert_eq!(t.get(0, 0, 0, 0), f32::NEG_INFINITY);
+        t.set(0, 3, 1, 2, value);
+        assert_eq!(t.get(0, 3, 1, 2), value);
+        assert_eq!(t.get(0, 0, 0, 0), E::NEG_INF);
         let first_wave = pool.stats().allocated;
         assert_eq!(first_wave, 1); // one buffer per table
+
+        // a solve, or a panic mid-solve, may leave a value in any cell
+        for (i1, j1, i2, j2) in t.iter_cells().collect::<Vec<_>>() {
+            t.set(i1, j1, i2, j2, value);
+        }
         t.recycle(&pool);
         // second wave of the same shape: zero fresh allocations, and the
         // recycled buffers come back fully reset to -inf
         let t2 = FTable::try_new_in(4, 3, Layout::Packed, &pool).unwrap();
         assert_eq!(pool.stats().allocated, first_wave);
         for (i1, j1, i2, j2) in t2.iter_cells().collect::<Vec<_>>() {
-            assert_eq!(t2.get(i1, j1, i2, j2), f32::NEG_INFINITY);
+            assert_eq!(t2.get(i1, j1, i2, j2), E::NEG_INF);
         }
     }
 
